@@ -73,13 +73,6 @@ class Calculus:
     def from_b(self, b_vec):
         return Form(0, self.module(0).from_b(b_vec, "1"))
 
-    def to_b(self, form):
-        assert form.degree == 0
-        out = Vec(self.scalar_order)
-        for (b, _), c in form.vec.terms.items():
-            out.add_term(b, c)
-        return out
-
     # -- d, wedge, star on elements ----------------------------------------
 
     def d(self, form):
@@ -188,9 +181,6 @@ class ComplexStructure:
 
     def delbar_b(self, b_vec):
         return self.delbar(self.cal.from_b(b_vec))
-
-    def del_b(self, b_vec):
-        return self.del_(self.cal.from_b(b_vec))
 
     def submodule(self, p, q, name=None):
         basis = [i for i in self.cal.module(p + q).basis if self.bigrade[i] == (p, q)]

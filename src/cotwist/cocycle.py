@@ -51,13 +51,6 @@ class PairFunctional:
                 out = out + c1 * c2 * self(l1, l2)
         return out
 
-    def on_pairs(self, pair_vec):
-        """Linear extension to a Vec over (l1, l2) keys."""
-        out = Cyc.zero(self.A.scalar_order)
-        for (l1, l2), c in pair_vec.terms.items():
-            out = out + c * self(l1, l2)
-        return out
-
 
 def counit_functional(A):
     return PairFunctional(
@@ -214,22 +207,10 @@ class CocycleData:
             out = out + c * func(l)
         return out
 
-    def U_elem(self, v):
-        out = Cyc.zero(self.hopf.scalar_order)
-        for l, c in v.terms.items():
-            out = out + c * self.U(l)
-        return out
-
     def V_elem(self, v):
         out = Cyc.zero(self.hopf.scalar_order)
         for l, c in v.terms.items():
             out = out + c * self.V(l)
-        return out
-
-    def Ubar_elem(self, v):
-        out = Cyc.zero(self.hopf.scalar_order)
-        for l, c in v.terms.items():
-            out = out + c * self.Ubar(l)
         return out
 
     def Vbar_elem(self, v):
@@ -433,157 +414,153 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
     def name(t):
         return ",".join(A.label_name(x) for x in t)
 
-    with reporter.check(f"{prefix}.equation", anchor="cocycle.equation") as ck:
-        for (lg, lh, lk) in triples:
-            lhs = Cyc.zero(A.scalar_order)
-            rhs = Cyc.zero(A.scalar_order)
-            for (g1, g2), cg in two(lg).terms.items():
-                for (h1, h2), chh in two(lh).terms.items():
-                    prod = A.mult(g2, h2)
-                    lhs = lhs + cg * chh * g(g1, h1) * g.on_elems(prod, A.el(lk))
+    def equation(t):
+        lg, lh, lk = t
+        lhs = Cyc.zero(A.scalar_order)
+        rhs = Cyc.zero(A.scalar_order)
+        for (g1, g2), cg in two(lg).terms.items():
+            for (h1, h2), chh in two(lh).terms.items():
+                prod = A.mult(g2, h2)
+                lhs = lhs + cg * chh * g(g1, h1) * g.on_elems(prod, A.el(lk))
+        for (h1, h2), chh in two(lh).terms.items():
+            for (k1, k2), ckk in two(lk).terms.items():
+                prod = A.mult(h2, k2)
+                rhs = rhs + chh * ckk * g(h1, k1) * g.on_elems(A.el(lg), prod)
+        return f"cocycle equation fails at ({name(t)})" if lhs != rhs else None
+
+    reporter.forall(f"{prefix}.equation", "cocycle.equation", triples, equation)
+
+    def equivalent_ii(t):
+        lg, lh, lk = t
+        lhs = Cyc.zero(A.scalar_order)
+        rhs = Cyc.zero(A.scalar_order)
+        for (g1, g2), cg in two(lg).terms.items():
+            for (h1, h2), chh in two(lh).terms.items():
+                lhs = lhs + cg * chh * gb.on_elems(A.mult(g1, h1), A.el(lk)) * gb(g2, h2)
+        for (h1, h2), chh in two(lh).terms.items():
+            for (k1, k2), ckk in two(lk).terms.items():
+                rhs = rhs + chh * ckk * gb.on_elems(A.el(lg), A.mult(h1, k1)) * gb(h2, k2)
+        return f"identity (ii) fails at ({name(t)})" if lhs != rhs else None
+
+    reporter.forall(f"{prefix}.equivalent-ii", "cocycle.inverse-equation", triples, equivalent_ii)
+
+    def equivalent_iii(t):
+        lg, lh, lk = t
+        lhs = Cyc.zero(A.scalar_order)
+        rhs = Cyc.zero(A.scalar_order)
+        for (g1, g2), cg in two(lg).terms.items():
             for (h1, h2), chh in two(lh).terms.items():
                 for (k1, k2), ckk in two(lk).terms.items():
-                    prod = A.mult(h2, k2)
-                    rhs = rhs + chh * ckk * g(h1, k1) * g.on_elems(A.el(lg), prod)
-            if lhs != rhs:
-                ck.fail(f"cocycle equation fails at ({name((lg, lh, lk))})")
-                break
+                    c = cg * chh * ckk
+                    lhs = lhs + c * g.on_elems(A.mult(g1, h1), A.el(k1)) \
+                        * gb.on_elems(A.el(g2), A.mult(h2, k2))
+        for (h1, h2), chh in two(lh).terms.items():
+            rhs = rhs + chh * gb(lg, h1) * g(h2, lk)
+        return f"identity (iii) fails at ({name(t)})" if lhs != rhs else None
 
-    with reporter.check(f"{prefix}.equivalent-ii", anchor="cocycle.inverse-equation") as ck:
-        for (lg, lh, lk) in triples:
-            lhs = Cyc.zero(A.scalar_order)
-            rhs = Cyc.zero(A.scalar_order)
-            for (g1, g2), cg in two(lg).terms.items():
-                for (h1, h2), chh in two(lh).terms.items():
-                    lhs = lhs + cg * chh * gb.on_elems(A.mult(g1, h1), A.el(lk)) * gb(g2, h2)
+    reporter.forall(f"{prefix}.equivalent-iii", "cocycle.mixed-identity-left", triples,
+                    equivalent_iii)
+
+    def equivalent_iv(t):
+        lg, lh, lk = t
+        lhs = Cyc.zero(A.scalar_order)
+        rhs = Cyc.zero(A.scalar_order)
+        for (g1, g2), cg in two(lg).terms.items():
             for (h1, h2), chh in two(lh).terms.items():
                 for (k1, k2), ckk in two(lk).terms.items():
-                    rhs = rhs + chh * ckk * gb.on_elems(A.el(lg), A.mult(h1, k1)) * gb(h2, k2)
-            if lhs != rhs:
-                ck.fail(f"identity (ii) fails at ({name((lg, lh, lk))})")
-                break
+                    c = cg * chh * ckk
+                    lhs = lhs + c * g.on_elems(A.el(g1), A.mult(h1, k1)) \
+                        * gb.on_elems(A.mult(g2, h2), A.el(k2))
+        for (h1, h2), chh in two(lh).terms.items():
+            rhs = rhs + chh * g(lg, h2) * gb(h1, lk)
+        return f"identity (iv) fails at ({name(t)})" if lhs != rhs else None
 
-    with reporter.check(f"{prefix}.equivalent-iii", anchor="cocycle.mixed-identity-left") as ck:
-        for (lg, lh, lk) in triples:
-            lhs = Cyc.zero(A.scalar_order)
-            rhs = Cyc.zero(A.scalar_order)
-            for (g1, g2), cg in two(lg).terms.items():
-                for (h1, h2), chh in two(lh).terms.items():
-                    for (k1, k2), ckk in two(lk).terms.items():
-                        c = cg * chh * ckk
-                        lhs = lhs + c * g.on_elems(A.mult(g1, h1), A.el(k1)) \
-                            * gb.on_elems(A.el(g2), A.mult(h2, k2))
-            for (h1, h2), chh in two(lh).terms.items():
-                rhs = rhs + chh * gb(lg, h1) * g(h2, lk)
-            if lhs != rhs:
-                ck.fail(f"identity (iii) fails at ({name((lg, lh, lk))})")
-                break
-
-    with reporter.check(f"{prefix}.equivalent-iv", anchor="cocycle.mixed-identity-right") as ck:
-        for (lg, lh, lk) in triples:
-            lhs = Cyc.zero(A.scalar_order)
-            rhs = Cyc.zero(A.scalar_order)
-            for (g1, g2), cg in two(lg).terms.items():
-                for (h1, h2), chh in two(lh).terms.items():
-                    for (k1, k2), ckk in two(lk).terms.items():
-                        c = cg * chh * ckk
-                        lhs = lhs + c * g.on_elems(A.el(g1), A.mult(h1, k1)) \
-                            * gb.on_elems(A.mult(g2, h2), A.el(k2))
-            for (h1, h2), chh in two(lh).terms.items():
-                rhs = rhs + chh * g(lg, h2) * gb(h1, lk)
-            if lhs != rhs:
-                ck.fail(f"identity (iv) fails at ({name((lg, lh, lk))})")
-                break
+    reporter.forall(f"{prefix}.equivalent-iv", "cocycle.mixed-identity-right", triples,
+                    equivalent_iv)
 
     labels = sorted({l for t in triples for l in t})
-    with reporter.check(f"{prefix}.unital", anchor="cocycle.unitality") as ck:
-        one = A.unit()
-        for l in labels:
-            left = g.on_elems(A.el(l), one)
-            right = g.on_elems(one, A.el(l))
-            if left != A.counit(l) or right != A.counit(l):
-                ck.fail(f"unitality fails at {A.label_name(l)}")
-                break
+    one = A.unit()
 
-    with reporter.check(f"{prefix}.convolution-inverse", anchor="cocycle.convolution-inverse") as ck:
-        left = convolve(g, gb, A)
-        right = convolve(gb, g, A)
-        pairs = {(a, b) for (a, b, _) in triples} | {(b, c) for (_, b, c) in triples}
-        for a, b in sorted(pairs):
-            if left(a, b) != eps(a, b) or right(a, b) != eps(a, b):
-                ck.fail(f"gamma*gammabar != counit at ({A.label_name(a)},{A.label_name(b)})")
-                break
+    def unital(l):
+        left = g.on_elems(A.el(l), one)
+        right = g.on_elems(one, A.el(l))
+        if left != A.counit(l) or right != A.counit(l):
+            return f"unitality fails at {A.label_name(l)}"
+        return None
+
+    reporter.forall(f"{prefix}.unital", "cocycle.unitality", labels, unital)
+
+    left = convolve(g, gb, A)
+    right = convolve(gb, g, A)
+    pairs = {(a, b) for (a, b, _) in triples} | {(b, c) for (_, b, c) in triples}
+
+    def convolution_inverse(ab):
+        if left(*ab) != eps(*ab) or right(*ab) != eps(*ab):
+            return f"gamma*gammabar != counit at ({name(ab)})"
+        return None
+
+    reporter.forall(f"{prefix}.convolution-inverse", "cocycle.convolution-inverse",
+                    sorted(pairs), convolution_inverse)
 
     if cross_check and A.is_grouplike_basis():
-        with reporter.check(f"{prefix}.grouplike-crosscheck", anchor="cocycle.group-cocycle-form") as ck:
-            for (lg, lh, lk) in triples:
-                gh = next(iter(A.mult(lg, lh).terms))
-                hk = next(iter(A.mult(lh, lk).terms))
-                lhs = g(lg, lh) * g(gh, lk)
-                rhs = g(lh, lk) * g(lg, hk)
-                if lhs != rhs:
-                    ck.fail(f"group 2-cocycle identity fails at ({name((lg, lh, lk))})")
-                    break
+        def group_form(t):
+            lg, lh, lk = t
+            gh = next(iter(A.mult(lg, lh).terms))
+            hk = next(iter(A.mult(lh, lk).terms))
+            if g(lg, lh) * g(gh, lk) != g(lh, lk) * g(lg, hk):
+                return f"group 2-cocycle identity fails at ({name(t)})"
+            return None
+
+        reporter.forall(f"{prefix}.grouplike-crosscheck", "cocycle.group-cocycle-form",
+                        triples, group_form)
 
 
 def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
     """Conjugation laws of a unitary cocycle plus the exchange identities."""
     g, gb = data.gamma, data.gamma_bar
 
-    def star_lab(l):
-        return A.star(l)
+    def name(t):
+        return ",".join(A.label_name(x) for x in t)
 
     def s_star(l):
         # S(l)* as an element
         return A.star_elem(A.antipode(l))
 
-    with reporter.check(f"{prefix}.gamma-conjugation", anchor="unitarity.gamma-conjugation") as ck:
-        for a, b in pairs:
-            lhs = g(a, b).conj()
-            rhs = gb.on_elems(s_star(a), s_star(b))
-            if lhs != rhs:
-                ck.fail(f"conj gamma != gammabar(S*().,S*().) at ({A.label_name(a)},{A.label_name(b)})")
-                break
-
-    with reporter.check(f"{prefix}.gammabar-conjugation", anchor="unitarity.inverse-conjugation") as ck:
-        for a, b in pairs:
-            lhs = gb(a, b).conj()
-            rhs = g.on_elems(s_star(a), s_star(b))
-            if lhs != rhs:
-                ck.fail(f"conj gammabar != gamma(S*().,S*().) at ({A.label_name(a)},{A.label_name(b)})")
-                break
+    reporter.forall(f"{prefix}.gamma-conjugation", "unitarity.gamma-conjugation", pairs,
+                    lambda ab: f"conj gamma != gammabar(S*().,S*().) at ({name(ab)})"
+                    if g(*ab).conj() != gb.on_elems(s_star(ab[0]), s_star(ab[1])) else None)
+    reporter.forall(f"{prefix}.gammabar-conjugation", "unitarity.inverse-conjugation", pairs,
+                    lambda ab: f"conj gammabar != gamma(S*().,S*().) at ({name(ab)})"
+                    if gb(*ab).conj() != g.on_elems(s_star(ab[0]), s_star(ab[1])) else None)
 
     labels = sorted({l for p in pairs for l in p})
-    with reporter.check(f"{prefix}.vbar-conjugation", anchor="unitarity.vbar-v-conjugation") as ck:
-        for l in labels:
-            lhs = Cyc.zero(A.scalar_order)
-            for l2, c in star_lab(l).terms.items():
-                lhs = lhs + c.conj() * data.Vbar(l2)
-            if lhs.conj() != data.V(l):
-                ck.fail(f"conj Vbar(h*) != V(h) at {A.label_name(l)}")
-                break
 
-    with reporter.check(f"{prefix}.u-ubar-inverse", anchor="twist.u-convolution-inverse") as ck:
-        for l in labels:
+    def vbar_conjugation(l):
+        lhs = Cyc.zero(A.scalar_order)
+        for l2, c in A.star(l).terms.items():
+            lhs = lhs + c.conj() * data.Vbar(l2)
+        return f"conj Vbar(h*) != V(h) at {A.label_name(l)}" if lhs.conj() != data.V(l) else None
+
+    reporter.forall(f"{prefix}.vbar-conjugation", "unitarity.vbar-v-conjugation", labels,
+                    vbar_conjugation)
+
+    def convolution_inverses(f, fbar, witness):
+        """Defect of f * fbar = fbar * f = counit at a label."""
+        def defect(l):
             acc_l = Cyc.zero(A.scalar_order)
             acc_r = Cyc.zero(A.scalar_order)
             for (k1, k2), c in A.coproduct(l).terms.items():
-                acc_l = acc_l + c * data.U(k1) * data.Ubar(k2)
-                acc_r = acc_r + c * data.Ubar(k1) * data.U(k2)
+                acc_l = acc_l + c * f(k1) * fbar(k2)
+                acc_r = acc_r + c * fbar(k1) * f(k2)
             if acc_l != A.counit(l) or acc_r != A.counit(l):
-                ck.fail(f"U*Ubar != counit at {A.label_name(l)}")
-                break
+                return f"{witness} at {A.label_name(l)}"
+            return None
+        return defect
 
-    with reporter.check(f"{prefix}.v-vbar-inverse", anchor="twist.v-convolution-inverse") as ck:
-        for l in labels:
-            acc_l = Cyc.zero(A.scalar_order)
-            acc_r = Cyc.zero(A.scalar_order)
-            for (k1, k2), c in A.coproduct(l).terms.items():
-                acc_l = acc_l + c * data.V(k1) * data.Vbar(k2)
-                acc_r = acc_r + c * data.Vbar(k1) * data.V(k2)
-            if acc_l != A.counit(l) or acc_r != A.counit(l):
-                ck.fail(f"V*Vbar != counit at {A.label_name(l)}")
-                break
+    reporter.forall(f"{prefix}.u-ubar-inverse", "twist.u-convolution-inverse", labels,
+                    convolution_inverses(data.U, data.Ubar, "U*Ubar != counit"))
+    reporter.forall(f"{prefix}.v-vbar-inverse", "twist.v-convolution-inverse", labels,
+                    convolution_inverses(data.V, data.Vbar, "V*Vbar != counit"))
 
     def vbar_of_star(v):
         out = Cyc.zero(A.scalar_order)
@@ -592,57 +569,55 @@ def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
                 out = out + c.conj() * c2 * data.Vbar(l2)
         return out
 
-    with reporter.check(f"{prefix}.vbar-exchange", anchor="unitarity.vbar-exchange-identity") as ck:
+    def vbar_exchange(hk):
         # Vbar(k1*) Vbar(h1*) gamma(k2* (x) h2*) = gammabar(S(h1)* (x) S(k1)*) Vbar(k2* h2*)
-        for lh, lk in pairs:
-            lhs = Cyc.zero(A.scalar_order)
-            rhs = Cyc.zero(A.scalar_order)
-            for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
-                for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-                    c = (ckk * chh).conj()
-                    lhs = lhs + c * vbar_of_star(A.el(k1)) * vbar_of_star(A.el(h1)) \
-                        * g.on_elems(A.star(k2), A.star(h2))
-                    rhs = rhs + c * gb.on_elems(s_star(h1), s_star(k1)) \
-                        * vbar_of_star(A.mult_elem(A.el(h2), A.el(k2)))
-            if lhs != rhs:
-                ck.fail(f"vbar exchange identity fails at ({A.label_name(lh)},{A.label_name(lk)})")
-                break
-
-    with reporter.check(f"{prefix}.vbar-merge", anchor="unitarity.vbar-merge-identity") as ck:
-        # gamma(S(h1)* (x) S(k1)*) Vbar(k2*) Vbar(h2*) = Vbar(k1* h1*) gammabar(k2* (x) h2*)
-        for lh, lk in pairs:
-            lhs = Cyc.zero(A.scalar_order)
-            rhs = Cyc.zero(A.scalar_order)
-            for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
-                for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-                    c = (ckk * chh).conj()
-                    lhs = lhs + c * g.on_elems(s_star(h1), s_star(k1)) \
-                        * vbar_of_star(A.el(k2)) * vbar_of_star(A.el(h2))
-                    rhs = rhs + c * vbar_of_star(A.mult_elem(A.el(h1), A.el(k1))) \
-                        * gb.on_elems(A.star(k2), A.star(h2))
-            if lhs != rhs:
-                ck.fail(f"vbar merge identity fails at ({A.label_name(lh)},{A.label_name(lk)})")
-                break
-
-    with reporter.check(f"{prefix}.u-exchange", anchor="twist.u-exchange-identity") as ck:
-        # U(h1) gammabar(S(h2) (x) k) = gamma(h1 (x) S(h2) k)
-        for lh, lk in pairs:
-            lhs = Cyc.zero(A.scalar_order)
-            rhs = Cyc.zero(A.scalar_order)
+        lh, lk = hk
+        lhs = Cyc.zero(A.scalar_order)
+        rhs = Cyc.zero(A.scalar_order)
+        for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
             for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-                lhs = lhs + chh * data.U(h1) * gb.on_elems(A.antipode(h2), A.el(lk))
-                rhs = rhs + chh * g.on_elems(
-                    A.el(h1), A.mult_elem(A.antipode(h2), A.el(lk)))
-            if lhs != rhs:
-                ck.fail(f"u exchange identity fails at ({A.label_name(lh)},{A.label_name(lk)})")
-                break
+                c = (ckk * chh).conj()
+                lhs = lhs + c * vbar_of_star(A.el(k1)) * vbar_of_star(A.el(h1)) \
+                    * g.on_elems(A.star(k2), A.star(h2))
+                rhs = rhs + c * gb.on_elems(s_star(h1), s_star(k1)) \
+                    * vbar_of_star(A.mult_elem(A.el(h2), A.el(k2)))
+        return f"vbar exchange identity fails at ({name(hk)})" if lhs != rhs else None
+
+    reporter.forall(f"{prefix}.vbar-exchange", "unitarity.vbar-exchange-identity", pairs,
+                    vbar_exchange)
+
+    def vbar_merge(hk):
+        # gamma(S(h1)* (x) S(k1)*) Vbar(k2*) Vbar(h2*) = Vbar(k1* h1*) gammabar(k2* (x) h2*)
+        lh, lk = hk
+        lhs = Cyc.zero(A.scalar_order)
+        rhs = Cyc.zero(A.scalar_order)
+        for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
+            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
+                c = (ckk * chh).conj()
+                lhs = lhs + c * g.on_elems(s_star(h1), s_star(k1)) \
+                    * vbar_of_star(A.el(k2)) * vbar_of_star(A.el(h2))
+                rhs = rhs + c * vbar_of_star(A.mult_elem(A.el(h1), A.el(k1))) \
+                    * gb.on_elems(A.star(k2), A.star(h2))
+        return f"vbar merge identity fails at ({name(hk)})" if lhs != rhs else None
+
+    reporter.forall(f"{prefix}.vbar-merge", "unitarity.vbar-merge-identity", pairs, vbar_merge)
+
+    def u_exchange(hk):
+        # U(h1) gammabar(S(h2) (x) k) = gamma(h1 (x) S(h2) k)
+        lh, lk = hk
+        lhs = Cyc.zero(A.scalar_order)
+        rhs = Cyc.zero(A.scalar_order)
+        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
+            lhs = lhs + chh * data.U(h1) * gb.on_elems(A.antipode(h2), A.el(lk))
+            rhs = rhs + chh * g.on_elems(
+                A.el(h1), A.mult_elem(A.antipode(h2), A.el(lk)))
+        return f"u exchange identity fails at ({name(hk)})" if lhs != rhs else None
+
+    reporter.forall(f"{prefix}.u-exchange", "twist.u-exchange-identity", pairs, u_exchange)
 
     if A.is_grouplike_basis():
         # on a grouplike basis, unitarity is exactly pointwise unit modulus
-        with reporter.check(f"{prefix}.modulus", anchor="unitarity.unit-modulus") as ck:
-            one = Cyc.one(A.scalar_order)
-            for a, b in pairs:
-                v = g(a, b)
-                if v * v.conj() != one:
-                    ck.fail(f"|gamma| != 1 at ({A.label_name(a)},{A.label_name(b)})")
-                    break
+        one = Cyc.one(A.scalar_order)
+        reporter.forall(f"{prefix}.modulus", "unitarity.unit-modulus", pairs,
+                        lambda ab: f"|gamma| != 1 at ({name(ab)})"
+                        if g(*ab) * g(*ab).conj() != one else None)

@@ -335,18 +335,6 @@ class Cyc:
             return True
         return not self.canonical()
 
-    def is_rational(self):
-        can = self.canonical()
-        return not can or (len(can) == 1 and can[0][0] == 0)
-
-    def rational_value(self):
-        can = self.canonical()
-        if not can:
-            return Fraction(0)
-        if len(can) == 1 and can[0][0] == 0:
-            return can[0][1]
-        raise ValueError("not a rational scalar")
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Cyc.rational(other, self.order)

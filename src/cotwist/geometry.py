@@ -57,9 +57,6 @@ class MetricData:
     def pair(self, x, y):
         return self.pair_apply(self.tensor.pure(x, y))
 
-    def coev(self, b_vec):
-        return self.tensor.lmul(b_vec, self.g)
-
     def snake_left(self, name):
         """((w, ) (x) id) g, which must reproduce the basis form w."""
         out = Vec(self.cal.scalar_order)

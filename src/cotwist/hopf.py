@@ -317,113 +317,116 @@ def verify_hopf_axioms(A, labels, reporter, prefix="hopf", pair_samples=None):
     def el(l):
         return A.el(l)
 
-    with reporter.check(f"{prefix}.coassociativity", anchor="coproduct.coassociativity") as ck:
-        for l in labels:
-            lhs = A.sweedler(l, 3)
-            rhs = A.sweedler_first(l, 3)
-            if lhs != rhs:
-                ck.fail(f"coassociativity fails at {A.label_name(l)}")
-                break
+    def name(t):
+        return ",".join(A.label_name(x) for x in t)
 
-    with reporter.check(f"{prefix}.counit-collapse", anchor="counit.left-right-law") as ck:
-        for l in labels:
-            cp = A.coproduct(l)
-            left = Vec(A.scalar_order)
-            right = Vec(A.scalar_order)
-            for (a, b), c in cp.terms.items():
-                left.add_term(b, c * A.counit(a))
-                right.add_term(a, c * A.counit(b))
-            if left != el(l) or right != el(l):
-                ck.fail(f"counit law fails at {A.label_name(l)}")
-                break
+    reporter.forall(f"{prefix}.coassociativity", "coproduct.coassociativity", labels,
+                    lambda l: f"coassociativity fails at {A.label_name(l)}"
+                    if A.sweedler(l, 3) != A.sweedler_first(l, 3) else None)
 
-    with reporter.check(f"{prefix}.antipode-convolution", anchor="antipode.convolution-law") as ck:
-        for l in labels:
-            cp = A.coproduct(l)
-            left = Vec(A.scalar_order)
-            right = Vec(A.scalar_order)
-            for (a, b), c in cp.terms.items():
-                left = left + A.mult_elem(A.antipode(a), el(b)).scale(c)
-                right = right + A.mult_elem(el(a), A.antipode(b)).scale(c)
-            target = A.unit().scale(A.counit(l))
-            if left != target or right != target:
-                ck.fail(f"antipode convolution law fails at {A.label_name(l)}")
-                break
+    def counit_collapse(l):
+        left = Vec(A.scalar_order)
+        right = Vec(A.scalar_order)
+        for (a, b), c in A.coproduct(l).terms.items():
+            left.add_term(b, c * A.counit(a))
+            right.add_term(a, c * A.counit(b))
+        return f"counit law fails at {A.label_name(l)}" \
+            if left != el(l) or right != el(l) else None
 
-    with reporter.check(f"{prefix}.antipode-bijective", anchor="antipode.bijectivity") as ck:
-        for l in labels:
-            v = el(l)
-            if A.antipode_inv_elem(A.antipode_elem(v)) != v or \
-               A.antipode_elem(A.antipode_inv_elem(v)) != v:
-                ck.fail(f"S^-1 fails at {A.label_name(l)}")
-                break
+    reporter.forall(f"{prefix}.counit-collapse", "counit.left-right-law", labels, counit_collapse)
 
-    with reporter.check(f"{prefix}.coproduct-star-hom", anchor="coproduct.star-homomorphism") as ck:
-        for l in labels:
-            sv = A.star(l)
-            lhs = Vec(A.scalar_order)
-            for l2, c2 in sv.terms.items():
-                for key, c in A.coproduct(l2).terms.items():
-                    lhs.add_term(key, c2 * c)
-            rhs = Vec(A.scalar_order)
-            for (a, b), c in A.coproduct(l).terms.items():
-                for a2, ca in A.star(a).terms.items():
-                    for b2, cb in A.star(b).terms.items():
-                        rhs.add_term((a2, b2), c.conj() * ca * cb)
-            if lhs != rhs:
-                ck.fail(f"Delta(a*) != (*x*)Delta(a) at {A.label_name(l)}")
-                break
+    def antipode_convolution(l):
+        left = Vec(A.scalar_order)
+        right = Vec(A.scalar_order)
+        for (a, b), c in A.coproduct(l).terms.items():
+            left = left + A.mult_elem(A.antipode(a), el(b)).scale(c)
+            right = right + A.mult_elem(el(a), A.antipode(b)).scale(c)
+        target = A.unit().scale(A.counit(l))
+        return f"antipode convolution law fails at {A.label_name(l)}" \
+            if left != target or right != target else None
 
-    with reporter.check(f"{prefix}.star-squared-antipode", anchor="antipode.star-square-identity") as ck:
-        for l in labels:
-            v = el(l)
-            w = A.star_elem(A.antipode_elem(A.star_elem(v)))
-            if A.antipode_elem(w) != v:
-                ck.fail(f"S(S(a*)*) != a at {A.label_name(l)}")
-                break
+    reporter.forall(f"{prefix}.antipode-convolution", "antipode.convolution-law", labels,
+                    antipode_convolution)
 
-    with reporter.check(f"{prefix}.associativity", anchor="plumbing") as ck:
-        for a, b in pairs[: len(labels) ** 2]:
-            for c in labels[:3]:
-                lhs = A.mult_elem(A.mult_elem(el(a), el(b)), el(c))
-                rhs = A.mult_elem(el(a), A.mult_elem(el(b), el(c)))
-                if lhs != rhs:
-                    ck.fail(f"associativity fails at ({A.label_name(a)},{A.label_name(b)},{A.label_name(c)})")
-                    break
-            else:
-                continue
-            break
+    def antipode_bijective(l):
+        v = el(l)
+        if A.antipode_inv_elem(A.antipode_elem(v)) != v or \
+           A.antipode_elem(A.antipode_inv_elem(v)) != v:
+            return f"S^-1 fails at {A.label_name(l)}"
+        return None
 
-    with reporter.check(f"{prefix}.unit-law", anchor="plumbing") as ck:
-        one = A.unit()
-        for l in labels:
-            v = el(l)
-            if A.mult_elem(one, v) != v or A.mult_elem(v, one) != v:
-                ck.fail(f"unit law fails at {A.label_name(l)}")
-                break
+    reporter.forall(f"{prefix}.antipode-bijective", "antipode.bijectivity", labels,
+                    antipode_bijective)
 
-    with reporter.check(f"{prefix}.coproduct-algebra-map", anchor="bialgebra.compatibility") as ck:
-        for a, b in pairs:
-            lhs = A.coproduct_elem(A.mult_elem(el(a), el(b)))
-            rhs = _tensor_mult(A, A.coproduct(a), A.coproduct(b), 2, 2)
-            if lhs != rhs:
-                ck.fail(f"Delta not multiplicative at ({A.label_name(a)},{A.label_name(b)})")
-                break
+    def coproduct_star_hom(l):
+        lhs = Vec(A.scalar_order)
+        for l2, c2 in A.star(l).terms.items():
+            for key, c in A.coproduct(l2).terms.items():
+                lhs.add_term(key, c2 * c)
+        rhs = Vec(A.scalar_order)
+        for (a, b), c in A.coproduct(l).terms.items():
+            for a2, ca in A.star(a).terms.items():
+                for b2, cb in A.star(b).terms.items():
+                    rhs.add_term((a2, b2), c.conj() * ca * cb)
+        return f"Delta(a*) != (*x*)Delta(a) at {A.label_name(l)}" if lhs != rhs else None
 
-    with reporter.check(f"{prefix}.star-antimultiplicative", anchor="plumbing") as ck:
-        for a, b in pairs:
-            lhs = A.star_elem(A.mult_elem(el(a), el(b)))
-            rhs = A.mult_elem(A.star_elem(el(b)), A.star_elem(el(a)))
-            if lhs != rhs or A.star_elem(A.star_elem(el(a))) != el(a):
-                ck.fail(f"* not an antimultiplicative involution at ({A.label_name(a)},{A.label_name(b)})")
-                break
+    reporter.forall(f"{prefix}.coproduct-star-hom", "coproduct.star-homomorphism", labels,
+                    coproduct_star_hom)
+
+    def star_squared_antipode(l):
+        v = el(l)
+        w = A.star_elem(A.antipode_elem(A.star_elem(v)))
+        return f"S(S(a*)*) != a at {A.label_name(l)}" if A.antipode_elem(w) != v else None
+
+    reporter.forall(f"{prefix}.star-squared-antipode", "antipode.star-square-identity", labels,
+                    star_squared_antipode)
+
+    def associativity(abc):
+        a, b, c = abc
+        lhs = A.mult_elem(A.mult_elem(el(a), el(b)), el(c))
+        rhs = A.mult_elem(el(a), A.mult_elem(el(b), el(c)))
+        return f"associativity fails at ({name(abc)})" if lhs != rhs else None
+
+    reporter.forall(f"{prefix}.associativity", "plumbing",
+                    ((a, b, c) for a, b in pairs[: len(labels) ** 2] for c in labels[:3]),
+                    associativity)
+
+    one = A.unit()
+
+    def unit_law(l):
+        v = el(l)
+        if A.mult_elem(one, v) != v or A.mult_elem(v, one) != v:
+            return f"unit law fails at {A.label_name(l)}"
+        return None
+
+    reporter.forall(f"{prefix}.unit-law", "plumbing", labels, unit_law)
+
+    def coproduct_algebra_map(ab):
+        a, b = ab
+        lhs = A.coproduct_elem(A.mult_elem(el(a), el(b)))
+        rhs = _tensor_mult(A, A.coproduct(a), A.coproduct(b), 2, 2)
+        return f"Delta not multiplicative at ({name(ab)})" if lhs != rhs else None
+
+    reporter.forall(f"{prefix}.coproduct-algebra-map", "bialgebra.compatibility", pairs,
+                    coproduct_algebra_map)
+
+    def star_antimultiplicative(ab):
+        a, b = ab
+        lhs = A.star_elem(A.mult_elem(el(a), el(b)))
+        rhs = A.mult_elem(A.star_elem(el(b)), A.star_elem(el(a)))
+        if lhs != rhs or A.star_elem(A.star_elem(el(a))) != el(a):
+            return f"* not an antimultiplicative involution at ({name(ab)})"
+        return None
+
+    reporter.forall(f"{prefix}.star-antimultiplicative", "plumbing", pairs,
+                    star_antimultiplicative)
 
 
 def verify_cocommutative_flip(A, labels, reporter, prefix="hopf"):
-    with reporter.check(f"{prefix}.cocommutative-flip", anchor="coproduct.cocommutativity") as ck:
-        for l in labels:
-            cp = A.coproduct(l)
-            flip = cp.map_keys(lambda k: (k[1], k[0]))
-            if cp != flip:
-                ck.fail(f"flip.Delta != Delta at {A.label_name(l)}")
-                break
+    def flip(l):
+        cp = A.coproduct(l)
+        if cp != cp.map_keys(lambda k: (k[1], k[0])):
+            return f"flip.Delta != Delta at {A.label_name(l)}"
+        return None
+
+    reporter.forall(f"{prefix}.cocommutative-flip", "coproduct.cocommutativity", labels, flip)

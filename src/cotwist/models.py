@@ -249,7 +249,7 @@ def untwist_world(bundle, world):
 
 def correspondence_roundtrips(bundle, rep=None):
     """The four bijections between metrics and Hermitian metrics, as checks."""
-    from .report import Report
+    from .report import Report, outcome, table_outcomes
 
     if rep is None:
         rep = Report()
@@ -264,36 +264,36 @@ def correspondence_roundtrips(bundle, rep=None):
     herm = bundle.hermitian
     world = twist_world(bundle)
 
-    with rep.check("corr.real-hermitian-real", anchor="hermitian.correspondence") as ck:
-        for (i, j), want in bundle.metric.pairing_table.items():
-            starred = cal.star(Form(1, O1.el(j))).vec
-            got = herm.pair(O1.el(i), conj_of(O1, starred))
-            if got != want:
-                ck.fail(f"pairing not recovered from H at ({i},{j})")
-                break
+    def real_hermitian_real(ij_want):
+        (i, j), want = ij_want
+        starred = cal.star(Form(1, O1.el(j))).vec
+        if herm.pair(O1.el(i), conj_of(O1, starred)) != want:
+            return f"pairing not recovered from H at ({i},{j})"
+        return None
+
+    rep.forall("corr.real-hermitian-real", "hermitian.correspondence",
+               bundle.metric.pairing_table.items(), real_hermitian_real)
 
     back = untwist_world(bundle, world)
-    with rep.check("corr.metric-twist-untwist", anchor="twist.inverse-deformation") as ck:
-        if back.metric.g != bundle.metric.g:
-            ck.fail("g not recovered after gamma then gammabar")
-        else:
-            for k, v in bundle.metric.pairing_table.items():
-                if back.metric.pairing_table[k] != v:
-                    ck.fail(f"pairing not recovered at {k}")
-                    break
 
-    with rep.check("corr.hermitian-twist-untwist", anchor="twist.inverse-deformation") as ck:
-        for k, v in herm.table.items():
-            if back.hermitian.table[k] != v:
-                ck.fail(f"H not recovered at {k}")
-                break
+    def metric_twist_untwist():
+        yield "g not recovered after gamma then gammabar" if back.metric.g != bundle.metric.g else None
+        yield from table_outcomes(bundle.metric.pairing_table, back.metric.pairing_table,
+                                  bundle.metric.pairing_table, "pairing not recovered")
 
-    with rep.check("corr.commuting-square", anchor="twist.hermitian-metric-route") as ck:
-        other = hermitian_from_real(world.metric)
-        for k, v in world.hermitian.table.items():
-            if other.table[k] != v:
-                ck.fail(f"twist-then-correspond differs from correspond-then-twist at {k}")
-                break
+    rep.forall("corr.metric-twist-untwist", "twist.inverse-deformation",
+               metric_twist_untwist(), outcome)
+    rep.forall("corr.hermitian-twist-untwist", "twist.inverse-deformation",
+               table_outcomes(herm.table, back.hermitian.table, herm.table, "H not recovered"),
+               outcome)
+
+    def commuting_square():
+        yield from table_outcomes(
+            world.hermitian.table, hermitian_from_real(world.metric).table, world.hermitian.table,
+            "twist-then-correspond differs from correspond-then-twist")
+
+    rep.forall("corr.commuting-square", "twist.hermitian-metric-route", commuting_square(),
+               outcome)
     return rep
 
 

@@ -293,27 +293,6 @@ class TensorModule(FreeModule):
                 out.add_term((b2, (i, j)), c * c2)
         return out
 
-    def map_left(self, fn_module, fn, elem):
-        """Apply a left-leg map (as elements of self.left -> fn_module) legwise."""
-        target = TensorModule(fn_module, self.right)
-        out = Vec(self.scalar_order)
-        for (b, (i, j)), c in elem.terms.items():
-            img = fn(self.left.el(i))
-            img = fn_module.lmul(self.base.el(b), img)
-            for (b2, i2), c2 in img.terms.items():
-                out.add_term((b2, (i2, j)), c * c2)
-        return target, out
-
-    def map_right(self, fn_module, fn, elem):
-        """Apply a right-leg map legwise (fn: self.right elements -> fn_module)."""
-        target = TensorModule(self.left, fn_module)
-        out = Vec(self.scalar_order)
-        for (b, (i, j)), c in elem.terms.items():
-            img = fn(self.right.el(j))
-            piece = target.pure(self.left.from_b(self.base.el(b), i), img)
-            out = out + piece.scale(c)
-        return target, out
-
 
 class ConjugateModule(FreeModule):
     """The conjugate module: b.mbar = (m b*)bar, mbar.b = (b* m)bar."""
@@ -475,11 +454,6 @@ class Morphism:
             out = out + img.scale(c)
         return out
 
-    def compose(self, other):
-        """self after other."""
-        table = {i: self(other.table[i]) for i in other.src.basis}
-        return Morphism(other.src, self.dst, table, f"{self.name}.{other.name}")
-
     @staticmethod
     def identity(mod):
         return Morphism(mod, mod, {i: mod.el(i) for i in mod.basis}, "id")
@@ -491,10 +465,11 @@ def right_linear_defect(f, b_label, i):
     return lhs - rhs
 
 
-def covariance_defect(f, elem):
-    lhs = f.dst.coact(f(elem))
-    rhs = Vec(f.dst.scalar_order)
-    for (a, b, i), c in f.src.coact(elem).terms.items():
-        for (b2, i2), c2 in f(f.src.from_b(f.src.base.el(b), i)).terms.items():
+def covariance_defect(f, src, dst, elem):
+    """delta(f(elem)) - (id (x) f)(delta(elem)) for a map f: src -> dst."""
+    lhs = dst.coact(f(elem))
+    rhs = Vec(dst.scalar_order)
+    for (a, b, i), c in src.coact(elem).terms.items():
+        for (b2, i2), c2 in f(src.from_b(src.base.el(b), i)).terms.items():
             rhs.add_term((a, b2, i2), c * c2)
     return lhs - rhs

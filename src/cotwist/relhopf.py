@@ -202,17 +202,6 @@ def twist_tensor_morphism(T, data, src_tw, dst_tw, name=None):
     return Morphism(src_tw, dst_tw, table, name or f"tw({T.name})")
 
 
-def twist_scalar_morphism(S, data, src_tw, name=None):
-    """S_g = Gamma(S) . phi for B-valued morphisms on tensor modules."""
-    src_unt = TensorModule(untwisted_of(src_tw.left), untwisted_of(src_tw.right))
-
-    def apply(elem):
-        return S(phi_map(data, src_tw, src_unt, elem))
-
-    apply.name = name or f"tw({S.name})"
-    return apply
-
-
 # -- bar structure ------------------------------------------------------------
 
 
@@ -241,11 +230,6 @@ def upsilon(tensor_mod, bar_tensor, out_tensor, elem):
 def bb_map(mod, bar_mod, barbar_mod, elem):
     """bb: M -> barbar(M), m -> (mbar)bar."""
     return conj_of(bar_mod, conj_of(mod, elem))
-
-
-def star_object_map(mod, star_fn, elem):
-    """The star-object morphism x -> (x*)bar for a module with involution."""
-    return conj_of(mod, star_fn(elem))
 
 
 # -- the isomorphisms N and S -------------------------------------------------

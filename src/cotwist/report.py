@@ -1,4 +1,8 @@
-"""Verification report plumbing: ordered check results with witnesses."""
+"""Verification report plumbing: ordered check results with witnesses.
+
+`Report.forall` is the one check loop: it evaluates an identity on a lazy
+domain and records the first counterexample.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +19,10 @@ class CheckResult:
     witness: str | None = None
     sample_spec: str = ""
     duration_ms: int = 0
+    instances: int = 0  # instances that held; kept out of to_dict
+
+    def __bool__(self):
+        return self.status != "fail"
 
 
 class _CheckContext:
@@ -27,14 +35,6 @@ class _CheckContext:
         self.result.status = "fail"
         self.result.witness = str(witness)
 
-    def skip(self, reason):
-        self.result.status = "skipped"
-        self.result.witness = str(reason)
-
-    @property
-    def failed(self):
-        return self.result.status == "fail"
-
     def __enter__(self):
         self._t0 = time.monotonic()
         return self
@@ -44,10 +44,19 @@ class _CheckContext:
         if exc_type is not None:
             self.result.status = "fail"
             self.result.witness = f"exception {exc_type.__name__}: {exc}"
-            self._report.checks.append(self.result)
-            return True
         self._report.checks.append(self.result)
-        return False
+        return exc_type is not None
+
+
+def outcome(witness):
+    """Defect of a domain whose instances are already outcomes (None or a witness)."""
+    return witness
+
+
+def table_outcomes(keys, got, want, what):
+    """One outcome per key: None where got[k] == want[k], else `what at k`."""
+    for k in keys:
+        yield f"{what} at {k}" if got[k] != want[k] else None
 
 
 class Report:
@@ -57,15 +66,28 @@ class Report:
         self.meta = dict(meta or {})
         self.checks: list[CheckResult] = []
 
-    def check(self, check_id, anchor="plumbing", sample_spec=""):
-        spec = sample_spec or self.meta.get("sample_spec", "")
-        return _CheckContext(self, check_id, anchor, spec)
+    def check(self, check_id, anchor):
+        return _CheckContext(self, check_id, anchor, self.meta.get("sample_spec", ""))
+
+    def forall(self, check_id, anchor, domain, defect):
+        """Check that `defect(x)` is None for every x of the lazy `domain`.
+
+        `defect` returns None when the identity holds at x, else a witness
+        string.  The check stops at the first witness, counts the instances
+        that held, and records an exception from the domain or from
+        `defect` as a failure.  Returns the CheckResult, falsy on failure.
+        """
+        with self.check(check_id, anchor) as ck:
+            for x in domain:
+                witness = defect(x)
+                if witness is not None:
+                    ck.fail(witness)
+                    break
+                ck.result.instances += 1
+        return ck.result
 
     def add_skipped(self, check_id, anchor, reason):
         self.checks.append(CheckResult(check_id, anchor, "skipped", str(reason)))
-
-    def extend(self, other):
-        self.checks.extend(other.checks)
 
     @property
     def passed(self):

@@ -4,29 +4,37 @@ Suite names: hopf, cocycle, barfunctor, calculus, metric, hermitian, chern,
 main; `all` is their union.  Every check id is unique to one suite, and the
 identities are always evaluated with exact scalars, so pass/fail carries no
 tolerance.  Sampling is seed-deterministic and the box is recorded.
+
+Every check but `calc.*.star-antimultiplicative` is one `Report.forall`
+over a lazy domain.  Where a check has its own set-up, or draws samples
+between the sides it compares, the domain is a generator that does that
+work and yields each instance's outcome (None or a witness); `outcome` is
+then its defect.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
+
 from .calculus import Form, NotFactorizable, factorization_inverse
-from .cocycle import (
-    trivial_cocycle, twist_hopf, verify_cocycle_identities, verify_unitarity_suite)
-from .cyclotomic import Cyc
+from .cocycle import twist_hopf, verify_cocycle_identities, verify_unitarity_suite
+from .cyclotomic import Cyc, _phi
 from .geometry import (
     ChernNotUnique, ChernNoSolution, DiamondViolation, chern_conditions_hold,
     chern_solve, conj_connection, hermitian_from_real, split_hermitian,
-    twist_connection, twist_hermitian, twist_metric)
+    twist_connection)
 from .hopf import verify_cocommutative_flip, verify_hopf_axioms
-from .models import twist_world
+from .models import twist_world, untwist_world
 from .modules import (
     CentralBasisModule, ConjugateModule, HomModule, Morphism, TensorModule,
-    conj_of, covariance_defect, hom_apply, right_linear_defect, unconj)
+    conj_of, covariance_defect, hom_apply, hom_coact, right_linear_defect, unconj)
 from .relhopf import (
     bar_morphism, bb_map, conj_twist_iso, conj_twist_iso_inv, hom_twist_iso, phi_inv_map, phi_map,
     tensor_map_pair, twist_comodule_algebra, twist_module, twist_tensor_morphism,
     upsilon)
-from .vectors import Vec
+from .report import outcome, table_outcomes
+from .vectors import Vec, cyc_to_coords, solve_frac
 
 SUITES = ("hopf", "cocycle", "barfunctor", "calculus", "metric", "hermitian",
           "chern", "main")
@@ -50,6 +58,11 @@ class Sampler:
 
     def label(self):
         return self.rng.choice(self.labels)
+
+    def draws(self, cap, draw):
+        """Lazily yield draw() for min(n, cap) samples."""
+        for _ in range(min(self.n, cap)):
+            yield draw()
 
     def _core_labels(self, arity, budget):
         """Largest sub-box whose full arity-fold product stays within budget."""
@@ -105,16 +118,13 @@ def suite_hopf(bundle, rep, sampler):
     verify_hopf_axioms(Atw, small, rep, prefix="hopf.twisted", pair_samples=small_pairs)
 
     if A.is_grouplike_basis():
-        with rep.check("hopf.collapse-product", anchor="twist.cocommutative-collapse") as ck:
-            for a, b in [(x, y) for x in labels for y in labels]:
-                if Atw.mult(a, b) != A.mult(a, b):
-                    ck.fail(f"product_g != product at ({A.label_name(a)},{A.label_name(b)})")
-                    break
-        with rep.check("hopf.collapse-star", anchor="twist.cocommutative-collapse") as ck:
-            for a in labels:
-                if Atw.star(a) != A.star(a):
-                    ck.fail(f"star_g != star at {A.label_name(a)}")
-                    break
+        rep.forall("hopf.collapse-product", "twist.cocommutative-collapse",
+                   product(labels, labels),
+                   lambda ab: f"product_g != product at ({A.label_name(ab[0])},{A.label_name(ab[1])})"
+                   if Atw.mult(*ab) != A.mult(*ab) else None)
+        rep.forall("hopf.collapse-star", "twist.cocommutative-collapse", labels,
+                   lambda a: f"star_g != star at {A.label_name(a)}"
+                   if Atw.star(a) != A.star(a) else None)
 
     _comodule_axioms(bundle.comodule, small, rep, "hopf.comodule")
     if bundle.twisted_comodule is not None:
@@ -123,54 +133,67 @@ def suite_hopf(bundle, rep, sampler):
 
 def _comodule_axioms(B, labels, rep, prefix):
     A = B.hopf
-    with rep.check(f"{prefix}.coassociative", anchor="comodule.coassociativity") as ck:
-        for l in labels:
-            lhs = Vec(B.scalar_order)
-            for (a, b), c in B.coact(l).terms.items():
-                for (a1, a2), c2 in A.coproduct(a).terms.items():
-                    lhs.add_term((a1, a2, b), c * c2)
-            rhs = Vec(B.scalar_order)
-            for (a, b), c in B.coact(l).terms.items():
-                for (a2, b2), c2 in B.coact(b).terms.items():
-                    rhs.add_term((a, a2, b2), c * c2)
-            if lhs != rhs:
-                ck.fail(f"coaction not coassociative at {B.label_name(l)}")
-                break
-    with rep.check(f"{prefix}.counital", anchor="comodule.counit-law") as ck:
-        for l in labels:
-            got = Vec(B.scalar_order)
-            for (a, b), c in B.coact(l).terms.items():
-                got.add_term(b, c * A.counit(a))
-            if got != B.el(l):
-                ck.fail(f"counit collapse fails at {B.label_name(l)}")
-                break
-    with rep.check(f"{prefix}.algebra-map", anchor="comodule.algebra-map") as ck:
-        for a in labels[:6]:
-            for b in labels[:6]:
-                lhs = B.coact_elem(B.mult(a, b))
-                rhs = Vec(B.scalar_order)
-                for (a1, b1), c1 in B.coact(a).terms.items():
-                    for (a2, b2), c2 in B.coact(b).terms.items():
-                        for a3, ca in A.mult(a1, a2).terms.items():
-                            for b3, cb in B.mult(b1, b2).terms.items():
-                                rhs.add_term((a3, b3), c1 * c2 * ca * cb)
-                if lhs != rhs:
-                    ck.fail(f"coaction not an algebra map at ({B.label_name(a)},{B.label_name(b)})")
-                    return
-    with rep.check(f"{prefix}.star-hom", anchor="comodule.star-homomorphism") as ck:
-        for l in labels:
-            lhs = B.coact_elem(B.star(l))
-            rhs = Vec(B.scalar_order)
-            for (a, b), c in B.coact(l).terms.items():
-                for a2, ca in A.star(a).terms.items():
-                    for b2, cb in B.star(b).terms.items():
-                        rhs.add_term((a2, b2), c.conj() * ca * cb)
-            if lhs != rhs:
-                ck.fail(f"coaction not a *-homomorphism at {B.label_name(l)}")
-                break
+
+    def coassociative(l):
+        lhs = Vec(B.scalar_order)
+        for (a, b), c in B.coact(l).terms.items():
+            for (a1, a2), c2 in A.coproduct(a).terms.items():
+                lhs.add_term((a1, a2, b), c * c2)
+        rhs = Vec(B.scalar_order)
+        for (a, b), c in B.coact(l).terms.items():
+            for (a2, b2), c2 in B.coact(b).terms.items():
+                rhs.add_term((a, a2, b2), c * c2)
+        return f"coaction not coassociative at {B.label_name(l)}" if lhs != rhs else None
+
+    rep.forall(f"{prefix}.coassociative", "comodule.coassociativity", labels, coassociative)
+
+    def counital(l):
+        got = Vec(B.scalar_order)
+        for (a, b), c in B.coact(l).terms.items():
+            got.add_term(b, c * A.counit(a))
+        return f"counit collapse fails at {B.label_name(l)}" if got != B.el(l) else None
+
+    rep.forall(f"{prefix}.counital", "comodule.counit-law", labels, counital)
+
+    def algebra_map(ab):
+        a, b = ab
+        lhs = B.coact_elem(B.mult(a, b))
+        rhs = Vec(B.scalar_order)
+        for (a1, b1), c1 in B.coact(a).terms.items():
+            for (a2, b2), c2 in B.coact(b).terms.items():
+                for a3, ca in A.mult(a1, a2).terms.items():
+                    for b3, cb in B.mult(b1, b2).terms.items():
+                        rhs.add_term((a3, b3), c1 * c2 * ca * cb)
+        if lhs != rhs:
+            return f"coaction not an algebra map at ({B.label_name(a)},{B.label_name(b)})"
+        return None
+
+    # a failed algebra-map check ends the axioms here, without star-hom
+    if not rep.forall(f"{prefix}.algebra-map", "comodule.algebra-map",
+                      product(labels[:6], labels[:6]), algebra_map):
+        return
+
+    def star_hom(l):
+        lhs = B.coact_elem(B.star(l))
+        rhs = Vec(B.scalar_order)
+        for (a, b), c in B.coact(l).terms.items():
+            for a2, ca in A.star(a).terms.items():
+                for b2, cb in B.star(b).terms.items():
+                    rhs.add_term((a2, b2), c.conj() * ca * cb)
+        return f"coaction not a *-homomorphism at {B.label_name(l)}" if lhs != rhs else None
+
+    rep.forall(f"{prefix}.star-hom", "comodule.star-homomorphism", labels, star_hom)
 
 
 # -- cocycle suite -------------------------------------------------------------
+
+
+def _roundtrip_cases(labels):
+    """(a, b) for every product with a, then (a, None) for the maps of a."""
+    for a in labels:
+        for b in labels:
+            yield a, b
+        yield a, None
 
 
 def suite_cocycle(bundle, rep, sampler):
@@ -185,27 +208,35 @@ def suite_cocycle(bundle, rep, sampler):
     data_bar = data.inverse_data(Atw)
     Aback = twist_hopf(Atw, data_bar)
     labels = sampler.labels if sampler.exhaustive else A.labels_box(min(sampler.box, 2))
-    with rep.check("cocycle.hopf-roundtrip", anchor="twist.inverse-deformation") as ck:
-        for a in labels:
-            for b in labels:
-                if Aback.mult(a, b) != A.mult(a, b):
-                    ck.fail(f"product round trip fails at ({A.label_name(a)},{A.label_name(b)})")
-                    return
-            if Aback.star(a) != A.star(a) or Aback.antipode(a) != A.antipode(a):
-                ck.fail(f"star/antipode round trip fails at {A.label_name(a)}")
-                return
+
+    def hopf_back(ab):
+        a, b = ab
+        if b is not None:
+            if Aback.mult(a, b) != A.mult(a, b):
+                return f"product round trip fails at ({A.label_name(a)},{A.label_name(b)})"
+        elif Aback.star(a) != A.star(a) or Aback.antipode(a) != A.antipode(a):
+            return f"star/antipode round trip fails at {A.label_name(a)}"
+        return None
+
+    # a failed Hopf round trip ends the suite, without the comodule round trip
+    if not rep.forall("cocycle.hopf-roundtrip", "twist.inverse-deformation",
+                      _roundtrip_cases(labels), hopf_back):
+        return
     if bundle.twisted_comodule is not None:
         Bback = twist_comodule_algebra(bundle.twisted_comodule, data_bar, Aback)
         B = bundle.comodule
-        with rep.check("cocycle.comodule-roundtrip", anchor="twist.inverse-deformation") as ck:
-            for a in labels:
-                for b in labels:
-                    if Bback.mult(a, b) != B.mult(a, b):
-                        ck.fail(f"comodule product round trip fails at ({B.label_name(a)},{B.label_name(b)})")
-                        return
-                if Bback.star(a) != B.star(a):
-                    ck.fail(f"comodule star round trip fails at {B.label_name(a)}")
-                    return
+
+        def comodule_back(ab):
+            a, b = ab
+            if b is not None:
+                if Bback.mult(a, b) != B.mult(a, b):
+                    return f"comodule product round trip fails at ({B.label_name(a)},{B.label_name(b)})"
+            elif Bback.star(a) != B.star(a):
+                return f"comodule star round trip fails at {B.label_name(a)}"
+            return None
+
+        rep.forall("cocycle.comodule-roundtrip", "twist.inverse-deformation",
+                   _roundtrip_cases(labels), comodule_back)
 
 
 # -- bar functor suite ----------------------------------------------------------
@@ -222,30 +253,28 @@ def _instrument_modules(bundle):
 
 def suite_barfunctor(bundle, rep, sampler):
     B = bundle.comodule
-    A = bundle.hopf
     data = bundle.data
     Btw = bundle.twisted_comodule
     mods = _instrument_modules(bundle)
 
     for E in mods:
         Ebar = ConjugateModule(E)
-        name = E.name
-        with rep.check(f"bar.conj-involution[{name}]", anchor="bar.conjugate-structure") as ck:
-            for _ in range(min(sampler.n, 12)):
-                x = sampler.module_elem(E)
-                if unconj(Ebar, conj_of(E, x)) != x:
-                    ck.fail(f"conjugation not involutive on {E.describe(x)}")
-                    break
-        with rep.check(f"bar.bimodule-laws[{name}]", anchor="bar.conjugate-structure") as ck:
-            for _ in range(min(sampler.n, 8)):
-                x = sampler.module_elem(E)
-                b = sampler.b_elem(B)
-                if Ebar.lmul(b, conj_of(E, x)) != conj_of(E, E.rmul(x, B.star_elem(b))):
-                    ck.fail("b.(m bar) != (m b*)bar on a sample")
-                    break
-                if Ebar.rmul(conj_of(E, x), b) != conj_of(E, E.lmul(B.star_elem(b), x)):
-                    ck.fail("(m bar).b != (b* m)bar on a sample")
-                    break
+        rep.forall(f"bar.conj-involution[{E.name}]", "bar.conjugate-structure",
+                   sampler.draws(12, lambda: sampler.module_elem(E)),
+                   lambda x: f"conjugation not involutive on {E.describe(x)}"
+                   if unconj(Ebar, conj_of(E, x)) != x else None)
+
+        def bimodule_laws(xb):
+            x, b = xb
+            if Ebar.lmul(b, conj_of(E, x)) != conj_of(E, E.rmul(x, B.star_elem(b))):
+                return "b.(m bar) != (m b*)bar on a sample"
+            if Ebar.rmul(conj_of(E, x), b) != conj_of(E, E.lmul(B.star_elem(b), x)):
+                return "(m bar).b != (b* m)bar on a sample"
+            return None
+
+        rep.forall(f"bar.bimodule-laws[{E.name}]", "bar.conjugate-structure",
+                   sampler.draws(8, lambda: (sampler.module_elem(E), sampler.b_elem(B))),
+                   bimodule_laws)
 
     E = mods[0]
     F = mods[-1]
@@ -253,18 +282,18 @@ def suite_barfunctor(bundle, rep, sampler):
     barT = ConjugateModule(TEF)
     TFbarEbar = TensorModule(ConjugateModule(F), ConjugateModule(E))
 
-    with rep.check("bar.upsilon-involutive", anchor="bar.upsilon-coherence") as ck:
-        for _ in range(min(sampler.n, 8)):
-            x = sampler.module_elem(E)
-            y = sampler.module_elem(F)
-            t = TEF.pure(x, y)
-            up = upsilon(TEF, barT, TFbarEbar, conj_of(TEF, t))
-            want = TFbarEbar.pure(conj_of(F, y), conj_of(E, x))
-            if up != want:
-                ck.fail("Upsilon((m(x)n)bar) != nbar(x)mbar on a sample")
-                break
+    def upsilon_involutive(xy):
+        x, y = xy
+        up = upsilon(TEF, barT, TFbarEbar, conj_of(TEF, TEF.pure(x, y)))
+        if up != TFbarEbar.pure(conj_of(F, y), conj_of(E, x)):
+            return "Upsilon((m(x)n)bar) != nbar(x)mbar on a sample"
+        return None
 
-    with rep.check("bar.bb-natural", anchor="bar.double-conjugate") as ck:
+    rep.forall("bar.upsilon-involutive", "bar.upsilon-coherence",
+               sampler.draws(8, lambda: (sampler.module_elem(E), sampler.module_elem(F))),
+               upsilon_involutive)
+
+    def bb_natural():
         Ebar = ConjugateModule(E)
         Ebarbar = ConjugateModule(Ebar)
         # a non-real scalar multiple of the identity catches stray conjugations
@@ -276,16 +305,14 @@ def suite_barfunctor(bundle, rep, sampler):
             b = sampler.b_elem(B)
             lhs = bb_map(E, Ebar, Ebarbar, E.lmul(b, x))
             rhs = Ebarbar.lmul(b, bb_map(E, Ebar, Ebarbar, x))
-            if lhs != rhs:
-                ck.fail("bb is not left-linear on a sample")
-                break
+            yield "bb is not left-linear on a sample" if lhs != rhs else None
             # naturality: barbar(f) . bb = bb . f
             inner = unconj(Ebarbar, bb_map(E, Ebar, Ebarbar, x))
             lhs2 = conj_of(Ebar, fbar(inner))
             rhs2 = bb_map(E, Ebar, Ebarbar, f_nat(x))
-            if lhs2 != rhs2:
-                ck.fail("bb is not natural against a sampled morphism")
-                break
+            yield "bb is not natural against a sampled morphism" if lhs2 != rhs2 else None
+
+    rep.forall("bar.bb-natural", "bar.double-conjugate", bb_natural(), outcome)
 
     # twisted-world instruments
     GE = twist_module(E, data, Btw)
@@ -294,16 +321,16 @@ def suite_barfunctor(bundle, rep, sampler):
     T_tw = TensorModule(GE, GF)
     T_unt = TensorModule(E, F)
 
-    with rep.check("phi.inverse", anchor="twist.monoidal-isomorphism") as ck:
+    def phi_inverse():
         for _ in range(min(sampler.n, 10)):
             t = T_tw.pure(sampler.module_elem(GE), sampler.module_elem(GF))
-            if phi_inv_map(data, T_tw, T_unt, phi_map(data, T_tw, T_unt, t)) != t:
-                ck.fail("phi^-1 . phi != id on a sample")
-                break
+            yield "phi^-1 . phi != id on a sample" \
+                if phi_inv_map(data, T_tw, T_unt, phi_map(data, T_tw, T_unt, t)) != t else None
             u = T_unt.pure(sampler.module_elem(E), sampler.module_elem(F))
-            if phi_map(data, T_tw, T_unt, phi_inv_map(data, T_tw, T_unt, u)) != u:
-                ck.fail("phi . phi^-1 != id on a sample")
-                break
+            yield "phi . phi^-1 != id on a sample" \
+                if phi_map(data, T_tw, T_unt, phi_inv_map(data, T_tw, T_unt, u)) != u else None
+
+    rep.forall("phi.inverse", "twist.monoidal-isomorphism", phi_inverse(), outcome)
 
     idE = Morphism.identity(E)
     if bundle.calculus is not None and F is bundle.calculus.module(1):
@@ -313,7 +340,8 @@ def suite_barfunctor(bundle, rep, sampler):
             i: F.el(i, i_unit if i == "w+" else -i_unit) for i in F.basis}, "I")
     else:
         g_mor = Morphism(F, F, {i: F.el(i, 2) for i in F.basis}, "2id")
-    with rep.check("phi.naturality", anchor="twist.phi-naturality") as ck:
+
+    def phi_naturality():
         prod = Morphism(T_unt, T_unt, {
             (i, j): T_unt.pure(idE(E.el(i)), g_mor(F.el(j)))
             for (i, j) in T_unt.basis}, "f(x)g")
@@ -322,62 +350,67 @@ def suite_barfunctor(bundle, rep, sampler):
             lhs = tensor_map_pair(T_tw, T_tw, idE, g_mor,
                                   phi_inv_map(data, T_tw, T_unt, u))
             rhs = phi_inv_map(data, T_tw, T_unt, prod(u))
-            if lhs != rhs:
-                ck.fail("(Gf (x) Gg) phi^-1 != phi^-1 G(f (x) g) on a sample")
-                break
+            yield "(Gf (x) Gg) phi^-1 != phi^-1 G(f (x) g) on a sample" if lhs != rhs else None
 
-    with rep.check("gamma.functorial", anchor="twist.functoriality") as ck:
+    rep.forall("phi.naturality", "twist.phi-naturality", phi_naturality(), outcome)
+
+    def gamma_functorial():
         T_idtw = twist_tensor_morphism(Morphism.identity(T_unt), data, T_tw, T_tw)
         for k in T_tw.basis:
-            if T_idtw.table[k] != T_tw.el(k):
-                ck.fail(f"Gamma(id) != id at {T_tw.basis_name(k)}")
-                break
+            yield f"Gamma(id) != id at {T_tw.basis_name(k)}" \
+                if T_idtw.table[k] != T_tw.el(k) else None
 
-    with rep.check("conjiso.iso", anchor="twist.conjugation-isomorphism") as ck:
-        for _ in range(min(sampler.n, 10)):
-            xb = conj_of(GE, sampler.module_elem(GE))
-            fwd = conj_twist_iso(data, GE, bar_GE, xb)
-            if conj_twist_iso_inv(data, GE, bar_GE, fwd) != xb:
-                ck.fail("N^-1 . N != id on a sample")
-                break
+    rep.forall("gamma.functorial", "twist.functoriality", gamma_functorial(), outcome)
 
-    with rep.check("conjiso.bilinear", anchor="twist.conjugation-isomorphism") as ck:
-        for _ in range(min(sampler.n, 8)):
-            xb = conj_of(GE, sampler.module_elem(GE))
-            b = Btw.el(sampler.label())
-            if conj_twist_iso(data, GE, bar_GE, bar_GE.lmul(b, xb)) != \
-               twist_module(ConjugateModule(E), data, Btw).lmul(b, conj_twist_iso(data, GE, bar_GE, xb)):
-                ck.fail("N not left B_g-linear on a sample")
-                break
+    def conj_iso_inverse(xb):
+        fwd = conj_twist_iso(data, GE, bar_GE, xb)
+        return "N^-1 . N != id on a sample" \
+            if conj_twist_iso_inv(data, GE, bar_GE, fwd) != xb else None
 
-    with rep.check("conjiso.covariant", anchor="twist.conjugation-isomorphism") as ck:
+    rep.forall("conjiso.iso", "twist.conjugation-isomorphism",
+               sampler.draws(10, lambda: conj_of(GE, sampler.module_elem(GE))),
+               conj_iso_inverse)
+
+    def conj_iso_bilinear(xb_b):
+        xb, b = xb_b
+        if conj_twist_iso(data, GE, bar_GE, bar_GE.lmul(b, xb)) != \
+           twist_module(ConjugateModule(E), data, Btw).lmul(b, conj_twist_iso(data, GE, bar_GE, xb)):
+            return "N not left B_g-linear on a sample"
+        return None
+
+    rep.forall("conjiso.bilinear", "twist.conjugation-isomorphism",
+               sampler.draws(8, lambda: (conj_of(GE, sampler.module_elem(GE)),
+                                         Btw.el(sampler.label()))),
+               conj_iso_bilinear)
+
+    def conj_iso_covariant():
         GEbar = twist_module(ConjugateModule(E), data, Btw)
+
+        def N(v):
+            return conj_twist_iso(data, GE, bar_GE, v)
+
         for _ in range(min(sampler.n, 8)):
             xb = conj_of(GE, sampler.module_elem(GE))
-            lhs = GEbar.coact(conj_twist_iso(data, GE, bar_GE, xb))
-            rhs = Vec(B.scalar_order)
-            for (a, b, i), c in bar_GE.coact(xb).terms.items():
-                img = conj_twist_iso(data, GE, bar_GE, bar_GE.from_b(Btw.el(b), i))
-                for (b2, i2), c2 in img.terms.items():
-                    rhs.add_term((a, b2, i2), c * c2)
-            if lhs != rhs:
-                ck.fail("N not covariant on a sample")
-                break
+            yield "N not covariant on a sample" \
+                if not covariance_defect(N, bar_GE, GEbar, xb).is_zero() else None
+
+    rep.forall("conjiso.covariant", "twist.conjugation-isomorphism",
+               conj_iso_covariant(), outcome)
 
     H = HomModule(E)
-    with rep.check("homiso.left-linear", anchor="twist.hom-isomorphism") as ck:
+
+    def hom_left_linear():
         f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
         ev = hom_twist_iso(data, H, f)
         for _ in range(min(sampler.n, 8)):
             v = sampler.module_elem(GE)
             b = Btw.el(sampler.label())
-            lhs = ev(GE.lmul(b, v))
-            rhs = Btw.mult_elem(b, ev(v))
-            if lhs != rhs:
-                ck.fail("S(f) not left B_g-linear on a sample")
-                break
+            yield "S(f) not left B_g-linear on a sample" \
+                if ev(GE.lmul(b, v)) != Btw.mult_elem(b, ev(v)) else None
 
-    with rep.check("homiso.bilinear", anchor="twist.hom-isomorphism") as ck:
+    rep.forall("homiso.left-linear", "twist.hom-isomorphism", hom_left_linear(), outcome)
+
+    def hom_bilinear():
         # the hom transport is itself a B_g-bimodule map:
         # S(b ._g f) = b ._g S(f) and S(f ._g b) = S(f) ._g b
         GH = twist_module(H, data, Btw)
@@ -388,22 +421,19 @@ def suite_barfunctor(bundle, rep, sampler):
             x = sampler.module_elem(GE)
             lhs = hom_twist_iso(data, H, GH.lmul(Btw.el(lab), f))(x)
             rhs = ev(GE.rmul(x, Btw.el(lab)))
-            if lhs != rhs:
-                ck.fail("S(b f) != b S(f) on a sample")
-                break
+            yield "S(b f) != b S(f) on a sample" if lhs != rhs else None
             lhs2 = hom_twist_iso(data, H, GH.rmul(f, Btw.el(lab)))(x)
             rhs2 = Btw.mult_elem(ev(x), Btw.el(lab))
-            if lhs2 != rhs2:
-                ck.fail("S(f b) != S(f) b on a sample")
-                break
+            yield "S(f b) != S(f) b on a sample" if lhs2 != rhs2 else None
 
-    with rep.check("conjiso.natural", anchor="twist.conjugation-isomorphism") as ck:
+    rep.forall("homiso.bilinear", "twist.hom-isomorphism", hom_bilinear(), outcome)
+
+    def conj_iso_natural():
         # N_E . bar(Gamma(f)) = Gamma(fbar) . N_E for a sampled morphism f
         z = Cyc.root(E.scalar_order) if E.scalar_order > 2 \
             else Cyc.rational(2, E.scalar_order)
         f_mor = Morphism(E, E, {i: E.el(i, z) for i in E.basis}, "z.id")
         Ebar2 = ConjugateModule(E)
-        GEbar2 = twist_module(Ebar2, data, Btw)
         fbar = bar_morphism(f_mor, Ebar2, Ebar2)
         for _ in range(min(sampler.n, 6)):
             xb = conj_of(GE, sampler.module_elem(GE))
@@ -411,12 +441,11 @@ def suite_barfunctor(bundle, rep, sampler):
             inner = unconj(bar_GE, xb)
             left = conj_twist_iso(data, GE, bar_GE, conj_of(GE, f_mor(inner)))
             right = fbar(conj_twist_iso(data, GE, bar_GE, xb))
-            if left != right:
-                ck.fail("N is not natural against a sampled morphism")
-                break
+            yield "N is not natural against a sampled morphism" if left != right else None
 
-    with rep.check("hom.coaction-evaluation", anchor="module.hom-coaction") as ck:
-        from .modules import hom_coact
+    rep.forall("conjiso.natural", "twist.conjugation-isomorphism", conj_iso_natural(), outcome)
+
+    def hom_coaction():
         f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
         formula = hom_coact(H, f)
         for i in E.basis:
@@ -425,12 +454,13 @@ def suite_barfunctor(bundle, rep, sampler):
                 val = hom_apply(H, H.from_b(B.el(b), dk), E.el(i))
                 for b2, c2 in val.terms.items():
                     structural.add_term((a, b2), c * c2)
-            if structural != formula[i]:
-                ck.fail(f"hom coaction formula mismatch at basis {i}")
-                break
+            yield f"hom coaction formula mismatch at basis {i}" \
+                if structural != formula[i] else None
+
+    rep.forall("hom.coaction-evaluation", "module.hom-coaction", hom_coaction(), outcome)
 
     # bar functor conditions
-    with rep.check("bar.hexagon", anchor="barfunctor.hexagon") as ck:
+    def hexagon():
         GT = twist_module(T_unt, data, Btw)
         bar_GT = ConjugateModule(GT)
         GFbar = twist_module(ConjugateModule(F), data, Btw)
@@ -455,11 +485,11 @@ def suite_barfunctor(bundle, rep, sampler):
             route2 = conj_twist_iso(data, GT, bar_GT, xbar)
             route2 = upsilon(T_unt, ConjugateModule(T_unt), T_bars_unt, route2)
             route2 = phi_inv_map(data, T_gbar, T_bars_unt, route2)
-            if route1 != route2:
-                ck.fail("bar-functor hexagon fails on a sample")
-                break
+            yield "bar-functor hexagon fails on a sample" if route1 != route2 else None
 
-    with rep.check("bar.bb-condition", anchor="barfunctor.double-conjugate") as ck:
+    rep.forall("bar.hexagon", "barfunctor.hexagon", hexagon(), outcome)
+
+    def bb_condition():
         GEbar = twist_module(ConjugateModule(E), data, Btw)
         bar_GEbar = ConjugateModule(GEbar)
         Ebar = ConjugateModule(E)
@@ -470,9 +500,9 @@ def suite_barfunctor(bundle, rep, sampler):
             step = bb_map(GE, ConjugateModule(GE), ConjugateModule(ConjugateModule(GE)), x)
             step = bar_n_then_conj(data, GE, bar_GE, step)
             rhs = conj_twist_iso(data, GEbar, bar_GEbar, step)
-            if lhs != rhs:
-                ck.fail("Gamma(bb) != N_bar . N bar . bb on a sample")
-                break
+            yield "Gamma(bb) != N_bar . N bar . bb on a sample" if lhs != rhs else None
+
+    rep.forall("bar.bb-condition", "barfunctor.double-conjugate", bb_condition(), outcome)
 
     if bundle.calculus is not None:
         cal = bundle.calculus
@@ -481,39 +511,41 @@ def suite_barfunctor(bundle, rep, sampler):
         O1 = cal.module(1)
         G1 = cal_tw.module(1)
         bar_G1 = ConjugateModule(G1)
-        with rep.check("bar.star-object", anchor="bar.star-object-law") as ck:
+
+        def star_object():
             Obar = ConjugateModule(O1)
             Obarbar = ConjugateModule(Obar)
             for _ in range(min(sampler.n, 6)):
                 w = sampler.module_elem(O1)
                 st = conj_of(O1, cal.star(Form(1, w)).vec)
                 stst = bar_morphism_star(cal, O1, Obar, st)
-                if stst != bb_map(O1, Obar, Obarbar, w):
-                    ck.fail("starbar . star != bb on a one-form sample")
-                    break
-        with rep.check("bar.star-transport", anchor="barfunctor.star-transport") as ck:
-            for _ in range(min(sampler.n, 8)):
-                w = sampler.module_elem(G1)
-                lhs = conj_of(G1, cal_tw.star(Form(1, w)).vec)
-                gstar = conj_of(O1, cal.star(Form(1, w)).vec)
-                rhs = conj_twist_iso_inv(data, G1, bar_G1, gstar)
-                if lhs != rhs:
-                    ck.fail("star_g != N^-1 . Gamma(star) on a one-form sample")
-                    break
+                yield "starbar . star != bb on a one-form sample" \
+                    if stst != bb_map(O1, Obar, Obarbar, w) else None
+
+        rep.forall("bar.star-object", "bar.star-object-law", star_object(), outcome)
+
+        def star_transport(w):
+            lhs = conj_of(G1, cal_tw.star(Form(1, w)).vec)
+            gstar = conj_of(O1, cal.star(Form(1, w)).vec)
+            if lhs != conj_twist_iso_inv(data, G1, bar_G1, gstar):
+                return "star_g != N^-1 . Gamma(star) on a one-form sample"
+            return None
+
+        rep.forall("bar.star-transport", "barfunctor.star-transport",
+                   sampler.draws(8, lambda: sampler.module_elem(G1)), star_transport)
 
     # module round trip through gamma then gammabar
-    with rep.check("module.roundtrip", anchor="twist.inverse-deformation") as ck:
+    def module_roundtrip():
         Atw = bundle.twisted_hopf
         data_bar = data.inverse_data(Atw)
         Bback = twist_comodule_algebra(Btw, data_bar, twist_hopf(Atw, data_bar))
         GEback = twist_module(GE, data_bar, Bback)
-        for lab in (sampler.labels[:5] or [None]):
-            if lab is None:
-                break
+        for lab in sampler.labels[:5]:
             for i in E.basis:
-                if GEback.r_act(i, lab) != E.r_act(i, lab):
-                    ck.fail(f"module round trip fails at ({E.basis_name(i)},{B.label_name(lab)})")
-                    return
+                yield f"module round trip fails at ({E.basis_name(i)},{B.label_name(lab)})" \
+                    if GEback.r_act(i, lab) != E.r_act(i, lab) else None
+
+    rep.forall("module.roundtrip", "twist.inverse-deformation", module_roundtrip(), outcome)
 
 
 def bar_morphism_phi_inv(data, T_tw, T_unt, GT, bar_GT, bar_Ttw, xbar):
@@ -550,44 +582,40 @@ def _sample_form(cal, sampler, degree):
 
 def _calculus_core(cal, rep, sampler, prefix):
     B = cal.base
-    with rep.check(f"{prefix}.d-squared", anchor="calculus.d-squared") as ck:
+
+    def degree_0_and_1():
         for _ in range(min(sampler.n, 12)):
-            f = cal.from_b(B.el(sampler.label()))
-            if not cal.d(cal.d(f)).is_zero():
-                ck.fail("d^2 != 0 on a degree-0 sample")
-                break
-            w = _sample_form(cal, sampler, 1)
-            if not cal.d(cal.d(w)).is_zero():
-                ck.fail("d^2 != 0 on a degree-1 sample")
-                break
-    with rep.check(f"{prefix}.graded-leibniz", anchor="calculus.graded-leibniz") as ck:
-        for _ in range(min(sampler.n, 10)):
-            w = _sample_form(cal, sampler, 1)
-            f = cal.from_b(B.el(sampler.label()))
-            lhs = cal.d(cal.wedge(f, w))
-            rhs = cal.wedge(cal.d(f), w) + cal.wedge(f, cal.d(w))
-            if lhs != rhs:
-                ck.fail("Leibniz fails on a (0,1)-degree pair")
-                break
-            lhs2 = cal.d(cal.wedge(w, f))
-            rhs2 = cal.wedge(cal.d(w), f) - cal.wedge(w, cal.d(f))
-            if lhs2 != rhs2:
-                ck.fail("graded Leibniz fails on a (1,0)-degree pair")
-                break
-    with rep.check(f"{prefix}.star-involution", anchor="calculus.star-laws") as ck:
-        for deg in (0, 1, 2):
-            for _ in range(4):
-                w = _sample_form(cal, sampler, deg)
-                if cal.star(cal.star(w)) != w:
-                    ck.fail(f"star not involutive in degree {deg}")
-                    break
-    with rep.check(f"{prefix}.star-d-commute", anchor="calculus.star-d-compatibility") as ck:
-        for deg in (0, 1):
-            for _ in range(min(sampler.n, 8)):
-                w = _sample_form(cal, sampler, deg)
-                if cal.star(cal.d(w)) != cal.d(cal.star(w)):
-                    ck.fail(f"(dw)* != d(w*) in degree {deg}")
-                    break
+            yield cal.from_b(B.el(sampler.label()))
+            yield _sample_form(cal, sampler, 1)
+
+    rep.forall(f"{prefix}.d-squared", "calculus.d-squared", degree_0_and_1(),
+               lambda f: f"d^2 != 0 on a degree-{f.degree} sample"
+               if not cal.d(cal.d(f)).is_zero() else None)
+
+    def graded_leibniz(wf):
+        w, f = wf
+        if cal.d(cal.wedge(f, w)) != cal.wedge(cal.d(f), w) + cal.wedge(f, cal.d(w)):
+            return "Leibniz fails on a (0,1)-degree pair"
+        if cal.d(cal.wedge(w, f)) != cal.wedge(cal.d(w), f) - cal.wedge(w, cal.d(f)):
+            return "graded Leibniz fails on a (1,0)-degree pair"
+        return None
+
+    rep.forall(f"{prefix}.graded-leibniz", "calculus.graded-leibniz",
+               sampler.draws(10, lambda: (_sample_form(cal, sampler, 1),
+                                          cal.from_b(B.el(sampler.label())))),
+               graded_leibniz)
+    rep.forall(f"{prefix}.star-involution", "calculus.star-laws",
+               (_sample_form(cal, sampler, deg) for deg in (0, 1, 2) for _ in range(4)),
+               lambda w: f"star not involutive in degree {w.degree}"
+               if cal.star(cal.star(w)) != w else None)
+    rep.forall(f"{prefix}.star-d-commute", "calculus.star-d-compatibility",
+               (_sample_form(cal, sampler, deg)
+                for deg in (0, 1) for _ in range(min(sampler.n, 8))),
+               lambda w: f"(dw)* != d(w*) in degree {w.degree}"
+               if cal.star(cal.d(w)) != cal.d(cal.star(w)) else None)
+    # kept as a hand-written loop: after a failure it goes on drawing for the
+    # remaining degree pairs (and reports the last failing one); the samples
+    # of every later check, and the recorded fault outputs, depend on that
     with rep.check(f"{prefix}.star-antimultiplicative", anchor="calculus.star-laws") as ck:
         for k, l in ((0, 1), (1, 1), (0, 2)):
             for _ in range(4):
@@ -599,46 +627,43 @@ def _calculus_core(cal, rep, sampler, prefix):
                 if lhs != rhs:
                     ck.fail(f"(w^v)* != (-1)^kl v*^w* at degrees ({k},{l})")
                     break
-    with rep.check(f"{prefix}.wedge-associative", anchor="calculus.associativity") as ck:
-        for _ in range(min(sampler.n, 8)):
-            a = _sample_form(cal, sampler, 0)
-            b2 = _sample_form(cal, sampler, 1)
-            c = _sample_form(cal, sampler, 1)
-            if cal.wedge(cal.wedge(a, b2), c) != cal.wedge(a, cal.wedge(b2, c)):
-                ck.fail("wedge associativity fails on a sampled triple")
-                break
-    with rep.check(f"{prefix}.d-covariant", anchor="calculus.covariance") as ck:
-        mod1 = cal.module(1)
-        for _ in range(min(sampler.n, 8)):
-            b = B.el(sampler.label())
-            lhs = mod1.coact(cal.d(cal.from_b(b)).vec)
-            rhs = Vec(cal.scalar_order)
-            for (a, b1), c in B.coact_elem(b).terms.items():
-                for (b2, i), c2 in cal.d(cal.from_b(B.el(b1))).vec.terms.items():
-                    rhs.add_term((a, b2, i), c * c2)
-            if lhs != rhs:
-                ck.fail("d is not covariant on a sample")
-                break
-    with rep.check(f"{prefix}.generated-by-b-db", anchor="calculus.generation") as ck:
+
+    def wedge_associative(abc):
+        a, b2, c = abc
+        if cal.wedge(cal.wedge(a, b2), c) != cal.wedge(a, cal.wedge(b2, c)):
+            return "wedge associativity fails on a sampled triple"
+        return None
+
+    rep.forall(f"{prefix}.wedge-associative", "calculus.associativity",
+               sampler.draws(8, lambda: (_sample_form(cal, sampler, 0),
+                                         _sample_form(cal, sampler, 1),
+                                         _sample_form(cal, sampler, 1))),
+               wedge_associative)
+
+    def d_covariant(b):
+        lhs = cal.module(1).coact(cal.d(cal.from_b(b)).vec)
+        rhs = Vec(cal.scalar_order)
+        for (a, b1), c in B.coact_elem(b).terms.items():
+            for (b2, i), c2 in cal.d(cal.from_b(B.el(b1))).vec.terms.items():
+                rhs.add_term((a, b2, i), c * c2)
+        return "d is not covariant on a sample" if lhs != rhs else None
+
+    rep.forall(f"{prefix}.d-covariant", "calculus.covariance",
+               sampler.draws(8, lambda: B.el(sampler.label())), d_covariant)
+
+    def generated_by_b_db():
         # every degree-1 basis form must be a combination of the products
         # m* d(m) and d(m) over the unit box (Maurer-Cartan witnesses)
-        names = cal.module(1).basis
-        box_labels = cal.base.hopf.labels_box(1)
-        from .cyclotomic import _phi
-        from .vectors import cyc_to_coords, solve_frac
         order = cal.scalar_order
         deg = _phi(order)
-        keys = set()
         images = []
-        for m in box_labels:
+        for m in cal.base.hopf.labels_box(1):
             dm = cal.d(cal.from_b(B.el(m)))
             images.append(dm.vec)
             inv = cal.wedge(Form(0, cal.module(0).from_b(B.star(m), "1")), dm)
             images.append(inv.vec)
-        for img in images:
-            keys.update(img.terms)
-        keys = sorted(keys, key=str)
-        for target in names:
+        keys = sorted({k for img in images for k in img.terms}, key=str)
+        for target in cal.module(1).basis:
             rows, rhs = [], []
             want = cal.module(1).el(target)
             for key in keys:
@@ -650,10 +675,12 @@ def _calculus_core(cal, rep, sampler, prefix):
                             row.append(cyc_to_coords(Cyc(order, {s: 1}) * c, order)[r])
                     rows.append(row)
                     rhs.append(cyc_to_coords(want.terms.get(key, Cyc.zero(order)), order)[r])
-            sol, kernel, bad = solve_frac(rows, rhs)
-            if sol is None:
-                ck.fail(f"basis form {target} not generated by B.dB over the box")
-                break
+            sol, _, _ = solve_frac(rows, rhs)
+            yield f"basis form {target} not generated by B.dB over the box" \
+                if sol is None else None
+
+    rep.forall(f"{prefix}.generated-by-b-db", "calculus.generation",
+               generated_by_b_db(), outcome)
 
 
 def suite_calculus(bundle, rep, sampler):
@@ -670,192 +697,170 @@ def suite_calculus(bundle, rep, sampler):
     _calculus_core(cal, rep, sampler, "calc.base")
     _calculus_core(cal_tw, rep, sampler, "calc.twisted")
 
-    with rep.check("calc.twisted.d-is-functor-image", anchor="twist.calculus") as ck:
-        for _ in range(min(sampler.n, 10)):
-            f = _sample_form(cal_tw, sampler, sampler.rng.choice((0, 1)))
-            lhs = cal_tw.d(f)
-            rhs = cal.d(Form(f.degree, f.vec))
-            if lhs.vec != rhs.vec:
-                ck.fail("d_g differs from Gamma(d) on a sample")
-                break
+    rep.forall("calc.twisted.d-is-functor-image", "twist.calculus",
+               sampler.draws(10, lambda: _sample_form(cal_tw, sampler, sampler.rng.choice((0, 1)))),
+               lambda f: "d_g differs from Gamma(d) on a sample"
+               if cal_tw.d(f).vec != cal.d(Form(f.degree, f.vec)).vec else None)
 
-    with rep.check("calc.twisted.star-formula", anchor="twist.comodule-star") as ck:
+    def star_formula(f):
         # star_g(b w) must match Vbar(w-weight*) of the coaction formula
-        B = bundle.comodule
-        Btw = world.comodule
         A = bundle.hopf
-        for _ in range(min(sampler.n, 10)):
-            f = _sample_form(cal_tw, sampler, 1)
-            lhs = cal_tw.star(f).vec
-            rhs = Vec(cal.scalar_order)
-            mod1 = cal.module(1)
-            for (a, b, i), c in mod1.coact(f.vec).terms.items():
-                scal = Cyc.zero(cal.scalar_order)
-                for a2, ca in A.star(a).terms.items():
-                    scal = scal + ca * data.Vbar(a2)
-                piece = cal.star(Form(1, mod1.from_b(B.el(b), i))).vec
-                rhs = rhs + piece.scale(c.conj() * scal)
-            if lhs != rhs:
-                ck.fail("twisted star does not match its coaction formula")
-                break
+        mod1 = cal.module(1)
+        lhs = cal_tw.star(f).vec
+        rhs = Vec(cal.scalar_order)
+        for (a, b, i), c in mod1.coact(f.vec).terms.items():
+            scal = Cyc.zero(cal.scalar_order)
+            for a2, ca in A.star(a).terms.items():
+                scal = scal + ca * data.Vbar(a2)
+            piece = cal.star(Form(1, mod1.from_b(bundle.comodule.el(b), i))).vec
+            rhs = rhs + piece.scale(c.conj() * scal)
+        return "twisted star does not match its coaction formula" if lhs != rhs else None
 
-    with rep.check("calc.roundtrip", anchor="twist.inverse-deformation") as ck:
-        data_bar = data.inverse_data(world.hopf)
-        from .cocycle import twist_hopf as _th
-        Bback = twist_comodule_algebra(world.comodule, data_bar, _th(world.hopf, data_bar))
-        from .calculus import twist_calculus
-        cal_back = twist_calculus(cal_tw, data_bar, Bback)
+    rep.forall("calc.twisted.star-formula", "twist.comodule-star",
+               sampler.draws(10, lambda: _sample_form(cal_tw, sampler, 1)), star_formula)
+
+    def calc_roundtrip():
+        cal_back = untwist_world(bundle, world).calculus
         for _ in range(min(sampler.n, 8)):
             f = _sample_form(cal, sampler, 1)
             g2 = _sample_form(cal, sampler, 1)
-            if cal_back.wedge(f, g2).vec != cal.wedge(f, g2).vec:
-                ck.fail("wedge round trip fails on a sample")
-                break
-            if cal_back.star(f).vec != cal.star(f).vec:
-                ck.fail("star round trip fails on a sample")
-                break
-            if cal_back.d(f).vec != cal.d(f).vec:
-                ck.fail("d round trip fails on a sample")
-                break
+            yield "wedge round trip fails on a sample" \
+                if cal_back.wedge(f, g2).vec != cal.wedge(f, g2).vec else None
+            yield "star round trip fails on a sample" \
+                if cal_back.star(f).vec != cal.star(f).vec else None
+            yield "d round trip fails on a sample" if cal_back.d(f).vec != cal.d(f).vec else None
+
+    rep.forall("calc.roundtrip", "twist.inverse-deformation", calc_roundtrip(), outcome)
 
     for tag, c_s, c_al in (("base", cs, cal), ("twisted", cs_tw, cal_tw)):
-        with rep.check(f"cs.{tag}.projections", anchor="complex.bigrading") as ck:
-            for deg in (1, 2):
-                for _ in range(4):
-                    f = _sample_form(c_al, sampler, deg)
-                    total = c_al.zero_form(deg)
-                    for (p, q), comp in c_s.components(f).items():
-                        if p + q != deg:
-                            ck.fail(f"bigrade ({p},{q}) appears in degree {deg}")
-                            break
-                        total = total + comp
-                    if total != f:
-                        ck.fail("bigrade projections do not sum to the identity")
-                        break
-        with rep.check(f"cs.{tag}.star-swaps", anchor="complex.star-swap") as ck:
-            for _ in range(min(sampler.n, 8)):
-                f = _sample_form(c_al, sampler, 1)
-                comp = c_s.components(f)
-                for (p, q), piece in comp.items():
-                    starred = c_al.star(piece)
-                    for (b, i), c in starred.vec.terms.items():
-                        if not c.is_zero() and c_s.bigrade[i] != (q, p):
-                            ck.fail(f"star leaves ({p},{q}) outside ({q},{p})")
-                            break
-        with rep.check(f"cs.{tag}.d-splits", anchor="complex.d-decomposition") as ck:
-            for _ in range(min(sampler.n, 8)):
-                f = _sample_form(c_al, sampler, 1)
-                df = c_al.d(f)
-                if c_s.del_(f) + c_s.delbar(f) != df:
-                    ck.fail("d != del + delbar on a sample")
-                    break
-        with rep.check(f"cs.{tag}.dolbeault-squares", anchor="complex.dolbeault-relations") as ck:
-            for _ in range(min(sampler.n, 8)):
-                b = c_al.from_b(c_al.base.el(sampler.label()))
-                if not c_s.del_(c_s.del_(b)).is_zero() or \
-                   not c_s.delbar(c_s.delbar(b)).is_zero():
-                    ck.fail("del^2 or delbar^2 != 0 on a sample")
-                    break
-                if not (c_s.del_(c_s.delbar(b)) + c_s.delbar(c_s.del_(b))).is_zero():
-                    ck.fail("del delbar + delbar del != 0 on a sample")
-                    break
+        def projections(f):
+            total = c_al.zero_form(f.degree)
+            for (p, q), comp in c_s.components(f).items():
+                if p + q != f.degree:
+                    return f"bigrade ({p},{q}) appears in degree {f.degree}"
+                total = total + comp
+            return "bigrade projections do not sum to the identity" if total != f else None
+
+        rep.forall(f"cs.{tag}.projections", "complex.bigrading",
+                   (_sample_form(c_al, sampler, deg) for deg in (1, 2) for _ in range(4)),
+                   projections)
+
+        def star_swaps(f):
+            for (p, q), piece in c_s.components(f).items():
+                for (b, i), c in c_al.star(piece).vec.terms.items():
+                    if not c.is_zero() and c_s.bigrade[i] != (q, p):
+                        return f"star leaves ({p},{q}) outside ({q},{p})"
+            return None
+
+        rep.forall(f"cs.{tag}.star-swaps", "complex.star-swap",
+                   sampler.draws(8, lambda: _sample_form(c_al, sampler, 1)), star_swaps)
+
+        def d_splits(f):
+            df = c_al.d(f)
+            return "d != del + delbar on a sample" if c_s.del_(f) + c_s.delbar(f) != df else None
+
+        rep.forall(f"cs.{tag}.d-splits", "complex.d-decomposition",
+                   sampler.draws(8, lambda: _sample_form(c_al, sampler, 1)), d_splits)
+
+        def dolbeault_squares(b):
+            if not c_s.del_(c_s.del_(b)).is_zero() or \
+               not c_s.delbar(c_s.delbar(b)).is_zero():
+                return "del^2 or delbar^2 != 0 on a sample"
+            if not (c_s.del_(c_s.delbar(b)) + c_s.delbar(c_s.del_(b))).is_zero():
+                return "del delbar + delbar del != 0 on a sample"
+            return None
+
+        rep.forall(f"cs.{tag}.dolbeault-squares", "complex.dolbeault-relations",
+                   sampler.draws(8, lambda: c_al.from_b(c_al.base.el(sampler.label()))),
+                   dolbeault_squares)
 
     for tag, c_s in (("base", cs), ("twisted", cs_tw)):
-        with rep.check(f"factor.{tag}.invertible", anchor="complex.factorizability") as ck:
+        def factor_invertible():
             try:
-                theta, tens = factorization_inverse(c_s, (0, 1), (1, 0))
+                theta, _ = factorization_inverse(c_s, (0, 1), (1, 0))
             except NotFactorizable as exc:
-                ck.fail(str(exc))
-                continue
+                yield str(exc)
+                return
             c_al = c_s.cal
             for _ in range(min(sampler.n, 6)):
-                f = _sample_form(c_al, sampler, 2)
-                f11 = c_s.proj(f, 1, 1)
-                t = theta(f11)
+                f11 = c_s.proj(_sample_form(c_al, sampler, 2), 1, 1)
                 back = c_al.zero_form(2)
-                for (b, (i, j)), c in t.terms.items():
+                for (b, (i, j)), c in theta(f11).terms.items():
                     back = back + c_al.wedge(
                         Form(1, c_al.module(1).from_b(c_al.base.el(b), i)),
                         Form(1, c_al.module(1).el(j))).scale(c)
-                if back != f11:
-                    ck.fail("wedge . theta != id on a (1,1) sample")
-                    break
+                yield "wedge . theta != id on a (1,1) sample" if back != f11 else None
+
+        rep.forall(f"factor.{tag}.invertible", "complex.factorizability",
+                   factor_invertible(), outcome)
 
     holos = (("10", bundle.holo_10, world.holo_10),
              ("01", bundle.holo_01, world.holo_01))
     for tag, h, h_tw in holos:
         for wtag, hh in (("base", h), ("twisted", h_tw)):
-            with rep.check(f"holo.{wtag}.{tag}.leibniz", anchor="holomorphic.leibniz") as ck:
-                mod = hh.module
-                for _ in range(min(sampler.n, 8)):
-                    b = mod.base.el(sampler.label())
-                    i = sampler.rng.choice(mod.basis)
-                    lhs = hh.delbar_conn(mod.lmul(b, mod.el(i)))
-                    rhs = hh.tensor_01.lmul(b, hh.delbar_conn(mod.el(i)))
-                    db = hh.cs.delbar_b(b)
-                    db_keys = Vec(mod.scalar_order)
-                    for (b2, w), c in db.vec.terms.items():
-                        db_keys.add_term((b2, w), c)
-                    rhs = rhs + hh.tensor_01.pure(db_keys, mod.el(i))
-                    if lhs != rhs:
-                        ck.fail("delbar-connection Leibniz fails on a sample")
-                        break
-            with rep.check(f"holo.{wtag}.{tag}.curvature", anchor="holomorphic.curvature-zero") as ck:
-                for i in hh.module.basis:
-                    if not hh.curvature(i).is_zero():
-                        ck.fail(f"holomorphic curvature nonzero at basis {i}")
-                        break
+            mod = hh.module
 
-    with rep.check("holo.twist-intermediate", anchor="twist.holomorphic-transport") as ck:
-        # the transported operator (delbar (x) id - id ^ delbar_E) agrees
-        # through phi on samples
-        h, h_tw = bundle.holo_10, world.holo_10
-        T_unt = h.tensor_01
-        T_tw = h_tw.tensor_01
-        for _ in range(min(sampler.n, 6)):
-            w = _sample_form(cal, sampler, 1)
-            w01 = cs.proj(w, 0, 1).vec
-            e = h.module.from_b(cal.base.el(sampler.label()), h.module.basis[0])
-            u = T_unt.pure(_keys_to(w01), e)
-            lhs = _holo_operator(h, u)
-            moved = phi_inv_map(data, T_tw, T_unt, u)
-            rhs_tw = _holo_operator(h_tw, moved)
-            rhs = phi_map(data, _op_target(h_tw), _op_target(h), rhs_tw)
-            if lhs != rhs:
-                ck.fail("holomorphic transport identity fails on a sample")
-                break
+            def holo_leibniz(bi):
+                b, i = bi
+                lhs = hh.delbar_conn(mod.lmul(b, mod.el(i)))
+                rhs = hh.tensor_01.lmul(b, hh.delbar_conn(mod.el(i)))
+                db = hh.cs.delbar_b(b)
+                db_keys = Vec(mod.scalar_order)
+                for (b2, w), c in db.vec.terms.items():
+                    db_keys.add_term((b2, w), c)
+                rhs = rhs + hh.tensor_01.pure(db_keys, mod.el(i))
+                return "delbar-connection Leibniz fails on a sample" if lhs != rhs else None
+
+            rep.forall(f"holo.{wtag}.{tag}.leibniz", "holomorphic.leibniz",
+                       sampler.draws(8, lambda: (mod.base.el(sampler.label()),
+                                                 sampler.rng.choice(mod.basis))),
+                       holo_leibniz)
+            rep.forall(f"holo.{wtag}.{tag}.curvature", "holomorphic.curvature-zero",
+                       hh.module.basis,
+                       lambda i: f"holomorphic curvature nonzero at basis {i}"
+                       if not hh.curvature(i).is_zero() else None)
+
+    # the transported operator (delbar (x) id - id ^ delbar_E) agrees
+    # through phi on samples
+    h, h_tw = bundle.holo_10, world.holo_10
+
+    def holo_transport(w_lab):
+        w, lab = w_lab
+        e = h.module.from_b(cal.base.el(lab), h.module.basis[0])
+        u = h.tensor_01.pure(cs.proj(w, 0, 1).vec, e)
+        moved = phi_inv_map(data, h_tw.tensor_01, h.tensor_01, u)
+        rhs = phi_map(data, _op_target(h_tw), _op_target(h), _holo_operator(h_tw, moved))
+        return "holomorphic transport identity fails on a sample" \
+            if _holo_operator(h, u) != rhs else None
+
+    rep.forall("holo.twist-intermediate", "twist.holomorphic-transport",
+               sampler.draws(6, lambda: (_sample_form(cal, sampler, 1), sampler.label())),
+               holo_transport)
 
     # Kahler layer
     for tag, kd, c_al in (("base", bundle.kahler, cal), ("twisted", world.kahler, cal_tw)):
         kappa = Form(2, kd.kappa.vec)
-        with rep.check(f"kahler.{tag}.central", anchor="kahler.centrality") as ck:
-            for _ in range(min(sampler.n, 8)):
-                f = _sample_form(c_al, sampler, 0)
-                if c_al.wedge(kappa, f) != c_al.wedge(f, kappa):
-                    ck.fail("kappa not central on a sample")
-                    break
-        with rep.check(f"kahler.{tag}.real", anchor="kahler.reality") as ck:
-            if c_al.star(kappa) != kappa:
-                ck.fail("kappa* != kappa")
-        with rep.check(f"kahler.{tag}.coinvariant", anchor="kahler.coinvariance") as ck:
-            co = c_al.module(2).coact(kappa.vec)
+        rep.forall(f"kahler.{tag}.central", "kahler.centrality",
+                   sampler.draws(8, lambda: _sample_form(c_al, sampler, 0)),
+                   lambda f: "kappa not central on a sample"
+                   if c_al.wedge(kappa, f) != c_al.wedge(f, kappa) else None)
+        rep.forall(f"kahler.{tag}.real", "kahler.reality", [kappa],
+                   lambda k: "kappa* != kappa" if c_al.star(k) != k else None)
+
+        def coinvariant(k):
+            co = c_al.module(2).coact(k.vec)
             want = Vec(c_al.scalar_order)
             for a, ca in c_al.base.hopf.unit().terms.items():
-                for (b, i), c in kappa.vec.terms.items():
+                for (b, i), c in k.vec.terms.items():
                     want.add_term((a, b, i), ca * c)
-            if co != want:
-                ck.fail("kappa not coinvariant")
-        with rep.check(f"kahler.{tag}.closed", anchor="kahler.closedness") as ck:
-            if not c_al.d(kappa).is_zero():
-                ck.fail("d kappa != 0")
-        with rep.check(f"kahler.{tag}.lefschetz", anchor="kahler.lefschetz-bijectivity") as ck:
-            kd2 = kd if tag == "base" else world.kahler
-            if not kd2.lefschetz_bijective(0):
-                ck.fail("L: Omega^0 -> Omega^2 is not bijective")
+            return "kappa not coinvariant" if co != want else None
 
-
-def _keys_to(vec):
-    return vec
+        rep.forall(f"kahler.{tag}.coinvariant", "kahler.coinvariance", [kappa], coinvariant)
+        rep.forall(f"kahler.{tag}.closed", "kahler.closedness", [kappa],
+                   lambda k: "d kappa != 0" if not c_al.d(k).is_zero() else None)
+        rep.forall(f"kahler.{tag}.lefschetz", "kahler.lefschetz-bijectivity", [kd],
+                   lambda k: "L: Omega^0 -> Omega^2 is not bijective"
+                   if not k.lefschetz_bijective(0) else None)
 
 
 def _holo_operator(h, u):
@@ -892,43 +897,49 @@ def _metric_core(metric, rep, sampler, prefix):
     cal = metric.cal
     B = cal.base
     mod = metric.module
-    with rep.check(f"{prefix}.snake", anchor="metric.duality-snake") as ck:
-        for name in mod.basis:
-            if metric.snake_left(name) != mod.el(name):
-                ck.fail(f"((w, ) (x) id) g != w at {name}")
-                break
-            if metric.snake_right(name) != mod.el(name):
-                ck.fail(f"(id (x) ( , w)) g != w at {name}")
-                break
-    with rep.check(f"{prefix}.central", anchor="metric.centrality") as ck:
-        for lab in B.generators():
-            b = B.el(lab)
-            if metric.tensor.lmul(b, metric.g) != metric.tensor.rmul(metric.g, b):
-                ck.fail(f"b g != g b at {B.label_name(lab)}")
-                break
-    with rep.check(f"{prefix}.coinvariant", anchor="metric.coinvariance") as ck:
-        co = metric.tensor.coact(metric.g)
+
+    def snake(name):
+        if metric.snake_left(name) != mod.el(name):
+            return f"((w, ) (x) id) g != w at {name}"
+        if metric.snake_right(name) != mod.el(name):
+            return f"(id (x) ( , w)) g != w at {name}"
+        return None
+
+    rep.forall(f"{prefix}.snake", "metric.duality-snake", mod.basis, snake)
+
+    def central(lab):
+        b = B.el(lab)
+        if metric.tensor.lmul(b, metric.g) != metric.tensor.rmul(metric.g, b):
+            return f"b g != g b at {B.label_name(lab)}"
+        return None
+
+    rep.forall(f"{prefix}.central", "metric.centrality", B.generators(), central)
+
+    def coinvariant(g):
+        co = metric.tensor.coact(g)
         want = Vec(cal.scalar_order)
         for a, ca in B.hopf.unit().terms.items():
-            for (b, k), c in metric.g.terms.items():
+            for (b, k), c in g.terms.items():
                 want.add_term((a, b, k), ca * c)
-        if co != want:
-            ck.fail("delta(g) != 1 (x) g")
-    with rep.check(f"{prefix}.pair-covariant", anchor="metric.pairing-covariance") as ck:
-        for _ in range(min(sampler.n, 8)):
-            t = metric.tensor.pure(sampler.module_elem(mod), sampler.module_elem(mod))
-            lhs = B.coact_elem(metric.pair_apply(t))
-            rhs = Vec(cal.scalar_order)
-            for (a, b, k), c in metric.tensor.coact(t).terms.items():
-                val = metric.pair_apply(metric.tensor.from_b(B.el(b), k))
-                for b2, c2 in val.terms.items():
-                    rhs.add_term((a, b2), c * c2)
-            if lhs != rhs:
-                ck.fail("pairing is not covariant on a sample")
-                break
-    with rep.check(f"{prefix}.real", anchor="metric.reality") as ck:
-        if not metric.is_real():
-            ck.fail("flip(* (x) *) g != g")
+        return "delta(g) != 1 (x) g" if co != want else None
+
+    rep.forall(f"{prefix}.coinvariant", "metric.coinvariance", [metric.g], coinvariant)
+
+    def pair_covariant(t):
+        lhs = B.coact_elem(metric.pair_apply(t))
+        rhs = Vec(cal.scalar_order)
+        for (a, b, k), c in metric.tensor.coact(t).terms.items():
+            val = metric.pair_apply(metric.tensor.from_b(B.el(b), k))
+            for b2, c2 in val.terms.items():
+                rhs.add_term((a, b2), c * c2)
+        return "pairing is not covariant on a sample" if lhs != rhs else None
+
+    rep.forall(f"{prefix}.pair-covariant", "metric.pairing-covariance",
+               sampler.draws(8, lambda: metric.tensor.pure(sampler.module_elem(mod),
+                                                           sampler.module_elem(mod))),
+               pair_covariant)
+    rep.forall(f"{prefix}.real", "metric.reality", [metric],
+               lambda m: "flip(* (x) *) g != g" if not m.is_real() else None)
 
 
 def suite_metric(bundle, rep, sampler):
@@ -944,124 +955,106 @@ def suite_metric(bundle, rep, sampler):
     _metric_core(metric, rep, sampler, "metric.base")
     _metric_core(metric_tw, rep, sampler, "metric.twisted")
 
-    with rep.check("metric.twist-g-phi", anchor="twist.metric") as ck:
-        T_tw = metric_tw.tensor
-        if metric_tw.g != phi_inv_map(data, T_tw, metric.tensor, metric.g):
-            ck.fail("g_g != phi^-1(g)")
+    rep.forall("metric.twist-g-phi", "twist.metric", [metric.g],
+               lambda g: "g_g != phi^-1(g)"
+               if metric_tw.g != phi_inv_map(data, metric_tw.tensor, metric.tensor, g) else None)
 
-    with rep.check("metric.dagger-identity", anchor="twist.reality-transport") as ck:
+    B, A = bundle.comodule, bundle.hopf
+    O1 = cal.module(1)
+    T_unt, T_tw = metric.tensor, metric_tw.tensor
+
+    def dagger_identity(we):
         # dagger_g(phi^-1(w (x) e)) = phi^-1(e*_(0) (x) w*_(0)) Vbar(e*_(-1) w*_(-1))
-        B, A = bundle.comodule, bundle.hopf
-        O1 = cal.module(1)
-        T_unt, T_tw = metric.tensor, metric_tw.tensor
-        for _ in range(min(sampler.n, 8)):
-            w = sampler.module_elem(O1)
-            e = sampler.module_elem(O1)
-            lhs = metric_tw.dagger(phi_inv_map(data, T_tw, T_unt, T_unt.pure(w, e)))
-            ws = cal.star(Form(1, w)).vec
-            es = cal.star(Form(1, e)).vec
-            rhs = Vec(cal.scalar_order)
-            for (a1, b1, i1), c1 in O1.coact(es).terms.items():
-                for (a2, b2, i2), c2 in O1.coact(ws).terms.items():
-                    scal = Cyc.zero(cal.scalar_order)
-                    for a3, ca in A.mult(a1, a2).terms.items():
-                        scal = scal + ca * data.Vbar(a3)
-                    if scal.is_zero():
-                        continue
-                    piece = phi_inv_map(
-                        data, T_tw, T_unt,
-                        T_unt.pure(O1.from_b(B.el(b1), i1), O1.from_b(B.el(b2), i2)))
-                    rhs = rhs + piece.scale(c1 * c2 * scal)
-            if lhs != rhs:
-                ck.fail("twisted-dagger transport identity fails on a sample")
-                break
+        w, e = we
+        lhs = metric_tw.dagger(phi_inv_map(data, T_tw, T_unt, T_unt.pure(w, e)))
+        ws = cal.star(Form(1, w)).vec
+        es = cal.star(Form(1, e)).vec
+        rhs = Vec(cal.scalar_order)
+        for (a1, b1, i1), c1 in O1.coact(es).terms.items():
+            for (a2, b2, i2), c2 in O1.coact(ws).terms.items():
+                scal = Cyc.zero(cal.scalar_order)
+                for a3, ca in A.mult(a1, a2).terms.items():
+                    scal = scal + ca * data.Vbar(a3)
+                if scal.is_zero():
+                    continue
+                piece = phi_inv_map(
+                    data, T_tw, T_unt,
+                    T_unt.pure(O1.from_b(B.el(b1), i1), O1.from_b(B.el(b2), i2)))
+                rhs = rhs + piece.scale(c1 * c2 * scal)
+        return "twisted-dagger transport identity fails on a sample" if lhs != rhs else None
 
-    with rep.check("metric.roundtrip", anchor="twist.inverse-deformation") as ck:
-        data_bar = data.inverse_data(world.hopf)
-        from .cocycle import twist_hopf as _th
-        Bback = twist_comodule_algebra(world.comodule, data_bar, _th(world.hopf, data_bar))
-        from .calculus import twist_calculus
-        cal_back = twist_calculus(cal_tw, data_bar, Bback)
-        metric_back = twist_metric(metric_tw, data_bar, cal_back)
-        if metric_back.g != metric.g:
-            ck.fail("g round trip differs")
-        else:
-            for k in metric.pairing_table:
-                if metric_back.pairing_table[k] != metric.pairing_table[k]:
-                    ck.fail(f"pairing round trip differs at {k}")
-                    break
+    rep.forall("metric.dagger-identity", "twist.reality-transport",
+               sampler.draws(8, lambda: (sampler.module_elem(O1), sampler.module_elem(O1))),
+               dagger_identity)
+
+    def metric_roundtrip():
+        back = untwist_world(bundle, world).metric
+        yield "g round trip differs" if back.g != metric.g else None
+        yield from table_outcomes(metric.pairing_table, back.pairing_table,
+                                  metric.pairing_table, "pairing round trip differs")
+
+    rep.forall("metric.roundtrip", "twist.inverse-deformation", metric_roundtrip(), outcome)
 
     for tag, c, m, c_al in (("base", conn, metric, cal), ("twisted", conn_tw, metric_tw, cal_tw)):
         B = c_al.base
-        with rep.check(f"lc.{tag}.leibniz", anchor="connection.left-leibniz") as ck:
-            for _ in range(min(sampler.n, 8)):
-                b = B.el(sampler.label())
-                e = sampler.module_elem(c.module)
-                lhs = c.apply(c.module.lmul(b, e))
-                rhs = c.tensor.lmul(b, c.apply(e)) + \
-                    c.tensor.pure(c_al.d(c_al.from_b(b)).vec, e)
-                if lhs != rhs:
-                    ck.fail("left Leibniz fails on a sample")
-                    break
-        with rep.check(f"lc.{tag}.bimodule", anchor="connection.sigma-leibniz") as ck:
-            for _ in range(min(sampler.n, 8)):
-                b = B.el(sampler.label())
-                e = sampler.module_elem(c.module)
-                lhs = c.apply(c.module.rmul(e, b))
-                rhs = c.tensor.rmul(c.apply(e), b) + \
-                    c.sigma(c.sigma.src.pure(e, c_al.d(c_al.from_b(b)).vec))
-                if lhs != rhs:
-                    ck.fail("sigma-twisted right Leibniz fails on a sample")
-                    break
-        with rep.check(f"lc.{tag}.sigma-morphism", anchor="connection.sigma-bimodule-map") as ck:
+
+        def draw_b_and_e():
+            return B.el(sampler.label()), sampler.module_elem(c.module)
+
+        def left_leibniz(be):
+            b, e = be
+            lhs = c.apply(c.module.lmul(b, e))
+            rhs = c.tensor.lmul(b, c.apply(e)) + \
+                c.tensor.pure(c_al.d(c_al.from_b(b)).vec, e)
+            return "left Leibniz fails on a sample" if lhs != rhs else None
+
+        rep.forall(f"lc.{tag}.leibniz", "connection.left-leibniz",
+                   sampler.draws(8, draw_b_and_e), left_leibniz)
+
+        def sigma_leibniz(be):
+            b, e = be
+            lhs = c.apply(c.module.rmul(e, b))
+            rhs = c.tensor.rmul(c.apply(e), b) + \
+                c.sigma(c.sigma.src.pure(e, c_al.d(c_al.from_b(b)).vec))
+            return "sigma-twisted right Leibniz fails on a sample" if lhs != rhs else None
+
+        rep.forall(f"lc.{tag}.bimodule", "connection.sigma-leibniz",
+                   sampler.draws(8, draw_b_and_e), sigma_leibniz)
+
+        def sigma_morphism():
             for lab in (B.generators() or [])[:4]:
                 for key in c.sigma.src.basis:
-                    if not right_linear_defect(c.sigma, lab, key).is_zero():
-                        ck.fail(f"sigma not right-linear at ({key},{B.label_name(lab)})")
-                        break
+                    yield f"sigma not right-linear at ({key},{B.label_name(lab)})" \
+                        if not right_linear_defect(c.sigma, lab, key).is_zero() else None
             for _ in range(min(sampler.n, 6)):
                 e = sampler.module_elem(c.sigma.src)
-                if not covariance_defect(c.sigma, e).is_zero():
-                    ck.fail("sigma not covariant on a sample")
-                    break
-        with rep.check(f"lc.{tag}.covariant", anchor="connection.covariance") as ck:
+                defect = covariance_defect(c.sigma, c.sigma.src, c.sigma.dst, e)
+                yield "sigma not covariant on a sample" if not defect.is_zero() else None
+
+        rep.forall(f"lc.{tag}.sigma-morphism", "connection.sigma-bimodule-map",
+                   sigma_morphism(), outcome)
+        rep.forall(f"lc.{tag}.covariant", "connection.covariance",
+                   sampler.draws(8, lambda: sampler.module_elem(c.module)),
+                   lambda e: "connection is not covariant on a sample"
+                   if not covariance_defect(c.apply, c.module, c.tensor, e).is_zero() else None)
+
+        def torsion_zero():
+            for i in c.module.basis:
+                yield f"torsion nonzero at basis {i}" \
+                    if not c.torsion(c.module.el(i)).is_zero() else None
             for _ in range(min(sampler.n, 8)):
                 e = sampler.module_elem(c.module)
-                lhs = c.tensor.coact(c.apply(e))
-                rhs = Vec(c_al.scalar_order)
-                for (a, b, i), cc in c.module.coact(e).terms.items():
-                    img = c.apply(c.module.from_b(B.el(b), i))
-                    for (b2, k), c2 in img.terms.items():
-                        rhs.add_term((a, b2, k), cc * c2)
-                if lhs != rhs:
-                    ck.fail("connection is not covariant on a sample")
-                    break
-        with rep.check(f"lc.{tag}.torsion-zero", anchor="levi-civita.torsionless") as ck:
-            for i in c.module.basis:
-                if not c.torsion(c.module.el(i)).is_zero():
-                    ck.fail(f"torsion nonzero at basis {i}")
-                    break
-            else:
-                for _ in range(min(sampler.n, 8)):
-                    e = sampler.module_elem(c.module)
-                    if not c.torsion(e).is_zero():
-                        ck.fail("torsion nonzero on a sample")
-                        break
-        with rep.check(f"lc.{tag}.metric-compat", anchor="levi-civita.metric-compatibility") as ck:
-            if not c.metric_compat(m).is_zero():
-                ck.fail("nabla g != 0")
+                yield "torsion nonzero on a sample" if not c.torsion(e).is_zero() else None
 
-    with rep.check("lc.roundtrip", anchor="twist.inverse-deformation") as ck:
-        data_bar = data.inverse_data(world.hopf)
-        from .cocycle import twist_hopf as _th
-        Bback = twist_comodule_algebra(world.comodule, data_bar, _th(world.hopf, data_bar))
-        from .calculus import twist_calculus
-        cal_back = twist_calculus(cal_tw, data_bar, Bback)
-        conn_back = twist_connection(conn_tw, data_bar, cal_back)
-        for i in conn.module.basis:
-            if conn_back.table[i] != conn.table[i]:
-                ck.fail(f"connection round trip differs at {i}")
-                break
+        rep.forall(f"lc.{tag}.torsion-zero", "levi-civita.torsionless", torsion_zero(), outcome)
+        rep.forall(f"lc.{tag}.metric-compat", "levi-civita.metric-compatibility", [m],
+                   lambda m: "nabla g != 0" if not c.metric_compat(m).is_zero() else None)
+
+    def lc_roundtrip():
+        yield from table_outcomes(conn.module.basis, untwist_world(bundle, world).connection.table,
+                                  conn.table, "connection round trip differs")
+
+    rep.forall("lc.roundtrip", "twist.inverse-deformation", lc_roundtrip(), outcome)
 
 
 # -- hermitian suite ---------------------------------------------------------------
@@ -1075,128 +1068,138 @@ def suite_hermitian(bundle, rep, sampler):
     data = bundle.data
     cal, cal_tw = bundle.calculus, world.calculus
     herm, herm_tw = bundle.hermitian, world.hermitian
-    B, Btw = bundle.comodule, world.comodule
+    B = bundle.comodule
 
     for tag, h, c_al in (("base", herm, cal), ("twisted", herm_tw, cal_tw)):
-        with rep.check(f"herm.{tag}.invertible", anchor="hermitian.isomorphism") as ck:
-            if not h.is_invertible():
-                ck.fail("H table is not invertible")
-        with rep.check(f"herm.{tag}.symmetry", anchor="hermitian.conjugate-symmetry") as ck:
-            for _ in range(min(sampler.n, 10)):
-                x = sampler.module_elem(h.module)
-                y = sampler.module_elem(h.module)
-                lhs = c_al.base.star_elem(h.pair(y, conj_of(h.module, x)))
-                rhs = h.pair(x, conj_of(h.module, y))
-                if lhs != rhs:
-                    ck.fail("<y,xbar>* != <x,ybar> on a sample")
-                    break
-        with rep.check(f"herm.{tag}.covariant", anchor="hermitian.covariance") as ck:
-            for _ in range(min(sampler.n, 6)):
-                x = sampler.module_elem(h.module)
-                ybar = conj_of(h.module, sampler.module_elem(h.module))
-                val = h.pair(x, ybar)
-                lhs = c_al.base.coact_elem(val)
-                rhs = Vec(c_al.scalar_order)
-                TXY = TensorModule(h.module, h.ebar)
-                for (a, b, (i, j)), c in TXY.coact(TXY.pure(x, ybar)).terms.items():
-                    inner = h.pair(h.module.from_b(c_al.base.el(b), i), h.ebar.el(j))
-                    for b2, c2 in inner.terms.items():
-                        rhs.add_term((a, b2), c * c2)
-                if lhs != rhs:
-                    ck.fail("< , > is not covariant on a sample")
-                    break
+        rep.forall(f"herm.{tag}.invertible", "hermitian.isomorphism", [h],
+                   lambda h: "H table is not invertible" if not h.is_invertible() else None)
 
-    with rep.check("herm.pairing-from-metric", anchor="hermitian.metric-correspondence") as ck:
-        O1 = cal.module(1)
-        for _ in range(min(sampler.n, 10)):
-            w = sampler.module_elem(O1)
-            e = sampler.module_elem(O1)
-            lhs = herm.pair(w, conj_of(O1, e))
-            rhs = bundle.metric.pair_apply(
-                bundle.metric.tensor.pure(w, cal.star(Form(1, e)).vec))
-            if lhs != rhs:
-                ck.fail("<w,ebar> != (w, e*) on a sample")
-                break
+        def symmetry(xy):
+            x, y = xy
+            lhs = c_al.base.star_elem(h.pair(y, conj_of(h.module, x)))
+            rhs = h.pair(x, conj_of(h.module, y))
+            return "<y,xbar>* != <x,ybar> on a sample" if lhs != rhs else None
 
-    with rep.check("herm.diamond-split", anchor="hermitian.diamond-splitting") as ck:
+        rep.forall(f"herm.{tag}.symmetry", "hermitian.conjugate-symmetry",
+                   sampler.draws(10, lambda: (sampler.module_elem(h.module),
+                                              sampler.module_elem(h.module))),
+                   symmetry)
+
+        def covariant(x_ybar):
+            x, ybar = x_ybar
+            lhs = c_al.base.coact_elem(h.pair(x, ybar))
+            rhs = Vec(c_al.scalar_order)
+            TXY = TensorModule(h.module, h.ebar)
+            for (a, b, (i, j)), c in TXY.coact(TXY.pure(x, ybar)).terms.items():
+                inner = h.pair(h.module.from_b(c_al.base.el(b), i), h.ebar.el(j))
+                for b2, c2 in inner.terms.items():
+                    rhs.add_term((a, b2), c * c2)
+            return "< , > is not covariant on a sample" if lhs != rhs else None
+
+        rep.forall(f"herm.{tag}.covariant", "hermitian.covariance",
+                   sampler.draws(6, lambda: (sampler.module_elem(h.module),
+                                             conj_of(h.module, sampler.module_elem(h.module)))),
+                   covariant)
+
+    O1 = cal.module(1)
+
+    def pairing_from_metric(we):
+        w, e = we
+        lhs = herm.pair(w, conj_of(O1, e))
+        rhs = bundle.metric.pair_apply(
+            bundle.metric.tensor.pure(w, cal.star(Form(1, e)).vec))
+        return "<w,ebar> != (w, e*) on a sample" if lhs != rhs else None
+
+    rep.forall("herm.pairing-from-metric", "hermitian.metric-correspondence",
+               sampler.draws(10, lambda: (sampler.module_elem(O1), sampler.module_elem(O1))),
+               pairing_from_metric)
+
+    def diamond_split(herm):
         try:
             h1, h2 = split_hermitian(herm, bundle.complex_structure)
         except DiamondViolation as exc:
-            ck.fail(str(exc))
-        else:
-            if not (h1.is_invertible() and h2.is_invertible()):
-                ck.fail("a split block is not invertible")
+            return str(exc)
+        return None if h1.is_invertible() and h2.is_invertible() \
+            else "a split block is not invertible"
 
-    with rep.check("herm.metric-route-agree", anchor="twist.hermitian-metric-route") as ck:
-        other = hermitian_from_real(world.metric)
-        for k in herm_tw.table:
-            if herm_tw.table[k] != other.table[k]:
-                ck.fail(f"H_(g_g) != (H_g)_g at {k}")
-                break
+    rep.forall("herm.diamond-split", "hermitian.diamond-splitting", [herm], diamond_split)
 
-    with rep.check("herm.relation-sampled", anchor="twist.hermitian-pairing-relation") as ck:
+    def metric_route_agree():
+        yield from table_outcomes(herm_tw.table, herm_tw.table,
+                                  hermitian_from_real(world.metric).table, "H_(g_g) != (H_g)_g")
+
+    rep.forall("herm.metric-route-agree", "twist.hermitian-metric-route",
+               metric_route_agree(), outcome)
+
+    A = bundle.hopf
+    G1 = cal_tw.module(1)
+
+    def relation(xy):
         # <x, ybar>_g = Vbar(y_(-2)*) gamma(x_(-1) (x) y_(-1)*) <x_(0), (y_(0))bar>
-        A = bundle.hopf
-        O1 = cal.module(1)
-        G1 = cal_tw.module(1)
-        count = 0
-        for _ in range(max(sampler.n, 100)):
-            x = sampler.module_elem(G1)
-            y = sampler.module_elem(G1)
-            lhs = herm_tw.pair(x, conj_of(G1, y))
-            rhs = Vec(cal.scalar_order)
-            for (alegs, b, i), c in O1.coact_iter(y, 2).terms.items():
-                a1, a2 = alegs
-                for (ax, bx, ix), cx in O1.coact(x).terms.items():
-                    scal = Cyc.zero(cal.scalar_order)
-                    for a1s, ca1 in A.star(a1).terms.items():
-                        for a2s, ca2 in A.star(a2).terms.items():
-                            scal = scal + ca1 * ca2 * data.Vbar(a1s) * data.gamma(ax, a2s)
-                    if scal.is_zero():
-                        continue
-                    inner = herm.pair(O1.from_b(B.el(bx), ix),
-                                      conj_of(O1, O1.from_b(B.el(b), i)))
-                    rhs = rhs + inner.scale(cx * c.conj() * scal)
-            if lhs != rhs:
-                ck.fail("twisted pairing relation fails on a sample")
-                break
-            count += 1
-        ck.result.sample_spec += f";pairs={count}"
+        x, y = xy
+        lhs = herm_tw.pair(x, conj_of(G1, y))
+        rhs = Vec(cal.scalar_order)
+        for (alegs, b, i), c in O1.coact_iter(y, 2).terms.items():
+            a1, a2 = alegs
+            for (ax, bx, ix), cx in O1.coact(x).terms.items():
+                scal = Cyc.zero(cal.scalar_order)
+                for a1s, ca1 in A.star(a1).terms.items():
+                    for a2s, ca2 in A.star(a2).terms.items():
+                        scal = scal + ca1 * ca2 * data.Vbar(a1s) * data.gamma(ax, a2s)
+                if scal.is_zero():
+                    continue
+                inner = herm.pair(O1.from_b(B.el(bx), ix),
+                                  conj_of(O1, O1.from_b(B.el(b), i)))
+                rhs = rhs + inner.scale(cx * c.conj() * scal)
+        return "twisted pairing relation fails on a sample" if lhs != rhs else None
 
-    with rep.check("herm.roundtrip", anchor="twist.inverse-deformation") as ck:
-        data_bar = data.inverse_data(world.hopf)
-        from .cocycle import twist_hopf as _th
-        Bback = twist_comodule_algebra(Btw, data_bar, _th(world.hopf, data_bar))
-        from .calculus import twist_calculus
-        cal_back = twist_calculus(cal_tw, data_bar, Bback)
-        herm_back = twist_hermitian(herm_tw, data_bar, cal_back)
-        for k in herm.table:
-            if herm_back.table[k] != herm.table[k]:
-                ck.fail(f"Hermitian round trip differs at {k}")
-                break
+    res = rep.forall("herm.relation-sampled", "twist.hermitian-pairing-relation",
+                     ((sampler.module_elem(G1), sampler.module_elem(G1))
+                      for _ in range(max(sampler.n, 100))),
+                     relation)
+    res.sample_spec += f";pairs={res.instances}"
 
-    with rep.check("herm.correspondence-square", anchor="hermitian.correspondence") as ck:
+    def herm_roundtrip():
+        yield from table_outcomes(herm.table, untwist_world(bundle, world).hermitian.table,
+                                  herm.table, "Hermitian round trip differs")
+
+    rep.forall("herm.roundtrip", "twist.inverse-deformation", herm_roundtrip(), outcome)
+
+    def correspondence_square():
         # real -> Hermitian -> real: rebuild the pairing from H and compare
-        O1 = cal.module(1)
         rebuilt = {}
         for (i, j) in bundle.metric.pairing_table:
             # (w_i, w_j) = <w_i, (w_j*)bar> since ** = id
             starred = cal.star(Form(1, O1.el(j))).vec
             rebuilt[(i, j)] = herm.pair(O1.el(i), conj_of(O1, starred))
-        for k, v in bundle.metric.pairing_table.items():
-            if rebuilt[k] != v:
-                ck.fail(f"metric->Hermitian->metric differs at {k}")
-                break
+        yield from table_outcomes(bundle.metric.pairing_table, rebuilt,
+                                  bundle.metric.pairing_table, "metric->Hermitian->metric differs")
+
+    rep.forall("herm.correspondence-square", "hermitian.correspondence",
+               correspondence_square(), outcome)
 
 
 # -- chern suite ---------------------------------------------------------------
 
 
-def _connection_equal(c1, c2):
-    for i in c1.module.basis:
-        if c1.table[i].pruned() != c2.table[i].pruned():
-            return False, i
-    return True, None
+def _chern_solve(rep, check_id, anchor, holo, h):
+    """Solve for the Chern connection as a one-instance check.
+
+    Returns the solution, also when it then fails the Chern conditions, or
+    None when the solve itself failed.
+    """
+    solved = []
+
+    def defect(_):
+        try:
+            conn = chern_solve(holo, h, coeff_box=1)
+        except (ChernNoSolution, ChernNotUnique) as exc:
+            return str(exc)
+        solved.append(conn)
+        return chern_conditions_hold(holo, h, conn)[1]
+
+    rep.forall(check_id, anchor, [holo], defect)
+    return solved[0] if solved else None
 
 
 def suite_chern(bundle, rep, sampler):
@@ -1211,74 +1214,59 @@ def suite_chern(bundle, rep, sampler):
 
     solved = {}
     for tag, holo, h in (("10", bundle.holo_10, h1), ("01", bundle.holo_01, h2)):
-        with rep.check(f"chern.base.{tag}.solve", anchor="chern.existence-uniqueness") as ck:
-            try:
-                conn = chern_solve(holo, h, coeff_box=1)
-            except (ChernNoSolution, ChernNotUnique) as exc:
-                ck.fail(str(exc))
-                continue
-            solved[tag] = conn
-            ok, wit = chern_conditions_hold(holo, h, conn)
-            if not ok:
-                ck.fail(wit)
-        if tag not in solved:
+        conn = _chern_solve(rep, f"chern.base.{tag}.solve", "chern.existence-uniqueness", holo, h)
+        if conn is None:
             continue
-        with rep.check(f"chern.base.{tag}.box-independent", anchor="chern.search-space") as ck:
-            conn0 = chern_solve(holo, h, coeff_box=0)
-            same, wit = _connection_equal(solved[tag], conn0)
-            if not same:
-                ck.fail(f"solution depends on the coefficient box at {wit}")
-        with rep.check(f"chern.base.{tag}.covariant", anchor="chern.covariance") as ck:
-            conn = solved[tag]
-            for _ in range(min(sampler.n, 6)):
-                e = sampler.module_elem(conn.module)
-                lhs = conn.tensor.coact(conn.apply(e))
-                rhs = Vec(cal.scalar_order)
-                for (a, b, i), cc in conn.module.coact(e).terms.items():
-                    img = conn.apply(conn.module.from_b(cal.base.el(b), i))
-                    for (b2, k), c2 in img.terms.items():
-                        rhs.add_term((a, b2, k), cc * c2)
-                if lhs != rhs:
-                    ck.fail("Chern connection is not covariant on a sample")
-                    break
+        solved[tag] = conn
 
-    with rep.check("chern.untwisted-hypothesis", anchor="main.untwisted-direct-sum") as ck:
-        # nabla = nabla_Ch,(1,0) (+) nabla_Ch,(0,1) on the basis of Omega^1
-        if "10" in solved and "01" in solved:
-            for tag, conn in solved.items():
-                for i in conn.module.basis:
-                    want = bundle.connection.table[i]
-                    got = conn.table[i]
-                    if got.pruned() != want.pruned():
-                        ck.fail(f"LC does not restrict to the Chern connection at {i}")
-                        break
-        else:
-            ck.skip("untwisted Chern connections unavailable")
+        def box_independent():
+            yield from table_outcomes(conn.module.basis, conn.table,
+                                      chern_solve(holo, h, coeff_box=0).table,
+                                      "solution depends on the coefficient box")
+
+        rep.forall(f"chern.base.{tag}.box-independent", "chern.search-space",
+                   box_independent(), outcome)
+        rep.forall(f"chern.base.{tag}.covariant", "chern.covariance",
+                   sampler.draws(6, lambda: sampler.module_elem(conn.module)),
+                   lambda e: "Chern connection is not covariant on a sample"
+                   if not covariance_defect(conn.apply, conn.module, conn.tensor, e).is_zero()
+                   else None)
+
+    # nabla = nabla_Ch,(1,0) (+) nabla_Ch,(0,1) on the basis of Omega^1
+    def untwisted_hypothesis():
+        for conn in solved.values():
+            yield from table_outcomes(conn.module.basis, conn.table, bundle.connection.table,
+                                      "LC does not restrict to the Chern connection")
+
+    if "10" in solved and "01" in solved:
+        rep.forall("chern.untwisted-hypothesis", "main.untwisted-direct-sum",
+                   untwisted_hypothesis(), outcome)
+    else:
+        rep.add_skipped("chern.untwisted-hypothesis", "main.untwisted-direct-sum",
+                        "untwisted Chern connections unavailable")
 
     # conjugate right connection checks
-    conn = bundle.connection
-    ebar, tens_bar, nabla_tilde = conj_connection(conn)
-    with rep.check("conj.right-leibniz", anchor="connection.conjugate-right") as ck:
-        B = bundle.comodule
-        O1 = cal.module(1)
-        for _ in range(min(sampler.n, 8)):
-            x = sampler.module_elem(O1)
-            b = B.el(sampler.label())
-            xbar = conj_of(O1, x)
-            lhs = nabla_tilde(ebar.rmul(xbar, b))
-            rhs = tens_bar.rmul(nabla_tilde(xbar), b) + \
-                tens_bar.pure(xbar, cal.d(cal.from_b(b)).vec)
-            if lhs != rhs:
-                ck.fail("right Leibniz fails for the conjugate connection")
-                break
+    ebar, tens_bar, nabla_tilde = conj_connection(bundle.connection)
+    B = bundle.comodule
+    O1 = cal.module(1)
 
-    with rep.check("conj.twist-commutes", anchor="twist.conjugate-connection") as ck:
+    def right_leibniz(xb):
+        x, b = xb
+        xbar = conj_of(O1, x)
+        lhs = nabla_tilde(ebar.rmul(xbar, b))
+        rhs = tens_bar.rmul(nabla_tilde(xbar), b) + \
+            tens_bar.pure(xbar, cal.d(cal.from_b(b)).vec)
+        return "right Leibniz fails for the conjugate connection" if lhs != rhs else None
+
+    rep.forall("conj.right-leibniz", "connection.conjugate-right",
+               sampler.draws(8, lambda: (sampler.module_elem(O1), B.el(sampler.label()))),
+               right_leibniz)
+
+    def twist_commutes():
         # tilde(nabla_g) = (N^-1 (x) id) phi^-1 Gamma(tilde nabla) N on samples
-        conn_tw = world.connection
         G1 = cal_tw.module(1)
         bar_G1 = ConjugateModule(G1)
-        ebar_tw, tens_bar_tw, nabla_tilde_tw = conj_connection(conn_tw)
-        O1 = cal.module(1)
+        _, _, nabla_tilde_tw = conj_connection(world.connection)
         O1bar = ConjugateModule(O1)
         G1bar = twist_module(O1bar, data, world.comodule)
         T_mixed_tw = TensorModule(G1bar, G1)
@@ -1293,33 +1281,23 @@ def suite_chern(bundle, rep, sampler):
                 T_mixed_tw, TensorModule(bar_G1, G1),
                 lambda v: conj_twist_iso_inv(data, G1, bar_G1, v),
                 lambda v: v, step)
-            if lhs != rhs:
-                ck.fail("conjugate-connection twist identity fails on a sample")
-                break
+            yield "conjugate-connection twist identity fails on a sample" if lhs != rhs else None
 
-    solved_tw = {}
-    for tag, holo_tw, h_tw, h_unt in (("10", world.holo_10, h1_tw, h1),
-                                      ("01", world.holo_01, h2_tw, h2)):
-        with rep.check(f"chern.twisted.{tag}.solve", anchor="chern.twisted-existence") as ck:
-            try:
-                conn_tw = chern_solve(holo_tw, h_tw, coeff_box=1)
-            except (ChernNoSolution, ChernNotUnique) as exc:
-                ck.fail(str(exc))
-                continue
-            solved_tw[tag] = conn_tw
-            ok, wit = chern_conditions_hold(holo_tw, h_tw, conn_tw)
-            if not ok:
-                ck.fail(wit)
-        if tag not in solved_tw or tag not in solved:
+    rep.forall("conj.twist-commutes", "twist.conjugate-connection", twist_commutes(), outcome)
+
+    for tag, holo_tw, h_tw in (("10", world.holo_10, h1_tw), ("01", world.holo_01, h2_tw)):
+        conn_tw = _chern_solve(rep, f"chern.twisted.{tag}.solve", "chern.twisted-existence",
+                               holo_tw, h_tw)
+        if conn_tw is None or tag not in solved:
             continue
-        with rep.check(f"chern.twisted.{tag}.equals-twist", anchor="chern.twist-transport") as ck:
-            moved = twist_connection(solved[tag], data, cal_tw,
-                                     module_tw=solved_tw[tag].module)
-            same, wit = _connection_equal(solved_tw[tag], moved)
-            if not same:
-                ck.fail(f"twisted Chern != phi^-1 Gamma(Chern) at {wit}")
 
-    return solved, solved_tw
+        def equals_twist():
+            moved = twist_connection(solved[tag], data, cal_tw, module_tw=conn_tw.module)
+            yield from table_outcomes(conn_tw.module.basis, conn_tw.table, moved.table,
+                                      "twisted Chern != phi^-1 Gamma(Chern)")
+
+        rep.forall(f"chern.twisted.{tag}.equals-twist", "chern.twist-transport",
+                   equals_twist(), outcome)
 
 
 # -- main suite ---------------------------------------------------------------
@@ -1330,21 +1308,21 @@ def suite_main(bundle, rep, sampler):
         rep.add_skipped("main.direct-sum", "plumbing", "model has no calculus")
         return
     world = twist_world(bundle)
-    data = bundle.data
     cal_tw = world.calculus
     conn_tw = world.connection
+    cs_tw = world.complex_structure
+    O1tw = cal_tw.module(1)
     h1_tw, h2_tw = world.hermitian_splits
     try:
         ch10 = chern_solve(world.holo_10, h1_tw, coeff_box=1)
         ch01 = chern_solve(world.holo_01, h2_tw, coeff_box=1)
     except (ChernNoSolution, ChernNotUnique) as exc:
-        with rep.check("main.direct-sum-basis", anchor="main.twisted-direct-sum") as ck:
-            ck.fail(str(exc))
+        # the solver's error is the one witness
+        rep.forall("main.direct-sum-basis", "main.twisted-direct-sum", [exc], str)
         return
 
     def direct_sum_apply(elem):
         out = Vec(cal_tw.scalar_order)
-        cs_tw = world.complex_structure
         comps = {}
         for (b, i), c in elem.terms.items():
             comps.setdefault(cs_tw.bigrade[i], Vec(cal_tw.scalar_order)).add_term((b, i), c)
@@ -1355,36 +1333,22 @@ def suite_main(bundle, rep, sampler):
                 out.add_term((b, (w, t)), c)
         return out
 
-    with rep.check("main.direct-sum-basis", anchor="main.twisted-direct-sum") as ck:
-        O1tw = cal_tw.module(1)
-        for i in O1tw.basis:
-            lhs = conn_tw.table[i].pruned()
-            rhs = direct_sum_apply(O1tw.el(i)).pruned()
-            if lhs != rhs:
-                ck.fail(f"nabla_g != chern (+) chern at basis {i}")
-                break
+    rep.forall("main.direct-sum-basis", "main.twisted-direct-sum", O1tw.basis,
+               lambda i: f"nabla_g != chern (+) chern at basis {i}"
+               if conn_tw.table[i] != direct_sum_apply(O1tw.el(i)) else None)
+    res = rep.forall("main.direct-sum-samples", "main.twisted-direct-sum",
+                     (sampler.module_elem(O1tw) for _ in range(sampler.n)),
+                     lambda e: f"direct sum fails on sample {O1tw.describe(e)}"
+                     if conn_tw.apply(e) != direct_sum_apply(e) else None)
+    res.sample_spec += f";monomials={res.instances}"
 
-    with rep.check("main.direct-sum-samples", anchor="main.twisted-direct-sum") as ck:
-        O1tw = cal_tw.module(1)
-        count = 0
-        for _ in range(sampler.n):
-            e = sampler.module_elem(O1tw)
-            if conn_tw.apply(e) != direct_sum_apply(e):
-                ck.fail(f"direct sum fails on sample {O1tw.describe(e)}")
-                break
-            count += 1
-        ck.result.sample_spec += f";monomials={count}"
+    def lc_uniqueness_roundtrip():
+        back = untwist_world(bundle, world).connection
+        yield from table_outcomes(back.module.basis, back.table, bundle.connection.table,
+                                  "gammabar round trip does not recover the LC connection")
 
-    with rep.check("main.lc-uniqueness-roundtrip", anchor="main.uniqueness-witness") as ck:
-        data_bar = data.inverse_data(world.hopf)
-        from .cocycle import twist_hopf as _th
-        Bback = twist_comodule_algebra(world.comodule, data_bar, _th(world.hopf, data_bar))
-        from .calculus import twist_calculus
-        cal_back = twist_calculus(cal_tw, data_bar, Bback)
-        conn_back = twist_connection(conn_tw, data_bar, cal_back)
-        same, wit = _connection_equal(conn_back, bundle.connection)
-        if not same:
-            ck.fail(f"gammabar round trip does not recover the LC connection at {wit}")
+    rep.forall("main.lc-uniqueness-roundtrip", "main.uniqueness-witness",
+               lc_uniqueness_roundtrip(), outcome)
 
 
 # -- dispatcher ---------------------------------------------------------------

@@ -81,13 +81,6 @@ class Vec:
                 v.add_term(k, coeff * c)
         return v
 
-    def conj_coeffs(self):
-        """Antilinear helper: conjugate every coefficient, keep keys."""
-        v = Vec(self.order)
-        for k, c in self.terms.items():
-            v.terms[k] = c.conj()
-        return v
-
     def map_keys(self, fn):
         v = Vec(self.order)
         for k, c in self.terms.items():

@@ -1,5 +1,8 @@
 """Suite-level behaviour: models pass, check ids are disjoint, `all` is the union."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from cotwist.models import classical_torus, finite_bicharacter, fun_group, nc_torus
@@ -39,6 +42,22 @@ def test_check_ids_disjoint_and_all_is_union():
     run_suite(bundle, "all", rep_all, samples=6)
     union = set().union(*per_suite.values())
     assert {c.check_id for c in rep_all.checks} == union
+
+
+# ordered (check id, anchor) lists of `all`, recorded before the checks were
+# routed through Report.forall
+ORDER_MODELS = {
+    "nc_torus(1,3)": lambda: nc_torus(1, 3, box=2, samples=6),
+    "fun_group(s3)": lambda: fun_group("s3"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_MODELS))
+def test_check_ids_anchors_and_order_are_pinned(name):
+    expected = json.loads(Path(__file__).with_name("check_order.json").read_text())[name]
+    rep = Report()
+    run_suite(ORDER_MODELS[name](), "all", rep, samples=6)
+    assert [[c.check_id, c.anchor] for c in rep.checks] == expected
 
 
 def test_every_check_is_anchored():
