@@ -1,56 +1,52 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are kept in the power basis zeta^0..zeta^(N-1) with exponents
-reduced mod N only (so the raw representation lives in Q[x]/(x^N - 1));
-canonicalisation divides by the N-th cyclotomic polynomial and happens
-lazily, at equality tests and serialisation.  There is deliberately no
-floating point anywhere: every identity the engine checks is an exact
-equality in Q(zeta_N).
+An element is a sparse map exponent -> integer numerator over one shared
+positive denominator, (sum_k num[k] zeta^k) / den, with
+gcd(den, *numerators) == 1 after every operation.  Exponents are reduced
+mod N only, so the raw representation lives in Q[x]/(x^N - 1).  Phi_N is
+monic with integer coefficients, so reducing x^k modulo it is an integer
+table (`_power_reduction`); canonicalisation applies it lazily, at equality
+tests and serialisation, and yields integer numerators over the same kind
+of denominator.  `Fraction`s appear only at the edges: the constructor
+accepts them, and `format_scalar` and `vectors.cyc_to_coords` build them
+for output.
+
+Nearly every scalar the engine meets is a rational times a root of unity,
+so one-term elements take fast paths chosen by their number of terms: a
+monomial product adds exponents, and a monomial inverse is
+(v/d) x^k -> (d/v) x^(N-k), exact already in Q[x]/(x^N - 1) and so also
+mod Phi_N.  A multi-term element is inverted through its field norm, the
+product of its Galois conjugates, which only needs the ring operations.
+
+There is deliberately no floating point anywhere: every identity the engine
+checks is an exact equality in Q(zeta_N).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
-
-
-def _poly_divmod(num, den):
-    """Exact division with remainder for dense Fraction coefficient lists."""
-    num = list(num)
-    deg_d = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(1, len(num) - deg_d)
-    while len(num) - 1 >= deg_d and any(num):
-        # strip trailing zeros first
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < deg_d:
-            break
-        shift = len(num) - 1 - deg_d
-        factor = num[-1] / lead
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Dense coefficient list of Phi_n, computed by exact recursive division."""
+    """Dense integer coefficient list of Phi_n: (x^n - 1) / prod_{d | n, d < n} Phi_d."""
     if n < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            # every Phi_d is monic, so the long division stays in the integers
+            den = cyclotomic_polynomial(d)
+            deg = len(den) - 1
+            quot = [0] * (len(num) - deg)
+            for shift in range(len(quot) - 1, -1, -1):
+                f = quot[shift] = num[shift + deg]
+                for i, c in enumerate(den):
+                    num[shift + i] -= f * c
+            assert not any(num)
+            num = quot
     return tuple(num)
 
 
@@ -61,26 +57,20 @@ def _phi(n):
 
 @lru_cache(maxsize=None)
 def _power_reduction(n, k):
-    """x^k mod Phi_n as a tuple of Fractions of length phi(n)."""
+    """x^k mod Phi_n as sparse ((i, c), ...) with integer c, i < phi(n)."""
     deg = _phi(n)
     if k < deg:
-        out = [Fraction(0)] * deg
-        out[k] = Fraction(1)
-        return tuple(out)
+        return ((k, 1),)
     phi = cyclotomic_polynomial(n)
-    # x^k = x * x^(k-1) mod Phi_n
-    prev = list(_power_reduction(n, k - 1))
-    out = [Fraction(0)] * deg
-    for i, c in enumerate(prev):
-        if c == 0:
-            continue
+    # x^k = x * x^(k-1) mod Phi_n, and x^deg = -(phi[0] + ... + phi[deg-1] x^(deg-1))
+    out = [0] * deg
+    for i, c in _power_reduction(n, k - 1):
         if i + 1 < deg:
             out[i + 1] += c
         else:
-            # x^deg = -(phi[0] + phi[1] x + ...)/phi[deg], phi is monic
             for j in range(deg):
                 out[j] -= c * phi[j]
-    return tuple(out)
+    return tuple((i, c) for i, c in enumerate(out) if c)
 
 
 def _as_fraction(x):
@@ -91,58 +81,80 @@ def _as_fraction(x):
     raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
-class Cyc:
-    """An element of Q(zeta_order), as a sparse map exponent -> Fraction."""
+def _make(order, num, den):
+    """A Cyc from a numerator map and denominator that are already reduced."""
+    c = object.__new__(Cyc)
+    c.order = order
+    c.num = num
+    c.den = den
+    c._canon = None
+    return c
 
-    __slots__ = ("order", "coeffs", "_canon")
+
+def _normal(num, den):
+    """Integer numerators over den > 0 with their common gcd divided out."""
+    if not num:
+        return num, 1
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+    return num, den
+
+
+class Cyc:
+    """An element of Q(zeta_order): sparse integer numerators over one denominator."""
+
+    __slots__ = ("order", "num", "den", "_canon")
 
     def __init__(self, order, coeffs=None):
         if order < 1:
             raise ValueError("cyclotomic order must be >= 1")
-        self.order = order
-        self.coeffs = {}
+        num, den = {}, 1
         if coeffs:
-            for k, v in coeffs.items():
-                v = _as_fraction(v)
-                if v:
-                    k %= order
-                    w = self.coeffs.get(k)
-                    if w is None:
-                        self.coeffs[k] = v
-                    else:
-                        w += v
-                        if w:
-                            self.coeffs[k] = w
-                        else:
-                            del self.coeffs[k]
+            fracs = [(k % order, _as_fraction(q)) for k, q in coeffs.items()]
+            den = lcm(*(q.denominator for _, q in fracs))
+            for k, q in fracs:
+                num[k] = num.get(k, 0) + q.numerator * (den // q.denominator)
+            num = {k: v for k, v in num.items() if v}
+        self.order = order
+        self.num, self.den = _normal(num, den)
         self._canon = None
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(order):
-        return Cyc(order)
+        return Cyc.rational(0, order)
 
     @staticmethod
     def one(order):
-        return Cyc(order, {0: 1})
+        return Cyc.rational(1, order)
 
     @staticmethod
     def rational(q, order=1):
-        return Cyc(order, {0: _as_fraction(q)})
+        if order < 1:
+            raise ValueError("cyclotomic order must be >= 1")
+        if type(q) is not int:
+            q = _as_fraction(q)
+            if q.denominator != 1:
+                return _make(order, {0: q.numerator}, q.denominator)
+            q = q.numerator
+        return _make(order, {0: q} if q else {}, 1)
 
     @staticmethod
     def root(order, k=1):
         """zeta_order^k, the exact primitive root of unity power."""
         if order < 1:
             raise ValueError("root order must be >= 1")
-        return Cyc(order, {k % order: 1})
+        return _make(order, {k % order: 1}, 1)
 
     @staticmethod
     def i(order=4):
         if order % 4:
             raise ValueError("sqrt(-1) needs 4 | order")
-        return Cyc(order, {order // 4: 1})
+        return Cyc.root(order, order // 4)
 
     # -- order handling ---------------------------------------------------
 
@@ -153,26 +165,42 @@ class Cyc:
         if order % self.order:
             raise ValueError(f"cannot embed order {self.order} into {order}")
         step = order // self.order
-        return Cyc(order, {k * step: v for k, v in self.coeffs.items()})
+        return _make(order, {k * step: v for k, v in self.num.items()}, self.den)
 
     def _match(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(other, self.order)
-        if not isinstance(other, Cyc):
-            return NotImplemented, NotImplemented
+        """(self, other) at one common order, or (None, None) for a foreign type."""
+        if type(other) is not Cyc:
+            if not isinstance(other, (int, Fraction)):
+                return None, None
+            return self, Cyc.rational(other, self.order)
         if self.order == other.order:
             return self, other
-        m = self.order * other.order // math.gcd(self.order, other.order)
+        m = lcm(self.order, other.order)
         return self.embed(m), other.embed(m)
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._match(other)
-        if a is NotImplemented:
-            return NotImplemented
-        out = dict(a.coeffs)
-        for k, v in b.coeffs.items():
+        if type(other) is Cyc and other.order == self.order:
+            a, b = self, other
+        else:
+            a, b = self._match(other)
+            if a is None:
+                return NotImplemented
+        if not b.num:
+            return a
+        if not a.num:
+            return b
+        da, db = a.den, b.den
+        if da == db:
+            out, add, den = dict(a.num), b.num, da
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {k: v * fa for k, v in a.num.items()}
+            add = {k: v * fb for k, v in b.num.items()}
+            den = da * fa
+        for k, v in add.items():
             w = out.get(k)
             if w is None:
                 out[k] = v
@@ -182,20 +210,16 @@ class Cyc:
                     out[k] = w
                 else:
                     del out[k]
-        c = Cyc(a.order)
-        c.coeffs = out
-        return c
+        return _make(a.order, *_normal(out, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        c = Cyc(self.order)
-        c.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return c
+        return _make(self.order, {k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         a, b = self._match(other)
-        if a is NotImplemented:
+        if a is None:
             return NotImplemented
         return a + (-b)
 
@@ -203,19 +227,43 @@ class Cyc:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            c = Cyc(self.order)
-            if q:
-                c.coeffs = {k: v * q for k, v in self.coeffs.items()}
-            return c
-        a, b = self._match(other)
-        if a is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyc:
+            if type(other) is int:
+                if not other:
+                    return _make(self.order, {}, 1)
+                g = gcd(other, self.den)
+                if g != 1:
+                    other //= g
+                return _make(self.order, {k: v * other for k, v in self.num.items()},
+                             self.den // g)
+            a, b = self._match(other)
+            if a is None:
+                return NotImplemented
+        elif other.order == self.order:
+            a, b = self, other
+        else:
+            a, b = self._match(other)
+        an, bn = a.num, b.num
         n = a.order
+        if not an or not bn:
+            return _make(n, {}, 1)
+        den = a.den * b.den
+        if len(an) == 1 and len(bn) == 1:
+            (k1, v1), = an.items()
+            (k2, v2), = bn.items()
+            k = k1 + k2
+            if k >= n:
+                k -= n
+            v = v1 * v2
+            if den != 1:
+                g = gcd(v, den)
+                if g != 1:
+                    v //= g
+                    den //= g
+            return _make(n, {k: v}, den)
         out = {}
-        for k1, v1 in a.coeffs.items():
-            for k2, v2 in b.coeffs.items():
+        for k1, v1 in an.items():
+            for k2, v2 in bn.items():
                 k = k1 + k2
                 if k >= n:
                     k -= n
@@ -228,69 +276,57 @@ class Cyc:
                         out[k] = w
                     else:
                         del out[k]
-        c = Cyc(n)
-        c.coeffs = out
-        return c
+        return _make(n, *_normal(out, den))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse, by extended Euclid modulo Phi_order."""
-        can = self.canonical()
-        if not can:
-            raise ZeroDivisionError("division by zero in Q(zeta)")
+        """Multiplicative inverse: exact for monomials, else through the field norm."""
         n = self.order
-        phi = list(cyclotomic_polynomial(n))
-        deg = len(phi) - 1
-        a = [Fraction(0)] * deg
-        for k, v in can:
-            a[k] = v
-        while a and a[-1] == 0:
-            a.pop()
-        # extended gcd of a and phi over Q[x]
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        t0, t1 = [Fraction(1)], [Fraction(0)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
+        if len(self.num) == 1:
+            (k, v), = self.num.items()
+            den = self.den
+        else:
+            can, den = self.canonical()
+            if len(can) != 1:
+                return self._norm_inverse()
+            (k, v), = can
+        # (v/den) x^k * (den/v) x^(n-k) = x^n = 1 already in Q[x]/(x^n - 1)
+        if v < 0:
+            v, den = -v, -den
+        return _make(n, {(n - k) % n: den}, v)
 
-            def _comb(u0, u1, q=q):
-                prod = [Fraction(0)] * (len(q) + len(u1))
-                for i, qi in enumerate(q):
-                    if qi == 0:
-                        continue
-                    for j, uj in enumerate(u1):
-                        prod[i + j] += qi * uj
-                out = list(u0) + [Fraction(0)] * max(0, len(prod) - len(u0))
-                for i, p in enumerate(prod):
-                    out[i] -= p
-                while out and out[-1] == 0:
-                    out.pop()
-                return out
+    def _norm_inverse(self):
+        """1/a = (product of the other Galois conjugates of a) / N(a).
 
-            r0, r1 = r1, r
-            s0, s1 = s1, _comb(s0, s1)
-            t0, t1 = t1, _comb(t0, t1)
-        # r0 = gcd (a unit since Phi_n is irreducible and a != 0 mod Phi_n)
-        unit = r0[0] if len(r0) == 1 else None
-        if unit is None or unit == 0:
-            raise ZeroDivisionError("element is a zero divisor mod Phi_n")
-        inv_coeffs = {i: c / unit for i, c in enumerate(s0) if c}
-        return Cyc(n, inv_coeffs)
+        zeta -> zeta^j for j prime to the order permutes exponents, so each
+        conjugate is exact in the raw representation; N(a), the product of
+        all of them, is a nonzero rational exactly when a != 0.
+        """
+        n = self.order
+        rest = Cyc.one(n)
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                rest = rest * _make(n, {k * j % n: v for k, v in self.num.items()}, self.den)
+        norm, den = (self * rest).canonical()
+        if not norm:
+            raise ZeroDivisionError("division by zero in Q(zeta)")
+        (_, v), = norm
+        return rest * Fraction(den, v)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Cyc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             q = _as_fraction(other)
             if q == 0:
                 raise ZeroDivisionError("division by zero in Q(zeta)")
             return self * Fraction(q.denominator, q.numerator)
         a, b = self._match(other)
-        if a is NotImplemented:
-            return NotImplemented
         return a * b.inverse()
 
     def __rtruediv__(self, other):
-        return Cyc.rational(_as_fraction(other), self.order) / self
+        return Cyc.rational(other, self.order) / self
 
     def __pow__(self, k):
         if k < 0:
@@ -307,44 +343,50 @@ class Cyc:
     def conj(self):
         """Complex conjugation zeta^k -> zeta^(order-k)."""
         n = self.order
-        c = Cyc(n)
-        c.coeffs = {(n - k) % n: v for k, v in self.coeffs.items()}
-        return c
+        return _make(n, {(n - k) % n: v for k, v in self.num.items()}, self.den)
 
     # -- canonical form ---------------------------------------------------
 
     def canonical(self):
-        """Sorted tuple of (exponent, coeff) after reduction mod Phi_order."""
+        """(((exponent, numerator), ...), den) after reduction mod Phi_order.
+
+        Exponents ascend and are < phi(order); den > 0 and the gcd of den
+        and the numerators is 1, so equal elements have equal forms.
+        """
         if self._canon is None:
             n = self.order
             deg = _phi(n)
-            acc = [Fraction(0)] * deg
-            for k, v in self.coeffs.items():
+            num = self.num
+            if not num or max(num) < deg:
+                self._canon = (tuple(sorted(num.items())), self.den)
+                return self._canon
+            acc = [0] * deg
+            for k, v in num.items():
                 if k < deg:
                     acc[k] += v
                 else:
-                    red = _power_reduction(n, k)
-                    for i, c in enumerate(red):
-                        if c:
-                            acc[i] += v * c
-            self._canon = tuple((i, c) for i, c in enumerate(acc) if c)
+                    for i, c in _power_reduction(n, k):
+                        acc[i] += v * c
+            red, den = _normal({i: c for i, c in enumerate(acc) if c}, self.den)
+            self._canon = (tuple(red.items()), den)
         return self._canon
 
     def is_zero(self):
-        if not self.coeffs:
+        if not self.num:
             return True
-        return not self.canonical()
+        return not self.canonical()[0]
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Cyc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Cyc.rational(other, self.order)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        if self.order == other.order:
-            if self.coeffs == other.coeffs:
-                return True
-            return (self - other).is_zero()
-        return (self - other).is_zero()
+        if self.order != other.order:
+            a, b = self._match(other)
+            return a.canonical() == b.canonical()
+        if self.den == other.den and self.num == other.num:
+            return True
+        return self.canonical() == other.canonical()
 
     def __bool__(self):
         return not self.is_zero()
@@ -358,11 +400,12 @@ class Cyc:
 
 def format_scalar(c):
     """Canonical human/machine readable form, e.g. '1/2*zeta(12)^5 - 1'."""
-    can = c.canonical()
+    can, den = c.canonical()
     if not can:
         return "0"
     parts = []
-    for k, q in can:
+    for k, v in can:
+        q = Fraction(v, den)
         if k == 0:
             body = str(q)
         else:

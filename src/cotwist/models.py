@@ -56,6 +56,12 @@ class ModelBundle:
     twisted_comodule: object = None
     parent: object = None
 
+    def __post_init__(self):
+        if self.box < 0:
+            raise ValueError(f"box must be >= 0, got {self.box}")
+        if self.samples < 0:
+            raise ValueError(f"samples must be >= 0, got {self.samples}")
+
     def is_geometric(self):
         return self.calculus is not None
 
@@ -298,7 +304,15 @@ def correspondence_roundtrips(bundle, rep=None):
 
 
 def finite_bicharacter(n=5, pairing="skew", box=0, samples=100, seed=42):
-    """C[Z_n x Z_n] with a root-of-unity bicharacter cocycle (exhaustive suites)."""
+    """C[Z_n x Z_n] with a root-of-unity bicharacter cocycle (exhaustive suites).
+
+    `pairing` names a bicharacter (skew, upper, trivial) or is its 2x2
+    matrix of rationals.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if isinstance(pairing, str) and pairing not in ("skew", "upper", "trivial"):
+        raise ValueError(f"unknown pairing {pairing!r}; available: skew, upper, trivial")
     A = GroupAlgebra(0, (n, n), scalar_order=n, name=f"C[Z{n}^2]")
     B = SelfComodule(A)
     if pairing == "skew":

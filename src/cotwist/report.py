@@ -11,6 +11,9 @@ import time
 from dataclasses import dataclass
 
 
+NO_INSTANCES = "no instances evaluated"
+
+
 @dataclass
 class CheckResult:
     check_id: str
@@ -75,7 +78,9 @@ class Report:
         `defect` returns None when the identity holds at x, else a witness
         string.  The check stops at the first witness, counts the instances
         that held, and records an exception from the domain or from
-        `defect` as a failure.  Returns the CheckResult, falsy on failure.
+        `defect` as a failure.  An empty domain proves nothing, so it is
+        recorded as skipped, never as a pass.  Returns the CheckResult,
+        falsy on failure.
         """
         with self.check(check_id, anchor) as ck:
             for x in domain:
@@ -84,6 +89,9 @@ class Report:
                     ck.fail(witness)
                     break
                 ck.result.instances += 1
+            if ck.result.status == "pass" and not ck.result.instances:
+                ck.result.status = "skipped"
+                ck.result.witness = NO_INSTANCES
         return ck.result
 
     def add_skipped(self, check_id, anchor, reason):

@@ -663,18 +663,17 @@ def _calculus_core(cal, rep, sampler, prefix):
             inv = cal.wedge(Form(0, cal.module(0).from_b(B.star(m), "1")), dm)
             images.append(inv.vec)
         keys = sorted({k for img in images for k in img.terms}, key=str)
+        zero = Cyc.zero(order)
+        # unknowns: the rational coordinates q_(img,s) of each image's
+        # coefficient sum_s q_(img,s) zeta^s; one row per (key, coordinate r)
+        rows = []
+        for key in keys:
+            cols = [cyc_to_coords(Cyc.root(order, s) * img.terms.get(key, zero), order)
+                    for img in images for s in range(deg)]
+            rows.extend([col[r] for col in cols] for r in range(deg))
         for target in cal.module(1).basis:
-            rows, rhs = [], []
             want = cal.module(1).el(target)
-            for key in keys:
-                for r in range(deg):
-                    row = []
-                    for img in images:
-                        c = img.terms.get(key, Cyc.zero(order))
-                        for s in range(deg):
-                            row.append(cyc_to_coords(Cyc(order, {s: 1}) * c, order)[r])
-                    rows.append(row)
-                    rhs.append(cyc_to_coords(want.terms.get(key, Cyc.zero(order)), order)[r])
+            rhs = [q for key in keys for q in cyc_to_coords(want.terms.get(key, zero), order)]
             sol, _, _ = solve_frac(rows, rhs)
             yield f"basis form {target} not generated by B.dB over the box" \
                 if sol is None else None

@@ -24,18 +24,18 @@ class Vec:
                 self.add_term(k, c)
 
     def add_term(self, key, coeff):
-        if isinstance(coeff, (int, Fraction)):
+        if type(coeff) is not Cyc:
             coeff = Cyc.rational(coeff, self.order)
         elif coeff.order != self.order:
             coeff = coeff.embed(self.order)
-        if not coeff.coeffs:
+        if not coeff.num:
             return
         cur = self.terms.get(key)
         if cur is None:
             self.terms[key] = coeff
         else:
             s = cur + coeff
-            if s.coeffs:
+            if s.num:
                 self.terms[key] = s
             else:
                 del self.terms[key]
@@ -73,10 +73,15 @@ class Vec:
         return v
 
     def scale(self, coeff):
-        if isinstance(coeff, (int, Fraction)):
-            coeff = Cyc.rational(coeff, self.order)
         v = Vec(self.order)
-        if coeff.coeffs:
+        if type(coeff) is int:
+            # an integer multiple of a nonzero term is never zero
+            if coeff:
+                v.terms = {k: c * coeff for k, c in self.terms.items()}
+            return v
+        if type(coeff) is not Cyc:
+            coeff = Cyc.rational(coeff, self.order)
+        if coeff.num:
             for k, c in self.terms.items():
                 v.add_term(k, coeff * c)
         return v
@@ -221,10 +226,10 @@ def solve_frac(rows, rhs):
 
 def cyc_to_coords(c, order):
     """Canonical rational coordinates of c in the power basis of Q(zeta_order)."""
-    deg = _phi(order)
-    out = [Fraction(0)] * deg
-    for k, v in c.embed(order).canonical():
-        out[k] = v
+    out = [Fraction(0)] * _phi(order)
+    can, den = c.embed(order).canonical()
+    for k, v in can:
+        out[k] = Fraction(v, den)
     return out
 
 

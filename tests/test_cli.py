@@ -134,3 +134,18 @@ def test_twist_emits_twisted_tables_for_finite_models(tmp_path):
     dtw = json.loads(tw.read_text())
     dun = json.loads(un.read_text())
     assert dtw["star"] != dun["star"]   # the non-skew pairing deforms *
+
+
+@pytest.mark.parametrize("args", [
+    ["--model", "finite_bicharacter", "--n", "0"],
+    ["--model", "nc_torus", "--box", "-1"],
+    ["--model", "finite_bicharacter", "--pairing", "bogus"],
+    ["--model", "nc_torus", "--samples", "-5"],
+], ids=["n-0", "box-negative", "pairing-bogus", "samples-negative"])
+def test_bad_model_parameters_exit_2_with_one_line_error(args, capsys):
+    for command in ("verify", "twist"):
+        assert main([command, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err

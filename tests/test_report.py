@@ -52,4 +52,14 @@ def test_forall_result_is_falsy_only_on_failure():
     assert rep.forall("ok", "plumbing", [2], _odd)
     assert rep.forall("empty", "plumbing", [], _odd)
     assert not rep.forall("bad", "plumbing", [1], _odd)
-    assert [c.status for c in rep.checks] == ["pass", "pass", "fail"]
+    assert [c.status for c in rep.checks] == ["pass", "skipped", "fail"]
+
+
+def test_forall_on_an_empty_domain_is_skipped_not_passed():
+    rep = Report()
+    res = rep.forall("vacuous", "plumbing", iter(()), _odd)
+    assert res.status == "skipped"
+    assert res.witness == "no instances evaluated"
+    assert res.instances == 0
+    assert rep.counts() == {"pass": 0, "fail": 0, "skipped": 1}
+    assert rep.passed

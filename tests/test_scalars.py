@@ -1,12 +1,14 @@
 """Exact cyclotomic arithmetic: frozen examples and field-axiom properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotwist.cyclotomic import Cyc, cyclotomic_polynomial, format_scalar, root_from_fraction
+from cotwist.cyclotomic import (
+    Cyc, _phi, cyclotomic_polynomial, format_scalar, root_from_fraction)
 
 
 def test_i_squared_is_minus_one():
@@ -111,3 +113,68 @@ def test_format_scalar():
     assert format_scalar(c) == "-1 - 3/2*zeta(12) + 3/2*zeta(12)^3"
     assert format_scalar(Cyc.zero(7)) == "0"
     assert format_scalar(Cyc.one(7)) == "1"
+
+
+def test_format_scalar_mixed_denominators():
+    # zeta12^5 = zeta12^3 - zeta12 and zeta12^7 = -zeta12 mod Phi_12
+    c = Cyc(12, {0: Fraction(1, 2), 5: Fraction(-2, 3), 7: Fraction(3, 4)})
+    assert format_scalar(c) == "1/2 - 1/12*zeta(12) - 2/3*zeta(12)^3"
+
+
+# -- the integer-numerator representation --------------------------------
+
+
+def _assert_normalised(c):
+    """Integer numerators over den > 0, no zero entry, gcd(den, *num) == 1."""
+    assert type(c.den) is int and c.den > 0
+    assert all(type(v) is int and v for v in c.num.values())
+    assert all(0 <= k < c.order for k in c.num)
+    assert math.gcd(c.den, *c.num.values()) == 1
+    terms, den = c.canonical()
+    assert den > 0 and math.gcd(den, *(v for _, v in terms)) == 1
+    assert all(0 <= k < _phi(c.order) for k, _ in terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_scalars, small_scalars)
+def test_every_operation_keeps_the_representation_normalised(a, b):
+    _assert_normalised(a)
+    for c in (a + b, a - b, a * b, a * 3, a * Fraction(-2, 9), a.conj(), a.embed(24), -a):
+        _assert_normalised(c)
+    if not a.is_zero():
+        _assert_normalised(a.inverse())
+        _assert_normalised(b / a)
+
+
+def test_cancellation_divides_out_the_denominator():
+    c = Cyc(3, {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)})
+    assert c.is_zero() and c.canonical() == ((), 1)
+    half = Cyc.rational(Fraction(1, 2), 5)
+    assert (half + half).num == {0: 1} and (half + half).den == 1
+
+
+orders = st.sampled_from([1, 4, 5, 12, 20])
+
+
+@st.composite
+def high_monomials(draw):
+    """q * zeta_n^k with k >= phi(n) (raw, unreduced) and q negative or fractional."""
+    n = draw(orders)
+    k = draw(st.integers(_phi(n), max(_phi(n), n - 1)))
+    q = draw(st.fractions(min_value=-9, max_value=9, max_denominator=12)
+             .filter(lambda q: q and (q < 0 or q.denominator > 1)))
+    return Cyc(n, {k: q})
+
+
+@settings(max_examples=80, deadline=None)
+@given(high_monomials())
+def test_monomial_inverse(a):
+    inv = a.inverse()
+    assert a * inv == Cyc.one(a.order)
+    assert inv * a == 1
+    _assert_normalised(inv)
+    # the same element written in the power basis is inverted through
+    # its field norm when it has several terms; both routes must agree
+    terms, den = a.canonical()
+    spelled = Cyc(a.order, {k: Fraction(v, den) for k, v in terms})
+    assert spelled.inverse() == inv
