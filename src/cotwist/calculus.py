@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .cyclotomic import Cyc
 from .modules import CentralBasisModule, TensorModule
 from .relhopf import phi_inv_map, twist_module
-from .vectors import Vec, solve_cyc
+from .vectors import Vec, gauss_solve
 
 
 @dataclass
@@ -195,6 +195,25 @@ def twist_complex_structure(cs, twisted_cal):
     return ComplexStructure(twisted_cal, cs.bigrade)
 
 
+def coinvariant_matrix(cal, images, targets, error):
+    """The scalar matrix (one row per target name, one column per image) of
+    Vecs over (label, name) keys, read off at the unit of the base.
+
+    Raises `error` when an image has a target coefficient at any other label.
+    """
+    unit = cal.base.unit().terms
+    row_of = {t: r for r, t in enumerate(targets)}
+    mat = [[Cyc.zero(cal.scalar_order) for _ in images] for _ in targets]
+    for j, img in enumerate(images):
+        for (b, t), c in img.terms.items():
+            r = row_of.get(t)
+            if r is not None:
+                if b not in unit:
+                    raise error
+                mat[r][j] = mat[r][j] + c * unit[b]
+    return mat
+
+
 class NotFactorizable(ValueError):
     pass
 
@@ -213,29 +232,14 @@ def factorization_inverse(cs, left_grade=(0, 1), right_grade=(1, 0)):
     target_names = [i for i in cal.module(2).basis if cs.bigrade[i] == (1, 1)]
     pair_names = tens.basis
     order = cal.scalar_order
-    # wedge matrix columns: image of each pair basis; entries must be
-    # coinvariant (scalar) for the exact solve over Q(zeta)
-    cols = []
-    for (i, j) in pair_names:
-        img = cal.wedge(cal.basis_form(i), cal.basis_form(j))
-        col = []
-        for t in target_names:
-            c = Cyc.zero(order)
-            for (b, i2), cc in img.vec.terms.items():
-                if i2 == t:
-                    unit_terms = dict(cal.base.unit().terms)
-                    if b in unit_terms:
-                        c = c + cc * unit_terms[b]
-                    else:
-                        raise NotFactorizable(
-                            "wedge image has non-coinvariant coefficient")
-            col.append(c)
-        cols.append(col)
+    # the wedge images must be coinvariant (scalar) for the exact solve over Q(zeta)
+    rows = coinvariant_matrix(
+        cal, [cal.wedge(cal.basis_form(i), cal.basis_form(j)).vec for (i, j) in pair_names],
+        target_names, NotFactorizable("wedge image has non-coinvariant coefficient"))
     inv_table = {}
     for ti, t in enumerate(target_names):
-        rows = [[cols[p][r] for p in range(len(pair_names))] for r in range(len(target_names))]
         rhs = [Cyc.one(order) if r == ti else Cyc.zero(order) for r in range(len(target_names))]
-        sol, kernel, bad = solve_cyc(rows, rhs, order)
+        sol, kernel, bad = gauss_solve(rows, rhs)
         if sol is None or kernel:
             raise NotFactorizable(
                 f"wedge map {left_grade}x{right_grade} -> (1,1) is singular")
@@ -354,41 +358,21 @@ class KahlerData:
     def lefschetz_matrix(self, k=0):
         """The matrix of L^{n-k}: Omega^k -> Omega^{2n-k} over scalars."""
         cal = self.cal
-        n = self.dimension
-        power = n - k
         src = cal.module(k)
-        dst = cal.module(2 * n - k)
-        order = cal.scalar_order
-        unit_terms = dict(cal.base.unit().terms)
-        cols = []
+        images = []
         for i in src.basis:
             img = Form(k, src.el(i))
-            for _ in range(power):
+            for _ in range(self.dimension - k):
                 img = cal.wedge(self.kappa, img)
-            col = []
-            for t in dst.basis:
-                c = Cyc.zero(order)
-                for (b, i2), cc in img.vec.terms.items():
-                    if i2 == t:
-                        if b not in unit_terms:
-                            raise ValueError("Lefschetz image not coinvariant")
-                        c = c + cc * unit_terms[b]
-                col.append(c)
-            cols.append(col)
-        return [[cols[j][i] for j in range(len(src.basis))] for i in range(len(dst.basis))]
+            images.append(img.vec)
+        return coinvariant_matrix(cal, images, cal.module(2 * self.dimension - k).basis,
+                                  ValueError("Lefschetz image not coinvariant"))
 
     def lefschetz_bijective(self, k=0):
         mat = self.lefschetz_matrix(k)
-        n_src = len(mat[0]) if mat else 0
-        order = self.cal.scalar_order
-        if len(mat) != n_src:
-            return False
-        for col in range(n_src):
-            rhs = [Cyc.one(order) if r == col else Cyc.zero(order) for r in range(len(mat))]
-            sol, kernel, bad = solve_cyc(mat, rhs, order)
-            if sol is None or kernel:
-                return False
-        return True
+        zero = Cyc.zero(self.cal.scalar_order)
+        return len(mat) == len(self.cal.module(k).basis) and \
+            not gauss_solve(mat, [zero] * len(mat))[1]
 
 
 def fundamental_form(cal, cs, pairing_table, complex_op):
@@ -405,7 +389,7 @@ def fundamental_form(cal, cs, pairing_table, complex_op):
     kappa = cal.zero_form(2)
     for idx, f_i in enumerate(names):
         rhs = [Cyc.one(order) if r == idx else Cyc.zero(order) for r in range(n)]
-        sol, kernel, bad = solve_cyc(rows, rhs, order)
+        sol, kernel, bad = gauss_solve(rows, rhs)
         if sol is None or kernel:
             raise ValueError("pairing is degenerate; no fundamental form")
         v_inv = Vec(order)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc, root_from_fraction
 from .hopf import HopfAlgebra
-from .vectors import Vec, solve_cyc
+from .vectors import Vec, gauss_solve
 
 
 class PairFunctional:
@@ -76,16 +76,14 @@ class NotInvertible(ValueError):
         self.pair = pair
 
 
-def convolution_inverse(gamma, A, strategy="grouplike_pointwise", candidate=None, box=2):
-    """Produce (or verify) the convolution inverse of gamma.
+def convolution_inverse(gamma, A):
+    """The convolution inverse of gamma, by the method the algebra allows.
 
-    grouplike_pointwise: basis grouplike, so the inverse is the pointwise
-    reciprocal.  table_solve: finite algebra, exact dense solve of
-    gamma * psi = counit over Q(zeta).  user_supplied: verify `candidate`.
+    On a grouplike basis it is the pointwise reciprocal.  On a finite
+    algebra it is the exact dense solve of gamma * psi = counit over
+    Q(zeta), confirmed on the other side.  Otherwise NotInvertible.
     """
-    if strategy == "grouplike_pointwise":
-        if not A.is_grouplike_basis():
-            raise NotInvertible("grouplike_pointwise needs a grouplike basis")
+    if A.is_grouplike_basis():
 
         def fn(l1, l2):
             v = gamma(l1, l2)
@@ -97,57 +95,41 @@ def convolution_inverse(gamma, A, strategy="grouplike_pointwise", candidate=None
 
         return PairFunctional(A, fn, {"kind": "pointwise_reciprocal"})
 
-    if strategy == "table_solve":
-        labels = A.finite_labels()
-        if labels is None:
-            raise NotInvertible("table_solve needs a finite algebra")
-        n = len(labels)
-        idx = {l: i for i, l in enumerate(labels)}
-        order = A.scalar_order
-        rows, rhs = [], []
-        eps = counit_functional(A)
-        for a in labels:
-            for b in labels:
-                row = [Cyc.zero(order) for _ in range(n * n)]
-                for (a1, a2), ca in A.coproduct(a).terms.items():
-                    for (b1, b2), cb in A.coproduct(b).terms.items():
-                        row[idx[a2] * n + idx[b2]] = (
-                            row[idx[a2] * n + idx[b2]] + ca * cb * gamma(a1, b1))
-                rows.append(row)
-                rhs.append(eps(a, b))
-        sol, kernel, bad = solve_cyc(rows, rhs, order)
-        if sol is None:
-            a, b = labels[bad // n], labels[bad % n]
-            raise NotInvertible(
-                f"gamma has no convolution inverse; inconsistent at "
-                f"({A.label_name(a)},{A.label_name(b)})", pair=(a, b))
-        table = {(a, b): sol[idx[a] * n + idx[b]] for a in labels for b in labels}
-        psi = PairFunctional(A, lambda l1, l2: table[(l1, l2)], {"kind": "table"})
-        # table_solve only imposed gamma * psi; confirm the other side
-        other = convolve(psi, gamma, A)
-        for a in labels:
-            for b in labels:
-                if other(a, b) != eps(a, b):
-                    raise NotInvertible(
-                        f"one-sided inverse only, fails at ({A.label_name(a)},{A.label_name(b)})",
-                        pair=(a, b))
-        return psi
-
-    if strategy == "user_supplied":
-        if candidate is None:
-            raise NotInvertible("user_supplied strategy needs a candidate")
-        eps = counit_functional(A)
-        left = convolve(gamma, candidate, A)
-        right = convolve(candidate, gamma, A)
-        for a in A.labels_box(box):
-            for b in A.labels_box(box):
-                if left(a, b) != eps(a, b) or right(a, b) != eps(a, b):
-                    raise NotInvertible(
-                        f"candidate is not a convolution inverse at "
-                        f"({A.label_name(a)},{A.label_name(b)})", pair=(a, b))
-        return candidate
-
-    raise ValueError(f"unknown strategy {strategy!r}")
+    labels = A.finite_labels()
+    if labels is None:
+        raise NotInvertible("no convolution inverse method: basis not grouplike, "
+                            "algebra not finite")
+    n = len(labels)
+    idx = {l: i for i, l in enumerate(labels)}
+    order = A.scalar_order
+    rows, rhs = [], []
+    eps = counit_functional(A)
+    for a in labels:
+        for b in labels:
+            row = [Cyc.zero(order) for _ in range(n * n)]
+            for (a1, a2), ca in A.coproduct(a).terms.items():
+                for (b1, b2), cb in A.coproduct(b).terms.items():
+                    row[idx[a2] * n + idx[b2]] = (
+                        row[idx[a2] * n + idx[b2]] + ca * cb * gamma(a1, b1))
+            rows.append(row)
+            rhs.append(eps(a, b))
+    sol, kernel, bad = gauss_solve(rows, rhs)
+    if sol is None:
+        a, b = labels[bad // n], labels[bad % n]
+        raise NotInvertible(
+            f"gamma has no convolution inverse; inconsistent at "
+            f"({A.label_name(a)},{A.label_name(b)})", pair=(a, b))
+    table = {(a, b): sol[idx[a] * n + idx[b]] for a in labels for b in labels}
+    psi = PairFunctional(A, lambda l1, l2: table[(l1, l2)], {"kind": "table"})
+    # the solve only imposed gamma * psi; confirm the other side
+    other = convolve(psi, gamma, A)
+    for a in labels:
+        for b in labels:
+            if other(a, b) != eps(a, b):
+                raise NotInvertible(
+                    f"one-sided inverse only, fails at ({A.label_name(a)},{A.label_name(b)})",
+                    pair=(a, b))
+    return psi
 
 
 class CocycleData:
@@ -267,7 +249,7 @@ def theta_cocycle(A, theta, order=None):
             if order != A.scalar_order else root_from_fraction(t, order)
 
     gamma = PairFunctional(A, fn, {"kind": "theta", "theta": theta})
-    gamma_bar = convolution_inverse(gamma, A, "grouplike_pointwise")
+    gamma_bar = convolution_inverse(gamma, A)
     return CocycleData(A, gamma, gamma_bar,
                        {"cocycle_verified": True, "unital": True, "unitary": True})
 
@@ -287,7 +269,7 @@ def bicharacter_cocycle(A, pairing, root_order=None):
             if root_order != A.scalar_order else Cyc.root(root_order, e)
 
     gamma = PairFunctional(A, fn, {"kind": "bicharacter", "pairing": pairing})
-    gamma_bar = convolution_inverse(gamma, A, "grouplike_pointwise")
+    gamma_bar = convolution_inverse(gamma, A)
     return CocycleData(A, gamma, gamma_bar,
                        {"cocycle_verified": True, "unital": True, "unitary": True})
 

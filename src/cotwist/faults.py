@@ -42,7 +42,7 @@ def _scale_gamma(bundle, pair, factor, keep_inverse=False):
     if keep_inverse:
         gamma_bar = data.gamma_bar
     else:
-        gamma_bar = convolution_inverse(gamma, bundle.hopf, "grouplike_pointwise")
+        gamma_bar = convolution_inverse(gamma, bundle.hopf)
     bundle.data = CocycleData(bundle.hopf, gamma, gamma_bar, dict(data.flags))
     attach_twist(bundle)
     return bundle

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .calculus import Form
+from .calculus import Form, coinvariant_matrix
 from .cyclotomic import Cyc, _phi
 from .modules import (
     ConjugateModule, HomModule, Morphism, TensorModule, conj_of, hom_apply, unconj)
 from .relhopf import (
     conj_twist_iso, conj_twist_iso_inv, hom_twist_iso, phi_inv_map, phi_map, tensor_map_pair,
     twist_module, twist_tensor_morphism, untwisted_of)
-from .vectors import Vec, conj_matrix, coords_to_cyc, cyc_to_coords, solve_frac
+from .vectors import Vec, gauss_solve
 
 
 # -- metrics -----------------------------------------------------------------
@@ -225,29 +225,14 @@ class HermitianData:
 
     def scalar_matrix(self):
         """The matrix of H over scalars; raises if entries are not coinvariant."""
-        unit_terms = dict(self.cal.base.unit().terms)
         names = self.module.basis
-        idx = {("dual", n): k for k, n in enumerate(names)}
-        mat = [[Cyc.zero(self.cal.scalar_order) for _ in names] for _ in names]
-        for r, i in enumerate(names):
-            val = self.table[("bar", i)]
-            for (b, dk), c in val.terms.items():
-                if b not in unit_terms:
-                    raise ValueError("Hermitian table entry is not coinvariant")
-                mat[r][idx[dk]] = mat[r][idx[dk]] + c * unit_terms[b]
-        return mat
+        return coinvariant_matrix(self.cal, [self.table[("bar", i)] for i in names],
+                                  [("dual", n) for n in names],
+                                  ValueError("Hermitian table entry is not coinvariant"))
 
     def is_invertible(self):
-        from .vectors import solve_cyc
         mat = self.scalar_matrix()
-        n = len(mat)
-        order = self.cal.scalar_order
-        for col in range(n):
-            rhs = [Cyc.one(order) if r == col else Cyc.zero(order) for r in range(n)]
-            sol, kernel, bad = solve_cyc(mat, rhs, order)
-            if sol is None or kernel:
-                return False
-        return True
+        return not gauss_solve(mat, [Cyc.zero(self.cal.scalar_order)] * len(mat))[1]
 
 
 def hermitian_from_real(metric):
@@ -356,6 +341,15 @@ def _compat_terms(cal, herm, conn_table, i, jbar):
     return lin, anti
 
 
+def cyc_to_coords(c, order):
+    """Canonical rational coordinates of c in the power basis of Q(zeta_order)."""
+    out = [Fraction(0)] * _phi(order)
+    can, den = c.embed(order).canonical()
+    for k, v in can:
+        out[k] = Fraction(v, den)
+    return out
+
+
 def chern_solve(holo, herm, coeff_box=1):
     """Solve for the unique covariant connection fixed by (delbar_E, H).
 
@@ -391,7 +385,6 @@ def chern_solve(holo, herm, coeff_box=1):
                     candidates.append(cand)
 
     deg = _phi(order)
-    conj_mat = conj_matrix(order)
 
     # residual(z) per (i,j): d<,> - lin(fixed) - anti(fixed)
     #                        - sum_k z_k lin_k - sum_k conj(z_k) anti_k
@@ -415,20 +408,16 @@ def chern_solve(holo, herm, coeff_box=1):
                 cur[r] += coords[r]
         for k, cand in enumerate(candidates):
             link, antik = _compat_terms(cal, herm, cand, i, j)
-            for key, c in link.pruned().terms.items():
-                rows = key_rows((i, j), key)
-                # z_k = sum_s q_{k,s} zeta^s: lin coeff of q_{k,s} is zeta^s*c
-                for s in range(deg):
-                    shifted = cyc_to_coords(Cyc(order, {s: 1}) * c, order)
-                    for r in range(deg):
-                        rows[r][k * deg + s] += shifted[r]
-            for key, c in antik.pruned().terms.items():
-                rows = key_rows((i, j), key)
-                for s in range(deg):
-                    conj_zeta = coords_to_cyc([conj_mat[t][s] for t in range(deg)], order)
-                    shifted = cyc_to_coords(conj_zeta * c, order)
-                    for r in range(deg):
-                        rows[r][k * deg + s] += shifted[r]
+            # antilinear in z_k, so the unknowns are the rational coordinates
+            # of z_k = sum_s q_{k,s} zeta^s: q_{k,s} has coefficient zeta^s * c
+            # in lin_k and conj(zeta^s) * c = zeta^-s * c in anti_k
+            for part, sign in ((link, 1), (antik, -1)):
+                for key, c in part.pruned().terms.items():
+                    rows = key_rows((i, j), key)
+                    for s in range(deg):
+                        shifted = cyc_to_coords(Cyc.root(order, sign * s) * c, order)
+                        for r in range(deg):
+                            rows[r][k * deg + s] += shifted[r]
 
     all_keys = sorted(set(rows_by_key) | set(const_by_key),
                       key=lambda pk: (str(pk[0]), str(pk[1])))
@@ -444,7 +433,7 @@ def chern_solve(holo, herm, coeff_box=1):
         rows = [[Fraction(0)] * (len(candidates) * deg)]
         rhs = [Fraction(0)]
 
-    sol, kernel, bad = solve_frac(rows, rhs)
+    sol, kernel, bad = gauss_solve(rows, rhs)
     if sol is None:
         raise ChernNoSolution(
             f"no Chern connection in search space (witness row {bad})")
@@ -455,7 +444,7 @@ def chern_solve(holo, herm, coeff_box=1):
 
     table = {i: fixed[i].copy() for i in mod.basis}
     for k, cand in enumerate(candidates):
-        z = coords_to_cyc(sol[k * deg:(k + 1) * deg], order)
+        z = Cyc(order, dict(enumerate(sol[k * deg:(k + 1) * deg])))
         if z.is_zero():
             continue
         for i in mod.basis:

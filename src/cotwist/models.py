@@ -34,6 +34,14 @@ from .relhopf import twist_comodule_algebra
 from .vectors import Vec
 
 
+def check_sampling(box, samples):
+    """Reject a negative label box or sample count."""
+    if box < 0:
+        raise ValueError(f"box must be >= 0, got {box}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+
+
 @dataclass
 class ModelBundle:
     name: str
@@ -57,10 +65,7 @@ class ModelBundle:
     parent: object = None
 
     def __post_init__(self):
-        if self.box < 0:
-            raise ValueError(f"box must be >= 0, got {self.box}")
-        if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {self.samples}")
+        check_sampling(self.box, self.samples)
 
     def is_geometric(self):
         return self.calculus is not None

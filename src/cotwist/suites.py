@@ -19,13 +19,13 @@ from itertools import product
 
 from .calculus import Form, NotFactorizable, factorization_inverse
 from .cocycle import twist_hopf, verify_cocycle_identities, verify_unitarity_suite
-from .cyclotomic import Cyc, _phi
+from .cyclotomic import Cyc
 from .geometry import (
     ChernNotUnique, ChernNoSolution, DiamondViolation, chern_conditions_hold,
     chern_solve, conj_connection, hermitian_from_real, split_hermitian,
     twist_connection)
 from .hopf import verify_cocommutative_flip, verify_hopf_axioms
-from .models import twist_world, untwist_world
+from .models import check_sampling, twist_world, untwist_world
 from .modules import (
     CentralBasisModule, ConjugateModule, HomModule, Morphism, TensorModule,
     conj_of, covariance_defect, hom_apply, hom_coact, right_linear_defect, unconj)
@@ -34,7 +34,7 @@ from .relhopf import (
     tensor_map_pair, twist_comodule_algebra, twist_module, twist_tensor_morphism,
     upsilon)
 from .report import outcome, table_outcomes
-from .vectors import Vec, cyc_to_coords, solve_frac
+from .vectors import Vec, gauss_solve
 
 SUITES = ("hopf", "cocycle", "barfunctor", "calculus", "metric", "hermitian",
           "chern", "main")
@@ -48,6 +48,7 @@ class Sampler:
         self.box = bundle.box if box is None else box
         self.n = bundle.samples if samples is None else samples
         self.seed = bundle.seed if seed is None else seed
+        check_sampling(self.box, self.n)
         self.rng = random.Random(self.seed)
         self.labels = bundle.hopf.labels_box(self.box)
         self.exhaustive = bundle.hopf.finite_labels() is not None
@@ -652,29 +653,21 @@ def _calculus_core(cal, rep, sampler, prefix):
                sampler.draws(8, lambda: B.el(sampler.label())), d_covariant)
 
     def generated_by_b_db():
-        # every degree-1 basis form must be a combination of the products
-        # m* d(m) and d(m) over the unit box (Maurer-Cartan witnesses)
-        order = cal.scalar_order
-        deg = _phi(order)
+        # every degree-1 basis form must be a Q(zeta)-combination of the
+        # products m* d(m) and d(m) over the unit box (Maurer-Cartan
+        # witnesses): one unknown per image, one row per key of an image or target
         images = []
         for m in cal.base.hopf.labels_box(1):
             dm = cal.d(cal.from_b(B.el(m)))
             images.append(dm.vec)
             inv = cal.wedge(Form(0, cal.module(0).from_b(B.star(m), "1")), dm)
             images.append(inv.vec)
-        keys = sorted({k for img in images for k in img.terms}, key=str)
-        zero = Cyc.zero(order)
-        # unknowns: the rational coordinates q_(img,s) of each image's
-        # coefficient sum_s q_(img,s) zeta^s; one row per (key, coordinate r)
-        rows = []
-        for key in keys:
-            cols = [cyc_to_coords(Cyc.root(order, s) * img.terms.get(key, zero), order)
-                    for img in images for s in range(deg)]
-            rows.extend([col[r] for col in cols] for r in range(deg))
-        for target in cal.module(1).basis:
-            want = cal.module(1).el(target)
-            rhs = [q for key in keys for q in cyc_to_coords(want.terms.get(key, zero), order)]
-            sol, _, _ = solve_frac(rows, rhs)
+        targets = {t: cal.module(1).el(t) for t in cal.module(1).basis}
+        keys = sorted({k for v in images + list(targets.values()) for k in v.terms}, key=str)
+        zero = Cyc.zero(cal.scalar_order)
+        rows = [[img.terms.get(key, zero) for img in images] for key in keys]
+        for target, want in targets.items():
+            sol, _, _ = gauss_solve(rows, [want.terms.get(key, zero) for key in keys])
             yield f"basis form {target} not generated by B.dB over the box" \
                 if sol is None else None
 

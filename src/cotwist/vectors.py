@@ -8,9 +8,7 @@ for free: a Vec is zero iff every coefficient reduces to zero mod Phi_N.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclotomic import Cyc, _phi, format_scalar
+from .cyclotomic import Cyc, format_scalar
 
 
 class Vec:
@@ -159,90 +157,51 @@ def _key_sort(k):
 # -- exact dense linear algebra ------------------------------------------
 
 
-def gauss_solve(rows, rhs, zero, zero_el, one_el):
-    """Solve rows * x = rhs exactly over a field.
+def gauss_solve(rows, rhs):
+    """Solve rows * x = rhs exactly over Q(zeta_N) or Q.
 
-    rows: list of lists (m x n), rhs: list (m).  Entries must support
-    +,-,*,/ and the zero predicate.  Returns (particular solution or None
-    if inconsistent, kernel basis as list of n-vectors, witness row index
-    on inconsistency).
+    rows: m lists of n entries, rhs: m entries, all Cyc or all Fraction; an
+    entry is zero iff it is falsy.  Rows are taken in order into a reduced
+    row echelon form, so the first row that contradicts the ones before it
+    is the witness.  Returns (the solution with every free unknown 0, or
+    None if inconsistent; a kernel basis as n-lists, one per free unknown in
+    ascending order; the witness row index, or None).
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if not zero(a[r][col]):
-                piv = r
-                break
-        if piv is None:
+    n = len(rows[0]) if rows else 0
+    pivots = {}     # pivot column -> reduced augmented row, 1 at that column
+    for i, (r, b) in enumerate(zip(rows, rhs)):
+        row = list(r) + [b]
+        for col, prow in pivots.items():
+            _clear(row, col, prow)
+        col = next((j for j in range(n) if row[j]), None)
+        if col is None:
+            if row[n]:
+                return None, [], i
             continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(m):
-            if r != row and not zero(a[r][col]):
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if not zero(a[r][n]):
-            return None, [], r
-    sol = [zero_el for _ in range(n)]
-    for r, col in enumerate(pivots):
-        sol[col] = a[r][n]
-    free = [c for c in range(n) if c not in pivots]
+        inv = 1 / row[col]
+        row = [x * inv if x else x for x in row]
+        for prow in pivots.values():
+            _clear(prow, col, row)
+        pivots[col] = row
+    zero = rows[0][0] * 0 if n else None
+    sol = [zero] * n
+    for col, prow in pivots.items():
+        sol[col] = prow[n]
     kernel = []
-    for fc in free:
-        vec = [zero_el for _ in range(n)]
-        vec[fc] = one_el
-        for r, col in enumerate(pivots):
-            vec[col] = zero_el - a[r][fc]
-        kernel.append(vec)
+    for fc in range(n):
+        if fc not in pivots:
+            vec = [zero] * n
+            vec[fc] = zero + 1
+            for col, prow in pivots.items():
+                vec[col] = -prow[fc]
+            kernel.append(vec)
     return sol, kernel, None
 
 
-def solve_cyc(rows, rhs, order):
-    """gauss_solve specialised to Cyc entries."""
-    rows = [[(x if isinstance(x, Cyc) else Cyc.rational(x, order)) for x in r] for r in rows]
-    rhs = [(x if isinstance(x, Cyc) else Cyc.rational(x, order)) for x in rhs]
-    if not rows:
-        return [], [], None
-    return gauss_solve(rows, rhs, lambda c: c.is_zero(), Cyc.zero(order), Cyc.one(order))
-
-
-def solve_frac(rows, rhs):
-    """gauss_solve specialised to Fraction entries."""
-    if not rows:
-        return [], [], None
-    return gauss_solve(rows, rhs, lambda q: q == 0, Fraction(0), Fraction(1))
-
-
-def cyc_to_coords(c, order):
-    """Canonical rational coordinates of c in the power basis of Q(zeta_order)."""
-    out = [Fraction(0)] * _phi(order)
-    can, den = c.embed(order).canonical()
-    for k, v in can:
-        out[k] = Fraction(v, den)
-    return out
-
-
-def coords_to_cyc(coords, order):
-    return Cyc(order, {i: q for i, q in enumerate(coords) if q})
-
-
-def conj_matrix(order):
-    """phi(order) x phi(order) rational matrix of complex conjugation."""
-    deg = _phi(order)
-    cols = []
-    for k in range(deg):
-        img = Cyc.root(order, -k) if k else Cyc.one(order)
-        cols.append(cyc_to_coords(img, order))
-    # matrix[i][j] = coefficient i of conj(zeta^j)
-    return [[cols[j][i] for j in range(deg)] for i in range(deg)]
+def _clear(row, col, prow):
+    """Subtract the multiple of prow (1 at col) that zeroes row[col], in place."""
+    f = row[col]
+    if f:
+        for j, y in enumerate(prow):
+            if y:
+                row[j] = row[j] - f * y

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cotwist.calculus import Form, NotFactorizable, factorization_inverse
+from cotwist.calculus import Form, KahlerData, NotFactorizable, factorization_inverse
 from cotwist.cyclotomic import Cyc
 from cotwist.models import classical_torus, nc_torus, twist_world
 from cotwist.vectors import Vec
@@ -196,3 +196,8 @@ def test_kahler_checks(torus, nct_world):
     assert cal_tw.d(Form(2, k_tw.kappa.vec)).is_zero()
     assert cal_tw.star(Form(2, k_tw.kappa.vec)) == Form(2, k_tw.kappa.vec)
     assert k_tw.lefschetz_bijective(0)
+
+
+def test_lefschetz_not_bijective_for_zero_kappa(torus):
+    zero = KahlerData(torus.calculus, torus.complex_structure, torus.calculus.zero_form(2))
+    assert not zero.lefschetz_bijective(0)

@@ -81,7 +81,7 @@ def test_pointwise_inverse_and_zero_error():
             assert data.gamma_bar(m, n) == data.gamma(m, n).inverse()
     broken = PairFunctional(
         A, lambda a, b: Cyc.zero(12) if (a, b) == ((1, 0), (0, 1)) else data.gamma(a, b))
-    bad = convolution_inverse(broken, A, "grouplike_pointwise")
+    bad = convolution_inverse(broken, A)
     with pytest.raises(NotInvertible) as exc:
         bad((1, 0), (0, 1))
     assert exc.value.pair == ((1, 0), (0, 1))
@@ -93,7 +93,7 @@ def test_table_solve_on_fun_s3():
     els = A.finite_labels()
     s, t = els[1], els[4]
     phi = PairFunctional(A, lambda a, b: Cyc.one(1) if (a, b) == (s, t) else Cyc.zero(1))
-    psi = convolution_inverse(phi, A, "table_solve")
+    psi = convolution_inverse(phi, A)
     for a in els:
         for b in els:
             expected = Cyc.one(1) if (a, b) == (s.inv(), t.inv()) else Cyc.zero(1)
@@ -103,21 +103,10 @@ def test_table_solve_on_fun_s3():
 def test_counit_self_inverse_table_solve():
     A = fun_s3()
     eps = counit_functional(A)
-    psi = convolution_inverse(eps, A, "table_solve")
+    psi = convolution_inverse(eps, A)
     for a in A.finite_labels():
         for b in A.finite_labels():
             assert psi(a, b) == eps(a, b)
-
-
-def test_user_supplied_verifies():
-    A = torus_hopf()
-    data = theta_cocycle(A, THETA13)
-    ok = convolution_inverse(data.gamma, A, "user_supplied",
-                             candidate=data.gamma_bar, box=2)
-    assert ok is data.gamma_bar
-    with pytest.raises(NotInvertible):
-        convolution_inverse(data.gamma, A, "user_supplied",
-                            candidate=data.gamma, box=2)
 
 
 def _box_triples(A, box):
@@ -148,7 +137,7 @@ def test_perturbed_cocycle_fails_with_witness():
     bad_pair = ((1, 0), (0, 1))
     gamma = PairFunctional(
         A, lambda a, b: data.gamma(a, b) * zeta if (a, b) == bad_pair else data.gamma(a, b))
-    gamma_bar = convolution_inverse(gamma, A, "grouplike_pointwise")
+    gamma_bar = convolution_inverse(gamma, A)
     bad = CocycleData(A, gamma, gamma_bar, {"cocycle_verified": False, "unital": True})
     rep = Report()
     verify_cocycle_identities(bad, A, _box_triples(A, 1), rep)
@@ -182,7 +171,7 @@ def test_scaled_gamma_breaks_unitarity():
     bad_pair = ((1, 0), (0, 1))
     gamma = PairFunctional(
         A, lambda a, b: data.gamma(a, b) * 2 if (a, b) == bad_pair else data.gamma(a, b))
-    gamma_bar = convolution_inverse(gamma, A, "grouplike_pointwise")
+    gamma_bar = convolution_inverse(gamma, A)
     bad = CocycleData(A, gamma, gamma_bar, {"cocycle_verified": True, "unital": True})
     rep = Report()
     pairs = [(a, b) for a in A.labels_box(1) for b in A.labels_box(1)]
@@ -252,5 +241,17 @@ def test_table_solve_singular_reports_pair():
     A = fun_s3()
     zero = PairFunctional(A, lambda a, b: Cyc.zero(1))
     with pytest.raises(NotInvertible) as exc:
-        convolution_inverse(zero, A, "table_solve")
+        convolution_inverse(zero, A)
     assert exc.value.pair is not None
+
+
+def test_no_inverse_method_without_grouplike_basis_or_finite_labels():
+    class InfiniteAlgebra:
+        def is_grouplike_basis(self):
+            return False
+
+        def finite_labels(self):
+            return None
+
+    with pytest.raises(NotInvertible):
+        convolution_inverse(None, InfiniteAlgebra())

@@ -100,6 +100,15 @@ def test_split_hermitian_blocks(torus):
     assert h1.is_invertible() and h2.is_invertible()
 
 
+def test_singular_hermitian_table_is_not_invertible(torus):
+    # both conjugate basis elements pair only with w+: rank 1
+    order = torus.hopf.scalar_order
+    table = {("bar", i): Vec.single(order, ((0, 0), ("dual", "w+")), c)
+             for i, c in (("w+", 1), ("w-", 2))}
+    assert torus.hermitian.is_invertible()
+    assert not HermitianData(torus.calculus, torus.hermitian.module, table).is_invertible()
+
+
 def test_split_refuses_diamond_violation(torus):
     broken = {k: v.copy() for k, v in torus.hermitian.table.items()}
     broken[("bar", "w+")].add_term(((0, 0), ("dual", "w-")), Cyc.one(12))

@@ -8,6 +8,7 @@ import pytest
 from cotwist.models import classical_torus, finite_bicharacter, fun_group, nc_torus
 from cotwist.report import Report
 from cotwist.suites import SUITES, run_suite
+from cotwist.vectors import Vec
 
 
 MODELS = [
@@ -71,3 +72,25 @@ def test_skipped_checks_for_instrument_models():
     run_suite(finite_bicharacter(3), "main", rep)
     assert any(c.status == "skipped" for c in rep.checks)
     assert rep.passed  # skipped entries do not fail the run
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"box": -1}, "box must be >= 0, got -1"),
+    ({"samples": -5}, "samples must be >= 0, got -5"),
+])
+def test_run_suite_rejects_negative_box_and_samples(override, message):
+    with pytest.raises(ValueError, match=message):
+        run_suite(nc_torus(1, 3, box=2, samples=6), "hopf", Report(), **override)
+
+
+def test_generation_fails_when_d_never_reaches_w_minus():
+    bundle = classical_torus(box=2, samples=6)
+    cal = bundle.calculus
+    d_base = cal.d_base
+    cal.d_base = lambda label: Vec(cal.scalar_order, {
+        key: c for key, c in d_base(label).terms.items() if key[1] != "w-"})
+    rep = Report()
+    run_suite(bundle, "calculus", rep, samples=6)
+    check = next(c for c in rep.checks if c.check_id == "calc.base.generated-by-b-db")
+    assert check.status == "fail"
+    assert check.witness == "basis form w- not generated by B.dB over the box"
