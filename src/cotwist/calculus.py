@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .cyclotomic import Cyc
 from .modules import CentralBasisModule, TensorModule
 from .relhopf import phi_inv_map, twist_module
-from .vectors import Vec, gauss_solve
+from .vectors import Vec, gauss_solve, invert
 
 
 @dataclass
@@ -236,13 +236,11 @@ def factorization_inverse(cs, left_grade=(0, 1), right_grade=(1, 0)):
     rows = coinvariant_matrix(
         cal, [cal.wedge(cal.basis_form(i), cal.basis_form(j)).vec for (i, j) in pair_names],
         target_names, NotFactorizable("wedge image has non-coinvariant coefficient"))
+    columns = invert(rows)
+    if columns is None:
+        raise NotFactorizable(f"wedge map {left_grade}x{right_grade} -> (1,1) is singular")
     inv_table = {}
-    for ti, t in enumerate(target_names):
-        rhs = [Cyc.one(order) if r == ti else Cyc.zero(order) for r in range(len(target_names))]
-        sol, kernel, bad = gauss_solve(rows, rhs)
-        if sol is None or kernel:
-            raise NotFactorizable(
-                f"wedge map {left_grade}x{right_grade} -> (1,1) is singular")
+    for t, sol in zip(target_names, columns):
         out = Vec(order)
         for p, key in enumerate(pair_names):
             if not sol[p].is_zero():
@@ -384,14 +382,11 @@ def fundamental_form(cal, cs, pairing_table, complex_op):
     """
     names = cal.module(1).basis
     order = cal.scalar_order
-    n = len(names)
-    rows = [[pairing_table[(names[r], names[c])] for c in range(n)] for r in range(n)]
+    columns = invert([[pairing_table[(r, c)] for c in names] for r in names])
+    if columns is None:
+        raise ValueError("pairing is degenerate; no fundamental form")
     kappa = cal.zero_form(2)
-    for idx, f_i in enumerate(names):
-        rhs = [Cyc.one(order) if r == idx else Cyc.zero(order) for r in range(n)]
-        sol, kernel, bad = gauss_solve(rows, rhs)
-        if sol is None or kernel:
-            raise ValueError("pairing is degenerate; no fundamental form")
+    for f_i, sol in zip(names, columns):
         v_inv = Vec(order)
         for j, c in enumerate(sol):
             if not c.is_zero():

@@ -18,6 +18,8 @@ from .suites import SUITES, run_suite
 
 FORMAT_ENV = "COTWIST_FORMAT"
 SUITE_VERSION = "1"
+CONFIG_KEYS = ("model", "p", "q", "n", "pairing", "group", "box", "samples", "seed",
+               "suite", "format", "emit")
 
 
 class ConfigError(Exception):
@@ -25,7 +27,7 @@ class ConfigError(Exception):
 
 
 def load_config(path):
-    """Flat key=value text file; blank lines and # comments ignored."""
+    """Flat key=value text file over CONFIG_KEYS; blank lines and # comments ignored."""
     out = {}
     try:
         with open(path) as fh:
@@ -35,8 +37,10 @@ def load_config(path):
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in CONFIG_KEYS:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                out[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return out
@@ -83,8 +87,7 @@ def _merge_config(args):
     if args.config:
         cfg = load_config(args.config)
     merged = {}
-    for key in ("model", "p", "q", "n", "pairing", "group", "box",
-                "samples", "seed", "suite", "format", "emit"):
+    for key in CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is None and key in cfg:
             val = cfg[key]
@@ -152,17 +155,9 @@ def cmd_twist(args):
         bundle = build_model(name, **params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"cannot build model {name}: {exc}")
-    if args.untwisted:
-        tables = structure_tables(
-            bundle.hopf, bundle.comodule, bundle.calculus, bundle.metric,
-            bundle.connection, bundle.hermitian)
-    elif bundle.calculus is None:
-        tables = structure_tables(bundle.twisted_hopf, bundle.twisted_comodule)
-    else:
-        world = twist_world(bundle)
-        tables = structure_tables(
-            world.hopf, world.comodule, world.calculus, world.metric,
-            world.connection, world.hermitian)
+    b = bundle if args.untwisted else twist_world(bundle)
+    tables = structure_tables(
+        b.hopf, b.comodule, b.calculus, b.metric, b.connection, b.hermitian)
     tables["model"] = bundle.name
     payload = emit_json(tables)
     if merged["emit"]:

@@ -20,6 +20,7 @@ shares Delta and epsilon with A and carries
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .cyclotomic import Cyc, root_from_fraction
 from .hopf import HopfAlgebra
@@ -389,9 +390,7 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
     """The cocycle equation, its three equivalent forms, and unitality."""
     g, gb = data.gamma, data.gamma_bar
     eps = counit_functional(A)
-
-    def two(l):
-        return A.sweedler(l, 2)
+    two = cache(lambda l: A.sweedler(l, 2))  # the two-leg coproduct, once per label
 
     def name(t):
         return ",".join(A.label_name(x) for x in t)
@@ -500,6 +499,7 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
 def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
     """Conjugation laws of a unitary cocycle plus the exchange identities."""
     g, gb = data.gamma, data.gamma_bar
+    two = cache(lambda l: A.sweedler(l, 2))  # the two-leg coproduct, once per label
 
     def name(t):
         return ",".join(A.label_name(x) for x in t)
@@ -556,8 +556,8 @@ def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
         lh, lk = hk
         lhs = Cyc.zero(A.scalar_order)
         rhs = Cyc.zero(A.scalar_order)
-        for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
-            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
+        for (k1, k2), ckk in two(lk).terms.items():
+            for (h1, h2), chh in two(lh).terms.items():
                 c = (ckk * chh).conj()
                 lhs = lhs + c * vbar_of_star(A.el(k1)) * vbar_of_star(A.el(h1)) \
                     * g.on_elems(A.star(k2), A.star(h2))
@@ -573,8 +573,8 @@ def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
         lh, lk = hk
         lhs = Cyc.zero(A.scalar_order)
         rhs = Cyc.zero(A.scalar_order)
-        for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
-            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
+        for (k1, k2), ckk in two(lk).terms.items():
+            for (h1, h2), chh in two(lh).terms.items():
                 c = (ckk * chh).conj()
                 lhs = lhs + c * g.on_elems(s_star(h1), s_star(k1)) \
                     * vbar_of_star(A.el(k2)) * vbar_of_star(A.el(h2))
@@ -589,7 +589,7 @@ def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
         lh, lk = hk
         lhs = Cyc.zero(A.scalar_order)
         rhs = Cyc.zero(A.scalar_order)
-        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
+        for (h1, h2), chh in two(lh).terms.items():
             lhs = lhs + chh * data.U(h1) * gb.on_elems(A.antipode(h2), A.el(lk))
             rhs = rhs + chh * g.on_elems(
                 A.el(h1), A.mult_elem(A.antipode(h2), A.el(lk)))

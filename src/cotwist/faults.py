@@ -8,12 +8,12 @@ notices would mean a vacuous check somewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cyclotomic import Cyc
-from .cocycle import CocycleData, PairFunctional, convolution_inverse
+from .cocycle import CocycleData, PairFunctional, convolution_inverse, trivial_cocycle
 from .hopf import FunctionAlgebra, symmetric_group
-from .models import attach_twist, fun_group, nc_torus
+from .models import fun_group, nc_torus
 from .modules import SelfComodule
 from .vectors import Vec
 
@@ -43,9 +43,7 @@ def _scale_gamma(bundle, pair, factor, keep_inverse=False):
         gamma_bar = data.gamma_bar
     else:
         gamma_bar = convolution_inverse(gamma, bundle.hopf)
-    bundle.data = CocycleData(bundle.hopf, gamma, gamma_bar, dict(data.flags))
-    attach_twist(bundle)
-    return bundle
+    return replace(bundle, data=CocycleData(bundle.hopf, gamma, gamma_bar, dict(data.flags)))
 
 
 def fault_cocycle_scaled():
@@ -63,9 +61,7 @@ def fault_cocycle_inverse_corrupted():
         return v * Cyc.root(3) if (a, c) == ((0, 1), (1, 0)) else v
 
     bar = PairFunctional(b.hopf, fn, {"kind": "perturbed"})
-    b.data = CocycleData(b.hopf, data.gamma, bar, dict(data.flags))
-    attach_twist(b)
-    return b
+    return replace(b, data=CocycleData(b.hopf, data.gamma, bar, dict(data.flags)))
 
 
 def fault_cocycle_modulus():
@@ -80,14 +76,8 @@ def fault_antipode_corrupted():
                 return self.el(self.elements[3])
             return super().antipode(label)
 
-    b = fun_group("s3")
     A = Corrupted(symmetric_group(3), name="fun(S3)!")
-    b.hopf = A
-    b.comodule = SelfComodule(A)
-    from .cocycle import trivial_cocycle
-    b.data = trivial_cocycle(A)
-    attach_twist(b)
-    return b
+    return replace(fun_group("s3"), hopf=A, comodule=SelfComodule(A), data=trivial_cocycle(A))
 
 
 def fault_sigma_scaled():

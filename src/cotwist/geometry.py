@@ -20,11 +20,10 @@ from fractions import Fraction
 
 from .calculus import Form, coinvariant_matrix
 from .cyclotomic import Cyc, _phi
-from .modules import (
-    ConjugateModule, HomModule, Morphism, TensorModule, conj_of, hom_apply, unconj)
+from .modules import ConjugateModule, HomModule, Morphism, TensorModule, hom_apply, unconj
 from .relhopf import (
-    conj_twist_iso, conj_twist_iso_inv, hom_twist_iso, phi_inv_map, phi_map, tensor_map_pair,
-    twist_module, twist_tensor_morphism, untwisted_of)
+    conj_twist_iso, hom_twist_iso, phi_inv_map, phi_map, twist_module, twist_tensor_morphism,
+    untwisted_of)
 from .vectors import Vec, gauss_solve
 
 
@@ -291,7 +290,7 @@ def twist_hermitian(herm, data, cal_tw, module_tw=None):
     table = {}
     for i in GE.basis:
         xbar = bar_GE.el(("bar", i))
-        moved = conj_twist_iso(data, GE, bar_GE, xbar)
+        moved = conj_twist_iso(data, GE, xbar)
         # Gamma(H): the same table applied to the keys read untwisted
         hval = herm.morphism(moved)
         ev = hom_twist_iso(data, herm.hom, hval)

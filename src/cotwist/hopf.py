@@ -18,7 +18,33 @@ from .cyclotomic import Cyc
 from .vectors import Vec
 
 
-class HopfAlgebra:
+class LabelAlgebra:
+    """The element level of a *-algebra given by `mult` and `star` tables on
+    basis labels: elements are Vec over labels, extended (anti)linearly."""
+
+    def zero(self):
+        return Vec(self.scalar_order)
+
+    def el(self, label, coeff=1):
+        return Vec.single(self.scalar_order, label, coeff)
+
+    def mult_elem(self, v, w):
+        out = Vec(self.scalar_order)
+        for l1, c1 in v.terms.items():
+            for l2, c2 in w.terms.items():
+                for l3, c3 in self.mult(l1, l2).terms.items():
+                    out.add_term(l3, c1 * c2 * c3)
+        return out
+
+    def star_elem(self, v):
+        out = Vec(self.scalar_order)
+        for l, c in v.terms.items():
+            for l2, c2 in self.star(l).terms.items():
+                out.add_term(l2, c.conj() * c2)
+        return out
+
+
+class HopfAlgebra(LabelAlgebra):
     """Base protocol: label tables for mult/unit/coproduct/counit/S/S^-1/star."""
 
     scalar_order = 1
@@ -65,31 +91,10 @@ class HopfAlgebra:
 
     # -- element level (linear/antilinear extensions of the tables) -------
 
-    def zero(self):
-        return Vec(self.scalar_order)
-
-    def el(self, label, coeff=1):
-        return Vec.single(self.scalar_order, label, coeff)
-
-    def mult_elem(self, v, w):
-        out = Vec(self.scalar_order)
-        for l1, c1 in v.terms.items():
-            for l2, c2 in w.terms.items():
-                for l3, c3 in self.mult(l1, l2).terms.items():
-                    out.add_term(l3, c1 * c2 * c3)
-        return out
-
     def counit_elem(self, v):
         out = Cyc.zero(self.scalar_order)
         for l, c in v.terms.items():
             out = out + c * self.counit(l)
-        return out
-
-    def star_elem(self, v):
-        out = Vec(self.scalar_order)
-        for l, c in v.terms.items():
-            for l2, c2 in self.star(l).terms.items():
-                out.add_term(l2, c.conj() * c2)
         return out
 
     def antipode_elem(self, v):

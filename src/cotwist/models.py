@@ -15,7 +15,7 @@ or non-grouplike Sweedler paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import (
@@ -26,8 +26,8 @@ from .cocycle import (
     CocycleData, bicharacter_cocycle, theta_cocycle, trivial_cocycle, twist_hopf)
 from .cyclotomic import Cyc
 from .geometry import (
-    ConnectionData, HermitianData, MetricData, chern_solve, hermitian_from_real,
-    split_hermitian, twist_connection, twist_hermitian, twist_metric)
+    ConnectionData, HermitianData, MetricData, hermitian_from_real, split_hermitian,
+    twist_connection, twist_hermitian, twist_metric)
 from .hopf import GroupAlgebra, fun_s3
 from .modules import CentralBasisModule, Morphism, SelfComodule, TensorModule
 from .relhopf import twist_comodule_algebra
@@ -44,10 +44,15 @@ def check_sampling(box, samples):
 
 @dataclass
 class ModelBundle:
+    """One world: Hopf and comodule algebras, a cocycle, optional geometry.
+
+    Its twisted Hopf and comodule algebras are attached on construction.
+    """
+
     name: str
     hopf: object
     comodule: object
-    data: CocycleData = None
+    data: CocycleData
     calculus: Calculus = None
     complex_structure: ComplexStructure = None
     metric: MetricData = None
@@ -60,12 +65,13 @@ class ModelBundle:
     box: int = 4
     samples: int = 100
     seed: int = 42
-    twisted_hopf: object = None
-    twisted_comodule: object = None
-    parent: object = None
+    twisted_hopf: object = field(default=None, init=False)
+    twisted_comodule: object = field(default=None, init=False)
 
     def __post_init__(self):
         check_sampling(self.box, self.samples)
+        self.twisted_hopf = twist_hopf(self.hopf, self.data)
+        self.twisted_comodule = twist_comodule_algebra(self.comodule, self.data, self.twisted_hopf)
 
     def is_geometric(self):
         return self.calculus is not None
@@ -158,11 +164,11 @@ def classical_torus(order=4, box=4, samples=100, seed=42):
     B = SelfComodule(A, name="O(T^2)")
     data = trivial_cocycle(A)
     cal, cs, metric, conn, herm, splits, kahler, h10, h01 = build_torus_geometry(B, order)
-    return attach_twist(ModelBundle(
+    return ModelBundle(
         name="classical_torus", hopf=A, comodule=B, data=data, calculus=cal,
         complex_structure=cs, metric=metric, connection=conn, hermitian=herm,
         hermitian_splits=splits, kahler=kahler, holo_10=h10, holo_01=h01,
-        box=box, samples=samples, seed=seed))
+        box=box, samples=samples, seed=seed)
 
 
 def nc_torus(p=1, q=3, box=4, samples=100, seed=42):
@@ -179,133 +185,51 @@ def nc_torus(p=1, q=3, box=4, samples=100, seed=42):
         data = trivial_cocycle(base.hopf)
     else:
         data = theta_cocycle(base.hopf, [[0, theta], [-theta, 0]])
-    bundle = ModelBundle(
+    return ModelBundle(
         name=f"nc_torus({p},{q})", hopf=base.hopf, comodule=base.comodule,
         data=data, calculus=base.calculus, complex_structure=base.complex_structure,
         metric=base.metric, connection=base.connection, hermitian=base.hermitian,
         hermitian_splits=base.hermitian_splits, kahler=base.kahler,
         holo_10=base.holo_10, holo_01=base.holo_01,
         box=box, samples=samples, seed=seed)
-    attach_twist(bundle)
-    return bundle
 
 
-def attach_twist(bundle):
-    bundle.twisted_hopf = twist_hopf(bundle.hopf, bundle.data)
-    bundle.twisted_comodule = twist_comodule_algebra(
-        bundle.comodule, bundle.data, bundle.twisted_hopf)
-    return bundle
+def twist_algebras(bundle, **geometry):
+    """The bundle's twisted Hopf and comodule algebras as a world of their own.
 
-
-@dataclass
-class TwistedWorld:
-    """All deformed structures of a geometric bundle, built on demand."""
-
-    bundle: ModelBundle
-    hopf: object = None
-    comodule: object = None
-    calculus: Calculus = None
-    complex_structure: ComplexStructure = None
-    metric: MetricData = None
-    connection: ConnectionData = None
-    hermitian: HermitianData = None
-    hermitian_splits: tuple = None
-    kahler: KahlerData = None
-    holo_10: object = None
-    holo_01: object = None
+    Its cocycle is gammabar on the twisted Hopf algebra, so its own twisted
+    algebras, attached on construction, are the round trip back.
+    """
+    Atw = bundle.twisted_hopf
+    return ModelBundle(
+        name=f"tw({bundle.name})", hopf=Atw, comodule=bundle.twisted_comodule,
+        data=bundle.data.inverse_data(Atw), box=bundle.box, samples=bundle.samples,
+        seed=bundle.seed, **geometry)
 
 
 def twist_world(bundle):
-    """Deform every geometric structure of the bundle by its cocycle."""
-    if bundle.twisted_hopf is None:
-        attach_twist(bundle)
+    """Deform every structure of the bundle by its cocycle.
+
+    The result is again a bundle, whose cocycle is gammabar: untwisting is
+    `twist_world` of a twisted world.
+    """
+    if not bundle.is_geometric():
+        return twist_algebras(bundle)
     data = bundle.data
     Btw = bundle.twisted_comodule
     cal_tw = twist_calculus(bundle.calculus, data, Btw)
     cs_tw = twist_complex_structure(bundle.complex_structure, cal_tw)
-    metric_tw = twist_metric(bundle.metric, data, cal_tw)
-    conn_tw = twist_connection(bundle.connection, data, cal_tw)
-    herm_tw = twist_hermitian(bundle.hermitian, data, cal_tw)
-    splits_tw = None
-    if bundle.hermitian_splits is not None:
-        splits_tw = tuple(
-            twist_hermitian(h, data, cal_tw) for h in bundle.hermitian_splits)
-    kahler_tw = KahlerData(cal_tw, cs_tw, Form(2, bundle.kahler.kappa.vec),
-                           bundle.kahler.dimension)
-    view10_tw = cs_tw
-    view01_tw = cs_tw.opposite()
-    holo10_tw = twist_holomorphic(bundle.holo_10, data, view10_tw, Btw)
-    holo01_tw = twist_holomorphic(bundle.holo_01, data, view01_tw, Btw)
-    return TwistedWorld(
-        bundle=bundle, hopf=bundle.twisted_hopf, comodule=Btw, calculus=cal_tw,
-        complex_structure=cs_tw, metric=metric_tw, connection=conn_tw,
-        hermitian=herm_tw, hermitian_splits=splits_tw, kahler=kahler_tw,
-        holo_10=holo10_tw, holo_01=holo01_tw)
-
-
-def untwist_world(bundle, world):
-    """Deform a twisted world by gammabar; must reproduce the bundle's tables."""
-    from .cocycle import twist_hopf as _twist_hopf
-    data_bar = bundle.data.inverse_data(world.hopf)
-    hopf_back = _twist_hopf(world.hopf, data_bar)
-    com_back = twist_comodule_algebra(world.comodule, data_bar, hopf_back)
-    cal_back = twist_calculus(world.calculus, data_bar, com_back)
-    return TwistedWorld(
-        bundle=bundle, hopf=hopf_back, comodule=com_back, calculus=cal_back,
-        complex_structure=twist_complex_structure(world.complex_structure, cal_back),
-        metric=twist_metric(world.metric, data_bar, cal_back),
-        connection=twist_connection(world.connection, data_bar, cal_back),
-        hermitian=twist_hermitian(world.hermitian, data_bar, cal_back))
-
-
-def correspondence_roundtrips(bundle, rep=None):
-    """The four bijections between metrics and Hermitian metrics, as checks."""
-    from .report import Report, outcome, table_outcomes
-
-    if rep is None:
-        rep = Report()
-    if bundle.calculus is None:
-        rep.add_skipped("corr.roundtrips", "plumbing", "model has no calculus")
-        return rep
-    from .calculus import Form
-    from .modules import conj_of
-
-    cal = bundle.calculus
-    O1 = cal.module(1)
-    herm = bundle.hermitian
-    world = twist_world(bundle)
-
-    def real_hermitian_real(ij_want):
-        (i, j), want = ij_want
-        starred = cal.star(Form(1, O1.el(j))).vec
-        if herm.pair(O1.el(i), conj_of(O1, starred)) != want:
-            return f"pairing not recovered from H at ({i},{j})"
-        return None
-
-    rep.forall("corr.real-hermitian-real", "hermitian.correspondence",
-               bundle.metric.pairing_table.items(), real_hermitian_real)
-
-    back = untwist_world(bundle, world)
-
-    def metric_twist_untwist():
-        yield "g not recovered after gamma then gammabar" if back.metric.g != bundle.metric.g else None
-        yield from table_outcomes(bundle.metric.pairing_table, back.metric.pairing_table,
-                                  bundle.metric.pairing_table, "pairing not recovered")
-
-    rep.forall("corr.metric-twist-untwist", "twist.inverse-deformation",
-               metric_twist_untwist(), outcome)
-    rep.forall("corr.hermitian-twist-untwist", "twist.inverse-deformation",
-               table_outcomes(herm.table, back.hermitian.table, herm.table, "H not recovered"),
-               outcome)
-
-    def commuting_square():
-        yield from table_outcomes(
-            world.hermitian.table, hermitian_from_real(world.metric).table, world.hermitian.table,
-            "twist-then-correspond differs from correspond-then-twist")
-
-    rep.forall("corr.commuting-square", "twist.hermitian-metric-route", commuting_square(),
-               outcome)
-    return rep
+    return twist_algebras(
+        bundle, calculus=cal_tw, complex_structure=cs_tw,
+        metric=twist_metric(bundle.metric, data, cal_tw),
+        connection=twist_connection(bundle.connection, data, cal_tw),
+        hermitian=twist_hermitian(bundle.hermitian, data, cal_tw),
+        hermitian_splits=tuple(
+            twist_hermitian(h, data, cal_tw) for h in bundle.hermitian_splits),
+        kahler=KahlerData(cal_tw, cs_tw, Form(2, bundle.kahler.kappa.vec),
+                          bundle.kahler.dimension),
+        holo_10=twist_holomorphic(bundle.holo_10, data, cs_tw, Btw),
+        holo_01=twist_holomorphic(bundle.holo_01, data, cs_tw.opposite(), Btw))
 
 
 def finite_bicharacter(n=5, pairing="skew", box=0, samples=100, seed=42):
@@ -325,16 +249,14 @@ def finite_bicharacter(n=5, pairing="skew", box=0, samples=100, seed=42):
     elif pairing == "upper":
         mat = [[0, 1], [0, 0]]
     elif pairing == "trivial":
-        return attach_twist(ModelBundle(
+        return ModelBundle(
             name=f"finite_bicharacter({n},trivial)", hopf=A, comodule=B,
-            data=trivial_cocycle(A), box=box, samples=samples, seed=seed))
+            data=trivial_cocycle(A), box=box, samples=samples, seed=seed)
     else:
         mat = pairing
-    data = bicharacter_cocycle(A, mat)
-    bundle = ModelBundle(
-        name=f"finite_bicharacter({n},{pairing})", hopf=A, comodule=B, data=data,
-        box=box, samples=samples, seed=seed)
-    return attach_twist(bundle)
+    return ModelBundle(
+        name=f"finite_bicharacter({n},{pairing})", hopf=A, comodule=B,
+        data=bicharacter_cocycle(A, mat), box=box, samples=samples, seed=seed)
 
 
 def fun_group(group="s3", box=0, samples=100, seed=42):
@@ -343,10 +265,9 @@ def fun_group(group="s3", box=0, samples=100, seed=42):
         raise ValueError(f"unknown group {group!r}; available: s3")
     A = fun_s3()
     B = SelfComodule(A)
-    bundle = ModelBundle(
+    return ModelBundle(
         name=f"fun_group({group})", hopf=A, comodule=B, data=trivial_cocycle(A),
         box=box, samples=samples, seed=seed)
-    return attach_twist(bundle)
 
 
 def build_model(name, **params):

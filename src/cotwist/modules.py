@@ -13,10 +13,11 @@ arbitrary weights.
 
 from __future__ import annotations
 
+from .hopf import LabelAlgebra
 from .vectors import Vec
 
 
-class ComodAlgebra:
+class ComodAlgebra(LabelAlgebra):
     """Presentation of a left comodule *-algebra B over a Hopf algebra A."""
 
     def __init__(self, hopf, name="B"):
@@ -44,35 +45,8 @@ class ComodAlgebra:
         """Labels used for sampled Leibniz/bilinearity checks and emission."""
         raise NotImplementedError
 
-    # element level --------------------------------------------------------
-
-    def el(self, label, coeff=1):
-        return Vec.single(self.scalar_order, label, coeff)
-
-    def zero(self):
-        return Vec(self.scalar_order)
-
-    def mult_elem(self, v, w):
-        out = Vec(self.scalar_order)
-        for l1, c1 in v.terms.items():
-            for l2, c2 in w.terms.items():
-                for l3, c3 in self.mult(l1, l2).terms.items():
-                    out.add_term(l3, c1 * c2 * c3)
-        return out
-
-    def star_elem(self, v):
-        out = Vec(self.scalar_order)
-        for l, c in v.terms.items():
-            for l2, c2 in self.star(l).terms.items():
-                out.add_term(l2, c.conj() * c2)
-        return out
-
     def coact_elem(self, v):
-        out = Vec(self.scalar_order)
-        for l, c in v.terms.items():
-            for (a, b), c2 in self.coact(l).terms.items():
-                out.add_term((a, b), c * c2)
-        return out
+        return v.apply(self.coact)
 
 
 class SelfComodule(ComodAlgebra):
@@ -114,6 +88,15 @@ class SelfComodule(ComodAlgebra):
 
 
 from .vectors import memoize_table as _memoize
+
+
+def unit_coaction(mod, i):
+    """1 (x) e_i: the coaction of a coinvariant basis element e_i of mod."""
+    out = Vec(mod.scalar_order)
+    for a, ca in mod.base.hopf.unit().terms.items():
+        for b, cb in mod.base.unit().terms.items():
+            out.add_term((a, b, i), ca * cb)
+    return out
 
 
 class FreeModule:
@@ -210,16 +193,8 @@ class FreeModule:
         return elem.describe(lambda k: f"{self.base.label_name(k[0])}.{self.basis_name(k[1])}")
 
     def check_coinvariant_basis(self):
-        one = self.base.hopf.unit()
         for i in self.basis:
-            got = Vec(self.scalar_order)
-            for (a, b, j), c in self.coact_basis(i).terms.items():
-                got.add_term((a, b, j), c)
-            want = Vec(self.scalar_order)
-            for a, ca in one.terms.items():
-                for b, cb in self.base.unit().terms.items():
-                    want.add_term((a, b, i), ca * cb)
-            if got != want:
+            if self.coact_basis(i) != unit_coaction(self, i):
                 raise ValueError(f"module basis {self.basis_name(i)} is not coinvariant")
 
 
@@ -232,12 +207,7 @@ class CentralBasisModule(FreeModule):
     def l_to_r(self, b_label, i):
         return Vec.single(self.scalar_order, (i, b_label))
 
-    def coact_basis(self, i):
-        out = Vec(self.scalar_order)
-        for a, ca in self.base.hopf.unit().terms.items():
-            for b, cb in self.base.unit().terms.items():
-                out.add_term((a, b, i), ca * cb)
-        return out
+    coact_basis = unit_coaction
 
 
 class TensorModule(FreeModule):
@@ -392,12 +362,7 @@ class HomModule(FreeModule):
             out.add_term((("dual", i2), b2), c2)
         return out
 
-    def coact_basis(self, key):
-        out = Vec(self.scalar_order)
-        for a, ca in self.base.hopf.unit().terms.items():
-            for b, cb in self.base.unit().terms.items():
-                out.add_term((a, b, key), ca * cb)
-        return out
+    coact_basis = unit_coaction
 
 
 def hom_apply(hom_mod, f_elem, e_elem):

@@ -153,39 +153,31 @@ def phi_map(data, tensor_tw, tensor_unt, elem):
     tensor_tw = TensorModule(Gamma(V), Gamma(W)); tensor_unt is the plain
     TensorModule(V, W) whose keys also represent Gamma(V (x) W).
     """
-    GV, GW = tensor_tw.left, tensor_tw.right
-    V, W = tensor_unt.left, tensor_unt.right
-    B = tensor_unt.base
-    out = Vec(tensor_unt.scalar_order)
-    for (b, (i, j)), c in elem.terms.items():
-        vco = GV.coact(Vec.single(elem.order, (b, i), c))
-        for (a2, b2, j2), c2 in GW.coact_basis(j).terms.items():
-            for (a1, b1, i1), c1 in vco.terms.items():
-                s = c1 * c2 * data.gamma(a1, a2)
-                if s.is_zero():
-                    continue
-                # assemble (b1 e_i1) (x)_B (b2 f_j2) in the untwisted tensor
-                for (b3, i3), c3 in V.r_act(i1, b2).terms.items():
-                    for b4, c4 in B.mult(b1, b3).terms.items():
-                        out.add_term((b4, (i3, j2)), s * c3 * c4)
-    return out
+    return _phi(data.gamma, tensor_tw, tensor_unt, elem)
 
 
 def phi_inv_map(data, tensor_tw, tensor_unt, elem):
     """phi^-1: Gamma(V (x)_B W) -> Gamma(V) (x)_{B_g} Gamma(W)."""
-    GV, GW = tensor_tw.left, tensor_tw.right
-    V, W = tensor_unt.left, tensor_unt.right
-    Bg = tensor_tw.base
-    out = Vec(tensor_tw.scalar_order)
+    return _phi(data.gamma_bar, tensor_unt, tensor_tw, elem)
+
+
+def _phi(weight, src, dst, elem):
+    """Move a normal form of the tensor module src into dst, weighting the
+    coaction legs (v_(-1), w_(-1)) by `weight`: gamma for phi, gammabar
+    for phi^-1."""
+    V, W = src.left, src.right
+    B = dst.base
+    out = Vec(dst.scalar_order)
     for (b, (i, j)), c in elem.terms.items():
         vco = V.coact(Vec.single(elem.order, (b, i), c))
         for (a2, b2, j2), c2 in W.coact_basis(j).terms.items():
             for (a1, b1, i1), c1 in vco.terms.items():
-                s = c1 * c2 * data.gamma_bar(a1, a2)
+                s = c1 * c2 * weight(a1, a2)
                 if s.is_zero():
                     continue
-                for (b3, i3), c3 in GV.r_act(i1, b2).terms.items():
-                    for b4, c4 in Bg.mult(b1, b3).terms.items():
+                # assemble (b1 e_i1) (x) (b2 f_j2) in dst
+                for (b3, i3), c3 in dst.left.r_act(i1, b2).terms.items():
+                    for b4, c4 in B.mult(b1, b3).terms.items():
                         out.add_term((b4, (i3, j2)), s * c3 * c4)
     return out
 
@@ -205,7 +197,7 @@ def twist_tensor_morphism(T, data, src_tw, dst_tw, name=None):
 # -- bar structure ------------------------------------------------------------
 
 
-def bar_morphism(f, src_bar, dst_bar):
+def bar_morphism(f, src_bar):
     """fbar(xbar) = (f(x))bar between conjugate modules."""
     def apply(elem):
         return conj_of(f.dst, f(unconj(src_bar, elem)))
@@ -227,7 +219,7 @@ def upsilon(tensor_mod, bar_tensor, out_tensor, elem):
     return out
 
 
-def bb_map(mod, bar_mod, barbar_mod, elem):
+def bb_map(mod, bar_mod, elem):
     """bb: M -> barbar(M), m -> (mbar)bar."""
     return conj_of(bar_mod, conj_of(mod, elem))
 
@@ -235,46 +227,38 @@ def bb_map(mod, bar_mod, barbar_mod, elem):
 # -- the isomorphisms N and S -------------------------------------------------
 
 
-def conj_twist_iso(data, GE, bar_GE, elem):
+def conj_twist_iso(data, GE, elem):
     """N: bar(Gamma(E)) -> Gamma(Ebar), N(ebar) = Vbar(e_(-1)*) (e_(0))bar."""
-    E = GE.inner
-    A = E.base.hopf
-    out = Vec(elem.order)
-    for key, c in elem.terms.items():
-        m = unconj(bar_GE, Vec.single(elem.order, key, 1))
-        for (a, b, i), d in GE.coact(m).terms.items():
-            scalar = Cyc.zero(elem.order)
-            for a2, ca in A.star(a).terms.items():
-                scalar = scalar + ca * data.Vbar(a2)
-            if scalar.is_zero():
-                continue
-            piece = conj_of(E, E.from_b(E.base.el(b), i))
-            out = out + piece.scale(c * (d.conj() * scalar))
-    return out
+    return _conj_transport(data.Vbar, GE.inner.base.hopf, GE, GE.inner, elem)
 
 
-def conj_twist_iso_inv(data, GE, bar_GE, elem):
+def conj_twist_iso_inv(data, GE, elem):
     """N^-1: Gamma(Ebar) -> bar(Gamma(E)), with V in place of Vbar."""
-    E = GE.inner
-    Ebar = ConjugateModule(E)
-    A = E.base.hopf
+    return _conj_transport(data.V, GE.inner.base.hopf, GE.inner, GE, elem)
+
+
+def _conj_transport(weight, A, src, dst, elem):
+    """bar(src) -> bar(dst) on shared keys: (e)bar -> weight(e_(-1)*) (e_(0))bar,
+    with * taken in the untwisted Hopf algebra A."""
+    src_bar = ConjugateModule(src)
     out = Vec(elem.order)
     for key, c in elem.terms.items():
-        e = unconj(Ebar, Vec.single(elem.order, key, 1))
-        for (a, b, i), d in E.coact(e).terms.items():
+        e = unconj(src_bar, Vec.single(elem.order, key, 1))
+        for (a, b, i), d in src.coact(e).terms.items():
             scalar = Cyc.zero(elem.order)
             for a2, ca in A.star(a).terms.items():
-                scalar = scalar + ca * data.V(a2)
+                scalar = scalar + ca * weight(a2)
             if scalar.is_zero():
                 continue
-            piece = conj_of(GE, GE.from_b(GE.base.el(b), i))
+            piece = conj_of(dst, dst.from_b(dst.base.el(b), i))
             out = out + piece.scale(c * (d.conj() * scalar))
     return out
 
 
-def conj_twist_fake_identity(data, GE, bar_GE, elem):
+def conj_twist_fake_identity(data, GE, elem):
     """The deliberately wrong 'identity' comparison map (Vbar omitted)."""
     E = GE.inner
+    bar_GE = ConjugateModule(GE)
     out = Vec(elem.order)
     for key, c in elem.terms.items():
         m = unconj(bar_GE, Vec.single(elem.order, key, 1))

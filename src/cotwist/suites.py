@@ -18,21 +18,20 @@ import random
 from itertools import product
 
 from .calculus import Form, NotFactorizable, factorization_inverse
-from .cocycle import twist_hopf, verify_cocycle_identities, verify_unitarity_suite
+from .cocycle import verify_cocycle_identities, verify_unitarity_suite
 from .cyclotomic import Cyc
 from .geometry import (
     ChernNotUnique, ChernNoSolution, DiamondViolation, chern_conditions_hold,
     chern_solve, conj_connection, hermitian_from_real, split_hermitian,
     twist_connection)
 from .hopf import verify_cocommutative_flip, verify_hopf_axioms
-from .models import check_sampling, twist_world, untwist_world
+from .models import check_sampling, twist_algebras, twist_world
 from .modules import (
     CentralBasisModule, ConjugateModule, HomModule, Morphism, TensorModule,
     conj_of, covariance_defect, hom_apply, hom_coact, right_linear_defect, unconj)
 from .relhopf import (
     bar_morphism, bb_map, conj_twist_iso, conj_twist_iso_inv, hom_twist_iso, phi_inv_map, phi_map,
-    tensor_map_pair, twist_comodule_algebra, twist_module, twist_tensor_morphism,
-    upsilon)
+    tensor_map_pair, twist_module, twist_tensor_morphism, upsilon)
 from .report import outcome, table_outcomes
 from .vectors import Vec, gauss_solve
 
@@ -113,7 +112,7 @@ def suite_hopf(bundle, rep, sampler):
     if A.is_grouplike_basis():
         verify_cocommutative_flip(A, labels, rep, prefix="hopf.base")
 
-    Atw = bundle.twisted_hopf or twist_hopf(A, bundle.data)
+    Atw = bundle.twisted_hopf
     small = labels if sampler.exhaustive else A.labels_box(min(sampler.box, 2))
     small_pairs = [(a, b) for a in small for b in small]
     verify_hopf_axioms(Atw, small, rep, prefix="hopf.twisted", pair_samples=small_pairs)
@@ -128,8 +127,7 @@ def suite_hopf(bundle, rep, sampler):
                    if Atw.star(a) != A.star(a) else None)
 
     _comodule_axioms(bundle.comodule, small, rep, "hopf.comodule")
-    if bundle.twisted_comodule is not None:
-        _comodule_axioms(bundle.twisted_comodule, small, rep, "hopf.comodule-twisted")
+    _comodule_axioms(bundle.twisted_comodule, small, rep, "hopf.comodule-twisted")
 
 
 def _comodule_axioms(B, labels, rep, prefix):
@@ -205,9 +203,8 @@ def suite_cocycle(bundle, rep, sampler):
     verify_cocycle_identities(data, A, triples, rep)
     verify_unitarity_suite(data, A, pairs, rep)
 
-    Atw = bundle.twisted_hopf or twist_hopf(A, data)
-    data_bar = data.inverse_data(Atw)
-    Aback = twist_hopf(Atw, data_bar)
+    back = twist_algebras(bundle)
+    Aback = back.twisted_hopf
     labels = sampler.labels if sampler.exhaustive else A.labels_box(min(sampler.box, 2))
 
     def hopf_back(ab):
@@ -223,21 +220,20 @@ def suite_cocycle(bundle, rep, sampler):
     if not rep.forall("cocycle.hopf-roundtrip", "twist.inverse-deformation",
                       _roundtrip_cases(labels), hopf_back):
         return
-    if bundle.twisted_comodule is not None:
-        Bback = twist_comodule_algebra(bundle.twisted_comodule, data_bar, Aback)
-        B = bundle.comodule
+    Bback = back.twisted_comodule
+    B = bundle.comodule
 
-        def comodule_back(ab):
-            a, b = ab
-            if b is not None:
-                if Bback.mult(a, b) != B.mult(a, b):
-                    return f"comodule product round trip fails at ({B.label_name(a)},{B.label_name(b)})"
-            elif Bback.star(a) != B.star(a):
-                return f"comodule star round trip fails at {B.label_name(a)}"
-            return None
+    def comodule_back(ab):
+        a, b = ab
+        if b is not None:
+            if Bback.mult(a, b) != B.mult(a, b):
+                return f"comodule product round trip fails at ({B.label_name(a)},{B.label_name(b)})"
+        elif Bback.star(a) != B.star(a):
+            return f"comodule star round trip fails at {B.label_name(a)}"
+        return None
 
-        rep.forall("cocycle.comodule-roundtrip", "twist.inverse-deformation",
-                   _roundtrip_cases(labels), comodule_back)
+    rep.forall("cocycle.comodule-roundtrip", "twist.inverse-deformation",
+               _roundtrip_cases(labels), comodule_back)
 
 
 # -- bar functor suite ----------------------------------------------------------
@@ -300,17 +296,17 @@ def suite_barfunctor(bundle, rep, sampler):
         # a non-real scalar multiple of the identity catches stray conjugations
         z = Cyc.root(E.scalar_order) if E.scalar_order > 2 else Cyc.rational(3, E.scalar_order)
         f_nat = Morphism(E, E, {i: E.el(i, z) for i in E.basis}, "z.id")
-        fbar = bar_morphism(f_nat, Ebar, Ebar)
+        fbar = bar_morphism(f_nat, Ebar)
         for _ in range(min(sampler.n, 8)):
             x = sampler.module_elem(E)
             b = sampler.b_elem(B)
-            lhs = bb_map(E, Ebar, Ebarbar, E.lmul(b, x))
-            rhs = Ebarbar.lmul(b, bb_map(E, Ebar, Ebarbar, x))
+            lhs = bb_map(E, Ebar, E.lmul(b, x))
+            rhs = Ebarbar.lmul(b, bb_map(E, Ebar, x))
             yield "bb is not left-linear on a sample" if lhs != rhs else None
             # naturality: barbar(f) . bb = bb . f
-            inner = unconj(Ebarbar, bb_map(E, Ebar, Ebarbar, x))
+            inner = unconj(Ebarbar, bb_map(E, Ebar, x))
             lhs2 = conj_of(Ebar, fbar(inner))
-            rhs2 = bb_map(E, Ebar, Ebarbar, f_nat(x))
+            rhs2 = bb_map(E, Ebar, f_nat(x))
             yield "bb is not natural against a sampled morphism" if lhs2 != rhs2 else None
 
     rep.forall("bar.bb-natural", "bar.double-conjugate", bb_natural(), outcome)
@@ -364,9 +360,9 @@ def suite_barfunctor(bundle, rep, sampler):
     rep.forall("gamma.functorial", "twist.functoriality", gamma_functorial(), outcome)
 
     def conj_iso_inverse(xb):
-        fwd = conj_twist_iso(data, GE, bar_GE, xb)
+        fwd = conj_twist_iso(data, GE, xb)
         return "N^-1 . N != id on a sample" \
-            if conj_twist_iso_inv(data, GE, bar_GE, fwd) != xb else None
+            if conj_twist_iso_inv(data, GE, fwd) != xb else None
 
     rep.forall("conjiso.iso", "twist.conjugation-isomorphism",
                sampler.draws(10, lambda: conj_of(GE, sampler.module_elem(GE))),
@@ -374,8 +370,8 @@ def suite_barfunctor(bundle, rep, sampler):
 
     def conj_iso_bilinear(xb_b):
         xb, b = xb_b
-        if conj_twist_iso(data, GE, bar_GE, bar_GE.lmul(b, xb)) != \
-           twist_module(ConjugateModule(E), data, Btw).lmul(b, conj_twist_iso(data, GE, bar_GE, xb)):
+        if conj_twist_iso(data, GE, bar_GE.lmul(b, xb)) != \
+           twist_module(ConjugateModule(E), data, Btw).lmul(b, conj_twist_iso(data, GE, xb)):
             return "N not left B_g-linear on a sample"
         return None
 
@@ -388,7 +384,7 @@ def suite_barfunctor(bundle, rep, sampler):
         GEbar = twist_module(ConjugateModule(E), data, Btw)
 
         def N(v):
-            return conj_twist_iso(data, GE, bar_GE, v)
+            return conj_twist_iso(data, GE, v)
 
         for _ in range(min(sampler.n, 8)):
             xb = conj_of(GE, sampler.module_elem(GE))
@@ -435,13 +431,13 @@ def suite_barfunctor(bundle, rep, sampler):
             else Cyc.rational(2, E.scalar_order)
         f_mor = Morphism(E, E, {i: E.el(i, z) for i in E.basis}, "z.id")
         Ebar2 = ConjugateModule(E)
-        fbar = bar_morphism(f_mor, Ebar2, Ebar2)
+        fbar = bar_morphism(f_mor, Ebar2)
         for _ in range(min(sampler.n, 6)):
             xb = conj_of(GE, sampler.module_elem(GE))
             # bar(Gamma(f)) through the twisted conjugate structure
             inner = unconj(bar_GE, xb)
-            left = conj_twist_iso(data, GE, bar_GE, conj_of(GE, f_mor(inner)))
-            right = fbar(conj_twist_iso(data, GE, bar_GE, xb))
+            left = conj_twist_iso(data, GE, conj_of(GE, f_mor(inner)))
+            right = fbar(conj_twist_iso(data, GE, xb))
             yield "N is not natural against a sampled morphism" if left != right else None
 
     rep.forall("conjiso.natural", "twist.conjugation-isomorphism", conj_iso_natural(), outcome)
@@ -475,15 +471,15 @@ def suite_barfunctor(bundle, rep, sampler):
                           (sampler.rng.choice(E.basis), sampler.rng.choice(F.basis)))
             xbar = conj_of(GT, t)
             # left route: (N_F (x) N_E) Upsilon_g (phi^-1)bar
-            route1 = bar_morphism_phi_inv(data, T_tw, T_unt, GT, bar_GT, bar_Ttw, xbar)
+            route1 = bar_morphism_phi_inv(data, T_tw, T_unt, bar_GT, xbar)
             route1 = upsilon(T_tw, bar_Ttw, T_bars_tw, route1)
             route1 = tensor_map_pair(
                 T_bars_tw, T_gbar,
-                lambda v: conj_twist_iso(data, GF, ConjugateModule(GF), v),
-                lambda v: conj_twist_iso(data, GE, ConjugateModule(GE), v),
+                lambda v: conj_twist_iso(data, GF, v),
+                lambda v: conj_twist_iso(data, GE, v),
                 route1)
             # right route: phi^-1 Gamma(Upsilon) N_{E(x)F}
-            route2 = conj_twist_iso(data, GT, bar_GT, xbar)
+            route2 = conj_twist_iso(data, GT, xbar)
             route2 = upsilon(T_unt, ConjugateModule(T_unt), T_bars_unt, route2)
             route2 = phi_inv_map(data, T_gbar, T_bars_unt, route2)
             yield "bar-functor hexagon fails on a sample" if route1 != route2 else None
@@ -492,15 +488,13 @@ def suite_barfunctor(bundle, rep, sampler):
 
     def bb_condition():
         GEbar = twist_module(ConjugateModule(E), data, Btw)
-        bar_GEbar = ConjugateModule(GEbar)
         Ebar = ConjugateModule(E)
-        Ebarbar = ConjugateModule(Ebar)
         for _ in range(min(sampler.n, 6)):
             x = sampler.module_elem(GE)
-            lhs = bb_map(E, Ebar, Ebarbar, x)      # Gamma(bb)(x), keys shared
-            step = bb_map(GE, ConjugateModule(GE), ConjugateModule(ConjugateModule(GE)), x)
+            lhs = bb_map(E, Ebar, x)      # Gamma(bb)(x), keys shared
+            step = bb_map(GE, ConjugateModule(GE), x)
             step = bar_n_then_conj(data, GE, bar_GE, step)
-            rhs = conj_twist_iso(data, GEbar, bar_GEbar, step)
+            rhs = conj_twist_iso(data, GEbar, step)
             yield "Gamma(bb) != N_bar . N bar . bb on a sample" if lhs != rhs else None
 
     rep.forall("bar.bb-condition", "barfunctor.double-conjugate", bb_condition(), outcome)
@@ -511,24 +505,22 @@ def suite_barfunctor(bundle, rep, sampler):
         cal_tw = world.calculus
         O1 = cal.module(1)
         G1 = cal_tw.module(1)
-        bar_G1 = ConjugateModule(G1)
 
         def star_object():
             Obar = ConjugateModule(O1)
-            Obarbar = ConjugateModule(Obar)
             for _ in range(min(sampler.n, 6)):
                 w = sampler.module_elem(O1)
                 st = conj_of(O1, cal.star(Form(1, w)).vec)
                 stst = bar_morphism_star(cal, O1, Obar, st)
                 yield "starbar . star != bb on a one-form sample" \
-                    if stst != bb_map(O1, Obar, Obarbar, w) else None
+                    if stst != bb_map(O1, Obar, w) else None
 
         rep.forall("bar.star-object", "bar.star-object-law", star_object(), outcome)
 
         def star_transport(w):
             lhs = conj_of(G1, cal_tw.star(Form(1, w)).vec)
             gstar = conj_of(O1, cal.star(Form(1, w)).vec)
-            if lhs != conj_twist_iso_inv(data, G1, bar_G1, gstar):
+            if lhs != conj_twist_iso_inv(data, G1, gstar):
                 return "star_g != N^-1 . Gamma(star) on a one-form sample"
             return None
 
@@ -537,10 +529,8 @@ def suite_barfunctor(bundle, rep, sampler):
 
     # module round trip through gamma then gammabar
     def module_roundtrip():
-        Atw = bundle.twisted_hopf
-        data_bar = data.inverse_data(Atw)
-        Bback = twist_comodule_algebra(Btw, data_bar, twist_hopf(Atw, data_bar))
-        GEback = twist_module(GE, data_bar, Bback)
+        back = twist_algebras(bundle)
+        GEback = twist_module(GE, back.data, back.twisted_comodule)
         for lab in sampler.labels[:5]:
             for i in E.basis:
                 yield f"module round trip fails at ({E.basis_name(i)},{B.label_name(lab)})" \
@@ -549,7 +539,7 @@ def suite_barfunctor(bundle, rep, sampler):
     rep.forall("module.roundtrip", "twist.inverse-deformation", module_roundtrip(), outcome)
 
 
-def bar_morphism_phi_inv(data, T_tw, T_unt, GT, bar_GT, bar_Ttw, xbar):
+def bar_morphism_phi_inv(data, T_tw, T_unt, bar_GT, xbar):
     """(phi^-1)bar: bar(Gamma(E (x) F)) -> bar(Gamma(E) (x) Gamma(F))."""
     inner = unconj(bar_GT, xbar)
     moved = phi_inv_map(data, T_tw, T_unt, inner)
@@ -560,7 +550,7 @@ def bar_n_then_conj(data, GE, bar_GE, elem):
     """(N_E)bar: bar(bar(Gamma E)) -> bar(Gamma(Ebar)) by conjugating N."""
     bar_barGE = ConjugateModule(bar_GE)
     inner = unconj(bar_barGE, elem)
-    moved = conj_twist_iso(data, GE, bar_GE, inner)
+    moved = conj_twist_iso(data, GE, inner)
     GEbar_unt = ConjugateModule(GE.inner)
     GEbar = twist_module(GEbar_unt, data, GE.base)
     return conj_of(GEbar, moved)
@@ -712,7 +702,7 @@ def suite_calculus(bundle, rep, sampler):
                sampler.draws(10, lambda: _sample_form(cal_tw, sampler, 1)), star_formula)
 
     def calc_roundtrip():
-        cal_back = untwist_world(bundle, world).calculus
+        cal_back = twist_world(world).calculus
         for _ in range(min(sampler.n, 8)):
             f = _sample_form(cal, sampler, 1)
             g2 = _sample_form(cal, sampler, 1)
@@ -980,7 +970,7 @@ def suite_metric(bundle, rep, sampler):
                dagger_identity)
 
     def metric_roundtrip():
-        back = untwist_world(bundle, world).metric
+        back = twist_world(world).metric
         yield "g round trip differs" if back.g != metric.g else None
         yield from table_outcomes(metric.pairing_table, back.pairing_table,
                                   metric.pairing_table, "pairing round trip differs")
@@ -1043,7 +1033,7 @@ def suite_metric(bundle, rep, sampler):
                    lambda m: "nabla g != 0" if not c.metric_compat(m).is_zero() else None)
 
     def lc_roundtrip():
-        yield from table_outcomes(conn.module.basis, untwist_world(bundle, world).connection.table,
+        yield from table_outcomes(conn.module.basis, twist_world(world).connection.table,
                                   conn.table, "connection round trip differs")
 
     rep.forall("lc.roundtrip", "twist.inverse-deformation", lc_roundtrip(), outcome)
@@ -1152,7 +1142,7 @@ def suite_hermitian(bundle, rep, sampler):
     res.sample_spec += f";pairs={res.instances}"
 
     def herm_roundtrip():
-        yield from table_outcomes(herm.table, untwist_world(bundle, world).hermitian.table,
+        yield from table_outcomes(herm.table, twist_world(world).hermitian.table,
                                   herm.table, "Hermitian round trip differs")
 
     rep.forall("herm.roundtrip", "twist.inverse-deformation", herm_roundtrip(), outcome)
@@ -1266,12 +1256,12 @@ def suite_chern(bundle, rep, sampler):
         for _ in range(min(sampler.n, 6)):
             xbar = conj_of(G1, sampler.module_elem(G1))
             lhs = nabla_tilde_tw(xbar)
-            step = conj_twist_iso(data, G1, bar_G1, xbar)
+            step = conj_twist_iso(data, G1, xbar)
             step = nabla_tilde(step)          # Gamma(tilde nabla), keys shared
             step = phi_inv_map(data, T_mixed_tw, T_unt, step)
             rhs = tensor_map_pair(
                 T_mixed_tw, TensorModule(bar_G1, G1),
-                lambda v: conj_twist_iso_inv(data, G1, bar_G1, v),
+                lambda v: conj_twist_iso_inv(data, G1, v),
                 lambda v: v, step)
             yield "conjugate-connection twist identity fails on a sample" if lhs != rhs else None
 
@@ -1335,7 +1325,7 @@ def suite_main(bundle, rep, sampler):
     res.sample_spec += f";monomials={res.instances}"
 
     def lc_uniqueness_roundtrip():
-        back = untwist_world(bundle, world).connection
+        back = twist_world(world).connection
         yield from table_outcomes(back.module.basis, back.table, bundle.connection.table,
                                   "gammabar round trip does not recover the LC connection")
 

@@ -168,21 +168,9 @@ def gauss_solve(rows, rhs):
     ascending order; the witness row index, or None).
     """
     n = len(rows[0]) if rows else 0
-    pivots = {}     # pivot column -> reduced augmented row, 1 at that column
-    for i, (r, b) in enumerate(zip(rows, rhs)):
-        row = list(r) + [b]
-        for col, prow in pivots.items():
-            _clear(row, col, prow)
-        col = next((j for j in range(n) if row[j]), None)
-        if col is None:
-            if row[n]:
-                return None, [], i
-            continue
-        inv = 1 / row[col]
-        row = [x * inv if x else x for x in row]
-        for prow in pivots.values():
-            _clear(prow, col, row)
-        pivots[col] = row
+    pivots, bad = _echelon([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if bad is not None:
+        return None, [], bad
     zero = rows[0][0] * 0 if n else None
     sol = [zero] * n
     for col, prow in pivots.items():
@@ -196,6 +184,49 @@ def gauss_solve(rows, rhs):
                 vec[col] = -prow[fc]
             kernel.append(vec)
     return sol, kernel, None
+
+
+def invert(rows):
+    """The inverse of a square matrix as its list of columns (column t solves
+    rows * x = e_t), or None when the matrix is not square or is singular."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        return None
+    if not n:
+        return []
+    zero = rows[0][0] * 0
+    one = zero + 1
+    pivots, bad = _echelon(
+        [list(r) + [one if j == i else zero for j in range(n)] for i, r in enumerate(rows)], n)
+    # [rows | 1] has full rank, so a row whose first n entries vanish is the
+    # only way rows can be singular
+    if bad is not None:
+        return None
+    return [[pivots[col][n + t] for col in range(n)] for t in range(n)]
+
+
+def _echelon(aug, n):
+    """Take the augmented rows `aug` (n unknown columns first, modified in
+    place) in order into reduced row echelon form.
+
+    Returns (pivot column -> reduced row with 1 at that column, the index of
+    the first row whose unknown part vanished while the rest did not, or None).
+    """
+    pivots = {}
+    for i, row in enumerate(aug):
+        for col, prow in pivots.items():
+            _clear(row, col, prow)
+        col = next((j for j in range(n) if row[j]), None)
+        if col is None:
+            if any(row[n:]):
+                return pivots, i
+            continue
+        inv = 1 / row[col]
+        row = [x * inv if x else x for x in row]
+        for prow in pivots.values():
+            _clear(prow, col, row)
+        pivots[col] = row
+    return pivots, None
 
 
 def _clear(row, col, prow):

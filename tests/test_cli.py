@@ -1,11 +1,15 @@
 """CLI behaviour: exit codes, formats, config file, emission stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotwist.cli import main
 
@@ -88,6 +92,15 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert main(["verify", "--model", "nc_torus", "--q", "0"]) == 2
 
 
+def test_unknown_config_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("model=fun_group\nsede=3\nsuite=hopf\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {cfg}:2: unknown key 'sede'"]
+
+
 def test_twist_emit_roundtrip(tmp_path, capsys):
     out1 = tmp_path / "tw.json"
     out0 = tmp_path / "flat.json"
@@ -149,3 +162,38 @@ def test_bad_model_parameters_exit_2_with_one_line_error(args, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}", str(v)]))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["verify", "twist"]))
+    argv = [command, "--model", draw(st.sampled_from(
+        ["classical_torus", "nc_torus", "finite_bicharacter", "fun_group"]))]
+    for name, values in (
+            ("p", st.integers(-3, 3)), ("q", st.integers(-2, 6)), ("n", st.integers(-1, 3)),
+            ("pairing", st.sampled_from(["skew", "upper", "trivial", "bogus"])),
+            ("group", st.sampled_from(["s3", "z17"])), ("box", st.integers(-1, 2)),
+            ("samples", st.integers(-1, 3)), ("seed", st.integers(0, 5))):
+        argv += draw(_flag(name, values))
+    if command == "verify":
+        argv += ["--suite", draw(st.sampled_from(["hopf", "cocycle"]))]
+    return argv
+
+
+@settings(max_examples=30, deadline=None)
+@given(cli_argv())
+def test_fuzzed_flags_exit_0_or_2_with_one_line_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2, (argv, out.getvalue())
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

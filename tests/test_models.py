@@ -4,31 +4,27 @@ import pytest
 
 from cotwist.emit import emit_json, structure_tables
 from cotwist.models import (
-    build_model, classical_torus, correspondence_roundtrips, finite_bicharacter,
-    fun_group, nc_torus, twist_world, untwist_world)
+    build_model, classical_torus, finite_bicharacter, fun_group, nc_torus, twist_world)
+from cotwist.report import Report
+from cotwist.suites import run_suite
 
 
-def emit_bundle(b):
+def emit(b):
     return emit_json(structure_tables(
         b.hopf, b.comodule, b.calculus, b.metric, b.connection, b.hermitian))
 
 
-def emit_world(w):
-    return emit_json(structure_tables(
-        w.hopf, w.comodule, w.calculus, w.metric, w.connection, w.hermitian))
-
-
 def test_determinism_bit_identical():
-    a = emit_world(twist_world(nc_torus(1, 3)))
-    b = emit_world(twist_world(nc_torus(1, 3)))
+    a = emit(twist_world(nc_torus(1, 3)))
+    b = emit(twist_world(nc_torus(1, 3)))
     assert a == b
 
 
 def test_nc_torus_p0_equals_classical():
     flat = nc_torus(0, 3)
     classical = classical_torus(order=flat.hopf.scalar_order)
-    assert emit_bundle(flat) == emit_bundle(classical)
-    assert emit_world(twist_world(flat)) == emit_bundle(classical)
+    assert emit(flat) == emit(classical)
+    assert emit(twist_world(flat)) == emit(classical)
 
 
 def test_nc_torus_reduces_fraction():
@@ -44,11 +40,13 @@ def test_invalid_parameters():
         build_model("nonsense")
 
 
-def test_twist_roundtrip_emission():
-    b = nc_torus(1, 3)
-    world = twist_world(b)
-    back = untwist_world(b, world)
-    assert emit_world(back) == emit_bundle(b)
+@pytest.mark.parametrize("build", [
+    classical_torus, lambda: nc_torus(1, 3), lambda: finite_bicharacter(3, "upper"),
+    lambda: fun_group("s3"),
+], ids=["classical_torus", "nc_torus-1-3", "finite_bicharacter-3-upper", "fun_group-s3"])
+def test_twist_roundtrip_emission(build):
+    b = build()
+    assert emit(twist_world(twist_world(b))) == emit(b)
 
 
 def test_twisted_commutation_in_emission():
@@ -56,7 +54,7 @@ def test_twisted_commutation_in_emission():
     from cotwist.cyclotomic import Cyc, format_scalar
     b = nc_torus(1, 3)
     world = twist_world(b)
-    doc = json.loads(emit_world(world))
+    doc = json.loads(emit(world))
     xy = doc["product"]["u(1,0)|u(0,1)"]
     yx = doc["product"]["u(0,1)|u(1,0)"]
     assert xy == [{"coeff": format_scalar(Cyc.root(3, 2).embed(12)),
@@ -65,16 +63,27 @@ def test_twisted_commutation_in_emission():
                    "monomial": "u(1,1)"}]
 
 
+CORRESPONDENCE_CHECKS = ("metric.roundtrip", "herm.metric-route-agree", "herm.roundtrip",
+                         "herm.correspondence-square")
+
+
+def correspondence_statuses(bundle):
+    """The statuses of the four metric/Hermitian bijection checks."""
+    rep = Report()
+    for suite in ("metric", "hermitian"):
+        run_suite(bundle, suite, rep, box=2, samples=8)
+    return {c.check_id: c.status for c in rep.checks if c.check_id in CORRESPONDENCE_CHECKS}
+
+
 def test_correspondence_roundtrips_pass():
-    rep = correspondence_roundtrips(nc_torus(1, 3))
-    assert rep.passed, rep.to_text()
-    assert len(rep.checks) == 4
+    assert correspondence_statuses(nc_torus(1, 3)) == dict.fromkeys(CORRESPONDENCE_CHECKS, "pass")
 
 
 def test_correspondence_roundtrips_catch_fault():
     from cotwist.faults import fault_pairing_corrupted
-    rep = correspondence_roundtrips(fault_pairing_corrupted())
-    assert not rep.passed
+    statuses = correspondence_statuses(fault_pairing_corrupted())
+    assert statuses["herm.correspondence-square"] == "fail"
+    assert statuses["herm.metric-route-agree"] == "fail"
 
 
 def test_finite_models_have_no_geometry():

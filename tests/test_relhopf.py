@@ -159,10 +159,10 @@ def test_conj_twist_iso_identity_on_torus_and_inverse():
     G1 = twist_module(O1, data, Btw)
     barG1 = ConjugateModule(G1)
     wbar = barG1.el(("bar", "w+"))
-    assert conj_twist_iso(data, G1, barG1, wbar) == wbar.copy()  # same key shape
+    assert conj_twist_iso(data, G1, wbar) == wbar.copy()  # same key shape
     x = conj_of(G1, G1.from_b(Btw.el((2, 1)), "w+"))
-    fwd = conj_twist_iso(data, G1, barG1, x)
-    back = conj_twist_iso_inv(data, G1, barG1, fwd)
+    fwd = conj_twist_iso(data, G1, x)
+    back = conj_twist_iso_inv(data, G1, fwd)
     assert back == x
 
 
@@ -174,14 +174,13 @@ def test_conj_twist_fake_identity_differs_for_nonskew():
     Btw = twist_comodule_algebra(B, data, Atw)
     E = CentralBasisModule(B, ["e"], name="B-self")
     GE = twist_module(E, data, Btw)
-    barGE = ConjugateModule(GE)
     # an element with weight (1,2): Vbar((1,2)) = zeta5^{2} != 1
     x = conj_of(GE, GE.from_b(Btw.el((1, 2)), "e"))
-    real = conj_twist_iso(data, GE, barGE, x)
-    fake = conj_twist_fake_identity(data, GE, barGE, x)
+    real = conj_twist_iso(data, GE, x)
+    fake = conj_twist_fake_identity(data, GE, x)
     assert real != fake
     # and conj_twist_iso still inverts
-    assert conj_twist_iso_inv(data, GE, barGE, real) == x
+    assert conj_twist_iso_inv(data, GE, real) == x
 
 
 def test_hom_twist_iso_trivial_cocycle_fun_s3():
@@ -249,9 +248,9 @@ def test_hexagon_fails_with_fake_identity_for_N():
         r1 = upsilon(T_tw, bar_Ttw, T_bars_tw, r1)
         r1 = tensor_map_pair(
             T_bars_tw, T_gbar,
-            lambda v: n_map(data, GF, ConjugateModule(GF), v),
-            lambda v: n_map(data, GE, ConjugateModule(GE), v), r1)
-        r2 = n_map(data, GT, bar_GT, xbar)
+            lambda v: n_map(data, GF, v),
+            lambda v: n_map(data, GE, v), r1)
+        r2 = n_map(data, GT, xbar)
         r2 = upsilon(T_unt, ConjugateModule(T_unt), T_bars_unt, r2)
         r2 = phi_inv_map(data, T_gbar, T_bars_unt, r2)
         return r1, r2

@@ -1,4 +1,4 @@
-"""The exact linear solver over Q and Q(zeta_12), against an independent rank."""
+"""The exact linear solver and inverse over Q and Q(zeta_12), against minors."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotwist.cyclotomic import Cyc
-from cotwist.vectors import gauss_solve
+from cotwist.vectors import gauss_solve, invert
 
 ORDER = 12
 # mostly zeros, so singular and inconsistent systems are common
@@ -85,3 +85,30 @@ def test_gauss_solve_empty_and_zero_width_systems():
     assert gauss_solve([], []) == ([], [], None)
     assert gauss_solve([[]], [Fraction(0)]) == ([], [], None)
     assert gauss_solve([[], []], [Fraction(0), Fraction(3)]) == (None, [], 1)
+
+
+@st.composite
+def matrices(draw, entries):
+    m = draw(st.integers(1, 4))
+    n = m if draw(st.booleans()) else draw(st.integers(1, 4))
+    return [[draw(entries) for _ in range(n)] for _ in range(m)]
+
+
+def _check_invert(rows):
+    columns = invert(rows)
+    if len(rows) != len(rows[0]) or not _det(rows):
+        assert columns is None
+        return
+    zero = rows[0][0] * 0
+    for t, col in enumerate(columns):
+        assert [_dot(r, col) for r in rows] == [zero + (i == t) for i in range(len(rows))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(fractions), matrices(cycs)))
+def test_invert_is_the_inverse_or_none(rows):
+    _check_invert(rows)
+
+
+def test_invert_empty_matrix():
+    assert invert([]) == []
