@@ -11,14 +11,14 @@ from .cyclotomic import Cyc, format_scalar
 from .vectors import Vec
 from .hopf import FunctionAlgebra, GroupAlgebra, fun_s3
 from .cocycle import (
-    CocycleData, PairFunctional, bicharacter_cocycle, convolution_inverse,
-    convolve, theta_cocycle, trivial_cocycle, twist_hopf)
+    CocycleData, PairFunctional, TwistedHopf, bicharacter_cocycle,
+    convolution_inverse, convolve, trivial_cocycle)
 from .modules import (
     CentralBasisModule, ConjugateModule, FreeModule, HomModule, Morphism,
     SelfComodule, TensorModule, conj_of, unconj)
 from .relhopf import (
-    conj_twist_iso, conj_twist_iso_inv, hom_twist_iso, phi_inv_map, phi_map,
-    twist_comodule_algebra, twist_module)
+    TwistedComodule, TwistedModule, conj_twist_iso, conj_twist_iso_inv,
+    hom_twist_iso, phi_inv_map, phi_map)
 from .calculus import (
     Calculus, ComplexStructure, Form, KahlerData,
     factorization_inverse, holomorphic_from_factorizable,

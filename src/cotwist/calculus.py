@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import Cyc
 from .modules import CentralBasisModule, TensorModule
-from .relhopf import phi_inv_map, twist_module
+from .relhopf import TwistedModule, phi_inv_map
 from .vectors import Vec, gauss_solve, invert
 
 
@@ -141,7 +141,7 @@ class Calculus:
 
 def twist_calculus(cal, data, twisted_base):
     """The deformed calculus: twisted modules, shared basis tables."""
-    modules = {k: twist_module(m, data, twisted_base) for k, m in cal.modules.items()}
+    modules = {k: TwistedModule(m, data, twisted_base) for k, m in cal.modules.items()}
     return Calculus(twisted_base, modules, cal.wedge_table, cal.d_base,
                     cal.d_table, cal.star_table, cal.top)
 
@@ -278,7 +278,6 @@ class HoloModule:
             piece = tens.lmul(mod.base.el(b), self.delbar_table[i])
             out = out + piece.scale(c)
             db = cs.delbar_b(mod.base.el(b))
-            sub_01 = tens.left
             db_sub = Vec(mod.scalar_order)
             for (b2, i2), c2 in db.vec.terms.items():
                 db_sub.add_term((b2, i2), c2)
@@ -287,8 +286,7 @@ class HoloModule:
 
     def curvature(self, i):
         """R^Hol(e_i) = (delbar (x) id - id ^ delbar_E) delbar_E (e_i)."""
-        cs, mod, tens = self.cs, self.module, self.tensor_01
-        base = mod.base
+        cs, mod = self.cs, self.module
         first = self.delbar_table[i]
         out = Vec(mod.scalar_order)
         # (delbar (x) id): delbar hits the (0,1) form leg with its left coefficient
@@ -334,8 +332,8 @@ def holomorphic_from_factorizable(cs, grade=(1, 0)):
 
 def twist_holomorphic(h, data, twisted_cs, twisted_base):
     """delbar on Gamma(E) is phi^-1 . Gamma(delbar_E), per-basis tables."""
-    mod_tw = twist_module(h.module, data, twisted_base)
-    left_tw = twist_module(h.tensor_01.left, data, twisted_base)
+    mod_tw = TwistedModule(h.module, data, twisted_base)
+    left_tw = TwistedModule(h.tensor_01.left, data, twisted_base)
     tens_tw = TensorModule(left_tw, mod_tw)
     table = {
         i: phi_inv_map(data, tens_tw, h.tensor_01, v)

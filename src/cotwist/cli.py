@@ -30,7 +30,7 @@ def load_config(path):
     """Flat key=value text file over CONFIG_KEYS; blank lines and # comments ignored."""
     out = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -41,7 +41,7 @@ def load_config(path):
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 out[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return out
 

@@ -19,10 +19,7 @@ shares Delta and epsilon with A and carries
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
-
-from .cyclotomic import Cyc, root_from_fraction
+from .cyclotomic import Cyc
 from .hopf import HopfAlgebra
 from .vectors import Vec, gauss_solve
 
@@ -30,10 +27,9 @@ from .vectors import Vec, gauss_solve
 class PairFunctional:
     """A linear functional on A (x) A, total on basis label pairs."""
 
-    def __init__(self, A, fn, descriptor=None):
+    def __init__(self, A, fn):
         self.A = A
         self.fn = fn
-        self.descriptor = descriptor or {"kind": "table"}
         self._cache = {}
 
     def __call__(self, l1, l2):
@@ -54,8 +50,7 @@ class PairFunctional:
 
 
 def counit_functional(A):
-    return PairFunctional(
-        A, lambda l1, l2: A.counit(l1) * A.counit(l2), {"kind": "trivial"})
+    return PairFunctional(A, lambda l1, l2: A.counit(l1) * A.counit(l2))
 
 
 def convolve(phi, psi, A):
@@ -68,7 +63,7 @@ def convolve(phi, psi, A):
                 out = out + ca * cb * phi(a1, b1) * psi(a2, b2)
         return out
 
-    return PairFunctional(A, fn, {"kind": "convolution"})
+    return PairFunctional(A, fn)
 
 
 class NotInvertible(ValueError):
@@ -94,7 +89,7 @@ def convolution_inverse(gamma, A):
                     pair=(l1, l2))
             return v.inverse()
 
-        return PairFunctional(A, fn, {"kind": "pointwise_reciprocal"})
+        return PairFunctional(A, fn)
 
     labels = A.finite_labels()
     if labels is None:
@@ -114,14 +109,14 @@ def convolution_inverse(gamma, A):
                         row[idx[a2] * n + idx[b2]] + ca * cb * gamma(a1, b1))
             rows.append(row)
             rhs.append(eps(a, b))
-    sol, kernel, bad = gauss_solve(rows, rhs)
+    sol, _, bad = gauss_solve(rows, rhs)
     if sol is None:
         a, b = labels[bad // n], labels[bad % n]
         raise NotInvertible(
             f"gamma has no convolution inverse; inconsistent at "
             f"({A.label_name(a)},{A.label_name(b)})", pair=(a, b))
     table = {(a, b): sol[idx[a] * n + idx[b]] for a in labels for b in labels}
-    psi = PairFunctional(A, lambda l1, l2: table[(l1, l2)], {"kind": "table"})
+    psi = PairFunctional(A, lambda l1, l2: table[(l1, l2)])
     # the solve only imposed gamma * psi; confirm the other side
     other = convolve(psi, gamma, A)
     for a in labels:
@@ -134,54 +129,40 @@ def convolution_inverse(gamma, A):
 
 
 class CocycleData:
-    """gamma with its convolution inverse, U/Ubar/V/Vbar and status flags."""
+    """gamma with its convolution inverse gammabar, and U/Ubar/V/Vbar."""
 
-    def __init__(self, A, gamma, gamma_bar, flags=None):
+    def __init__(self, A, gamma, gamma_bar):
+        from .vectors import memoize_table
         self.hopf = A
         self.gamma = gamma
         self.gamma_bar = gamma_bar
-        self.flags = {"cocycle_verified": False, "unital": False, "unitary": False}
-        if flags:
-            self.flags.update(flags)
-        self._U, self._Ubar, self._V, self._Vbar = {}, {}, {}, {}
-
-    # the four derived functionals, memoised per label -------------------
+        # the four derived functionals are pure; memoise them per label
+        self.U = memoize_table(self.U)
+        self.Ubar = memoize_table(self.Ubar)
+        self.V = memoize_table(self.V)
+        self.Vbar = memoize_table(self.Vbar)
 
     def U(self, label):
-        out = self._U.get(label)
-        if out is None:
-            A = self.hopf
-            out = Cyc.zero(A.scalar_order)
-            for (k1, k2), c in A.coproduct(label).terms.items():
-                for l2, c2 in A.antipode(k2).terms.items():
-                    out = out + c * c2 * self.gamma(k1, l2)
-            self._U[label] = out
+        A = self.hopf
+        out = Cyc.zero(A.scalar_order)
+        for (k1, k2), c in A.coproduct(label).terms.items():
+            for l2, c2 in A.antipode(k2).terms.items():
+                out = out + c * c2 * self.gamma(k1, l2)
         return out
 
     def Ubar(self, label):
-        out = self._Ubar.get(label)
-        if out is None:
-            A = self.hopf
-            out = Cyc.zero(A.scalar_order)
-            for (k1, k2), c in A.coproduct(label).terms.items():
-                for l1, c1 in A.antipode(k1).terms.items():
-                    out = out + c * c1 * self.gamma_bar(l1, k2)
-            self._Ubar[label] = out
+        A = self.hopf
+        out = Cyc.zero(A.scalar_order)
+        for (k1, k2), c in A.coproduct(label).terms.items():
+            for l1, c1 in A.antipode(k1).terms.items():
+                out = out + c * c1 * self.gamma_bar(l1, k2)
         return out
 
     def V(self, label):
-        out = self._V.get(label)
-        if out is None:
-            out = self._apply_s_inv(self.U, label)
-            self._V[label] = out
-        return out
+        return self._apply_s_inv(self.U, label)
 
     def Vbar(self, label):
-        out = self._Vbar.get(label)
-        if out is None:
-            out = self._apply_s_inv(self.Ubar, label)
-            self._Vbar[label] = out
-        return out
+        return self._apply_s_inv(self.Ubar, label)
 
     def _apply_s_inv(self, func, label):
         A = self.hopf
@@ -202,63 +183,24 @@ class CocycleData:
             out = out + c * self.Vbar(l)
         return out
 
-    def is_trivial(self):
-        return self.descriptor_kind() == "trivial"
-
-    def descriptor_kind(self):
-        return self.gamma.descriptor.get("kind", "table")
-
     def inverse_data(self, twisted_hopf):
         """gammabar as a cocycle on the twisted algebra (for round trips)."""
-        gb = PairFunctional(twisted_hopf, self.gamma_bar.fn, self.gamma_bar.descriptor)
-        g = PairFunctional(twisted_hopf, self.gamma.fn, self.gamma.descriptor)
-        return CocycleData(twisted_hopf, gb, g, dict(self.flags))
+        return CocycleData(twisted_hopf, PairFunctional(twisted_hopf, self.gamma_bar.fn),
+                           PairFunctional(twisted_hopf, self.gamma.fn))
 
 
 def trivial_cocycle(A):
-    eps = counit_functional(A)
-    eps.descriptor = {"kind": "trivial"}
-    data = CocycleData(A, eps, counit_functional(A),
-                       {"cocycle_verified": True, "unital": True, "unitary": True})
-    return data
+    return CocycleData(A, counit_functional(A), counit_functional(A))
 
 
-def theta_cocycle(A, theta, order=None):
-    """Exponential bicharacter cocycle on C[Z^n] from a rational skew matrix.
+def bicharacter_cocycle(A, pairing):
+    """gamma(u_a (x) u_b) = zeta^{sum_ij P[i][j] a_i b_j} on a finite or free lattice.
 
-    gamma(u_m (x) u_n) = e^{2 pi i <<theta m, n>>}, exact at rational theta:
-    the value is a root of unity in Q(zeta_order).
+    P is an integer matrix and zeta the primitive root of unity of order
+    A.scalar_order, so every value is a root of unity in Q(zeta).
     """
-    n = A.free_rank
-    if A.torsion or n == 0:
-        raise ValueError("theta cocycle lives on a free lattice algebra")
-    theta = [[Fraction(x) for x in row] for row in theta]
-    for i in range(n):
-        for j in range(n):
-            if theta[i][j] != -theta[j][i]:
-                raise ValueError("theta must be skew-symmetric")
-    order = order or A.scalar_order
-
-    def fn(l1, l2):
-        # <<theta m, n>> = sum_ij theta[i][j] m[j] n[i]
-        t = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                if theta[i][j]:
-                    t += theta[i][j] * l1[j] * l2[i]
-        return root_from_fraction(t, order).embed(A.scalar_order) \
-            if order != A.scalar_order else root_from_fraction(t, order)
-
-    gamma = PairFunctional(A, fn, {"kind": "theta", "theta": theta})
-    gamma_bar = convolution_inverse(gamma, A)
-    return CocycleData(A, gamma, gamma_bar,
-                       {"cocycle_verified": True, "unital": True, "unitary": True})
-
-
-def bicharacter_cocycle(A, pairing, root_order=None):
-    """gamma(u_a (x) u_b) = zeta^{sum_ij P[i][j] a_i b_j} on a finite or free lattice."""
     rank = A.rank
-    root_order = root_order or A.scalar_order
+    order = A.scalar_order
 
     def fn(l1, l2):
         e = 0
@@ -266,13 +208,10 @@ def bicharacter_cocycle(A, pairing, root_order=None):
             for j in range(rank):
                 if pairing[i][j]:
                     e += pairing[i][j] * l1[i] * l2[j]
-        return Cyc.root(root_order, e).embed(A.scalar_order) \
-            if root_order != A.scalar_order else Cyc.root(root_order, e)
+        return Cyc.root(order, e)
 
-    gamma = PairFunctional(A, fn, {"kind": "bicharacter", "pairing": pairing})
-    gamma_bar = convolution_inverse(gamma, A)
-    return CocycleData(A, gamma, gamma_bar,
-                       {"cocycle_verified": True, "unital": True, "unitary": True})
+    gamma = PairFunctional(A, fn)
+    return CocycleData(A, gamma, convolution_inverse(gamma, A))
 
 
 class TwistedHopf(HopfAlgebra):
@@ -312,6 +251,9 @@ class TwistedHopf(HopfAlgebra):
     def coproduct(self, label):
         return self.base.coproduct(label)
 
+    def sweedler(self, label, legs):
+        return self.base.sweedler(label, legs)
+
     def counit(self, label):
         return self.base.counit(label)
 
@@ -346,8 +288,6 @@ class TwistedHopf(HopfAlgebra):
     def star(self, label):
         out = self._star_cache.get(label)
         if out is None:
-            if not self.data.flags.get("unitary"):
-                raise ValueError("twisted star needs a unitary cocycle")
             A, d = self.base, self.data
             out = Vec(self.scalar_order)
             # h^{*_g} = Vbar(h1*) h2* V(h3*); Delta is a *-homomorphism, so
@@ -376,12 +316,6 @@ class TwistedHopf(HopfAlgebra):
         return self.base.is_grouplike_basis()
 
 
-def twist_hopf(A, data):
-    if not data.flags.get("cocycle_verified"):
-        raise ValueError("cocycle must be verified before twisting")
-    return TwistedHopf(A, data)
-
-
 # -- identity suites ---------------------------------------------------------
 
 
@@ -390,7 +324,6 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
     """The cocycle equation, its three equivalent forms, and unitality."""
     g, gb = data.gamma, data.gamma_bar
     eps = counit_functional(A)
-    two = cache(lambda l: A.sweedler(l, 2))  # the two-leg coproduct, once per label
 
     def name(t):
         return ",".join(A.label_name(x) for x in t)
@@ -399,12 +332,12 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
         lg, lh, lk = t
         lhs = Cyc.zero(A.scalar_order)
         rhs = Cyc.zero(A.scalar_order)
-        for (g1, g2), cg in two(lg).terms.items():
-            for (h1, h2), chh in two(lh).terms.items():
+        for (g1, g2), cg in A.sweedler(lg, 2).terms.items():
+            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
                 prod = A.mult(g2, h2)
                 lhs = lhs + cg * chh * g(g1, h1) * g.on_elems(prod, A.el(lk))
-        for (h1, h2), chh in two(lh).terms.items():
-            for (k1, k2), ckk in two(lk).terms.items():
+        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
+            for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
                 prod = A.mult(h2, k2)
                 rhs = rhs + chh * ckk * g(h1, k1) * g.on_elems(A.el(lg), prod)
         return f"cocycle equation fails at ({name(t)})" if lhs != rhs else None
@@ -415,11 +348,11 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
         lg, lh, lk = t
         lhs = Cyc.zero(A.scalar_order)
         rhs = Cyc.zero(A.scalar_order)
-        for (g1, g2), cg in two(lg).terms.items():
-            for (h1, h2), chh in two(lh).terms.items():
+        for (g1, g2), cg in A.sweedler(lg, 2).terms.items():
+            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
                 lhs = lhs + cg * chh * gb.on_elems(A.mult(g1, h1), A.el(lk)) * gb(g2, h2)
-        for (h1, h2), chh in two(lh).terms.items():
-            for (k1, k2), ckk in two(lk).terms.items():
+        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
+            for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
                 rhs = rhs + chh * ckk * gb.on_elems(A.el(lg), A.mult(h1, k1)) * gb(h2, k2)
         return f"identity (ii) fails at ({name(t)})" if lhs != rhs else None
 
@@ -429,13 +362,13 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
         lg, lh, lk = t
         lhs = Cyc.zero(A.scalar_order)
         rhs = Cyc.zero(A.scalar_order)
-        for (g1, g2), cg in two(lg).terms.items():
-            for (h1, h2), chh in two(lh).terms.items():
-                for (k1, k2), ckk in two(lk).terms.items():
+        for (g1, g2), cg in A.sweedler(lg, 2).terms.items():
+            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
+                for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
                     c = cg * chh * ckk
                     lhs = lhs + c * g.on_elems(A.mult(g1, h1), A.el(k1)) \
                         * gb.on_elems(A.el(g2), A.mult(h2, k2))
-        for (h1, h2), chh in two(lh).terms.items():
+        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
             rhs = rhs + chh * gb(lg, h1) * g(h2, lk)
         return f"identity (iii) fails at ({name(t)})" if lhs != rhs else None
 
@@ -446,13 +379,13 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
         lg, lh, lk = t
         lhs = Cyc.zero(A.scalar_order)
         rhs = Cyc.zero(A.scalar_order)
-        for (g1, g2), cg in two(lg).terms.items():
-            for (h1, h2), chh in two(lh).terms.items():
-                for (k1, k2), ckk in two(lk).terms.items():
+        for (g1, g2), cg in A.sweedler(lg, 2).terms.items():
+            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
+                for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
                     c = cg * chh * ckk
                     lhs = lhs + c * g.on_elems(A.el(g1), A.mult(h1, k1)) \
                         * gb.on_elems(A.mult(g2, h2), A.el(k2))
-        for (h1, h2), chh in two(lh).terms.items():
+        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
             rhs = rhs + chh * g(lg, h2) * gb(h1, lk)
         return f"identity (iv) fails at ({name(t)})" if lhs != rhs else None
 
@@ -499,7 +432,6 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
 def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
     """Conjugation laws of a unitary cocycle plus the exchange identities."""
     g, gb = data.gamma, data.gamma_bar
-    two = cache(lambda l: A.sweedler(l, 2))  # the two-leg coproduct, once per label
 
     def name(t):
         return ",".join(A.label_name(x) for x in t)
@@ -556,8 +488,8 @@ def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
         lh, lk = hk
         lhs = Cyc.zero(A.scalar_order)
         rhs = Cyc.zero(A.scalar_order)
-        for (k1, k2), ckk in two(lk).terms.items():
-            for (h1, h2), chh in two(lh).terms.items():
+        for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
+            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
                 c = (ckk * chh).conj()
                 lhs = lhs + c * vbar_of_star(A.el(k1)) * vbar_of_star(A.el(h1)) \
                     * g.on_elems(A.star(k2), A.star(h2))
@@ -573,8 +505,8 @@ def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
         lh, lk = hk
         lhs = Cyc.zero(A.scalar_order)
         rhs = Cyc.zero(A.scalar_order)
-        for (k1, k2), ckk in two(lk).terms.items():
-            for (h1, h2), chh in two(lh).terms.items():
+        for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
+            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
                 c = (ckk * chh).conj()
                 lhs = lhs + c * g.on_elems(s_star(h1), s_star(k1)) \
                     * vbar_of_star(A.el(k2)) * vbar_of_star(A.el(h2))
@@ -589,7 +521,7 @@ def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
         lh, lk = hk
         lhs = Cyc.zero(A.scalar_order)
         rhs = Cyc.zero(A.scalar_order)
-        for (h1, h2), chh in two(lh).terms.items():
+        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
             lhs = lhs + chh * data.U(h1) * gb.on_elems(A.antipode(h2), A.el(lk))
             rhs = rhs + chh * g.on_elems(
                 A.el(h1), A.mult_elem(A.antipode(h2), A.el(lk)))

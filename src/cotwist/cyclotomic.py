@@ -422,11 +422,3 @@ def format_scalar(c):
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
-
-
-def root_from_fraction(t, order):
-    """e^(2*pi*i*t) for rational t, as an element of Q(zeta_order)."""
-    t = _as_fraction(t)
-    if (t * order).denominator != 1:
-        raise ValueError(f"exponent {t} not representable at order {order}")
-    return Cyc.root(order, int(t * order))

@@ -38,12 +38,12 @@ def _scale_gamma(bundle, pair, factor, keep_inverse=False):
         v = old(a, b)
         return v * factor if (a, b) == pair else v
 
-    gamma = PairFunctional(bundle.hopf, fn, {"kind": "perturbed"})
+    gamma = PairFunctional(bundle.hopf, fn)
     if keep_inverse:
         gamma_bar = data.gamma_bar
     else:
         gamma_bar = convolution_inverse(gamma, bundle.hopf)
-    return replace(bundle, data=CocycleData(bundle.hopf, gamma, gamma_bar, dict(data.flags)))
+    return replace(bundle, data=CocycleData(bundle.hopf, gamma, gamma_bar))
 
 
 def fault_cocycle_scaled():
@@ -60,8 +60,8 @@ def fault_cocycle_inverse_corrupted():
         v = old_bar(a, c)
         return v * Cyc.root(3) if (a, c) == ((0, 1), (1, 0)) else v
 
-    bar = PairFunctional(b.hopf, fn, {"kind": "perturbed"})
-    return replace(b, data=CocycleData(b.hopf, data.gamma, bar, dict(data.flags)))
+    bar = PairFunctional(b.hopf, fn)
+    return replace(b, data=CocycleData(b.hopf, data.gamma, bar))
 
 
 def fault_cocycle_modulus():

@@ -22,7 +22,7 @@ from .calculus import Form, coinvariant_matrix
 from .cyclotomic import Cyc, _phi
 from .modules import ConjugateModule, HomModule, Morphism, TensorModule, hom_apply, unconj
 from .relhopf import (
-    conj_twist_iso, hom_twist_iso, phi_inv_map, phi_map, twist_module, twist_tensor_morphism,
+    TwistedModule, conj_twist_iso, hom_twist_iso, phi_inv_map, phi_map, twist_tensor_morphism,
     untwisted_of)
 from .vectors import Vec, gauss_solve
 
@@ -140,7 +140,7 @@ class ConnectionData:
     def tensor_connection(self, other, elem, tensor_mod):
         """nabla_{E (x) F} = nabla_E (x) id + (sigma_E (x) id)(id (x) nabla_F)."""
         cal = self.cal
-        E, F = tensor_mod.left, tensor_mod.right
+        E = tensor_mod.left
         O1 = cal.module(1)
         target = TensorModule(O1, tensor_mod)
         out = Vec(cal.scalar_order)
@@ -282,11 +282,10 @@ def twist_hermitian(herm, data, cal_tw, module_tw=None):
     """H_g = hom_twist_iso . Gamma(H) . conj_twist_iso, reassembled as a basis table."""
     if module_tw is None:
         module_tw = cal_tw.module(1) if herm.module is untwisted_of(cal_tw.module(1)) \
-            else twist_module(herm.module, data, cal_tw.base)
+            else TwistedModule(herm.module, data, cal_tw.base)
     GE = module_tw
     bar_GE = ConjugateModule(GE)
     hom_tw = HomModule(GE)
-    B_tw = cal_tw.base
     table = {}
     for i in GE.basis:
         xbar = bar_GE.el(("bar", i))
@@ -360,7 +359,6 @@ def chern_solve(holo, herm, coeff_box=1):
     cal = cs.cal
     mod = holo.module
     B = cal.base
-    O1 = cal.module(1)
     order = cal.scalar_order
 
     # fixed part: the delbar table injected into O1 (x) E

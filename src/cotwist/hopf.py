@@ -106,15 +106,14 @@ class HopfAlgebra(LabelAlgebra):
     def coproduct_elem(self, v):
         return v.apply(self.coproduct)
 
-    def sweedler(self, v, legs):
-        """Iterated coproduct of an element as a Vec over `legs`-tuples.
+    def sweedler(self, label, legs):
+        """Iterated coproduct of a basis label as a Vec over `legs`-tuples.
 
         Expands the last tensor slot repeatedly; coassociativity (checked
-        separately) makes the bracketing immaterial.
+        separately) makes the bracketing immaterial.  The concrete algebras
+        memoise it, so callers must not mutate the result.
         """
-        if isinstance(v, tuple):
-            v = self.el(v)
-        out = v.map_keys(lambda l: (l,))
+        out = Vec.single(self.scalar_order, (label,))
         while out.terms and len(next(iter(out.terms))) < legs:
             nxt = Vec(self.scalar_order)
             for key, c in out.terms.items():
@@ -123,11 +122,9 @@ class HopfAlgebra(LabelAlgebra):
             out = nxt
         return out
 
-    def sweedler_first(self, v, legs):
+    def sweedler_first(self, label, legs):
         """Same as sweedler() but expanding the first slot (cross-check path)."""
-        if isinstance(v, tuple):
-            v = self.el(v)
-        out = v.map_keys(lambda l: (l,))
+        out = Vec.single(self.scalar_order, (label,))
         while out.terms and len(next(iter(out.terms))) < legs:
             nxt = Vec(self.scalar_order)
             for key, c in out.terms.items():
@@ -155,6 +152,7 @@ class GroupAlgebra(HopfAlgebra):
         self.name = name or f"group({free_rank},{self.torsion})"
         self.mult = memoize_table(self.mult)
         self.coproduct = memoize_table(self.coproduct)
+        self.sweedler = memoize_table(self.sweedler)
 
     def normalise(self, label):
         lab = list(label)
@@ -244,6 +242,7 @@ class FunctionAlgebra(HopfAlgebra):
             self._factorisations[g] = [(h, h.inv() * g) for h in self.elements]
         self.mult = memoize_table(self.mult)
         self.coproduct = memoize_table(self.coproduct)
+        self.sweedler = memoize_table(self.sweedler)
         self.unit = memoize_table(self.unit)
 
     def mult(self, l1, l2):

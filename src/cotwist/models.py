@@ -22,15 +22,14 @@ from .calculus import (
     Calculus, ComplexStructure, Form, KahlerData, fundamental_form,
     holomorphic_from_factorizable, twist_calculus, twist_complex_structure,
     twist_holomorphic)
-from .cocycle import (
-    CocycleData, bicharacter_cocycle, theta_cocycle, trivial_cocycle, twist_hopf)
+from .cocycle import CocycleData, TwistedHopf, bicharacter_cocycle, trivial_cocycle
 from .cyclotomic import Cyc
 from .geometry import (
     ConnectionData, HermitianData, MetricData, hermitian_from_real, split_hermitian,
     twist_connection, twist_hermitian, twist_metric)
 from .hopf import GroupAlgebra, fun_s3
 from .modules import CentralBasisModule, Morphism, SelfComodule, TensorModule
-from .relhopf import twist_comodule_algebra
+from .relhopf import TwistedComodule
 from .vectors import Vec
 
 
@@ -70,8 +69,8 @@ class ModelBundle:
 
     def __post_init__(self):
         check_sampling(self.box, self.samples)
-        self.twisted_hopf = twist_hopf(self.hopf, self.data)
-        self.twisted_comodule = twist_comodule_algebra(self.comodule, self.data, self.twisted_hopf)
+        self.twisted_hopf = TwistedHopf(self.hopf, self.data)
+        self.twisted_comodule = TwistedComodule(self.comodule, self.data, self.twisted_hopf)
 
     def is_geometric(self):
         return self.calculus is not None
@@ -172,7 +171,11 @@ def classical_torus(order=4, box=4, samples=100, seed=42):
 
 
 def nc_torus(p=1, q=3, box=4, samples=100, seed=42):
-    """The theta-deformed torus: classical_torus twisted by the theta cocycle."""
+    """The theta-deformed torus: classical_torus twisted by the theta cocycle.
+
+    At theta = p/q, gamma(u_m (x) u_n) = e^{2 pi i theta (m1 n0 - m0 n1)}:
+    the integer bicharacter with entries +-k = p N/q at N = lcm(4, q).
+    """
     if q <= 0:
         raise ValueError("q must be positive")
     g = math.gcd(abs(p), q)
@@ -180,11 +183,8 @@ def nc_torus(p=1, q=3, box=4, samples=100, seed=42):
         p, q = p // g, q // g
     order = math.lcm(4, q)
     base = classical_torus(order=order, box=box, samples=samples, seed=seed)
-    theta = Fraction(p, q)
-    if theta == 0:
-        data = trivial_cocycle(base.hopf)
-    else:
-        data = theta_cocycle(base.hopf, [[0, theta], [-theta, 0]])
+    k = p * order // q
+    data = bicharacter_cocycle(base.hopf, [[0, -k], [k, 0]])
     return ModelBundle(
         name=f"nc_torus({p},{q})", hopf=base.hopf, comodule=base.comodule,
         data=data, calculus=base.calculus, complex_structure=base.complex_structure,
@@ -236,7 +236,7 @@ def finite_bicharacter(n=5, pairing="skew", box=0, samples=100, seed=42):
     """C[Z_n x Z_n] with a root-of-unity bicharacter cocycle (exhaustive suites).
 
     `pairing` names a bicharacter (skew, upper, trivial) or is its 2x2
-    matrix of rationals.
+    integer matrix.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -90,12 +90,12 @@ class SelfComodule(ComodAlgebra):
 from .vectors import memoize_table as _memoize
 
 
-def unit_coaction(mod, i):
-    """1 (x) e_i: the coaction of a coinvariant basis element e_i of mod."""
+def unit_coaction(mod, v):
+    """1 (x) v: what the coaction of mod gives on v exactly when v is coinvariant."""
     out = Vec(mod.scalar_order)
     for a, ca in mod.base.hopf.unit().terms.items():
-        for b, cb in mod.base.unit().terms.items():
-            out.add_term((a, b, i), ca * cb)
+        for (b, i), c in v.terms.items():
+            out.add_term((a, b, i), ca * c)
     return out
 
 
@@ -194,7 +194,7 @@ class FreeModule:
 
     def check_coinvariant_basis(self):
         for i in self.basis:
-            if self.coact_basis(i) != unit_coaction(self, i):
+            if self.coact_basis(i) != unit_coaction(self, self.el(i)):
                 raise ValueError(f"module basis {self.basis_name(i)} is not coinvariant")
 
 
@@ -207,7 +207,8 @@ class CentralBasisModule(FreeModule):
     def l_to_r(self, b_label, i):
         return Vec.single(self.scalar_order, (i, b_label))
 
-    coact_basis = unit_coaction
+    def coact_basis(self, i):
+        return unit_coaction(self, self.el(i))
 
 
 class TensorModule(FreeModule):
@@ -362,7 +363,8 @@ class HomModule(FreeModule):
             out.add_term((("dual", i2), b2), c2)
         return out
 
-    coact_basis = unit_coaction
+    def coact_basis(self, i):
+        return unit_coaction(self, self.el(i))
 
 
 def hom_apply(hom_mod, f_elem, e_elem):

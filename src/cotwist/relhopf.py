@@ -57,8 +57,6 @@ class TwistedComodule(ComodAlgebra):
     def star(self, label):
         out = self._star_cache.get(label)
         if out is None:
-            if not self.data.flags.get("unitary"):
-                raise ValueError("twisted star needs a unitary cocycle")
             d = self.data
             B = self.untwisted
             A = B.hopf
@@ -131,14 +129,6 @@ class TwistedModule(FreeModule):
         return self.inner.coact_basis(i)
 
 
-def twist_comodule_algebra(B, data, twisted_hopf):
-    return TwistedComodule(B, data, twisted_hopf)
-
-
-def twist_module(E, data, twisted_base):
-    return TwistedModule(E, data, twisted_base)
-
-
 def untwisted_of(mod):
     """The untwisted module underlying a TwistedModule (identity otherwise)."""
     return mod.inner if isinstance(mod, TwistedModule) else mod
@@ -206,8 +196,8 @@ def bar_morphism(f, src_bar):
 
 def upsilon(tensor_mod, bar_tensor, out_tensor, elem):
     """Upsilon: (M (x) N)bar -> Nbar (x) Mbar, (m (x) n)bar -> nbar (x) mbar."""
-    M, N = tensor_mod.left, tensor_mod.right
-    Nbar, Mbar = out_tensor.left, out_tensor.right
+    M = tensor_mod.left
+    Nbar = out_tensor.left
     out = Vec(elem.order)
     for key, c in elem.terms.items():
         inner = unconj(bar_tensor, Vec.single(elem.order, key, 1))

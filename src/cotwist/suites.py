@@ -28,10 +28,11 @@ from .hopf import verify_cocommutative_flip, verify_hopf_axioms
 from .models import check_sampling, twist_algebras, twist_world
 from .modules import (
     CentralBasisModule, ConjugateModule, HomModule, Morphism, TensorModule,
-    conj_of, covariance_defect, hom_apply, hom_coact, right_linear_defect, unconj)
+    conj_of, covariance_defect, hom_apply, hom_coact, right_linear_defect, unconj,
+    unit_coaction)
 from .relhopf import (
-    bar_morphism, bb_map, conj_twist_iso, conj_twist_iso_inv, hom_twist_iso, phi_inv_map, phi_map,
-    tensor_map_pair, twist_module, twist_tensor_morphism, upsilon)
+    TwistedModule, bar_morphism, bb_map, conj_twist_iso, conj_twist_iso_inv, hom_twist_iso,
+    phi_inv_map, phi_map, tensor_map_pair, twist_tensor_morphism, upsilon)
 from .report import outcome, table_outcomes
 from .vectors import Vec, gauss_solve
 
@@ -312,8 +313,8 @@ def suite_barfunctor(bundle, rep, sampler):
     rep.forall("bar.bb-natural", "bar.double-conjugate", bb_natural(), outcome)
 
     # twisted-world instruments
-    GE = twist_module(E, data, Btw)
-    GF = twist_module(F, data, Btw)
+    GE = TwistedModule(E, data, Btw)
+    GF = TwistedModule(F, data, Btw)
     bar_GE = ConjugateModule(GE)
     T_tw = TensorModule(GE, GF)
     T_unt = TensorModule(E, F)
@@ -371,7 +372,7 @@ def suite_barfunctor(bundle, rep, sampler):
     def conj_iso_bilinear(xb_b):
         xb, b = xb_b
         if conj_twist_iso(data, GE, bar_GE.lmul(b, xb)) != \
-           twist_module(ConjugateModule(E), data, Btw).lmul(b, conj_twist_iso(data, GE, xb)):
+           TwistedModule(ConjugateModule(E), data, Btw).lmul(b, conj_twist_iso(data, GE, xb)):
             return "N not left B_g-linear on a sample"
         return None
 
@@ -381,7 +382,7 @@ def suite_barfunctor(bundle, rep, sampler):
                conj_iso_bilinear)
 
     def conj_iso_covariant():
-        GEbar = twist_module(ConjugateModule(E), data, Btw)
+        GEbar = TwistedModule(ConjugateModule(E), data, Btw)
 
         def N(v):
             return conj_twist_iso(data, GE, v)
@@ -410,7 +411,7 @@ def suite_barfunctor(bundle, rep, sampler):
     def hom_bilinear():
         # the hom transport is itself a B_g-bimodule map:
         # S(b ._g f) = b ._g S(f) and S(f ._g b) = S(f) ._g b
-        GH = twist_module(H, data, Btw)
+        GH = TwistedModule(H, data, Btw)
         f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
         ev = hom_twist_iso(data, H, f)
         for _ in range(min(sampler.n, 6)):
@@ -458,10 +459,10 @@ def suite_barfunctor(bundle, rep, sampler):
 
     # bar functor conditions
     def hexagon():
-        GT = twist_module(T_unt, data, Btw)
+        GT = TwistedModule(T_unt, data, Btw)
         bar_GT = ConjugateModule(GT)
-        GFbar = twist_module(ConjugateModule(F), data, Btw)
-        GEbar = twist_module(ConjugateModule(E), data, Btw)
+        GFbar = TwistedModule(ConjugateModule(F), data, Btw)
+        GEbar = TwistedModule(ConjugateModule(E), data, Btw)
         T_bars_tw = TensorModule(ConjugateModule(GF), ConjugateModule(GE))
         T_gbar = TensorModule(GFbar, GEbar)
         T_bars_unt = TensorModule(ConjugateModule(F), ConjugateModule(E))
@@ -487,7 +488,7 @@ def suite_barfunctor(bundle, rep, sampler):
     rep.forall("bar.hexagon", "barfunctor.hexagon", hexagon(), outcome)
 
     def bb_condition():
-        GEbar = twist_module(ConjugateModule(E), data, Btw)
+        GEbar = TwistedModule(ConjugateModule(E), data, Btw)
         Ebar = ConjugateModule(E)
         for _ in range(min(sampler.n, 6)):
             x = sampler.module_elem(GE)
@@ -530,7 +531,7 @@ def suite_barfunctor(bundle, rep, sampler):
     # module round trip through gamma then gammabar
     def module_roundtrip():
         back = twist_algebras(bundle)
-        GEback = twist_module(GE, back.data, back.twisted_comodule)
+        GEback = TwistedModule(GE, back.data, back.twisted_comodule)
         for lab in sampler.labels[:5]:
             for i in E.basis:
                 yield f"module round trip fails at ({E.basis_name(i)},{B.label_name(lab)})" \
@@ -552,7 +553,7 @@ def bar_n_then_conj(data, GE, bar_GE, elem):
     inner = unconj(bar_barGE, elem)
     moved = conj_twist_iso(data, GE, inner)
     GEbar_unt = ConjugateModule(GE.inner)
-    GEbar = twist_module(GEbar_unt, data, GE.base)
+    GEbar = TwistedModule(GEbar_unt, data, GE.base)
     return conj_of(GEbar, moved)
 
 
@@ -829,15 +830,10 @@ def suite_calculus(bundle, rep, sampler):
         rep.forall(f"kahler.{tag}.real", "kahler.reality", [kappa],
                    lambda k: "kappa* != kappa" if c_al.star(k) != k else None)
 
-        def coinvariant(k):
-            co = c_al.module(2).coact(k.vec)
-            want = Vec(c_al.scalar_order)
-            for a, ca in c_al.base.hopf.unit().terms.items():
-                for (b, i), c in k.vec.terms.items():
-                    want.add_term((a, b, i), ca * c)
-            return "kappa not coinvariant" if co != want else None
-
-        rep.forall(f"kahler.{tag}.coinvariant", "kahler.coinvariance", [kappa], coinvariant)
+        O2 = c_al.module(2)
+        rep.forall(f"kahler.{tag}.coinvariant", "kahler.coinvariance", [kappa],
+                   lambda k: "kappa not coinvariant"
+                   if O2.coact(k.vec) != unit_coaction(O2, k.vec) else None)
         rep.forall(f"kahler.{tag}.closed", "kahler.closedness", [kappa],
                    lambda k: "d kappa != 0" if not c_al.d(k).is_zero() else None)
         rep.forall(f"kahler.{tag}.lefschetz", "kahler.lefschetz-bijectivity", [kd],
@@ -847,7 +843,7 @@ def suite_calculus(bundle, rep, sampler):
 
 def _holo_operator(h, u):
     """(delbar (x) id - id ^ delbar_E) on a normal-form element."""
-    cs, mod, tens = h.cs, h.module, h.tensor_01
+    cs, mod = h.cs, h.module
     out = Vec(mod.scalar_order)
     for (b, (w, j)), c in u.terms.items():
         dpart = cs.delbar(Form(1, Vec.single(mod.scalar_order, (b, w), c)))
@@ -897,15 +893,9 @@ def _metric_core(metric, rep, sampler, prefix):
 
     rep.forall(f"{prefix}.central", "metric.centrality", B.generators(), central)
 
-    def coinvariant(g):
-        co = metric.tensor.coact(g)
-        want = Vec(cal.scalar_order)
-        for a, ca in B.hopf.unit().terms.items():
-            for (b, k), c in g.terms.items():
-                want.add_term((a, b, k), ca * c)
-        return "delta(g) != 1 (x) g" if co != want else None
-
-    rep.forall(f"{prefix}.coinvariant", "metric.coinvariance", [metric.g], coinvariant)
+    rep.forall(f"{prefix}.coinvariant", "metric.coinvariance", [metric.g],
+               lambda g: "delta(g) != 1 (x) g"
+               if metric.tensor.coact(g) != unit_coaction(metric.tensor, g) else None)
 
     def pair_covariant(t):
         lhs = B.coact_elem(metric.pair_apply(t))
@@ -1250,7 +1240,7 @@ def suite_chern(bundle, rep, sampler):
         bar_G1 = ConjugateModule(G1)
         _, _, nabla_tilde_tw = conj_connection(world.connection)
         O1bar = ConjugateModule(O1)
-        G1bar = twist_module(O1bar, data, world.comodule)
+        G1bar = TwistedModule(O1bar, data, world.comodule)
         T_mixed_tw = TensorModule(G1bar, G1)
         T_unt = TensorModule(O1bar, O1)
         for _ in range(min(sampler.n, 6)):

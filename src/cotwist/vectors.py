@@ -8,6 +8,8 @@ for free: a Vec is zero iff every coefficient reduces to zero mod Phi_N.
 
 from __future__ import annotations
 
+import weakref
+
 from .cyclotomic import Cyc, format_scalar
 
 
@@ -131,14 +133,20 @@ class Vec:
         return f"Vec[{self.describe()}]"
 
 
-def memoize_table(fn):
-    """Memoise a pure structure-table function of hashable arguments."""
+def memoize_table(method):
+    """Memoise a pure structure-table method of hashable arguments.
+
+    Its object is held weakly: an object that memoises its own methods
+    would otherwise sit in a reference cycle, and its tables would outlive
+    it until the cyclic collector runs.
+    """
     cache = {}
+    target = weakref.WeakMethod(method)
 
     def wrapped(*key):
         out = cache.get(key)
         if out is None:
-            out = fn(*key)
+            out = target()(*key)
             cache[key] = out
         return out
 

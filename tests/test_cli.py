@@ -101,6 +101,16 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert captured.err.splitlines() == [f"error: {cfg}:2: unknown key 'sede'"]
 
 
+def test_undecodable_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"model=fun_group\n\xff\xfe=1\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read config {cfg}: ")
+
+
 def test_twist_emit_roundtrip(tmp_path, capsys):
     out1 = tmp_path / "tw.json"
     out0 = tmp_path / "flat.json"

@@ -6,41 +6,43 @@ import pytest
 
 from cotwist.cyclotomic import Cyc
 from cotwist.cocycle import (
-    CocycleData, NotInvertible, PairFunctional, bicharacter_cocycle, convolution_inverse,
-    convolve, counit_functional, theta_cocycle, trivial_cocycle, twist_hopf,
+    CocycleData, NotInvertible, PairFunctional, TwistedHopf, bicharacter_cocycle,
+    convolution_inverse, convolve, counit_functional, trivial_cocycle,
     verify_cocycle_identities, verify_unitarity_suite)
 from cotwist.hopf import GroupAlgebra, fun_s3
+from cotwist.models import nc_torus
 from cotwist.report import Report
 from cotwist.vectors import Vec
 
-THETA13 = [[0, Fraction(1, 3)], [Fraction(-1, 3), 0]]
+# the theta cocycle at theta = 1/3 in Q(zeta_12): exponent 12 theta (m1 n0 - m0 n1)
+THETA13 = [[0, -4], [4, 0]]
 
 
 def torus_hopf(order=12):
     return GroupAlgebra(2, scalar_order=order, name="C[Z^2]")
 
 
-def test_theta_cocycle_values():
-    A = torus_hopf()
-    data = theta_cocycle(A, THETA13)
-    # <<theta (1,0),(0,1)>> = -1/3
-    assert data.gamma((1, 0), (0, 1)) == Cyc.root(3, 2)  # zeta_3^{-1}
-    assert data.gamma((0, 1), (1, 0)) == Cyc.root(3, 1)
+@pytest.mark.parametrize("p,q", [(1, 3), (1, 5), (2, 5), (-1, 4), (3, 8)])
+def test_theta_cocycle_values(p, q):
+    bundle = nc_torus(p, q, box=2)
+    A, data = bundle.hopf, bundle.data
+    order = A.scalar_order
+    theta = Fraction(p, q)
+    one = Cyc.one(order)
     for m in A.labels_box(2):
-        assert data.gamma(m, m) == Cyc.one(12)
+        for n in A.labels_box(2):
+            # gamma(u_m (x) u_n) = e^{2 pi i theta (m1 n0 - m0 n1)}
+            t = theta * (m[1] * n[0] - m[0] * n[1]) * order
+            assert t.denominator == 1
+            assert data.gamma(m, n) == Cyc.root(order, t.numerator)
+        assert data.gamma(m, m) == one
         # Vbar(u_m^*) = 1 by skewness
-        assert data.Vbar(A._neg(m)) == Cyc.one(12)
-
-
-def test_theta_rejects_non_skew():
-    A = torus_hopf()
-    with pytest.raises(ValueError):
-        theta_cocycle(A, [[0, Fraction(1, 3)], [Fraction(1, 3), 0]])
+        assert data.Vbar(A._neg(m)) == one
 
 
 def test_convolution_of_theta_with_inverse_is_counit():
     A = torus_hopf()
-    data = theta_cocycle(A, THETA13)
+    data = bicharacter_cocycle(A, THETA13)
     conv = convolve(data.gamma, data.gamma_bar, A)
     eps = counit_functional(A)
     for a in A.labels_box(2):
@@ -75,7 +77,7 @@ def test_fun_s3_convolution_is_group_convolution():
 
 def test_pointwise_inverse_and_zero_error():
     A = torus_hopf()
-    data = theta_cocycle(A, THETA13)
+    data = bicharacter_cocycle(A, THETA13)
     for m in A.labels_box(2):
         for n in A.labels_box(2):
             assert data.gamma_bar(m, n) == data.gamma(m, n).inverse()
@@ -116,7 +118,7 @@ def _box_triples(A, box):
 
 def test_cocycle_identities_theta():
     A = torus_hopf()
-    data = theta_cocycle(A, THETA13)
+    data = bicharacter_cocycle(A, THETA13)
     rep = Report()
     verify_cocycle_identities(data, A, _box_triples(A, 1), rep)
     assert rep.passed, rep.to_text()
@@ -132,13 +134,13 @@ def test_cocycle_identities_trivial_fun_s3_exhaustive():
 
 def test_perturbed_cocycle_fails_with_witness():
     A = torus_hopf()
-    data = theta_cocycle(A, THETA13)
+    data = bicharacter_cocycle(A, THETA13)
     zeta = Cyc.root(3)
     bad_pair = ((1, 0), (0, 1))
     gamma = PairFunctional(
         A, lambda a, b: data.gamma(a, b) * zeta if (a, b) == bad_pair else data.gamma(a, b))
     gamma_bar = convolution_inverse(gamma, A)
-    bad = CocycleData(A, gamma, gamma_bar, {"cocycle_verified": False, "unital": True})
+    bad = CocycleData(A, gamma, gamma_bar)
     rep = Report()
     verify_cocycle_identities(bad, A, _box_triples(A, 1), rep)
     failing = {c.check_id for c in rep.failures()}
@@ -148,7 +150,7 @@ def test_perturbed_cocycle_fails_with_witness():
 
 def test_unitarity_suite_theta():
     A = torus_hopf()
-    data = theta_cocycle(A, THETA13)
+    data = bicharacter_cocycle(A, THETA13)
     rep = Report()
     pairs = [(a, b) for a in A.labels_box(1) for b in A.labels_box(1)]
     verify_unitarity_suite(data, A, pairs, rep)
@@ -167,12 +169,12 @@ def test_unitarity_suite_bicharacter_z5():
 
 def test_scaled_gamma_breaks_unitarity():
     A = torus_hopf()
-    data = theta_cocycle(A, THETA13)
+    data = bicharacter_cocycle(A, THETA13)
     bad_pair = ((1, 0), (0, 1))
     gamma = PairFunctional(
         A, lambda a, b: data.gamma(a, b) * 2 if (a, b) == bad_pair else data.gamma(a, b))
     gamma_bar = convolution_inverse(gamma, A)
-    bad = CocycleData(A, gamma, gamma_bar, {"cocycle_verified": True, "unital": True})
+    bad = CocycleData(A, gamma, gamma_bar)
     rep = Report()
     pairs = [(a, b) for a in A.labels_box(1) for b in A.labels_box(1)]
     verify_unitarity_suite(bad, A, pairs, rep)
@@ -182,8 +184,8 @@ def test_scaled_gamma_breaks_unitarity():
 
 def test_twist_cocommutative_collapse():
     A = torus_hopf()
-    data = theta_cocycle(A, THETA13)
-    tw = twist_hopf(A, data)
+    data = bicharacter_cocycle(A, THETA13)
+    tw = TwistedHopf(A, data)
     for a in A.labels_box(2):
         for b in A.labels_box(2):
             assert tw.mult(a, b) == A.mult(a, b)
@@ -194,7 +196,7 @@ def test_twist_cocommutative_collapse():
 def test_trivial_twist_identity():
     A = fun_s3()
     data = trivial_cocycle(A)
-    tw = twist_hopf(A, data)
+    tw = TwistedHopf(A, data)
     for a in A.finite_labels():
         for b in A.finite_labels():
             assert tw.mult(a, b) == A.mult(a, b)
@@ -206,7 +208,7 @@ def test_twisted_antipode_inverse_nontrivial():
     # non-skew bicharacter: V and Vbar are nontrivial, S_g must still invert
     A = GroupAlgebra(0, (5, 5), scalar_order=5)
     data = bicharacter_cocycle(A, [[1, 1], [0, 0]])
-    tw = twist_hopf(A, data)
+    tw = TwistedHopf(A, data)
     for l in A.finite_labels():
         v = tw.el(l)
         assert tw.antipode_inv_elem(tw.antipode_elem(v)) == v
@@ -217,7 +219,7 @@ def test_twisted_hopf_axioms_nontrivial():
     from cotwist.hopf import verify_hopf_axioms
     A = GroupAlgebra(0, (3, 3), scalar_order=3)
     data = bicharacter_cocycle(A, [[0, 1], [0, 0]])
-    tw = twist_hopf(A, data)
+    tw = TwistedHopf(A, data)
     rep = Report()
     labels = tw.finite_labels()
     pairs = [(a, b) for a in labels for b in labels]
@@ -227,9 +229,9 @@ def test_twisted_hopf_axioms_nontrivial():
 
 def test_round_trip_recovers_tables():
     A = torus_hopf()
-    data = theta_cocycle(A, THETA13)
-    tw = twist_hopf(A, data)
-    back = twist_hopf(tw, data.inverse_data(tw))
+    data = bicharacter_cocycle(A, THETA13)
+    tw = TwistedHopf(A, data)
+    back = TwistedHopf(tw, data.inverse_data(tw))
     for a in A.labels_box(1):
         for b in A.labels_box(1):
             assert back.mult(a, b) == A.mult(a, b)

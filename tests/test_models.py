@@ -92,4 +92,7 @@ def test_finite_models_have_no_geometry():
     assert not b.is_geometric()
     assert b.twisted_hopf is not None
     g = fun_group("s3")
-    assert g.data.is_trivial()
+    labels = g.hopf.finite_labels()
+    for a in labels:
+        for b in labels:
+            assert g.data.gamma(a, b) == g.hopf.counit(a) * g.hopf.counit(b)

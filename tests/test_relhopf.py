@@ -1,28 +1,26 @@
 """Comodule twisting, the monoidal map phi, conjugates, N and S."""
 
-from fractions import Fraction
-
 from cotwist.cyclotomic import Cyc
-from cotwist.cocycle import (
-    bicharacter_cocycle, theta_cocycle, trivial_cocycle, twist_hopf)
+from cotwist.cocycle import TwistedHopf, bicharacter_cocycle, trivial_cocycle
 from cotwist.hopf import GroupAlgebra, fun_s3
 from cotwist.modules import (
     CentralBasisModule, ConjugateModule, HomModule, Morphism, SelfComodule,
     TensorModule, conj_of, hom_apply, unconj)
 from cotwist.relhopf import (
-    conj_twist_iso, conj_twist_fake_identity, conj_twist_iso_inv, hom_twist_iso, phi_inv_map, phi_map,
-    tensor_map_pair, twist_comodule_algebra, twist_module, twist_tensor_morphism)
+    TwistedComodule, TwistedModule, conj_twist_iso, conj_twist_fake_identity, conj_twist_iso_inv,
+    hom_twist_iso, phi_inv_map, phi_map, tensor_map_pair, twist_tensor_morphism)
 from cotwist.vectors import Vec
 
-THETA13 = [[0, Fraction(1, 3)], [Fraction(-1, 3), 0]]
+# the theta cocycle at theta = 1/3 in Q(zeta_12): exponent 12 theta (m1 n0 - m0 n1)
+THETA13 = [[0, -4], [4, 0]]
 
 
 def torus_setup():
     A = GroupAlgebra(2, scalar_order=12, name="C[Z^2]")
     B = SelfComodule(A)
-    data = theta_cocycle(A, THETA13)
-    Atw = twist_hopf(A, data)
-    Btw = twist_comodule_algebra(B, data, Atw)
+    data = bicharacter_cocycle(A, THETA13)
+    Atw = TwistedHopf(A, data)
+    Btw = TwistedComodule(B, data, Atw)
     return A, B, data, Atw, Btw
 
 
@@ -50,8 +48,8 @@ def test_trivial_twist_is_identity():
     A = fun_s3()
     B = SelfComodule(A)
     data = trivial_cocycle(A)
-    Atw = twist_hopf(A, data)
-    Btw = twist_comodule_algebra(B, data, Atw)
+    Atw = TwistedHopf(A, data)
+    Btw = TwistedComodule(B, data, Atw)
     for a in A.finite_labels():
         for b in A.finite_labels():
             assert Btw.mult(a, b) == B.mult(a, b)
@@ -92,7 +90,7 @@ def test_hopf_module_compatibility_sampled():
 def test_twisted_module_actions_on_coinvariant_basis():
     A, B, data, Atw, Btw = torus_setup()
     O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
-    G1 = twist_module(O1, data, Btw)
+    G1 = TwistedModule(O1, data, Btw)
     for lab in [X, Y, (1, 1)]:
         assert G1.r_act("w+", lab) == Vec.single(12, (lab, "w+"))
         assert G1.l_to_r(lab, "w+") == Vec.single(12, ("w+", lab))
@@ -106,7 +104,7 @@ def test_twisted_module_actions_on_coinvariant_basis():
 def test_phi_on_weighted_tensors():
     A, B, data, Atw, Btw = torus_setup()
     O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
-    G1 = twist_module(O1, data, Btw)
+    G1 = TwistedModule(O1, data, Btw)
     T_unt = TensorModule(O1, O1)
     T_tw = TensorModule(G1, G1)
     xw = G1.from_b(B.el(X), "w+")
@@ -126,7 +124,7 @@ def test_phi_on_weighted_tensors():
 def test_twist_flip_morphism_on_basis():
     A, B, data, Atw, Btw = torus_setup()
     O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
-    G1 = twist_module(O1, data, Btw)
+    G1 = TwistedModule(O1, data, Btw)
     T_unt = TensorModule(O1, O1)
     T_tw = TensorModule(G1, G1)
     flip = Morphism(T_unt, T_unt,
@@ -140,10 +138,10 @@ def test_twist_flip_morphism_on_basis():
 def test_round_trip_module_tables():
     A, B, data, Atw, Btw = torus_setup()
     O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
-    G1 = twist_module(O1, data, Btw)
+    G1 = TwistedModule(O1, data, Btw)
     data_bar = data.inverse_data(Atw)
-    Bback = twist_comodule_algebra(Btw, data_bar, twist_hopf(Atw, data_bar))
-    G1back = twist_module(G1, data_bar, Bback)
+    Bback = TwistedComodule(Btw, data_bar, TwistedHopf(Atw, data_bar))
+    G1back = TwistedModule(G1, data_bar, Bback)
     for lab in [X, Y, (2, -1)]:
         for i in O1.basis:
             assert G1back.r_act(i, lab) == O1.r_act(i, lab)
@@ -156,7 +154,7 @@ def test_round_trip_module_tables():
 def test_conj_twist_iso_identity_on_torus_and_inverse():
     A, B, data, Atw, Btw = torus_setup()
     O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
-    G1 = twist_module(O1, data, Btw)
+    G1 = TwistedModule(O1, data, Btw)
     barG1 = ConjugateModule(G1)
     wbar = barG1.el(("bar", "w+"))
     assert conj_twist_iso(data, G1, wbar) == wbar.copy()  # same key shape
@@ -170,10 +168,10 @@ def test_conj_twist_fake_identity_differs_for_nonskew():
     A = GroupAlgebra(0, (5, 5), scalar_order=5)
     B = SelfComodule(A)
     data = bicharacter_cocycle(A, [[0, 1], [0, 0]])
-    Atw = twist_hopf(A, data)
-    Btw = twist_comodule_algebra(B, data, Atw)
+    Atw = TwistedHopf(A, data)
+    Btw = TwistedComodule(B, data, Atw)
     E = CentralBasisModule(B, ["e"], name="B-self")
-    GE = twist_module(E, data, Btw)
+    GE = TwistedModule(E, data, Btw)
     # an element with weight (1,2): Vbar((1,2)) = zeta5^{2} != 1
     x = conj_of(GE, GE.from_b(Btw.el((1, 2)), "e"))
     real = conj_twist_iso(data, GE, x)
@@ -217,26 +215,24 @@ def test_hexagon_fails_with_fake_identity_for_N():
     from cotwist.relhopf import (
         conj_twist_fake_identity, phi_inv_map, tensor_map_pair, upsilon)
     from cotwist.modules import TensorModule
-    from cotwist.relhopf import twist_comodule_algebra, twist_module
-    from cotwist.cocycle import twist_hopf
 
     A = GroupAlgebra(0, (5, 5), scalar_order=5)
     B = SelfComodule(A)
     data = bicharacter_cocycle(A, [[0, 1], [0, 0]])
-    Btw = twist_comodule_algebra(B, data, twist_hopf(A, data))
+    Btw = TwistedComodule(B, data, TwistedHopf(A, data))
     E = CentralBasisModule(B, ["e"], name="B-self")
     F = CentralBasisModule(B, ["f"], name="B-self2")
-    GE = twist_module(E, data, Btw)
-    GF = twist_module(F, data, Btw)
+    GE = TwistedModule(E, data, Btw)
+    GF = TwistedModule(F, data, Btw)
     T_unt = TensorModule(E, F)
     T_tw = TensorModule(GE, GF)
-    GT = twist_module(T_unt, data, Btw)
+    GT = TwistedModule(T_unt, data, Btw)
     bar_GT = ConjugateModule(GT)
     bar_Ttw = ConjugateModule(T_tw)
     T_bars_tw = TensorModule(ConjugateModule(GF), ConjugateModule(GE))
     T_bars_unt = TensorModule(ConjugateModule(F), ConjugateModule(E))
-    GFbar = twist_module(ConjugateModule(F), data, Btw)
-    GEbar = twist_module(ConjugateModule(E), data, Btw)
+    GFbar = TwistedModule(ConjugateModule(F), data, Btw)
+    GEbar = TwistedModule(ConjugateModule(E), data, Btw)
     T_gbar = TensorModule(GFbar, GEbar)
 
     def routes(n_map):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotwist.cyclotomic import (
-    Cyc, _phi, cyclotomic_polynomial, format_scalar, root_from_fraction)
+from cotwist.cyclotomic import Cyc, _phi, cyclotomic_polynomial, format_scalar
 
 
 def test_i_squared_is_minus_one():
@@ -64,12 +63,6 @@ def test_cyclotomic_polynomials():
     # Phi_12 = x^4 - x^2 + 1
     assert list(cyclotomic_polynomial(12)) == [
         Fraction(1), Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]
-
-
-def test_root_from_fraction():
-    assert root_from_fraction(Fraction(-1, 3), 12) == Cyc.root(3, 2)
-    with pytest.raises(ValueError):
-        root_from_fraction(Fraction(1, 5), 12)
 
 
 small_scalars = st.builds(
