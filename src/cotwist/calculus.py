@@ -80,63 +80,43 @@ class Calculus:
         k = form.degree
         if k >= self.top:
             return Form(k + 1, Vec(self.scalar_order))
-        out = Vec(self.scalar_order)
-        for (b, i), c in form.vec.terms.items():
-            if k == 0:
-                for key, c2 in self.d_base(b).terms.items():
-                    out.add_term(key, c * c2)
-                continue
+        if k == 0:
+            return Form(1, form.vec.apply(lambda bi: self.d_base(bi[0])))
+
+        def d_term(bi):
             # d(b w) = db ^ w + b dw
-            db = Form(1, self.d_base(b))
-            piece = self.wedge(db, self.basis_form(i))
-            out = out + piece.vec.scale(c)
-            for (b2, i2), c2 in self.d_table[i].terms.items():
-                for b3, c3 in self.base.mult(b, b2).terms.items():
-                    out.add_term((b3, i2), c * c2 * c3)
-        return Form(k + 1, out)
+            b, i = bi
+            return self.wedge(Form(1, self.d_base(b)), self.basis_form(i)).vec + \
+                self.module(k + 1).lmul(self.base.el(b), self.d_table[i])
+
+        return Form(k + 1, form.vec.apply(d_term))
 
     def wedge(self, f1, f2):
         """Graded product through the right-action straightening."""
         k, l = f1.degree, f2.degree
         if k + l > self.top:
             return self.zero_form(k + l)
-        out = Vec(self.scalar_order)
-        B = self.base
-        for (b1, i1), c1 in f1.vec.terms.items():
-            for (b2, i2), c2 in f2.vec.terms.items():
-                c12 = c1 * c2
-                if k == 0:
-                    for b3, c3 in B.mult(b1, b2).terms.items():
-                        out.add_term((b3, i2), c12 * c3)
-                    continue
-                # (b1 w_i1) ^ (b2 w_i2) = b1 (w_i1 . b2) ^ w_i2
-                for (b3, i3), c3 in self.module(k).r_act(i1, b2).terms.items():
-                    pre = B.mult_elem(B.el(b1), B.el(b3))
-                    if l == 0:
-                        for b4, c4 in pre.terms.items():
-                            out.add_term((b4, i3), c12 * c3 * c4)
-                        continue
-                    wt = self.wedge_table.get((i3, i2))
-                    if wt is None:
-                        continue
-                    for (b5, i5), c5 in wt.terms.items():
-                        for b6, c6 in B.mult_elem(pre, B.el(b5)).terms.items():
-                            out.add_term((b6, i5), c12 * c3 * c5 * c6)
-        return Form(k + l, out)
+        B, out_mod = self.base, self.module(k + l)
+        # a 0-form is b . 1, and (b . 1) ^ w = b w, w ^ (b . 1) = w b
+        if k == 0:
+            return Form(l, out_mod.lmul(f1.vec.map_keys(lambda bi: bi[0]), f2.vec))
+        if l == 0:
+            return Form(k, out_mod.rmul(f1.vec, f2.vec.map_keys(lambda bi: bi[0])))
+
+        def term(x, y):
+            # (b1 w_i1) ^ (b2 w_i2) = b1 (w_i1 . b2) ^ w_i2
+            (b1, i1), (b2, i2) = x, y
+            moved = self.module(k).lmul(B.el(b1), self.module(k).r_act(i1, b2))
+            return moved.apply(lambda bi: out_mod.lmul(
+                B.el(bi[0]), self.wedge_table.get((bi[1], i2), out_mod.zero())))
+
+        return Form(k + l, f1.vec.apply2(f2.vec, term))
 
     def star(self, form):
         """Antilinear involution: (b w)* = w* b* for degree-0 coefficients."""
-        k = form.degree
-        mod = self.module(k)
-        out = Vec(self.scalar_order)
-        for (b, i), c in form.vec.terms.items():
-            bs = self.base.star(b)
-            for (b2, i2), c2 in self.star_table[i].terms.items():
-                for b3, c3 in bs.terms.items():
-                    for (b4, i4), c4 in mod.r_act(i2, b3).terms.items():
-                        for b5, c5 in self.base.mult(b2, b4).terms.items():
-                            out.add_term((b5, i4), c.conj() * c2 * c3 * c4 * c5)
-        return Form(k, out)
+        mod = self.module(form.degree)
+        return Form(form.degree, form.vec.apply_conj(
+            lambda bi: mod.rmul(self.star_table[bi[1]], self.base.star(bi[0]))))
 
 
 def twist_calculus(cal, data, twisted_base):
@@ -154,18 +134,12 @@ class ComplexStructure:
         self.bigrade = dict(bigrade)   # basis name -> (p, q)
 
     def proj(self, form, p, q):
-        out = Vec(self.cal.scalar_order)
-        for (b, i), c in form.vec.terms.items():
-            if self.bigrade.get(i) == (p, q):
-                out.add_term((b, i), c)
-        return Form(form.degree, out)
+        return Form(form.degree, Vec(self.cal.scalar_order, {
+            k: c for k, c in form.vec.terms.items() if self.bigrade.get(k[1]) == (p, q)}))
 
     def components(self, form):
-        out = {}
-        for (b, i), c in form.vec.terms.items():
-            pq = self.bigrade[i]
-            out.setdefault(pq, Vec(self.cal.scalar_order)).add_term((b, i), c)
-        return {pq: Form(form.degree, v) for pq, v in out.items()}
+        grades = dict.fromkeys(self.bigrade[i] for _, i in form.vec.terms)
+        return {pq: self.proj(form, *pq) for pq in grades}
 
     def del_(self, form):
         out = self.cal.zero_form(form.degree + 1)
@@ -239,25 +213,16 @@ def factorization_inverse(cs, left_grade=(0, 1), right_grade=(1, 0)):
     columns = invert(rows)
     if columns is None:
         raise NotFactorizable(f"wedge map {left_grade}x{right_grade} -> (1,1) is singular")
-    inv_table = {}
-    for t, sol in zip(target_names, columns):
-        out = Vec(order)
-        for p, key in enumerate(pair_names):
-            if not sol[p].is_zero():
-                for b, cb in cal.base.unit().terms.items():
-                    out.add_term((b, key), sol[p] * cb)
-        inv_table[t] = out
+    inv_table = {t: Vec(order, dict(zip(pair_names, sol))).apply(tens.el)
+                 for t, sol in zip(target_names, columns)}
 
-    def theta(form):
-        out = Vec(order)
-        for (b, i), c in form.vec.terms.items():
-            if cs.bigrade[i] != (1, 1):
-                raise ValueError("factorization inverse expects a (1,1)-form")
-            piece = tens.lmul(cal.base.el(b), inv_table[i])
-            out = out + piece.scale(c)
-        return out
+    def theta_term(bi):
+        b, i = bi
+        if cs.bigrade[i] != (1, 1):
+            raise ValueError("factorization inverse expects a (1,1)-form")
+        return tens.lmul(cal.base.el(b), inv_table[i])
 
-    return theta, tens
+    return lambda form: form.vec.apply(theta_term), tens
 
 
 class HoloModule:
@@ -273,37 +238,33 @@ class HoloModule:
     def delbar_conn(self, elem):
         """delbar_E(b e) = b delbar_E(e) + delbar(b) (x) e."""
         cs, mod, tens = self.cs, self.module, self.tensor_01
-        out = Vec(mod.scalar_order)
-        for (b, i), c in elem.terms.items():
-            piece = tens.lmul(mod.base.el(b), self.delbar_table[i])
-            out = out + piece.scale(c)
-            db = cs.delbar_b(mod.base.el(b))
-            db_sub = Vec(mod.scalar_order)
-            for (b2, i2), c2 in db.vec.terms.items():
-                db_sub.add_term((b2, i2), c2)
-            out = out + tens.pure(db_sub, mod.el(i)).scale(c)
-        return out
+        return elem.apply(lambda bi: tens.lmul(mod.base.el(bi[0]), self.delbar_table[bi[1]])
+                          + tens.pure(cs.delbar_b(mod.base.el(bi[0])).vec, mod.el(bi[1])))
+
+    def operator(self, u):
+        """(delbar (x) id - id ^ delbar_E) on a normal-form element of O^{(0,1)} (x) E."""
+        cs, mod = self.cs, self.module
+
+        def form(b, w):
+            return Form(1, Vec.single(mod.scalar_order, (b, w)))
+
+        def with_leg(vec, j):
+            # a Vec over (b, w) keys, tensored with e_j
+            return vec.map_keys(lambda bw: (bw[0], (bw[1], j)))
+
+        def on_key(k):
+            b, (w, j) = k
+            # (id ^ delbar_E): wedge the form leg with delbar_E of the module leg
+            wedged = self.delbar_conn(mod.el(j)).apply(lambda k2: with_leg(
+                cs.cal.wedge(form(b, w), form(k2[0], k2[1][0])).vec, k2[1][1]))
+            # (delbar (x) id): delbar hits the form leg with its left coefficient
+            return with_leg(cs.delbar(form(b, w)).vec, j) - wedged
+
+        return u.apply(on_key)
 
     def curvature(self, i):
         """R^Hol(e_i) = (delbar (x) id - id ^ delbar_E) delbar_E (e_i)."""
-        cs, mod = self.cs, self.module
-        first = self.delbar_table[i]
-        out = Vec(mod.scalar_order)
-        # (delbar (x) id): delbar hits the (0,1) form leg with its left coefficient
-        for (b, (w, j)), c in first.terms.items():
-            dpart = cs.delbar(Form(1, Vec.single(mod.scalar_order, (b, w), c)))
-            for (b2, w2), c2 in dpart.vec.terms.items():
-                out.add_term((b2, (w2, j)), c2)
-        # (id ^ delbar_E): wedge the form leg with delbar_E of the module leg
-        for (b, (w, j)), c in first.terms.items():
-            inner = self.delbar_conn(mod.el(j))
-            for (b2, (w2, j2)), c2 in inner.terms.items():
-                wedged = cs.cal.wedge(
-                    Form(1, Vec.single(mod.scalar_order, (b, w), c)),
-                    Form(1, Vec.single(mod.scalar_order, (b2, w2), c2)))
-                for (b3, w3), c3 in wedged.vec.terms.items():
-                    out.add_term((b3, (w3, j2)), -c3)
-        return out
+        return self.operator(self.delbar_table[i])
 
 
 def holomorphic_from_factorizable(cs, grade=(1, 0)):
@@ -385,15 +346,7 @@ def fundamental_form(cal, cs, pairing_table, complex_op):
         raise ValueError("pairing is degenerate; no fundamental form")
     kappa = cal.zero_form(2)
     for f_i, sol in zip(names, columns):
-        v_inv = Vec(order)
-        for j, c in enumerate(sol):
-            if not c.is_zero():
-                v_inv = v_inv + cal.module(1).el(names[j]).scale(c)
-        # apply I^{-1} = -I (I^2 = -id)
-        i_inv = Vec(order)
-        for (b, w), c in v_inv.terms.items():
-            img = complex_op(w)
-            for (b2, w2), c2 in img.terms.items():
-                i_inv.add_term((b2, w2), -(c * c2))
+        # Vinv(f_i) = sum_j sol[j] w_j; apply I^{-1} = -I (I^2 = -id)
+        i_inv = Vec(order, dict(zip(names, sol))).apply(complex_op).scale(-1)
         kappa = kappa + cal.wedge(Form(1, i_inv), cal.basis_form(f_i))
     return kappa

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .cyclotomic import Cyc
 from .hopf import HopfAlgebra
-from .vectors import Vec, gauss_solve
+from .vectors import gauss_solve
 
 
 class PairFunctional:
@@ -42,11 +42,15 @@ class PairFunctional:
 
     def on_elems(self, v, w):
         """Bilinear extension to a pair of elements."""
-        out = Cyc.zero(self.A.scalar_order)
-        for l1, c1 in v.terms.items():
-            for l2, c2 in w.terms.items():
-                out = out + c1 * c2 * self(l1, l2)
-        return out
+        return v.evaluate(lambda l1: w.evaluate(lambda l2: self(l1, l2)))
+
+
+def sweedler_sum(A, fn, *labels):
+    """fn(x1, x2, y1, y2, ...) summed over the two-leg Sweedler sums of the labels."""
+    if not labels:
+        return fn()
+    return A.sweedler(labels[0], 2).evaluate(
+        lambda x: sweedler_sum(A, lambda *rest: fn(*x, *rest), *labels[1:]))
 
 
 def counit_functional(A):
@@ -56,14 +60,8 @@ def counit_functional(A):
 def convolve(phi, psi, A):
     """(phi * psi)(a (x) b) = phi(a1 (x) b1) psi(a2 (x) b2)."""
 
-    def fn(l1, l2):
-        out = Cyc.zero(A.scalar_order)
-        for (a1, a2), ca in A.coproduct(l1).terms.items():
-            for (b1, b2), cb in A.coproduct(l2).terms.items():
-                out = out + ca * cb * phi(a1, b1) * psi(a2, b2)
-        return out
-
-    return PairFunctional(A, fn)
+    return PairFunctional(A, lambda l1, l2: sweedler_sum(
+        A, lambda a1, a2, b1, b2: phi(a1, b1) * psi(a2, b2), l1, l2))
 
 
 class NotInvertible(ValueError):
@@ -100,9 +98,10 @@ def convolution_inverse(gamma, A):
     order = A.scalar_order
     rows, rhs = [], []
     eps = counit_functional(A)
+    zero = Cyc.zero(order)
     for a in labels:
         for b in labels:
-            row = [Cyc.zero(order) for _ in range(n * n)]
+            row = [zero] * (n * n)
             for (a1, a2), ca in A.coproduct(a).terms.items():
                 for (b1, b2), cb in A.coproduct(b).terms.items():
                     row[idx[a2] * n + idx[b2]] = (
@@ -144,44 +143,19 @@ class CocycleData:
 
     def U(self, label):
         A = self.hopf
-        out = Cyc.zero(A.scalar_order)
-        for (k1, k2), c in A.coproduct(label).terms.items():
-            for l2, c2 in A.antipode(k2).terms.items():
-                out = out + c * c2 * self.gamma(k1, l2)
-        return out
+        return sweedler_sum(
+            A, lambda k1, k2: A.antipode(k2).evaluate(lambda s: self.gamma(k1, s)), label)
 
     def Ubar(self, label):
         A = self.hopf
-        out = Cyc.zero(A.scalar_order)
-        for (k1, k2), c in A.coproduct(label).terms.items():
-            for l1, c1 in A.antipode(k1).terms.items():
-                out = out + c * c1 * self.gamma_bar(l1, k2)
-        return out
+        return sweedler_sum(
+            A, lambda k1, k2: A.antipode(k1).evaluate(lambda s: self.gamma_bar(s, k2)), label)
 
     def V(self, label):
-        return self._apply_s_inv(self.U, label)
+        return self.hopf.antipode_inv(label).evaluate(self.U)
 
     def Vbar(self, label):
-        return self._apply_s_inv(self.Ubar, label)
-
-    def _apply_s_inv(self, func, label):
-        A = self.hopf
-        out = Cyc.zero(A.scalar_order)
-        for l, c in A.antipode_inv(label).terms.items():
-            out = out + c * func(l)
-        return out
-
-    def V_elem(self, v):
-        out = Cyc.zero(self.hopf.scalar_order)
-        for l, c in v.terms.items():
-            out = out + c * self.V(l)
-        return out
-
-    def Vbar_elem(self, v):
-        out = Cyc.zero(self.hopf.scalar_order)
-        for l, c in v.terms.items():
-            out = out + c * self.Vbar(l)
-        return out
+        return self.hopf.antipode_inv(label).evaluate(self.Ubar)
 
     def inverse_data(self, twisted_hopf):
         """gammabar as a cocycle on the twisted algebra (for round trips)."""
@@ -201,6 +175,9 @@ def bicharacter_cocycle(A, pairing):
     """
     rank = A.rank
     order = A.scalar_order
+    if len(pairing) != rank or any(
+            len(row) != rank or any(type(x) is not int for x in row) for row in pairing):
+        raise ValueError(f"pairing must be a {rank}x{rank} matrix of ints, got {pairing!r}")
 
     def fn(l1, l2):
         e = 0
@@ -218,6 +195,7 @@ class TwistedHopf(HopfAlgebra):
     """The 2-cocycle twist A_gamma, sharing coalgebra structure with A."""
 
     def __init__(self, base, data):
+        from .vectors import memoize_table
         if data.hopf is not base:
             raise ValueError("cocycle data bound to a different algebra")
         self.base = base
@@ -225,23 +203,18 @@ class TwistedHopf(HopfAlgebra):
         self.scalar_order = base.scalar_order
         self.name = base.name + "_twisted"
         self._mult_cache = {}
-        self._antipode_cache = {}
-        self._antipode_inv_cache = {}
-        self._star_cache = {}
+        self.antipode = memoize_table(self.antipode)
+        self.antipode_inv = memoize_table(self.antipode_inv)
+        self.star = memoize_table(self.star)
 
     def mult(self, l1, l2):
         key = (l1, l2)
         out = self._mult_cache.get(key)
         if out is None:
             A, d = self.base, self.data
-            out = Vec(self.scalar_order)
-            for (h1, h2, h3), ch in A.sweedler(l1, 3).terms.items():
-                for (k1, k2, k3), ck in A.sweedler(l2, 3).terms.items():
-                    c = ch * ck * d.gamma(h1, k1) * d.gamma_bar(h3, k3)
-                    if c.is_zero():
-                        continue
-                    for l, cl in A.mult(h2, k2).terms.items():
-                        out.add_term(l, c * cl)
+            # h ._g k = gamma(h1 (x) k1) h2 k2 gammabar(h3 (x) k3)
+            out = A.sweedler(l1, 3).apply2(A.sweedler(l2, 3), lambda h, k: A.mult(
+                h[1], k[1]).scale(d.gamma(h[0], k[0]) * d.gamma_bar(h[2], k[2])))
             self._mult_cache[key] = out
         return out
 
@@ -258,50 +231,28 @@ class TwistedHopf(HopfAlgebra):
         return self.base.counit(label)
 
     def antipode(self, label):
-        out = self._antipode_cache.get(label)
-        if out is None:
-            A, d = self.base, self.data
-            out = Vec(self.scalar_order)
-            for (h1, h2, h3), c in A.sweedler(label, 3).terms.items():
-                coeff = c * d.U(h1) * d.Ubar(h3)
-                if coeff.is_zero():
-                    continue
-                for l, cl in A.antipode(h2).terms.items():
-                    out.add_term(l, coeff * cl)
-            self._antipode_cache[label] = out
-        return out
+        # S_g(h) = U(h1) S(h2) Ubar(h3)
+        d = self.data
+        return self._sandwich(label, d.U, self.base.antipode, d.Ubar)
 
     def antipode_inv(self, label):
-        out = self._antipode_inv_cache.get(label)
-        if out is None:
-            A, d = self.base, self.data
-            out = Vec(self.scalar_order)
-            for (h1, h2, h3), c in A.sweedler(label, 3).terms.items():
-                coeff = c * d.V(h1) * d.Vbar(h3)
-                if coeff.is_zero():
-                    continue
-                for l, cl in A.antipode_inv(h2).terms.items():
-                    out.add_term(l, coeff * cl)
-            self._antipode_inv_cache[label] = out
-        return out
+        # S_g^-1(h) = V(h1) S^-1(h2) Vbar(h3)
+        d = self.data
+        return self._sandwich(label, d.V, self.base.antipode_inv, d.Vbar)
 
     def star(self, label):
-        out = self._star_cache.get(label)
-        if out is None:
-            A, d = self.base, self.data
-            out = Vec(self.scalar_order)
-            # h^{*_g} = Vbar(h1*) h2* V(h3*); Delta is a *-homomorphism, so
-            # the starred Sweedler legs are the stars of the legs.
-            for (h1, h2, h3), c in A.sweedler(label, 3).terms.items():
-                s1 = A.star(h1)
-                s3 = A.star(h3)
-                coeff = c.conj() * d.Vbar_elem(s1) * d.V_elem(s3)
-                if coeff.is_zero():
-                    continue
-                for l, cl in A.star(h2).terms.items():
-                    out.add_term(l, coeff * cl)
-            self._star_cache[label] = out
-        return out
+        # h^{*_g} = Vbar(h1*) h2* V(h3*); Delta is a *-homomorphism, so the
+        # starred Sweedler legs are the stars of the legs
+        A, d = self.base, self.data
+        return self._sandwich(label, lambda h: A.star(h).evaluate(d.Vbar), A.star,
+                              lambda h: A.star(h).evaluate(d.V), conj=True)
+
+    def _sandwich(self, label, left, middle, right, conj=False):
+        """left(h1) middle(h2) right(h3) over the three-leg Sweedler sum of a
+        label, extended antilinearly when conj."""
+        legs = self.base.sweedler(label, 3)
+        extend = legs.apply_conj if conj else legs.apply
+        return extend(lambda h: middle(h[1]).scale(left(h[0]) * right(h[2])))
 
     def label_name(self, label):
         return self.base.label_name(label)
@@ -319,8 +270,7 @@ class TwistedHopf(HopfAlgebra):
 # -- identity suites ---------------------------------------------------------
 
 
-def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
-                              cross_check=True):
+def verify_cocycle_identities(data, A, triples, reporter):
     """The cocycle equation, its three equivalent forms, and unitality."""
     g, gb = data.gamma, data.gamma_bar
     eps = counit_functional(A)
@@ -328,81 +278,71 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
     def name(t):
         return ",".join(A.label_name(x) for x in t)
 
+    def left_product(f, a, b, k):
+        """f(ab (x) k)"""
+        return A.mult(a, b).evaluate(lambda l: f(l, k))
+
+    def right_product(f, k, a, b):
+        """f(k (x) ab)"""
+        return A.mult(a, b).evaluate(lambda l: f(k, l))
+
     def equation(t):
+        # gamma(g1 (x) h1) gamma(g2 h2 (x) k) = gamma(h1 (x) k1) gamma(g (x) h2 k2)
         lg, lh, lk = t
-        lhs = Cyc.zero(A.scalar_order)
-        rhs = Cyc.zero(A.scalar_order)
-        for (g1, g2), cg in A.sweedler(lg, 2).terms.items():
-            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-                prod = A.mult(g2, h2)
-                lhs = lhs + cg * chh * g(g1, h1) * g.on_elems(prod, A.el(lk))
-        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-            for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
-                prod = A.mult(h2, k2)
-                rhs = rhs + chh * ckk * g(h1, k1) * g.on_elems(A.el(lg), prod)
+        lhs = sweedler_sum(A, lambda g1, g2, h1, h2:
+                           g(g1, h1) * left_product(g, g2, h2, lk), lg, lh)
+        rhs = sweedler_sum(A, lambda h1, h2, k1, k2:
+                           g(h1, k1) * right_product(g, lg, h2, k2), lh, lk)
         return f"cocycle equation fails at ({name(t)})" if lhs != rhs else None
 
-    reporter.forall(f"{prefix}.equation", "cocycle.equation", triples, equation)
+    reporter.forall("cocycle.equation", "cocycle.equation", triples, equation)
 
     def equivalent_ii(t):
+        # gammabar(g1 h1 (x) k) gammabar(g2 (x) h2) = gammabar(g (x) h1 k1) gammabar(h2 (x) k2)
         lg, lh, lk = t
-        lhs = Cyc.zero(A.scalar_order)
-        rhs = Cyc.zero(A.scalar_order)
-        for (g1, g2), cg in A.sweedler(lg, 2).terms.items():
-            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-                lhs = lhs + cg * chh * gb.on_elems(A.mult(g1, h1), A.el(lk)) * gb(g2, h2)
-        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-            for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
-                rhs = rhs + chh * ckk * gb.on_elems(A.el(lg), A.mult(h1, k1)) * gb(h2, k2)
+        lhs = sweedler_sum(A, lambda g1, g2, h1, h2:
+                           left_product(gb, g1, h1, lk) * gb(g2, h2), lg, lh)
+        rhs = sweedler_sum(A, lambda h1, h2, k1, k2:
+                           right_product(gb, lg, h1, k1) * gb(h2, k2), lh, lk)
         return f"identity (ii) fails at ({name(t)})" if lhs != rhs else None
 
-    reporter.forall(f"{prefix}.equivalent-ii", "cocycle.inverse-equation", triples, equivalent_ii)
+    reporter.forall("cocycle.equivalent-ii", "cocycle.inverse-equation", triples, equivalent_ii)
 
     def equivalent_iii(t):
+        # gamma(g1 h1 (x) k1) gammabar(g2 (x) h2 k2) = gammabar(g (x) h1) gamma(h2 (x) k)
         lg, lh, lk = t
-        lhs = Cyc.zero(A.scalar_order)
-        rhs = Cyc.zero(A.scalar_order)
-        for (g1, g2), cg in A.sweedler(lg, 2).terms.items():
-            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-                for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
-                    c = cg * chh * ckk
-                    lhs = lhs + c * g.on_elems(A.mult(g1, h1), A.el(k1)) \
-                        * gb.on_elems(A.el(g2), A.mult(h2, k2))
-        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-            rhs = rhs + chh * gb(lg, h1) * g(h2, lk)
+        lhs = sweedler_sum(A, lambda g1, g2, h1, h2, k1, k2:
+                           left_product(g, g1, h1, k1) * right_product(gb, g2, h2, k2),
+                           lg, lh, lk)
+        rhs = sweedler_sum(A, lambda h1, h2: gb(lg, h1) * g(h2, lk), lh)
         return f"identity (iii) fails at ({name(t)})" if lhs != rhs else None
 
-    reporter.forall(f"{prefix}.equivalent-iii", "cocycle.mixed-identity-left", triples,
+    reporter.forall("cocycle.equivalent-iii", "cocycle.mixed-identity-left", triples,
                     equivalent_iii)
 
     def equivalent_iv(t):
+        # gamma(g1 (x) h1 k1) gammabar(g2 h2 (x) k2) = gamma(g (x) h2) gammabar(h1 (x) k)
         lg, lh, lk = t
-        lhs = Cyc.zero(A.scalar_order)
-        rhs = Cyc.zero(A.scalar_order)
-        for (g1, g2), cg in A.sweedler(lg, 2).terms.items():
-            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-                for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
-                    c = cg * chh * ckk
-                    lhs = lhs + c * g.on_elems(A.el(g1), A.mult(h1, k1)) \
-                        * gb.on_elems(A.mult(g2, h2), A.el(k2))
-        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-            rhs = rhs + chh * g(lg, h2) * gb(h1, lk)
+        lhs = sweedler_sum(A, lambda g1, g2, h1, h2, k1, k2:
+                           right_product(g, g1, h1, k1) * left_product(gb, g2, h2, k2),
+                           lg, lh, lk)
+        rhs = sweedler_sum(A, lambda h1, h2: g(lg, h2) * gb(h1, lk), lh)
         return f"identity (iv) fails at ({name(t)})" if lhs != rhs else None
 
-    reporter.forall(f"{prefix}.equivalent-iv", "cocycle.mixed-identity-right", triples,
+    reporter.forall("cocycle.equivalent-iv", "cocycle.mixed-identity-right", triples,
                     equivalent_iv)
 
     labels = sorted({l for t in triples for l in t})
     one = A.unit()
 
     def unital(l):
-        left = g.on_elems(A.el(l), one)
-        right = g.on_elems(one, A.el(l))
+        left = one.evaluate(lambda u: g(l, u))
+        right = one.evaluate(lambda u: g(u, l))
         if left != A.counit(l) or right != A.counit(l):
             return f"unitality fails at {A.label_name(l)}"
         return None
 
-    reporter.forall(f"{prefix}.unital", "cocycle.unitality", labels, unital)
+    reporter.forall("cocycle.unital", "cocycle.unitality", labels, unital)
 
     left = convolve(g, gb, A)
     right = convolve(gb, g, A)
@@ -413,10 +353,10 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
             return f"gamma*gammabar != counit at ({name(ab)})"
         return None
 
-    reporter.forall(f"{prefix}.convolution-inverse", "cocycle.convolution-inverse",
+    reporter.forall("cocycle.convolution-inverse", "cocycle.convolution-inverse",
                     sorted(pairs), convolution_inverse)
 
-    if cross_check and A.is_grouplike_basis():
+    if A.is_grouplike_basis():
         def group_form(t):
             lg, lh, lk = t
             gh = next(iter(A.mult(lg, lh).terms))
@@ -425,11 +365,11 @@ def verify_cocycle_identities(data, A, triples, reporter, prefix="cocycle",
                 return f"group 2-cocycle identity fails at ({name(t)})"
             return None
 
-        reporter.forall(f"{prefix}.grouplike-crosscheck", "cocycle.group-cocycle-form",
+        reporter.forall("cocycle.grouplike-crosscheck", "cocycle.group-cocycle-form",
                         triples, group_form)
 
 
-def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
+def verify_unitarity_suite(data, A, pairs, reporter):
     """Conjugation laws of a unitary cocycle plus the exchange identities."""
     g, gb = data.gamma, data.gamma_bar
 
@@ -440,98 +380,78 @@ def verify_unitarity_suite(data, A, pairs, reporter, prefix="unitary"):
         # S(l)* as an element
         return A.star_elem(A.antipode(l))
 
-    reporter.forall(f"{prefix}.gamma-conjugation", "unitarity.gamma-conjugation", pairs,
+    reporter.forall("unitary.gamma-conjugation", "unitarity.gamma-conjugation", pairs,
                     lambda ab: f"conj gamma != gammabar(S*().,S*().) at ({name(ab)})"
                     if g(*ab).conj() != gb.on_elems(s_star(ab[0]), s_star(ab[1])) else None)
-    reporter.forall(f"{prefix}.gammabar-conjugation", "unitarity.inverse-conjugation", pairs,
+    reporter.forall("unitary.gammabar-conjugation", "unitarity.inverse-conjugation", pairs,
                     lambda ab: f"conj gammabar != gamma(S*().,S*().) at ({name(ab)})"
                     if gb(*ab).conj() != g.on_elems(s_star(ab[0]), s_star(ab[1])) else None)
 
     labels = sorted({l for p in pairs for l in p})
 
-    def vbar_conjugation(l):
-        lhs = Cyc.zero(A.scalar_order)
-        for l2, c in A.star(l).terms.items():
-            lhs = lhs + c.conj() * data.Vbar(l2)
-        return f"conj Vbar(h*) != V(h) at {A.label_name(l)}" if lhs.conj() != data.V(l) else None
+    def vbar_star(l):
+        """Vbar(l*) for a label l."""
+        return A.star(l).evaluate(data.Vbar)
 
-    reporter.forall(f"{prefix}.vbar-conjugation", "unitarity.vbar-v-conjugation", labels,
-                    vbar_conjugation)
+    reporter.forall("unitary.vbar-conjugation", "unitarity.vbar-v-conjugation", labels,
+                    lambda l: f"conj Vbar(h*) != V(h) at {A.label_name(l)}"
+                    if vbar_star(l).conj() != data.V(l) else None)
 
     def convolution_inverses(f, fbar, witness):
         """Defect of f * fbar = fbar * f = counit at a label."""
         def defect(l):
-            acc_l = Cyc.zero(A.scalar_order)
-            acc_r = Cyc.zero(A.scalar_order)
-            for (k1, k2), c in A.coproduct(l).terms.items():
-                acc_l = acc_l + c * f(k1) * fbar(k2)
-                acc_r = acc_r + c * fbar(k1) * f(k2)
-            if acc_l != A.counit(l) or acc_r != A.counit(l):
+            if sweedler_sum(A, lambda k1, k2: f(k1) * fbar(k2), l) != A.counit(l) or \
+               sweedler_sum(A, lambda k1, k2: fbar(k1) * f(k2), l) != A.counit(l):
                 return f"{witness} at {A.label_name(l)}"
             return None
         return defect
 
-    reporter.forall(f"{prefix}.u-ubar-inverse", "twist.u-convolution-inverse", labels,
+    reporter.forall("unitary.u-ubar-inverse", "twist.u-convolution-inverse", labels,
                     convolution_inverses(data.U, data.Ubar, "U*Ubar != counit"))
-    reporter.forall(f"{prefix}.v-vbar-inverse", "twist.v-convolution-inverse", labels,
+    reporter.forall("unitary.v-vbar-inverse", "twist.v-convolution-inverse", labels,
                     convolution_inverses(data.V, data.Vbar, "V*Vbar != counit"))
 
-    def vbar_of_star(v):
-        out = Cyc.zero(A.scalar_order)
-        for l, c in v.terms.items():
-            for l2, c2 in A.star(l).terms.items():
-                out = out + c.conj() * c2 * data.Vbar(l2)
-        return out
-
+    # Both sides of the two Vbar identities are antilinear in h and k, so the
+    # Sweedler sums below compare their conjugates, which are linear.
     def vbar_exchange(hk):
         # Vbar(k1*) Vbar(h1*) gamma(k2* (x) h2*) = gammabar(S(h1)* (x) S(k1)*) Vbar(k2* h2*)
         lh, lk = hk
-        lhs = Cyc.zero(A.scalar_order)
-        rhs = Cyc.zero(A.scalar_order)
-        for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
-            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-                c = (ckk * chh).conj()
-                lhs = lhs + c * vbar_of_star(A.el(k1)) * vbar_of_star(A.el(h1)) \
-                    * g.on_elems(A.star(k2), A.star(h2))
-                rhs = rhs + c * gb.on_elems(s_star(h1), s_star(k1)) \
-                    * vbar_of_star(A.mult_elem(A.el(h2), A.el(k2)))
+        lhs = sweedler_sum(A, lambda k1, k2, h1, h2: (
+            vbar_star(k1) * vbar_star(h1) * g.on_elems(A.star(k2), A.star(h2))).conj(), lk, lh)
+        rhs = sweedler_sum(A, lambda k1, k2, h1, h2: (
+            gb.on_elems(s_star(h1), s_star(k1))
+            * A.star_elem(A.mult(h2, k2)).evaluate(data.Vbar)).conj(), lk, lh)
         return f"vbar exchange identity fails at ({name(hk)})" if lhs != rhs else None
 
-    reporter.forall(f"{prefix}.vbar-exchange", "unitarity.vbar-exchange-identity", pairs,
+    reporter.forall("unitary.vbar-exchange", "unitarity.vbar-exchange-identity", pairs,
                     vbar_exchange)
 
     def vbar_merge(hk):
         # gamma(S(h1)* (x) S(k1)*) Vbar(k2*) Vbar(h2*) = Vbar(k1* h1*) gammabar(k2* (x) h2*)
         lh, lk = hk
-        lhs = Cyc.zero(A.scalar_order)
-        rhs = Cyc.zero(A.scalar_order)
-        for (k1, k2), ckk in A.sweedler(lk, 2).terms.items():
-            for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-                c = (ckk * chh).conj()
-                lhs = lhs + c * g.on_elems(s_star(h1), s_star(k1)) \
-                    * vbar_of_star(A.el(k2)) * vbar_of_star(A.el(h2))
-                rhs = rhs + c * vbar_of_star(A.mult_elem(A.el(h1), A.el(k1))) \
-                    * gb.on_elems(A.star(k2), A.star(h2))
+        lhs = sweedler_sum(A, lambda k1, k2, h1, h2: (
+            g.on_elems(s_star(h1), s_star(k1)) * vbar_star(k2) * vbar_star(h2)).conj(), lk, lh)
+        rhs = sweedler_sum(A, lambda k1, k2, h1, h2: (
+            A.star_elem(A.mult(h1, k1)).evaluate(data.Vbar)
+            * gb.on_elems(A.star(k2), A.star(h2))).conj(), lk, lh)
         return f"vbar merge identity fails at ({name(hk)})" if lhs != rhs else None
 
-    reporter.forall(f"{prefix}.vbar-merge", "unitarity.vbar-merge-identity", pairs, vbar_merge)
+    reporter.forall("unitary.vbar-merge", "unitarity.vbar-merge-identity", pairs, vbar_merge)
 
     def u_exchange(hk):
         # U(h1) gammabar(S(h2) (x) k) = gamma(h1 (x) S(h2) k)
         lh, lk = hk
-        lhs = Cyc.zero(A.scalar_order)
-        rhs = Cyc.zero(A.scalar_order)
-        for (h1, h2), chh in A.sweedler(lh, 2).terms.items():
-            lhs = lhs + chh * data.U(h1) * gb.on_elems(A.antipode(h2), A.el(lk))
-            rhs = rhs + chh * g.on_elems(
-                A.el(h1), A.mult_elem(A.antipode(h2), A.el(lk)))
+        lhs = sweedler_sum(A, lambda h1, h2:
+                           data.U(h1) * A.antipode(h2).evaluate(lambda s: gb(s, lk)), lh)
+        rhs = sweedler_sum(A, lambda h1, h2: A.mult_elem(A.antipode(h2), A.el(lk)).evaluate(
+            lambda l: g(h1, l)), lh)
         return f"u exchange identity fails at ({name(hk)})" if lhs != rhs else None
 
-    reporter.forall(f"{prefix}.u-exchange", "twist.u-exchange-identity", pairs, u_exchange)
+    reporter.forall("unitary.u-exchange", "twist.u-exchange-identity", pairs, u_exchange)
 
     if A.is_grouplike_basis():
         # on a grouplike basis, unitarity is exactly pointwise unit modulus
         one = Cyc.one(A.scalar_order)
-        reporter.forall(f"{prefix}.modulus", "unitarity.unit-modulus", pairs,
+        reporter.forall("unitary.modulus", "unitarity.unit-modulus", pairs,
                         lambda ab: f"|gamma| != 1 at ({name(ab)})"
                         if g(*ab) * g(*ab).conj() != one else None)

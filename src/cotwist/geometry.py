@@ -43,47 +43,45 @@ class MetricData:
     def pair_apply(self, tensor_elem):
         """( , ) extended to a normal-form element of O1 (x) O1."""
         B = self.cal.base
-        out = Vec(self.cal.scalar_order)
-        for (b, (i, j)), c in tensor_elem.terms.items():
-            val = self.pairing_table.get((i, j))
-            if val is None:
-                continue
-            for b2, c2 in val.terms.items():
-                for b3, c3 in B.mult(b, b2).terms.items():
-                    out.add_term(b3, c * c2 * c3)
-        return out
+        zero = B.zero()
+        # (b w_i (x) w_j) -> b (w_i, w_j)
+        return tensor_elem.apply(lambda k: self.pairing_table.get(k[1], zero).apply(
+            lambda b2: B.mult(k[0], b2)))
 
     def pair(self, x, y):
         return self.pair_apply(self.tensor.pure(x, y))
 
     def snake_left(self, name):
         """((w, ) (x) id) g, which must reproduce the basis form w."""
-        out = Vec(self.cal.scalar_order)
-        for (b, (j, k)), c in self.g.terms.items():
-            val = self.pair(self.module.el(name), self.module.from_b(self.cal.base.el(b), j))
-            piece = self.module.lmul(val, self.module.el(k))
-            out = out + piece.scale(c)
-        return out
+        mod = self.module
+
+        def term(t):
+            b, (j, k) = t
+            return mod.lmul(self.pair(mod.el(name), mod.from_b(self.cal.base.el(b), j)), mod.el(k))
+
+        return self.g.apply(term)
 
     def snake_right(self, name):
         """(id (x) ( , w)) g."""
-        out = Vec(self.cal.scalar_order)
-        for (b, (j, k)), c in self.g.terms.items():
-            val = self.pair(self.module.el(k), self.module.el(name))
-            piece = self.module.rmul(self.module.from_b(self.cal.base.el(b), j), val)
-            out = out + piece.scale(c)
-        return out
+        mod = self.module
+
+        def term(t):
+            b, (j, k) = t
+            return mod.rmul(mod.from_b(self.cal.base.el(b), j), self.pair(mod.el(k), mod.el(name)))
+
+        return self.g.apply(term)
 
     def dagger(self, tensor_elem):
         """flip(* (x) *) on a normal-form element of O1 (x) O1."""
         cal = self.cal
-        out = Vec(cal.scalar_order)
-        for (b, (i, j)), c in tensor_elem.terms.items():
+
+        def term(t):
+            b, (i, j) = t
             ystar = cal.star(Form(1, self.module.el(j)))
             xstar = cal.star(Form(1, self.module.from_b(cal.base.el(b), i)))
-            piece = self.tensor.pure(ystar.vec, xstar.vec)
-            out = out + piece.scale(c.conj())
-        return out
+            return self.tensor.pure(ystar.vec, xstar.vec)
+
+        return tensor_elem.apply_conj(term)
 
     def is_real(self):
         return self.dagger(self.g) == self.g
@@ -118,24 +116,22 @@ class ConnectionData:
     def apply(self, elem):
         """nabla(b e) = b nabla(e) + db (x) e."""
         cal, mod, tens = self.cal, self.module, self.tensor
-        out = Vec(cal.scalar_order)
-        for (b, i), c in elem.terms.items():
-            piece = tens.lmul(cal.base.el(b), self.table[i])
-            out = out + piece.scale(c)
+
+        def term(bi):
+            b, i = bi
             db = cal.d(cal.from_b(cal.base.el(b)))
-            out = out + tens.pure(db.vec, mod.el(i)).scale(c)
-        return out
+            return tens.lmul(cal.base.el(b), self.table[i]) + tens.pure(db.vec, mod.el(i))
+
+        return elem.apply(term)
 
     def torsion(self, elem):
         """wedge . nabla - d on one-forms (module = O1)."""
         cal = self.cal
-        img = self.apply(elem)
-        out = cal.zero_form(2)
-        for (b, (i, j)), c in img.terms.items():
-            w = cal.wedge(Form(1, Vec.single(cal.scalar_order, (b, i), c)),
-                          Form(1, cal.module(1).el(j)))
-            out = out + w
-        return out - cal.d(Form(1, elem))
+        # (b w_i (x) w_j) -> b w_i ^ w_j
+        wedged = self.apply(elem).apply(lambda k: cal.wedge(
+            Form(1, Vec.single(cal.scalar_order, (k[0], k[1][0]))),
+            Form(1, cal.module(1).el(k[1][1]))).vec)
+        return Form(2, wedged) - cal.d(Form(1, elem))
 
     def tensor_connection(self, other, elem, tensor_mod):
         """nabla_{E (x) F} = nabla_E (x) id + (sigma_E (x) id)(id (x) nabla_F)."""
@@ -143,24 +139,28 @@ class ConnectionData:
         E = tensor_mod.left
         O1 = cal.module(1)
         target = TensorModule(O1, tensor_mod)
-        out = Vec(cal.scalar_order)
-        for (b, (i, j)), c in elem.terms.items():
+        src = self.sigma.src
+
+        def with_leg(v, j):
+            # a Vec over (b, (w, i)) keys, tensored with f_j
+            return v.map_keys(lambda k: (k[0], (k[1][0], (k[1][1], j))))
+
+        def through_sigma(i, y):
+            # (sigma (x) id)(e_i (x) b3 w3 (x) f_j3), with e_i b3 = b4 e_i4
+            b3, (w3, j3) = y
+            moved = E.r_act(i, b3).apply(
+                lambda bi: self.sigma(src.lmul(cal.base.el(bi[0]), src.el((bi[1], w3)))))
+            return with_leg(moved, j3)
+
+        def term(t):
             # b nabla_T(e_i (x) f_j) + db (x) (e_i (x) f_j)
-            part = Vec(cal.scalar_order)
-            for (b2, (w, i2)), c2 in self.table[i].terms.items():
-                part.add_term((b2, (w, (i2, j))), c2)
-            for (b3, (w3, j3)), c3 in other.table[j].terms.items():
-                # (sigma (x) id)(e_i (x) b3 w3 (x) f_j3)
-                moved = E.r_act(i, b3)
-                for (b4, i4), c4 in moved.terms.items():
-                    sig = self.sigma(self.sigma.src.lmul(
-                        cal.base.el(b4), self.sigma.src.el((i4, w3))))
-                    for (b5, (w5, i5)), c5 in sig.terms.items():
-                        part.add_term((b5, (w5, (i5, j3))), c3 * c4 * c5)
-            out = out + target.lmul(cal.base.el(b), part).scale(c)
+            b, (i, j) = t
+            part = with_leg(self.table[i], j) + \
+                other.table[j].apply(lambda y: through_sigma(i, y))
             db = cal.d(cal.from_b(cal.base.el(b)))
-            out = out + target.pure(db.vec, tensor_mod.el((i, j))).scale(c)
-        return out
+            return target.lmul(cal.base.el(b), part) + target.pure(db.vec, tensor_mod.el((i, j)))
+
+        return elem.apply(term)
 
     def metric_compat(self, metric):
         """nabla_{O1 (x) O1} g, which vanishes iff the metric is covariantly constant."""
@@ -187,16 +187,15 @@ def conj_connection(conn):
     ebar = ConjugateModule(mod)
     tens = TensorModule(ebar, cal.module(1))
 
+    def conj_term(k):
+        # b w (x) e_t  ->  (e_t)bar (x) (b w)*
+        b, (w, t) = k
+        starred = cal.star(Form(1, Vec.single(cal.scalar_order, (b, w))))
+        return tens.pure(ebar.el(("bar", t)), starred.vec)
+
     def apply(elem):
-        out = Vec(cal.scalar_order)
-        for key, c in elem.terms.items():
-            m = unconj(ebar, Vec.single(cal.scalar_order, key, 1))
-            img = conn.apply(m)
-            for (b, (w, t)), c2 in img.terms.items():
-                starred = cal.star(Form(1, Vec.single(cal.scalar_order, (b, w), c2)))
-                piece = tens.pure(ebar.el(("bar", t)), starred.vec)
-                out = out + piece.scale(c)
-        return out
+        return elem.apply(lambda key: conn.apply(
+            unconj(ebar, Vec.single(cal.scalar_order, key))).apply_conj(conj_term))
 
     return ebar, tens, apply
 
@@ -242,11 +241,10 @@ def hermitian_from_real(metric):
     table = {}
     for i in mod.basis:
         starred = cal.star(Form(1, mod.el(i)))
-        f = Vec(cal.scalar_order)
+        f = hom.zero()
         for j in mod.basis:
             val = metric.pair_apply(metric.tensor.pure(mod.el(j), starred.vec))
-            for (b2, dk), c2 in hom.from_b(val, ("dual", j)).terms.items():
-                f.add_term((b2, dk), c2)
+            f = f + hom.from_b(val, ("dual", j))
         table[("bar", i)] = f
     return HermitianData(cal, mod, table)
 
@@ -265,25 +263,20 @@ def split_hermitian(herm, cs):
         table = {}
         for i in sub.basis:
             val = herm.table[("bar", i)]
-            restricted = Vec(cal.scalar_order)
-            for (b, dk), c in val.terms.items():
-                j = dk[1]
-                if j in keep:
-                    restricted.add_term((b, dk), c)
-                elif not c.is_zero():
-                    raise DiamondViolation(
-                        f"H(bar {i}) has an off-block value at dual({j})")
-            table[("bar", i)] = restricted
+            off = [dk[1] for (_, dk), c in val.terms.items()
+                   if dk[1] not in keep and not c.is_zero()]
+            if off:
+                raise DiamondViolation(f"H(bar {i}) has an off-block value at dual({off[0]})")
+            table[("bar", i)] = Vec(cal.scalar_order, {
+                k: c for k, c in val.terms.items() if k[1][1] in keep})
         out.append(HermitianData(cal, sub, table))
     return tuple(out)
 
 
-def twist_hermitian(herm, data, cal_tw, module_tw=None):
+def twist_hermitian(herm, data, cal_tw):
     """H_g = hom_twist_iso . Gamma(H) . conj_twist_iso, reassembled as a basis table."""
-    if module_tw is None:
-        module_tw = cal_tw.module(1) if herm.module is untwisted_of(cal_tw.module(1)) \
-            else TwistedModule(herm.module, data, cal_tw.base)
-    GE = module_tw
+    GE = cal_tw.module(1) if herm.module is untwisted_of(cal_tw.module(1)) \
+        else TwistedModule(herm.module, data, cal_tw.base)
     bar_GE = ConjugateModule(GE)
     hom_tw = HomModule(GE)
     table = {}
@@ -293,11 +286,9 @@ def twist_hermitian(herm, data, cal_tw, module_tw=None):
         # Gamma(H): the same table applied to the keys read untwisted
         hval = herm.morphism(moved)
         ev = hom_twist_iso(data, herm.hom, hval)
-        f = Vec(cal_tw.scalar_order)
+        f = hom_tw.zero()
         for j in GE.basis:
-            val = ev(GE.el(j))
-            for (b2, dk), c2 in hom_tw.from_b(val, ("dual", j)).terms.items():
-                f.add_term((b2, dk), c2)
+            f = f + hom_tw.from_b(ev(GE.el(j)), ("dual", j))
         table[("bar", i)] = f
     return HermitianData(cal_tw, GE, table)
 
@@ -323,20 +314,21 @@ def _compat_terms(cal, herm, conn_table, i, jbar):
     """
     mod = herm.module
     O1 = cal.module(1)
-    lin = Vec(cal.scalar_order)
-    anti = Vec(cal.scalar_order)
-    # (id (x) < , >)(nabla e_i (x) bar e_j)
-    for (b, (w, t)), c in conn_table[i].terms.items():
+
+    def lin_term(k):
+        # (id (x) < , >)(nabla e_i (x) bar e_j)
+        b, (w, t) = k
         val = herm.pair(mod.el(t), herm.ebar.el(("bar", jbar)))
-        piece = O1.rmul(O1.from_b(cal.base.el(b), w), val)
-        lin = lin + piece.scale(c)
-    # (< , > (x) id)(e_i (x) tilde-nabla bar e_j)
-    for (b, (w, t)), c in conn_table[jbar].terms.items():
-        starred = cal.star(Form(1, Vec.single(cal.scalar_order, (b, w), Cyc.one(cal.scalar_order))))
+        return O1.rmul(O1.from_b(cal.base.el(b), w), val)
+
+    def anti_term(k):
+        # (< , > (x) id)(e_i (x) tilde-nabla bar e_j)
+        b, (w, t) = k
+        starred = cal.star(Form(1, Vec.single(cal.scalar_order, (b, w))))
         val = herm.pair(mod.el(i), herm.ebar.el(("bar", t)))
-        piece = O1.lmul(val, starred.vec)
-        anti = anti + piece.scale(c.conj())
-    return lin, anti
+        return O1.lmul(val, starred.vec)
+
+    return conn_table[i].apply(lin_term), conn_table[jbar].apply_conj(anti_term)
 
 
 def cyc_to_coords(c, order):
@@ -361,13 +353,8 @@ def chern_solve(holo, herm, coeff_box=1):
     B = cal.base
     order = cal.scalar_order
 
-    # fixed part: the delbar table injected into O1 (x) E
-    fixed = {}
-    for i in mod.basis:
-        v = Vec(order)
-        for (b, (w, t)), c in holo.delbar_table[i].terms.items():
-            v.add_term((b, (w, t)), c)
-        fixed[i] = v
+    # fixed part: the delbar table, whose keys are already those of O1 (x) E
+    fixed = holo.delbar_table
 
     # candidate basis for the unknown part
     sub10 = cs.submodule(1, 0)
@@ -464,14 +451,9 @@ def chern_conditions_hold(holo, herm, conn):
     cal = cs.cal
     mod = holo.module
     for i in mod.basis:
-        proj = Vec(cal.scalar_order)
-        for (b, (w, t)), c in conn.table[i].terms.items():
-            if cs.bigrade[w] == (0, 1):
-                proj.add_term((b, (w, t)), c)
-        want = Vec(cal.scalar_order)
-        for key, c in holo.delbar_table[i].terms.items():
-            want.add_term(key, c)
-        if proj != want:
+        proj = Vec(cal.scalar_order, {
+            k: c for k, c in conn.table[i].terms.items() if cs.bigrade[k[1][0]] == (0, 1)})
+        if proj != holo.delbar_table[i]:
             return False, f"(0,1)-part differs at basis {i}"
     for i in mod.basis:
         for j in mod.basis:

@@ -99,14 +99,9 @@ def build_torus_geometry(B, order):
     def d_base(label):
         # d(x^m y^n) = x^m y^n ((m - i n)/2 w+ + (m + i n)/2 w-)
         m, n = label
-        out = Vec(order)
         cp = (Cyc.rational(m, order) - i_unit * n) * _half(order)
         cm = (Cyc.rational(m, order) + i_unit * n) * _half(order)
-        if not cp.is_zero():
-            out.add_term((label, "w+"), cp)
-        if not cm.is_zero():
-            out.add_term((label, "w-"), cm)
-        return out
+        return Vec(order, {(label, "w+"): cp, (label, "w-"): cm})
 
     d_table = {
         "1": Vec(order),

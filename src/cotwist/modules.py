@@ -92,11 +92,12 @@ from .vectors import memoize_table as _memoize
 
 def unit_coaction(mod, v):
     """1 (x) v: what the coaction of mod gives on v exactly when v is coinvariant."""
-    out = Vec(mod.scalar_order)
-    for a, ca in mod.base.hopf.unit().terms.items():
-        for (b, i), c in v.terms.items():
-            out.add_term((a, b, i), ca * c)
-    return out
+    return _flat(mod.base.hopf.unit().tensor(v))
+
+
+def _flat(v):
+    """A Vec over (a, (b, i)) keys as one over (a, b, i): coaction keys."""
+    return v.map_keys(lambda k: (k[0], *k[1]))
 
 
 class FreeModule:
@@ -133,21 +134,17 @@ class FreeModule:
 
     def el(self, i, coeff=1):
         """The basis element e_i (left coefficient 1_B)."""
-        out = Vec(self.scalar_order)
-        for b, c in self.base.unit().terms.items():
-            out.add_term((b, i), c * coeff)
-        return out
+        return self.from_b(self.base.unit().scale(coeff), i)
 
     def from_b(self, b_vec, i):
         """(b_vec) . e_i."""
-        out = Vec(self.scalar_order)
-        for b, c in b_vec.terms.items():
-            out.add_term((b, i), c)
-        return out
+        return b_vec.map_keys(lambda b: (b, i))
 
     def zero(self):
         return Vec(self.scalar_order)
 
+    # lmul, rmul and coact stay hand-written loops: every module operation runs
+    # through them, and their Vec.apply2 forms measured 1.3-1.8x slower
     def lmul(self, b_vec, elem):
         out = Vec(self.scalar_order)
         for (b, i), c in elem.terms.items():
@@ -179,15 +176,9 @@ class FreeModule:
 
     def coact_iter(self, elem, legs):
         """Iterated coaction: Vec over (a,...,a, b_label, basis_id), `legs` A-legs."""
-        out = self.coact(elem).map_keys(lambda k: ((k[0],), k[1], k[2]))
         A = self.base.hopf
-        while len(next(iter(out.terms))[0]) < legs if out.terms else False:
-            nxt = Vec(self.scalar_order)
-            for (alegs, b, i), c in out.terms.items():
-                for (a1, a2), c2 in A.coproduct(alegs[-1]).terms.items():
-                    nxt.add_term((alegs[:-1] + (a1, a2), b, i), c * c2)
-            out = nxt
-        return out
+        return self.coact(elem).apply(
+            lambda k: A.sweedler(k[0], legs).map_keys(lambda alegs: (alegs, k[1], k[2])))
 
     def describe(self, elem):
         return elem.describe(lambda k: f"{self.base.label_name(k[0])}.{self.basis_name(k[1])}")
@@ -227,42 +218,33 @@ class TensorModule(FreeModule):
         return f"{self.left.basis_name(i)}(x){self.right.basis_name(j)}"
 
     def r_act(self, key, b_label):
+        # (e_i (x) f_j) b = (e_i . b1) (x) f_j2 for f_j b = b1 f_j2
         i, j = key
-        out = Vec(self.scalar_order)
-        for (b1, j2), c1 in self.right.r_act(j, b_label).terms.items():
-            for (b2, i2), c2 in self.left.r_act(i, b1).terms.items():
-                out.add_term((b2, (i2, j2)), c1 * c2)
-        return out
+        return self.right.r_act(j, b_label).apply(lambda bj: self.left.r_act(i, bj[0]).map_keys(
+            lambda bi: (bi[0], (bi[1], bj[1]))))
 
     def l_to_r(self, b_label, key):
+        # b (e_i (x) f_j) = e_i2 (x) (b1 . f_j) for b e_i = e_i2 b1
         i, j = key
-        out = Vec(self.scalar_order)
-        for (i2, b1), c1 in self.left.l_to_r(b_label, i).terms.items():
-            for (j2, b2), c2 in self.right.l_to_r(b1, j).terms.items():
-                out.add_term(((i2, j2), b2), c1 * c2)
-        return out
+        return self.left.l_to_r(b_label, i).apply(lambda ib: self.right.l_to_r(ib[1], j).map_keys(
+            lambda jb: ((ib[0], jb[0]), jb[1])))
 
     def coact_basis(self, key):
         i, j = key
-        out = Vec(self.scalar_order)
         A = self.base.hopf
-        for (a1, b1, i2), c1 in self.left.coact_basis(i).terms.items():
-            for (a2, b2, j2), c2 in self.right.coact_basis(j).terms.items():
-                # (b1 e_i2) (x) (b2 f_j2) = b1 ((e_i2 . b2) (x) f_j2)
-                for (b3, i3), c3 in self.left.r_act(i2, b2).terms.items():
-                    for a4, ca in A.mult(a1, a2).terms.items():
-                        for b4, cb in self.base.mult(b1, b3).terms.items():
-                            out.add_term((a4, b4, (i3, j2)), c1 * c2 * c3 * ca * cb)
-        return out
+
+        def term(x, y):
+            # (a1 (x) b1 e_i2)(a2 (x) b2 f_j2) = a1 a2 (x) b1 ((e_i2 . b2) (x) f_j2)
+            (a1, b1, i2), (a2, b2, j2) = x, y
+            moved = self.left.lmul(self.base.el(b1), self.left.r_act(i2, b2))
+            return _flat(A.mult(a1, a2).tensor(moved.map_keys(lambda bi: (bi[0], (bi[1], j2)))))
+
+        return self.left.coact_basis(i).apply2(self.right.coact_basis(j), term)
 
     def pure(self, x, y):
         """x (x) y in left normal form (pushes y's coefficients into x)."""
-        out = Vec(self.scalar_order)
-        for (b, j), c in y.terms.items():
-            moved = self.left.rmul(x, self.base.el(b))
-            for (b2, i), c2 in moved.terms.items():
-                out.add_term((b2, (i, j)), c * c2)
-        return out
+        return y.apply(lambda bj: self.left.rmul(x, self.base.el(bj[0])).map_keys(
+            lambda bi: (bi[0], (bi[1], bj[1]))))
 
 
 class ConjugateModule(FreeModule):
@@ -277,59 +259,35 @@ class ConjugateModule(FreeModule):
         return f"bar({self.inner.basis_name(key[1])})"
 
     def r_act(self, key, b_label):
-        _, i = key
-        out = Vec(self.scalar_order)
-        # e_i bar . b = (b* e_i)bar; convert b* e_i to right normal form,
-        # then (e_j . c)bar = c* . e_j bar
-        for bs, cs in self.base.star(b_label).terms.items():
-            for (i2, b2), c2 in self.inner.l_to_r(bs, i).terms.items():
-                for b3, c3 in self.base.star(b2).terms.items():
-                    out.add_term((b3, ("bar", i2)), (cs * c2).conj() * c3)
-        return out
+        # e_i bar . b = (b* e_i)bar
+        return conj_of(self.inner, self.inner.from_b(self.base.star(b_label), key[1]))
 
     def l_to_r(self, b_label, key):
-        _, i = key
-        out = Vec(self.scalar_order)
-        # b . e_i bar = (e_i b*)bar; (c e_j)bar = e_j bar . c*
-        for bs, cs in self.base.star(b_label).terms.items():
-            for (b2, i2), c2 in self.inner.r_act(i, bs).terms.items():
-                for b3, c3 in self.base.star(b2).terms.items():
-                    out.add_term((("bar", i2), b3), (cs * c2).conj() * c3)
-        return out
+        # b . e_i bar = (e_i b*)bar, and (c e_j)bar = e_j bar . c*
+        e_bstar = self.base.star(b_label).apply(lambda bs: self.inner.r_act(key[1], bs))
+        return e_bstar.apply_conj(
+            lambda bi: self.base.star(bi[0]).map_keys(lambda b: (("bar", bi[1]), b)))
 
     def coact_basis(self, key):
-        _, i = key
-        out = Vec(self.scalar_order)
+        # a (x) b e_i2  ->  a* (x) (b e_i2)bar
         A = self.base.hopf
-        for (a, b, i2), c in self.inner.coact_basis(i).terms.items():
-            # term a (x) (b e_i2)  ->  a* (x) (b e_i2)bar
-            for a2, ca in A.star(a).terms.items():
-                for (i3, b2), c2 in self.inner.l_to_r(b, i2).terms.items():
-                    for b3, c3 in self.base.star(b2).terms.items():
-                        out.add_term((a2, b3, ("bar", i3)), c.conj() * ca * c2.conj() * c3)
-        return out
+        return _flat(self.inner.coact_basis(key[1]).apply_conj(lambda k: A.star(k[0]).tensor(
+            conj_of(self.inner, self.inner.from_b(self.base.el(k[1]), k[2])))))
 
 
 def conj_of(mod, elem):
     """The antilinear map  m -> mbar  from mod to its ConjugateModule keys."""
-    out = Vec(mod.scalar_order)
-    for (b, i), c in elem.terms.items():
-        # (b e_i)bar: rewrite right-normal, then (e_j c)bar = c* e_j bar
-        for (i2, b2), c2 in mod.l_to_r(b, i).terms.items():
-            for b3, c3 in mod.base.star(b2).terms.items():
-                out.add_term((b3, ("bar", i2)), (c * c2).conj() * c3)
-    return out
+    # (b e_i)bar: rewrite right-normal, then (e_j c)bar = c* e_j bar
+    return elem.apply_conj(lambda bi: mod.l_to_r(*bi).apply_conj(
+        lambda ib: mod.base.star(ib[1]).map_keys(lambda b: (b, ("bar", ib[0])))))
 
 
 def unconj(conj_mod, elem):
     """Inverse of conj_of: from ConjugateModule keys back to the inner module."""
     inner = conj_mod.inner
-    out = Vec(inner.scalar_order)
-    for (b, (_, i)), c in elem.terms.items():
-        # b . e_i bar = (e_i . b*)bar, so the underlying element is e_i . b*
-        piece = inner.rmul(inner.el(i), inner.base.star_elem(inner.base.el(b)))
-        out = out + piece.scale(c.conj())
-    return out
+    # b . e_i bar = (e_i . b*)bar, so the underlying element is e_i . b*
+    return elem.apply_conj(
+        lambda k: inner.rmul(inner.el(k[1][1]), inner.base.star(k[0])))
 
 
 class HomModule(FreeModule):
@@ -348,20 +306,12 @@ class HomModule(FreeModule):
         return f"dual({self.inner.basis_name(key[1])})"
 
     def r_act(self, key, b_label):
-        _, i = key
-        out = Vec(self.scalar_order)
         # (e^i . b)(e_j) = e^i(e_j) b = delta_ij b; with a central basis this
         # is b . e^i again
-        for (i2, b2), c2 in self.inner.l_to_r(b_label, i).terms.items():
-            out.add_term((b2, ("dual", i2)), c2)
-        return out
+        return self.inner.l_to_r(b_label, key[1]).map_keys(lambda ib: (ib[1], ("dual", ib[0])))
 
     def l_to_r(self, b_label, key):
-        _, i = key
-        out = Vec(self.scalar_order)
-        for (b2, i2), c2 in self.inner.r_act(i, b_label).terms.items():
-            out.add_term((("dual", i2), b2), c2)
-        return out
+        return self.inner.r_act(key[1], b_label).map_keys(lambda bi: (("dual", bi[1]), bi[0]))
 
     def coact_basis(self, i):
         return unit_coaction(self, self.el(i))
@@ -371,16 +321,14 @@ def hom_apply(hom_mod, f_elem, e_elem):
     """Evaluate a Hom_B(E,B) element on an E element, returning a B element."""
     inner = hom_mod.inner
     base = hom_mod.base
-    out = Vec(hom_mod.scalar_order)
-    for (bf, (_, i)), cf in f_elem.terms.items():
-        # (bf . e^i)(x) = e^i(x . bf)
-        for (be, j), ce in e_elem.terms.items():
-            for (b2, j2), c2 in inner.r_act(j, bf).terms.items():
-                if j2 != i:
-                    continue
-                for b3, c3 in base.mult(be, b2).terms.items():
-                    out.add_term(b3, cf * ce * c2 * c3)
-    return out
+
+    def ev(f, e):
+        # (bf . e^i)(be e_j) = be e^i(e_j . bf)
+        (bf, (_, i)), (be, j) = f, e
+        return inner.r_act(j, bf).apply(
+            lambda bj: base.mult(be, bj[0]) if bj[1] == i else base.zero())
+
+    return f_elem.apply2(e_elem, ev)
 
 
 def hom_coact(hom_mod, f_elem):
@@ -392,17 +340,15 @@ def hom_coact(hom_mod, f_elem):
     inner = hom_mod.inner
     base = hom_mod.base
     A = base.hopf
-    per_basis = {}
-    for i in inner.basis:
-        out = Vec(hom_mod.scalar_order)
-        for (a, b, i2), c in inner.coact_basis(i).terms.items():
-            val = hom_apply(hom_mod, f_elem, inner.from_b(base.el(b), i2))
-            for (a2, b2), c2 in base.coact_elem(val).terms.items():
-                for a3, c3 in A.antipode(a).terms.items():
-                    for a4, c4 in A.mult(a3, a2).terms.items():
-                        out.add_term((a4, b2), c * c2 * c3 * c4)
-        per_basis[i] = out
-    return per_basis
+
+    def term(k):
+        # S(e_(-1)) f(e_(0))_(-1) (x) f(e_(0))_(0) for e = b e_i2
+        a, b, i2 = k
+        val = hom_apply(hom_mod, f_elem, inner.from_b(base.el(b), i2))
+        return base.coact_elem(val).apply(
+            lambda ab: A.mult_elem(A.antipode(a), A.el(ab[0])).tensor(base.el(ab[1])))
+
+    return {i: inner.coact_basis(i).apply(term) for i in inner.basis}
 
 
 class Morphism:
@@ -415,11 +361,7 @@ class Morphism:
         self.name = name
 
     def __call__(self, elem):
-        out = Vec(self.dst.scalar_order)
-        for (b, i), c in elem.terms.items():
-            img = self.dst.lmul(self.src.base.el(b), self.table[i])
-            out = out + img.scale(c)
-        return out
+        return elem.apply(lambda bi: self.dst.lmul(self.src.base.el(bi[0]), self.table[bi[1]]))
 
     @staticmethod
     def identity(mod):
@@ -435,8 +377,6 @@ def right_linear_defect(f, b_label, i):
 def covariance_defect(f, src, dst, elem):
     """delta(f(elem)) - (id (x) f)(delta(elem)) for a map f: src -> dst."""
     lhs = dst.coact(f(elem))
-    rhs = Vec(dst.scalar_order)
-    for (a, b, i), c in src.coact(elem).terms.items():
-        for (b2, i2), c2 in f(src.from_b(src.base.el(b), i)).terms.items():
-            rhs.add_term((a, b2, i2), c * c2)
+    rhs = src.coact(elem).apply(
+        lambda k: f(src.from_b(src.base.el(k[1]), k[2])).map_keys(lambda bi: (k[0], *bi)))
     return lhs - rhs

@@ -18,7 +18,6 @@ weights, and in the *-structures.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyc
 from .modules import (
     ComodAlgebra, ConjugateModule, FreeModule, Morphism, TensorModule, conj_of, unconj)
 from .vectors import Vec
@@ -28,49 +27,27 @@ class TwistedComodule(ComodAlgebra):
     """B_gamma: same labels and coaction, deformed product and involution."""
 
     def __init__(self, base, data, twisted_hopf, name=None):
+        from .vectors import memoize_table
         super().__init__(twisted_hopf, name or base.name + "_tw")
         self.untwisted = base
         self.data = data
-        self._mult_cache = {}
-        self._star_cache = {}
+        self.mult = memoize_table(self.mult)
+        self.star = memoize_table(self.star)
 
     def mult(self, l1, l2):
-        key = (l1, l2)
-        out = self._mult_cache.get(key)
-        if out is None:
-            d = self.data
-            B = self.untwisted
-            out = Vec(self.scalar_order)
-            for (a1, b1), c1 in B.coact(l1).terms.items():
-                for (a2, b2), c2 in B.coact(l2).terms.items():
-                    c = c1 * c2 * d.gamma(a1, a2)
-                    if c.is_zero():
-                        continue
-                    for b3, c3 in B.mult(b1, b2).terms.items():
-                        out.add_term(b3, c * c3)
-            self._mult_cache[key] = out
-        return out
+        # a ._g b = gamma(a_(-1) (x) b_(-1)) a_(0) b_(0)
+        B, d = self.untwisted, self.data
+        return B.coact(l1).apply2(
+            B.coact(l2), lambda x, y: B.mult(x[1], y[1]).scale(d.gamma(x[0], y[0])))
 
     def unit(self):
         return self.untwisted.unit()
 
     def star(self, label):
-        out = self._star_cache.get(label)
-        if out is None:
-            d = self.data
-            B = self.untwisted
-            A = B.hopf
-            out = Vec(self.scalar_order)
-            # b^{*_g} = Vbar(b_(-1)*) b_(0)*
-            for (a, b), c in B.coact(label).terms.items():
-                for a2, ca in A.star(a).terms.items():
-                    coeff = c.conj() * ca * d.Vbar(a2)
-                    if coeff.is_zero():
-                        continue
-                    for b2, cb in B.star(b).terms.items():
-                        out.add_term(b2, coeff * cb)
-            self._star_cache[label] = out
-        return out
+        # b^{*_g} = Vbar(b_(-1)*) b_(0)*
+        B, d = self.untwisted, self.data
+        return B.coact(label).apply_conj(
+            lambda ab: B.star(ab[1]).scale(B.hopf.star(ab[0]).evaluate(d.Vbar)))
 
     def coact(self, label):
         return self.untwisted.coact(label)
@@ -98,32 +75,25 @@ class TwistedModule(FreeModule):
         # e_i ._g b = gamma(e_i_(-1) (x) b_(-1)) e_i_(0) b_(0); the basis is
         # coinvariant, so this is the untwisted straightening (whose output
         # keys are again valid left normal forms here).
-        d = self.data
-        B = self.inner.base
-        out = Vec(self.scalar_order)
-        for (ab, b0), cb in B.coact(b_label).terms.items():
-            for (ae, be, i2), ce in self.inner.coact_basis(i).terms.items():
-                c = cb * ce * d.gamma(ae, ab)
-                if c.is_zero():
-                    continue
-                for (b2, i3), c2 in self.inner.r_act(i2, b0).terms.items():
-                    for b3, c3 in B.mult(be, b2).terms.items():
-                        out.add_term((b3, i3), c * c2 * c3)
-        return out
+        E, d = self.inner, self.data
+        B = E.base
+
+        def term(e, b):
+            (ae, be, i2), (ab, b0) = e, b
+            return E.lmul(B.el(be), E.r_act(i2, b0)).scale(d.gamma(ae, ab))
+
+        return E.coact_basis(i).apply2(B.coact(b_label), term)
 
     def l_to_r(self, b_label, i):
-        d = self.data
-        B = self.inner.base
-        out = Vec(self.scalar_order)
-        for (ab, b0), cb in B.coact(b_label).terms.items():
-            for (ae, be, i2), ce in self.inner.coact_basis(i).terms.items():
-                c = cb * ce * d.gamma(ab, ae)
-                if c.is_zero():
-                    continue
-                for b2, c2 in B.mult(b0, be).terms.items():
-                    for (i3, b3), c3 in self.inner.l_to_r(b2, i2).terms.items():
-                        out.add_term((i3, b3), c * c2 * c3)
-        return out
+        # b ._g e_i = gamma(b_(-1) (x) e_i_(-1)) b_(0) e_i_(0)
+        E, d = self.inner, self.data
+        B = E.base
+
+        def term(b, e):
+            (ab, b0), (ae, be, i2) = b, e
+            return B.mult(b0, be).apply(lambda b2: E.l_to_r(b2, i2)).scale(d.gamma(ab, ae))
+
+        return B.coact(b_label).apply2(E.coact_basis(i), term)
 
     def coact_basis(self, i):
         return self.inner.coact_basis(i)
@@ -157,19 +127,15 @@ def _phi(weight, src, dst, elem):
     for phi^-1."""
     V, W = src.left, src.right
     B = dst.base
-    out = Vec(dst.scalar_order)
-    for (b, (i, j)), c in elem.terms.items():
-        vco = V.coact(Vec.single(elem.order, (b, i), c))
-        for (a2, b2, j2), c2 in W.coact_basis(j).terms.items():
-            for (a1, b1, i1), c1 in vco.terms.items():
-                s = c1 * c2 * weight(a1, a2)
-                if s.is_zero():
-                    continue
-                # assemble (b1 e_i1) (x) (b2 f_j2) in dst
-                for (b3, i3), c3 in dst.left.r_act(i1, b2).terms.items():
-                    for b4, c4 in B.mult(b1, b3).terms.items():
-                        out.add_term((b4, (i3, j2)), s * c3 * c4)
-    return out
+
+    def term(v, w):
+        # (b1 e_i1) (x) (b2 f_j2) in dst is b1 ((e_i1 . b2) (x) f_j2)
+        (a1, b1, i1), (a2, b2, j2) = v, w
+        moved = dst.left.lmul(B.el(b1, weight(a1, a2)), dst.left.r_act(i1, b2))
+        return moved.map_keys(lambda bi: (bi[0], (bi[1], j2)))
+
+    return elem.apply(lambda k: V.coact(Vec.single(elem.order, (k[0], k[1][0]))).apply2(
+        W.coact_basis(k[1][1]), term))
 
 
 def twist_tensor_morphism(T, data, src_tw, dst_tw, name=None):
@@ -198,15 +164,13 @@ def upsilon(tensor_mod, bar_tensor, out_tensor, elem):
     """Upsilon: (M (x) N)bar -> Nbar (x) Mbar, (m (x) n)bar -> nbar (x) mbar."""
     M = tensor_mod.left
     Nbar = out_tensor.left
-    out = Vec(elem.order)
-    for key, c in elem.terms.items():
-        inner = unconj(bar_tensor, Vec.single(elem.order, key, 1))
-        for (b, (i, j)), d in inner.terms.items():
-            nbar = Nbar.el(("bar", j))
-            mbar = conj_of(M, M.from_b(M.base.el(b), i))
-            piece = out_tensor.pure(nbar, mbar)
-            out = out + piece.scale(c * d.conj())
-    return out
+
+    def swap(k):
+        b, (i, j) = k
+        return out_tensor.pure(Nbar.el(("bar", j)), conj_of(M, M.from_b(M.base.el(b), i)))
+
+    return elem.apply(
+        lambda key: unconj(bar_tensor, Vec.single(elem.order, key)).apply_conj(swap))
 
 
 def bb_map(mod, bar_mod, elem):
@@ -231,30 +195,19 @@ def _conj_transport(weight, A, src, dst, elem):
     """bar(src) -> bar(dst) on shared keys: (e)bar -> weight(e_(-1)*) (e_(0))bar,
     with * taken in the untwisted Hopf algebra A."""
     src_bar = ConjugateModule(src)
-    out = Vec(elem.order)
-    for key, c in elem.terms.items():
-        e = unconj(src_bar, Vec.single(elem.order, key, 1))
-        for (a, b, i), d in src.coact(e).terms.items():
-            scalar = Cyc.zero(elem.order)
-            for a2, ca in A.star(a).terms.items():
-                scalar = scalar + ca * weight(a2)
-            if scalar.is_zero():
-                continue
-            piece = conj_of(dst, dst.from_b(dst.base.el(b), i))
-            out = out + piece.scale(c * (d.conj() * scalar))
-    return out
+
+    def transport(k):
+        a, b, i = k
+        return conj_of(dst, dst.from_b(dst.base.el(b), i)).scale(A.star(a).evaluate(weight))
+
+    return elem.apply(lambda key: src.coact(
+        unconj(src_bar, Vec.single(elem.order, key))).apply_conj(transport))
 
 
 def conj_twist_fake_identity(data, GE, elem):
     """The deliberately wrong 'identity' comparison map (Vbar omitted)."""
-    E = GE.inner
     bar_GE = ConjugateModule(GE)
-    out = Vec(elem.order)
-    for key, c in elem.terms.items():
-        m = unconj(bar_GE, Vec.single(elem.order, key, 1))
-        piece = conj_of(E, m)
-        out = out + piece.scale(c)
-    return out
+    return elem.apply(lambda key: conj_of(GE.inner, unconj(bar_GE, Vec.single(elem.order, key))))
 
 
 def hom_twist_iso(data, hom_mod, f_elem):
@@ -272,31 +225,21 @@ def hom_twist_iso(data, hom_mod, f_elem):
     B = E.base
     A = B.hopf
 
-    def apply(v):
-        out = Vec(v.order)
-        for (alegs, b, i), c in E.coact_iter(v, 2).terms.items():
-            a1, a2 = alegs
-            w = hom_apply(hom_mod, f_elem, E.from_b(B.el(b), i))
-            for (a3, b2), c2 in B.coact_elem(w).terms.items():
-                sval = Cyc.zero(v.order)
-                for a4, c4 in A.antipode(a2).terms.items():
-                    for a5, c5 in A.mult(a4, a3).terms.items():
-                        sval = sval + c4 * c5 * data.gamma(a1, a5)
-                if sval.is_zero():
-                    continue
-                out.add_term(b2, c * c2 * sval)
-        return out
+    def term(k):
+        (a1, a2), b, i = k
+        w = hom_apply(hom_mod, f_elem, E.from_b(B.el(b), i))
+        # gamma(a1 (x) S(a2) w_(-1)) w_(0)
+        return B.coact_elem(w).apply(lambda ab: B.el(ab[1], A.mult_elem(
+            A.antipode(a2), A.el(ab[0])).evaluate(lambda l: data.gamma(a1, l))))
 
-    return apply
+    return lambda v: E.coact_iter(v, 2).apply(term)
 
 
 def tensor_map_pair(src_tensor, dst_tensor, f_left, f_right, elem):
     """(f_left (x) f_right) on a tensor element, for left-linear leg maps."""
-    out = Vec(elem.order)
-    for (b, (i, j)), c in elem.terms.items():
-        xl = f_left(src_tensor.left.el(i))
-        xr = f_right(src_tensor.right.el(j))
-        piece = dst_tensor.pure(xl, xr)
-        piece = dst_tensor.lmul(dst_tensor.base.el(b), piece)
-        out = out + piece.scale(c)
-    return out
+    def on_key(k):
+        b, (i, j) = k
+        pure = dst_tensor.pure(f_left(src_tensor.left.el(i)), f_right(src_tensor.right.el(j)))
+        return dst_tensor.lmul(dst_tensor.base.el(b), pure)
+
+    return elem.apply(on_key)

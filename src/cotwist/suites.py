@@ -135,22 +135,15 @@ def _comodule_axioms(B, labels, rep, prefix):
     A = B.hopf
 
     def coassociative(l):
-        lhs = Vec(B.scalar_order)
-        for (a, b), c in B.coact(l).terms.items():
-            for (a1, a2), c2 in A.coproduct(a).terms.items():
-                lhs.add_term((a1, a2, b), c * c2)
-        rhs = Vec(B.scalar_order)
-        for (a, b), c in B.coact(l).terms.items():
-            for (a2, b2), c2 in B.coact(b).terms.items():
-                rhs.add_term((a, a2, b2), c * c2)
+        # (Delta (x) id) delta = (id (x) delta) delta
+        lhs = B.coact(l).apply(lambda ab: A.coproduct(ab[0]).map_keys(lambda x: (*x, ab[1])))
+        rhs = B.coact(l).apply(lambda ab: B.coact(ab[1]).map_keys(lambda x: (ab[0], *x)))
         return f"coaction not coassociative at {B.label_name(l)}" if lhs != rhs else None
 
     rep.forall(f"{prefix}.coassociative", "comodule.coassociativity", labels, coassociative)
 
     def counital(l):
-        got = Vec(B.scalar_order)
-        for (a, b), c in B.coact(l).terms.items():
-            got.add_term(b, c * A.counit(a))
+        got = B.coact(l).apply(lambda ab: B.el(ab[1], A.counit(ab[0])))
         return f"counit collapse fails at {B.label_name(l)}" if got != B.el(l) else None
 
     rep.forall(f"{prefix}.counital", "comodule.counit-law", labels, counital)
@@ -158,12 +151,8 @@ def _comodule_axioms(B, labels, rep, prefix):
     def algebra_map(ab):
         a, b = ab
         lhs = B.coact_elem(B.mult(a, b))
-        rhs = Vec(B.scalar_order)
-        for (a1, b1), c1 in B.coact(a).terms.items():
-            for (a2, b2), c2 in B.coact(b).terms.items():
-                for a3, ca in A.mult(a1, a2).terms.items():
-                    for b3, cb in B.mult(b1, b2).terms.items():
-                        rhs.add_term((a3, b3), c1 * c2 * ca * cb)
+        rhs = B.coact(a).apply2(
+            B.coact(b), lambda x, y: A.mult(x[0], y[0]).tensor(B.mult(x[1], y[1])))
         if lhs != rhs:
             return f"coaction not an algebra map at ({B.label_name(a)},{B.label_name(b)})"
         return None
@@ -175,11 +164,7 @@ def _comodule_axioms(B, labels, rep, prefix):
 
     def star_hom(l):
         lhs = B.coact_elem(B.star(l))
-        rhs = Vec(B.scalar_order)
-        for (a, b), c in B.coact(l).terms.items():
-            for a2, ca in A.star(a).terms.items():
-                for b2, cb in B.star(b).terms.items():
-                    rhs.add_term((a2, b2), c.conj() * ca * cb)
+        rhs = B.coact(l).apply_conj(lambda ab: A.star(ab[0]).tensor(B.star(ab[1])))
         return f"coaction not a *-homomorphism at {B.label_name(l)}" if lhs != rhs else None
 
     rep.forall(f"{prefix}.star-hom", "comodule.star-homomorphism", labels, star_hom)
@@ -447,11 +432,8 @@ def suite_barfunctor(bundle, rep, sampler):
         f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
         formula = hom_coact(H, f)
         for i in E.basis:
-            structural = Vec(B.scalar_order)
-            for (a, b, dk), c in H.coact(f).terms.items():
-                val = hom_apply(H, H.from_b(B.el(b), dk), E.el(i))
-                for b2, c2 in val.terms.items():
-                    structural.add_term((a, b2), c * c2)
+            structural = H.coact(f).apply(lambda k: hom_apply(
+                H, H.from_b(B.el(k[1]), k[2]), E.el(i)).map_keys(lambda b2: (k[0], b2)))
             yield f"hom coaction formula mismatch at basis {i}" \
                 if structural != formula[i] else None
 
@@ -634,10 +616,8 @@ def _calculus_core(cal, rep, sampler, prefix):
 
     def d_covariant(b):
         lhs = cal.module(1).coact(cal.d(cal.from_b(b)).vec)
-        rhs = Vec(cal.scalar_order)
-        for (a, b1), c in B.coact_elem(b).terms.items():
-            for (b2, i), c2 in cal.d(cal.from_b(B.el(b1))).vec.terms.items():
-                rhs.add_term((a, b2, i), c * c2)
+        rhs = B.coact_elem(b).apply(lambda ab: cal.d(cal.from_b(B.el(ab[1]))).vec.map_keys(
+            lambda bi: (ab[0], *bi)))
         return "d is not covariant on a sample" if lhs != rhs else None
 
     rep.forall(f"{prefix}.d-covariant", "calculus.covariance",
@@ -690,13 +670,14 @@ def suite_calculus(bundle, rep, sampler):
         A = bundle.hopf
         mod1 = cal.module(1)
         lhs = cal_tw.star(f).vec
-        rhs = Vec(cal.scalar_order)
-        for (a, b, i), c in mod1.coact(f.vec).terms.items():
-            scal = Cyc.zero(cal.scalar_order)
-            for a2, ca in A.star(a).terms.items():
-                scal = scal + ca * data.Vbar(a2)
-            piece = cal.star(Form(1, mod1.from_b(bundle.comodule.el(b), i))).vec
-            rhs = rhs + piece.scale(c.conj() * scal)
+
+        def term(k):
+            # a (x) b e_i  ->  Vbar(a*) (b e_i)*, antilinear in the coaction
+            a, b, i = k
+            starred = cal.star(Form(1, mod1.from_b(bundle.comodule.el(b), i))).vec
+            return starred.scale(A.star(a).evaluate(data.Vbar))
+
+        rhs = mod1.coact(f.vec).apply_conj(term)
         return "twisted star does not match its coaction formula" if lhs != rhs else None
 
     rep.forall("calc.twisted.star-formula", "twist.comodule-star",
@@ -786,12 +767,8 @@ def suite_calculus(bundle, rep, sampler):
             def holo_leibniz(bi):
                 b, i = bi
                 lhs = hh.delbar_conn(mod.lmul(b, mod.el(i)))
-                rhs = hh.tensor_01.lmul(b, hh.delbar_conn(mod.el(i)))
-                db = hh.cs.delbar_b(b)
-                db_keys = Vec(mod.scalar_order)
-                for (b2, w), c in db.vec.terms.items():
-                    db_keys.add_term((b2, w), c)
-                rhs = rhs + hh.tensor_01.pure(db_keys, mod.el(i))
+                rhs = hh.tensor_01.lmul(b, hh.delbar_conn(mod.el(i))) + \
+                    hh.tensor_01.pure(hh.cs.delbar_b(b).vec, mod.el(i))
                 return "delbar-connection Leibniz fails on a sample" if lhs != rhs else None
 
             rep.forall(f"holo.{wtag}.{tag}.leibniz", "holomorphic.leibniz",
@@ -812,9 +789,9 @@ def suite_calculus(bundle, rep, sampler):
         e = h.module.from_b(cal.base.el(lab), h.module.basis[0])
         u = h.tensor_01.pure(cs.proj(w, 0, 1).vec, e)
         moved = phi_inv_map(data, h_tw.tensor_01, h.tensor_01, u)
-        rhs = phi_map(data, _op_target(h_tw), _op_target(h), _holo_operator(h_tw, moved))
+        rhs = phi_map(data, _op_target(h_tw), _op_target(h), h_tw.operator(moved))
         return "holomorphic transport identity fails on a sample" \
-            if _holo_operator(h, u) != rhs else None
+            if h.operator(u) != rhs else None
 
     rep.forall("holo.twist-intermediate", "twist.holomorphic-transport",
                sampler.draws(6, lambda: (_sample_form(cal, sampler, 1), sampler.label())),
@@ -839,24 +816,6 @@ def suite_calculus(bundle, rep, sampler):
         rep.forall(f"kahler.{tag}.lefschetz", "kahler.lefschetz-bijectivity", [kd],
                    lambda k: "L: Omega^0 -> Omega^2 is not bijective"
                    if not k.lefschetz_bijective(0) else None)
-
-
-def _holo_operator(h, u):
-    """(delbar (x) id - id ^ delbar_E) on a normal-form element."""
-    cs, mod = h.cs, h.module
-    out = Vec(mod.scalar_order)
-    for (b, (w, j)), c in u.terms.items():
-        dpart = cs.delbar(Form(1, Vec.single(mod.scalar_order, (b, w), c)))
-        for (b2, w2), c2 in dpart.vec.terms.items():
-            out.add_term((b2, (w2, j)), c2)
-        inner = h.delbar_conn(mod.el(j))
-        for (b2, (w2, j2)), c2 in inner.terms.items():
-            wedged = cs.cal.wedge(
-                Form(1, Vec.single(mod.scalar_order, (b, w), c)),
-                Form(1, Vec.single(mod.scalar_order, (b2, w2), c2)))
-            for (b3, w3), c3 in wedged.vec.terms.items():
-                out.add_term((b3, (w3, j2)), -c3)
-    return out
 
 
 def _op_target(h):
@@ -899,11 +858,8 @@ def _metric_core(metric, rep, sampler, prefix):
 
     def pair_covariant(t):
         lhs = B.coact_elem(metric.pair_apply(t))
-        rhs = Vec(cal.scalar_order)
-        for (a, b, k), c in metric.tensor.coact(t).terms.items():
-            val = metric.pair_apply(metric.tensor.from_b(B.el(b), k))
-            for b2, c2 in val.terms.items():
-                rhs.add_term((a, b2), c * c2)
+        rhs = metric.tensor.coact(t).apply(lambda x: metric.pair_apply(
+            metric.tensor.from_b(B.el(x[1]), x[2])).map_keys(lambda b2: (x[0], b2)))
         return "pairing is not covariant on a sample" if lhs != rhs else None
 
     rep.forall(f"{prefix}.pair-covariant", "metric.pairing-covariance",
@@ -941,18 +897,14 @@ def suite_metric(bundle, rep, sampler):
         lhs = metric_tw.dagger(phi_inv_map(data, T_tw, T_unt, T_unt.pure(w, e)))
         ws = cal.star(Form(1, w)).vec
         es = cal.star(Form(1, e)).vec
-        rhs = Vec(cal.scalar_order)
-        for (a1, b1, i1), c1 in O1.coact(es).terms.items():
-            for (a2, b2, i2), c2 in O1.coact(ws).terms.items():
-                scal = Cyc.zero(cal.scalar_order)
-                for a3, ca in A.mult(a1, a2).terms.items():
-                    scal = scal + ca * data.Vbar(a3)
-                if scal.is_zero():
-                    continue
-                piece = phi_inv_map(
-                    data, T_tw, T_unt,
-                    T_unt.pure(O1.from_b(B.el(b1), i1), O1.from_b(B.el(b2), i2)))
-                rhs = rhs + piece.scale(c1 * c2 * scal)
+
+        def term(x, y):
+            (a1, b1, i1), (a2, b2, i2) = x, y
+            piece = phi_inv_map(
+                data, T_tw, T_unt, T_unt.pure(O1.from_b(B.el(b1), i1), O1.from_b(B.el(b2), i2)))
+            return piece.scale(A.mult(a1, a2).evaluate(data.Vbar))
+
+        rhs = O1.coact(es).apply2(O1.coact(ws), term)
         return "twisted-dagger transport identity fails on a sample" if lhs != rhs else None
 
     rep.forall("metric.dagger-identity", "twist.reality-transport",
@@ -1060,12 +1012,15 @@ def suite_hermitian(bundle, rep, sampler):
         def covariant(x_ybar):
             x, ybar = x_ybar
             lhs = c_al.base.coact_elem(h.pair(x, ybar))
-            rhs = Vec(c_al.scalar_order)
             TXY = TensorModule(h.module, h.ebar)
-            for (a, b, (i, j)), c in TXY.coact(TXY.pure(x, ybar)).terms.items():
+
+            def term(k):
+                # a (x) b (e_i (x) ybar_j)  ->  a (x) <b e_i, ybar_j>
+                a, b, (i, j) = k
                 inner = h.pair(h.module.from_b(c_al.base.el(b), i), h.ebar.el(j))
-                for b2, c2 in inner.terms.items():
-                    rhs.add_term((a, b2), c * c2)
+                return inner.map_keys(lambda b2: (a, b2))
+
+            rhs = TXY.coact(TXY.pure(x, ybar)).apply(term)
             return "< , > is not covariant on a sample" if lhs != rhs else None
 
         rep.forall(f"herm.{tag}.covariant", "hermitian.covariance",
@@ -1110,19 +1065,17 @@ def suite_hermitian(bundle, rep, sampler):
         # <x, ybar>_g = Vbar(y_(-2)*) gamma(x_(-1) (x) y_(-1)*) <x_(0), (y_(0))bar>
         x, y = xy
         lhs = herm_tw.pair(x, conj_of(G1, y))
-        rhs = Vec(cal.scalar_order)
-        for (alegs, b, i), c in O1.coact_iter(y, 2).terms.items():
-            a1, a2 = alegs
-            for (ax, bx, ix), cx in O1.coact(x).terms.items():
-                scal = Cyc.zero(cal.scalar_order)
-                for a1s, ca1 in A.star(a1).terms.items():
-                    for a2s, ca2 in A.star(a2).terms.items():
-                        scal = scal + ca1 * ca2 * data.Vbar(a1s) * data.gamma(ax, a2s)
-                if scal.is_zero():
-                    continue
-                inner = herm.pair(O1.from_b(B.el(bx), ix),
-                                  conj_of(O1, O1.from_b(B.el(b), i)))
-                rhs = rhs + inner.scale(cx * c.conj() * scal)
+
+        def term(yk, xk):
+            ((a1, a2), b, i), (ax, bx, ix) = yk, xk
+            scal = A.star(a1).evaluate(data.Vbar) * \
+                A.star(a2).evaluate(lambda s: data.gamma(ax, s))
+            return herm.pair(O1.from_b(B.el(bx), ix),
+                             conj_of(O1, O1.from_b(B.el(b), i))).scale(scal)
+
+        # antilinear in y, linear in x
+        rhs = O1.coact_iter(y, 2).apply_conj(
+            lambda yk: O1.coact(x).apply(lambda xk: term(yk, xk)))
         return "twisted pairing relation fails on a sample" if lhs != rhs else None
 
     res = rep.forall("herm.relation-sampled", "twist.hermitian-pairing-relation",
@@ -1294,16 +1247,9 @@ def suite_main(bundle, rep, sampler):
         return
 
     def direct_sum_apply(elem):
-        out = Vec(cal_tw.scalar_order)
-        comps = {}
-        for (b, i), c in elem.terms.items():
-            comps.setdefault(cs_tw.bigrade[i], Vec(cal_tw.scalar_order)).add_term((b, i), c)
-        for grade, piece in comps.items():
-            conn = ch10 if grade == (1, 0) else ch01
-            img = conn.apply(piece)
-            for (b, (w, t)), c in img.terms.items():
-                out.add_term((b, (w, t)), c)
-        return out
+        # each basis form goes to the Chern connection of its bigrade
+        return elem.apply(lambda bi: (ch10 if cs_tw.bigrade[bi[1]] == (1, 0) else ch01).apply(
+            Vec.single(cal_tw.scalar_order, bi)))
 
     rep.forall("main.direct-sum-basis", "main.twisted-direct-sum", O1tw.basis,
                lambda i: f"nabla_g != chern (+) chern at basis {i}"

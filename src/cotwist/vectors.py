@@ -88,17 +88,67 @@ class Vec:
 
     def map_keys(self, fn):
         v = Vec(self.order)
+        terms = v.terms
         for k, c in self.terms.items():
-            v.add_term(fn(k), c)
+            k2 = fn(k)
+            # only keys that fn merges need an addition
+            if k2 in terms:
+                v.add_term(k2, c)
+            else:
+                terms[k2] = c
         return v
 
     def apply(self, fn):
         """Linear extension: fn(key) -> Vec, summed with coefficients."""
         out = Vec(self.order)
+        add = out.add_term
         for k, c in self.terms.items():
-            img = fn(k)
-            for k2, c2 in img.terms.items():
-                out.add_term(k2, c * c2)
+            for k2, c2 in fn(k).terms.items():
+                add(k2, c * c2)
+        return out
+
+    def apply2(self, other, fn):
+        """Bilinear extension: fn(key, other_key) -> Vec, in one pass."""
+        out = Vec(self.order)
+        add = out.add_term
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                img = fn(k1, k2).terms
+                if img:
+                    c = c1 * c2
+                    for k3, c3 in img.items():
+                        add(k3, c * c3)
+        return out
+
+    def apply_conj(self, fn):
+        """Antilinear extension: fn(key) -> Vec, summed with conjugated coefficients."""
+        out = Vec(self.order)
+        add = out.add_term
+        for k, c in self.terms.items():
+            img = fn(k).terms
+            if img:
+                c = c.conj()
+                for k2, c2 in img.items():
+                    add(k2, c * c2)
+        return out
+
+    def evaluate(self, fn):
+        """The linear functional sum c * fn(key), for fn(key) a scalar."""
+        # starting from the first term, not from a zero, saves one addition
+        # per call on the many one-term Vecs of grouplike algebras
+        out = None
+        for k, c in self.terms.items():
+            t = c * fn(k)
+            out = t if out is None else out + t
+        return Cyc.zero(self.order) if out is None else out
+
+    def tensor(self, other):
+        """self (x) other as a Vec over key pairs."""
+        out = Vec(self.order)
+        add = out.add_term
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                add((k1, k2), c1 * c2)
         return out
 
     def is_zero(self):

@@ -10,7 +10,7 @@ from cotwist.cocycle import (
     convolution_inverse, convolve, counit_functional, trivial_cocycle,
     verify_cocycle_identities, verify_unitarity_suite)
 from cotwist.hopf import GroupAlgebra, fun_s3
-from cotwist.models import nc_torus
+from cotwist.models import finite_bicharacter, nc_torus
 from cotwist.report import Report
 from cotwist.vectors import Vec
 
@@ -257,3 +257,13 @@ def test_no_inverse_method_without_grouplike_basis_or_finite_labels():
 
     with pytest.raises(NotInvertible):
         convolution_inverse(None, InfiniteAlgebra())
+
+
+@pytest.mark.parametrize("pairing", [
+    [[0, Fraction(1, 2)], [0, 0]],   # would give the scalar zeta(3)^1/2
+    [[0, 1.5], [0, 0]],              # would give zeta(3)^1.5
+    [[0]],                           # too small: the cocycle suites raised IndexError
+], ids=["fraction", "float", "1x1"])
+def test_malformed_pairing_is_rejected(pairing):
+    with pytest.raises(ValueError, match="2x2 matrix of ints"):
+        finite_bicharacter(3, pairing)

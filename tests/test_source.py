@@ -1,4 +1,5 @@
-"""Source hygiene: no function-local name is assigned and never read."""
+"""Source hygiene: no function-local name is assigned and never read, and
+only `vectors.py` accumulates a Vec term by term."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,59 @@ def test_no_dead_locals_in_package():
         for func, line, name in dead_locals(ast.parse(path.read_text())):
             found.append(f"{path.name}:{line} {func}: {name}")
     assert found == []
+
+
+# Functions outside vectors.py that may still call Vec.add_term, each with why.
+# Every other element map is a linear, bilinear or antilinear extension
+# (Vec.apply, apply2, apply_conj, evaluate, tensor) of a basis table.  The
+# slowdowns are per call, on a two-term one-form of nc_torus(1,3).
+ADD_TERM_ALLOWED = {
+    "modules.py:FreeModule.lmul":
+        "the inner loop of every module product; its apply2 form ran 1.3x slower",
+    "modules.py:FreeModule.rmul":
+        "the inner loop of every module product; its apply2 form ran 1.8x slower",
+    "modules.py:FreeModule.coact":
+        "the coaction of every module element; its apply2 form ran 1.5x slower",
+}
+
+
+def add_term_callers(tree):
+    """(qualified name of the innermost enclosing function or class, line) of
+    each `.add_term(...)` call; `<module>` outside every definition."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "add_term":
+                out.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
+
+
+def test_add_term_scanner_names_the_enclosing_function():
+    tree = ast.parse(
+        "v.add_term(1, 2)\n"
+        "class C:\n"
+        "    def f(self, v):\n"
+        "        def g():\n"
+        "            v.add_term(3, 4)\n"
+        "        return [v.add_term(k, 1) for k in g()]\n")
+    assert add_term_callers(tree) == [("<module>", 1), ("C.f.g", 5), ("C.f", 6)]
+
+
+def test_only_vectors_accumulates():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "vectors.py":
+            continue
+        for func, line in add_term_callers(ast.parse(path.read_text())):
+            found.add((f"{path.name}:{func}", line))
+    assert sorted((f, l) for f, l in found if f not in ADD_TERM_ALLOWED) == []
+    # an entry whose function no longer accumulates is stale
+    assert {f for f, _ in found} == set(ADD_TERM_ALLOWED)

@@ -1,13 +1,15 @@
-"""The exact linear solver and inverse over Q and Q(zeta_12), against minors."""
+"""The exact linear solver and inverse over Q and Q(zeta_12), against minors,
+and the extensions of Vec, against their coefficients summed key by key."""
 
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotwist.cyclotomic import Cyc
-from cotwist.vectors import gauss_solve, invert
+from cotwist.vectors import Vec, gauss_solve, invert
 
 ORDER = 12
 # mostly zeros, so singular and inconsistent systems are common
@@ -112,3 +114,45 @@ def test_invert_is_the_inverse_or_none(rows):
 
 def test_invert_empty_matrix():
     assert invert([]) == []
+
+
+ZERO = Cyc.zero(ORDER)
+KEYS = range(4)
+# at most three terms, so the empty Vec is drawn too
+vecs = st.dictionaries(st.sampled_from(KEYS), cycs, max_size=3).map(lambda d: Vec(ORDER, d))
+
+
+def _dense(v, keys=KEYS):
+    """The coefficients of v at keys, which must hold all of its terms."""
+    assert set(v.terms) <= set(keys)
+    return [v.terms.get(k, ZERO) for k in keys]
+
+
+@settings(max_examples=100, deadline=None)
+@given(vecs, vecs, st.lists(vecs, min_size=4, max_size=4),
+       st.lists(vecs, min_size=16, max_size=16), st.lists(cycs, min_size=4, max_size=4))
+def test_extensions_match_explicit_loops(v, w, images, pair_images, scalars):
+    cv, cw = _dense(v), _dense(w)
+    img = [_dense(x) for x in images]
+    pair_img = [_dense(x) for x in pair_images]
+
+    def total(terms):
+        return sum(terms, ZERO)
+
+    assert _dense(v.apply(images.__getitem__)) == [
+        total(cv[k] * img[k][x] for k in KEYS) for x in KEYS]
+    assert _dense(v.apply_conj(images.__getitem__)) == [
+        total(cv[k].conj() * img[k][x] for k in KEYS) for x in KEYS]
+    assert _dense(v.apply2(w, lambda k1, k2: pair_images[4 * k1 + k2])) == [
+        total(cv[k1] * cw[k2] * pair_img[4 * k1 + k2][x] for k1 in KEYS for k2 in KEYS)
+        for x in KEYS]
+    value = v.evaluate(scalars.__getitem__)
+    assert value.order == ORDER and value == total(cv[k] * scalars[k] for k in KEYS)
+    pairs = [(k1, k2) for k1 in KEYS for k2 in KEYS]
+    assert _dense(v.tensor(w), pairs) == [cv[k1] * cw[k2] for k1, k2 in pairs]
+
+
+@pytest.mark.parametrize("order", [1, 5, 12])
+def test_evaluate_on_the_empty_vec_is_the_zero_of_its_order(order):
+    value = Vec(order).evaluate(lambda k: Cyc.one(ORDER))
+    assert value.order == order and value.is_zero()
