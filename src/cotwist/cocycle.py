@@ -19,6 +19,8 @@ shares Delta and epsilon with A and carries
 
 from __future__ import annotations
 
+from functools import cache
+
 from .cyclotomic import Cyc
 from .hopf import HopfAlgebra
 from .vectors import gauss_solve
@@ -376,8 +378,9 @@ def verify_unitarity_suite(data, A, pairs, reporter):
     def name(t):
         return ",".join(A.label_name(x) for x in t)
 
+    @cache
     def s_star(l):
-        # S(l)* as an element
+        # S(l)* as an element, once per label
         return A.star_elem(A.antipode(l))
 
     reporter.forall("unitary.gamma-conjugation", "unitarity.gamma-conjugation", pairs,

@@ -15,7 +15,7 @@ or non-grouplike Sweedler paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .calculus import (
@@ -45,7 +45,7 @@ def check_sampling(box, samples):
 class ModelBundle:
     """One world: Hopf and comodule algebras, a cocycle, optional geometry.
 
-    Its twisted Hopf and comodule algebras are attached on construction.
+    A bundle holds no twisted structures; `twist_world` builds them.
     """
 
     name: str
@@ -64,13 +64,9 @@ class ModelBundle:
     box: int = 4
     samples: int = 100
     seed: int = 42
-    twisted_hopf: object = field(default=None, init=False)
-    twisted_comodule: object = field(default=None, init=False)
 
     def __post_init__(self):
         check_sampling(self.box, self.samples)
-        self.twisted_hopf = TwistedHopf(self.hopf, self.data)
-        self.twisted_comodule = TwistedComodule(self.comodule, self.data, self.twisted_hopf)
 
     def is_geometric(self):
         return self.calculus is not None
@@ -179,52 +175,37 @@ def nc_torus(p=1, q=3, box=4, samples=100, seed=42):
     order = math.lcm(4, q)
     base = classical_torus(order=order, box=box, samples=samples, seed=seed)
     k = p * order // q
-    data = bicharacter_cocycle(base.hopf, [[0, -k], [k, 0]])
-    return ModelBundle(
-        name=f"nc_torus({p},{q})", hopf=base.hopf, comodule=base.comodule,
-        data=data, calculus=base.calculus, complex_structure=base.complex_structure,
-        metric=base.metric, connection=base.connection, hermitian=base.hermitian,
-        hermitian_splits=base.hermitian_splits, kahler=base.kahler,
-        holo_10=base.holo_10, holo_01=base.holo_01,
-        box=box, samples=samples, seed=seed)
-
-
-def twist_algebras(bundle, **geometry):
-    """The bundle's twisted Hopf and comodule algebras as a world of their own.
-
-    Its cocycle is gammabar on the twisted Hopf algebra, so its own twisted
-    algebras, attached on construction, are the round trip back.
-    """
-    Atw = bundle.twisted_hopf
-    return ModelBundle(
-        name=f"tw({bundle.name})", hopf=Atw, comodule=bundle.twisted_comodule,
-        data=bundle.data.inverse_data(Atw), box=bundle.box, samples=bundle.samples,
-        seed=bundle.seed, **geometry)
+    return replace(base, name=f"nc_torus({p},{q})",
+                   data=bicharacter_cocycle(base.hopf, [[0, -k], [k, 0]]))
 
 
 def twist_world(bundle):
     """Deform every structure of the bundle by its cocycle.
 
-    The result is again a bundle, whose cocycle is gammabar: untwisting is
-    `twist_world` of a twisted world.
+    The result is again a bundle, whose cocycle is gammabar on the twisted
+    Hopf algebra: untwisting is `twist_world` of a twisted world.
     """
-    if not bundle.is_geometric():
-        return twist_algebras(bundle)
     data = bundle.data
-    Btw = bundle.twisted_comodule
-    cal_tw = twist_calculus(bundle.calculus, data, Btw)
-    cs_tw = twist_complex_structure(bundle.complex_structure, cal_tw)
-    return twist_algebras(
-        bundle, calculus=cal_tw, complex_structure=cs_tw,
-        metric=twist_metric(bundle.metric, data, cal_tw),
-        connection=twist_connection(bundle.connection, data, cal_tw),
-        hermitian=twist_hermitian(bundle.hermitian, data, cal_tw),
-        hermitian_splits=tuple(
-            twist_hermitian(h, data, cal_tw) for h in bundle.hermitian_splits),
-        kahler=KahlerData(cal_tw, cs_tw, Form(2, bundle.kahler.kappa.vec),
-                          bundle.kahler.dimension),
-        holo_10=twist_holomorphic(bundle.holo_10, data, cs_tw, Btw),
-        holo_01=twist_holomorphic(bundle.holo_01, data, cs_tw.opposite(), Btw))
+    Atw = TwistedHopf(bundle.hopf, data)
+    Btw = TwistedComodule(bundle.comodule, data, Atw)
+    geometry = {}
+    if bundle.is_geometric():
+        cal_tw = twist_calculus(bundle.calculus, data, Btw)
+        cs_tw = twist_complex_structure(bundle.complex_structure, cal_tw)
+        geometry = dict(
+            calculus=cal_tw, complex_structure=cs_tw,
+            metric=twist_metric(bundle.metric, data, cal_tw),
+            connection=twist_connection(bundle.connection, data, cal_tw),
+            hermitian=twist_hermitian(bundle.hermitian, data, cal_tw),
+            hermitian_splits=tuple(
+                twist_hermitian(h, data, cal_tw) for h in bundle.hermitian_splits),
+            kahler=KahlerData(cal_tw, cs_tw, Form(2, bundle.kahler.kappa.vec),
+                              bundle.kahler.dimension),
+            holo_10=twist_holomorphic(bundle.holo_10, data, cs_tw, Btw),
+            holo_01=twist_holomorphic(bundle.holo_01, data, cs_tw.opposite(), Btw))
+    return ModelBundle(
+        name=f"tw({bundle.name})", hopf=Atw, comodule=Btw, data=data.inverse_data(Atw),
+        box=bundle.box, samples=bundle.samples, seed=bundle.seed, **geometry)
 
 
 def finite_bicharacter(n=5, pairing="skew", box=0, samples=100, seed=42):

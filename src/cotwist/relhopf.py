@@ -153,11 +153,9 @@ def twist_tensor_morphism(T, data, src_tw, dst_tw, name=None):
 # -- bar structure ------------------------------------------------------------
 
 
-def bar_morphism(f, src_bar):
-    """fbar(xbar) = (f(x))bar between conjugate modules."""
-    def apply(elem):
-        return conj_of(f.dst, f(unconj(src_bar, elem)))
-    return apply
+def bar_map(f, src_bar, dst):
+    """fbar(xbar) = (f(x))bar: the conjugate of a map f into dst."""
+    return lambda elem: conj_of(dst, f(unconj(src_bar, elem)))
 
 
 def upsilon(tensor_mod, bar_tensor, out_tensor, elem):

@@ -25,13 +25,13 @@ from .geometry import (
     chern_solve, conj_connection, hermitian_from_real, split_hermitian,
     twist_connection)
 from .hopf import verify_cocommutative_flip, verify_hopf_axioms
-from .models import check_sampling, twist_algebras, twist_world
+from .models import check_sampling, twist_world
 from .modules import (
     CentralBasisModule, ConjugateModule, HomModule, Morphism, TensorModule,
     conj_of, covariance_defect, hom_apply, hom_coact, right_linear_defect, unconj,
     unit_coaction)
 from .relhopf import (
-    TwistedModule, bar_morphism, bb_map, conj_twist_iso, conj_twist_iso_inv, hom_twist_iso,
+    TwistedModule, bar_map, bb_map, conj_twist_iso, conj_twist_iso_inv, hom_twist_iso,
     phi_inv_map, phi_map, tensor_map_pair, twist_tensor_morphism, upsilon)
 from .report import outcome, table_outcomes
 from .vectors import Vec, gauss_solve
@@ -105,7 +105,7 @@ class Sampler:
 # -- hopf suite ---------------------------------------------------------------
 
 
-def suite_hopf(bundle, rep, sampler):
+def suite_hopf(bundle, world, back, rep, sampler):
     A = bundle.hopf
     labels = sampler.labels
     pairs = sampler.pairs(min(sampler.n, 30))
@@ -113,7 +113,7 @@ def suite_hopf(bundle, rep, sampler):
     if A.is_grouplike_basis():
         verify_cocommutative_flip(A, labels, rep, prefix="hopf.base")
 
-    Atw = bundle.twisted_hopf
+    Atw = world.hopf
     small = labels if sampler.exhaustive else A.labels_box(min(sampler.box, 2))
     small_pairs = [(a, b) for a in small for b in small]
     verify_hopf_axioms(Atw, small, rep, prefix="hopf.twisted", pair_samples=small_pairs)
@@ -128,7 +128,7 @@ def suite_hopf(bundle, rep, sampler):
                    if Atw.star(a) != A.star(a) else None)
 
     _comodule_axioms(bundle.comodule, small, rep, "hopf.comodule")
-    _comodule_axioms(bundle.twisted_comodule, small, rep, "hopf.comodule-twisted")
+    _comodule_axioms(world.comodule, small, rep, "hopf.comodule-twisted")
 
 
 def _comodule_axioms(B, labels, rep, prefix):
@@ -181,7 +181,7 @@ def _roundtrip_cases(labels):
         yield a, None
 
 
-def suite_cocycle(bundle, rep, sampler):
+def suite_cocycle(bundle, world, back, rep, sampler):
     A = bundle.hopf
     data = bundle.data
     triples = sampler.triples()
@@ -189,8 +189,7 @@ def suite_cocycle(bundle, rep, sampler):
     verify_cocycle_identities(data, A, triples, rep)
     verify_unitarity_suite(data, A, pairs, rep)
 
-    back = twist_algebras(bundle)
-    Aback = back.twisted_hopf
+    Aback = back.hopf
     labels = sampler.labels if sampler.exhaustive else A.labels_box(min(sampler.box, 2))
 
     def hopf_back(ab):
@@ -206,7 +205,7 @@ def suite_cocycle(bundle, rep, sampler):
     if not rep.forall("cocycle.hopf-roundtrip", "twist.inverse-deformation",
                       _roundtrip_cases(labels), hopf_back):
         return
-    Bback = back.twisted_comodule
+    Bback = back.comodule
     B = bundle.comodule
 
     def comodule_back(ab):
@@ -234,10 +233,10 @@ def _instrument_modules(bundle):
     return mods
 
 
-def suite_barfunctor(bundle, rep, sampler):
+def suite_barfunctor(bundle, world, back, rep, sampler):
     B = bundle.comodule
     data = bundle.data
-    Btw = bundle.twisted_comodule
+    Btw = world.comodule
     mods = _instrument_modules(bundle)
 
     for E in mods:
@@ -282,7 +281,7 @@ def suite_barfunctor(bundle, rep, sampler):
         # a non-real scalar multiple of the identity catches stray conjugations
         z = Cyc.root(E.scalar_order) if E.scalar_order > 2 else Cyc.rational(3, E.scalar_order)
         f_nat = Morphism(E, E, {i: E.el(i, z) for i in E.basis}, "z.id")
-        fbar = bar_morphism(f_nat, Ebar)
+        fbar = bar_map(f_nat, Ebar, E)
         for _ in range(min(sampler.n, 8)):
             x = sampler.module_elem(E)
             b = sampler.b_elem(B)
@@ -290,8 +289,7 @@ def suite_barfunctor(bundle, rep, sampler):
             rhs = Ebarbar.lmul(b, bb_map(E, Ebar, x))
             yield "bb is not left-linear on a sample" if lhs != rhs else None
             # naturality: barbar(f) . bb = bb . f
-            inner = unconj(Ebarbar, bb_map(E, Ebar, x))
-            lhs2 = conj_of(Ebar, fbar(inner))
+            lhs2 = bar_map(fbar, Ebarbar, Ebar)(bb_map(E, Ebar, x))
             rhs2 = bb_map(E, Ebar, f_nat(x))
             yield "bb is not natural against a sampled morphism" if lhs2 != rhs2 else None
 
@@ -416,13 +414,12 @@ def suite_barfunctor(bundle, rep, sampler):
         z = Cyc.root(E.scalar_order) if E.scalar_order > 2 \
             else Cyc.rational(2, E.scalar_order)
         f_mor = Morphism(E, E, {i: E.el(i, z) for i in E.basis}, "z.id")
-        Ebar2 = ConjugateModule(E)
-        fbar = bar_morphism(f_mor, Ebar2)
+        fbar = bar_map(f_mor, ConjugateModule(E), E)
+        # bar(Gamma(f)) through the twisted conjugate structure
+        fbar_tw = bar_map(f_mor, bar_GE, GE)
         for _ in range(min(sampler.n, 6)):
             xb = conj_of(GE, sampler.module_elem(GE))
-            # bar(Gamma(f)) through the twisted conjugate structure
-            inner = unconj(bar_GE, xb)
-            left = conj_twist_iso(data, GE, conj_of(GE, f_mor(inner)))
+            left = conj_twist_iso(data, GE, fbar_tw(xb))
             right = fbar(conj_twist_iso(data, GE, xb))
             yield "N is not natural against a sampled morphism" if left != right else None
 
@@ -449,13 +446,13 @@ def suite_barfunctor(bundle, rep, sampler):
         T_gbar = TensorModule(GFbar, GEbar)
         T_bars_unt = TensorModule(ConjugateModule(F), ConjugateModule(E))
         bar_Ttw = ConjugateModule(T_tw)
+        phi_inv_bar = bar_map(lambda v: phi_inv_map(data, T_tw, T_unt, v), bar_GT, T_tw)
         for _ in range(min(sampler.n, 6)):
             t = GT.from_b(Btw.el(sampler.label()),
                           (sampler.rng.choice(E.basis), sampler.rng.choice(F.basis)))
             xbar = conj_of(GT, t)
             # left route: (N_F (x) N_E) Upsilon_g (phi^-1)bar
-            route1 = bar_morphism_phi_inv(data, T_tw, T_unt, bar_GT, xbar)
-            route1 = upsilon(T_tw, bar_Ttw, T_bars_tw, route1)
+            route1 = upsilon(T_tw, bar_Ttw, T_bars_tw, phi_inv_bar(xbar))
             route1 = tensor_map_pair(
                 T_bars_tw, T_gbar,
                 lambda v: conj_twist_iso(data, GF, v),
@@ -472,31 +469,33 @@ def suite_barfunctor(bundle, rep, sampler):
     def bb_condition():
         GEbar = TwistedModule(ConjugateModule(E), data, Btw)
         Ebar = ConjugateModule(E)
+        # (N_E)bar: bar(bar(Gamma E)) -> bar(Gamma(Ebar))
+        n_bar = bar_map(lambda v: conj_twist_iso(data, GE, v), ConjugateModule(bar_GE), GEbar)
         for _ in range(min(sampler.n, 6)):
             x = sampler.module_elem(GE)
             lhs = bb_map(E, Ebar, x)      # Gamma(bb)(x), keys shared
-            step = bb_map(GE, ConjugateModule(GE), x)
-            step = bar_n_then_conj(data, GE, bar_GE, step)
-            rhs = conj_twist_iso(data, GEbar, step)
+            rhs = conj_twist_iso(data, GEbar, n_bar(bb_map(GE, ConjugateModule(GE), x)))
             yield "Gamma(bb) != N_bar . N bar . bb on a sample" if lhs != rhs else None
 
     rep.forall("bar.bb-condition", "barfunctor.double-conjugate", bb_condition(), outcome)
 
     if bundle.calculus is not None:
         cal = bundle.calculus
-        world = twist_world(bundle)
         cal_tw = world.calculus
         O1 = cal.module(1)
         G1 = cal_tw.module(1)
 
         def star_object():
             Obar = ConjugateModule(O1)
+
+            def star(w):
+                return conj_of(O1, cal.star(Form(1, w)).vec)
+
+            star_bar = bar_map(star, Obar, Obar)
             for _ in range(min(sampler.n, 6)):
                 w = sampler.module_elem(O1)
-                st = conj_of(O1, cal.star(Form(1, w)).vec)
-                stst = bar_morphism_star(cal, O1, Obar, st)
                 yield "starbar . star != bb on a one-form sample" \
-                    if stst != bb_map(O1, Obar, w) else None
+                    if star_bar(star(w)) != bb_map(O1, Obar, w) else None
 
         rep.forall("bar.star-object", "bar.star-object-law", star_object(), outcome)
 
@@ -512,37 +511,13 @@ def suite_barfunctor(bundle, rep, sampler):
 
     # module round trip through gamma then gammabar
     def module_roundtrip():
-        back = twist_algebras(bundle)
-        GEback = TwistedModule(GE, back.data, back.twisted_comodule)
+        GEback = TwistedModule(GE, world.data, back.comodule)
         for lab in sampler.labels[:5]:
             for i in E.basis:
                 yield f"module round trip fails at ({E.basis_name(i)},{B.label_name(lab)})" \
                     if GEback.r_act(i, lab) != E.r_act(i, lab) else None
 
     rep.forall("module.roundtrip", "twist.inverse-deformation", module_roundtrip(), outcome)
-
-
-def bar_morphism_phi_inv(data, T_tw, T_unt, bar_GT, xbar):
-    """(phi^-1)bar: bar(Gamma(E (x) F)) -> bar(Gamma(E) (x) Gamma(F))."""
-    inner = unconj(bar_GT, xbar)
-    moved = phi_inv_map(data, T_tw, T_unt, inner)
-    return conj_of(T_tw, moved)
-
-
-def bar_n_then_conj(data, GE, bar_GE, elem):
-    """(N_E)bar: bar(bar(Gamma E)) -> bar(Gamma(Ebar)) by conjugating N."""
-    bar_barGE = ConjugateModule(bar_GE)
-    inner = unconj(bar_barGE, elem)
-    moved = conj_twist_iso(data, GE, inner)
-    GEbar_unt = ConjugateModule(GE.inner)
-    GEbar = TwistedModule(GEbar_unt, data, GE.base)
-    return conj_of(GEbar, moved)
-
-
-def bar_morphism_star(cal, O1, Obar, elem):
-    """(star)bar applied to an element of bar(Omega^1)."""
-    inner = unconj(Obar, elem)
-    return conj_of(Obar, conj_of(O1, cal.star(Form(1, inner)).vec))
 
 
 # -- calculus suite (includes complex structure, holomorphic, Kahler) -----------
@@ -646,13 +621,12 @@ def _calculus_core(cal, rep, sampler, prefix):
                generated_by_b_db(), outcome)
 
 
-def suite_calculus(bundle, rep, sampler):
+def suite_calculus(bundle, world, back, rep, sampler):
     if bundle.calculus is None:
         rep.add_skipped("calc.base", "plumbing", "model has no calculus")
         return
     cal = bundle.calculus
     cs = bundle.complex_structure
-    world = twist_world(bundle)
     cal_tw = world.calculus
     cs_tw = world.complex_structure
     data = bundle.data
@@ -684,7 +658,7 @@ def suite_calculus(bundle, rep, sampler):
                sampler.draws(10, lambda: _sample_form(cal_tw, sampler, 1)), star_formula)
 
     def calc_roundtrip():
-        cal_back = twist_world(world).calculus
+        cal_back = back.calculus
         for _ in range(min(sampler.n, 8)):
             f = _sample_form(cal, sampler, 1)
             g2 = _sample_form(cal, sampler, 1)
@@ -870,11 +844,10 @@ def _metric_core(metric, rep, sampler, prefix):
                lambda m: "flip(* (x) *) g != g" if not m.is_real() else None)
 
 
-def suite_metric(bundle, rep, sampler):
+def suite_metric(bundle, world, back, rep, sampler):
     if bundle.calculus is None:
         rep.add_skipped("metric.base", "plumbing", "model has no calculus")
         return
-    world = twist_world(bundle)
     data = bundle.data
     metric, conn = bundle.metric, bundle.connection
     metric_tw, conn_tw = world.metric, world.connection
@@ -912,9 +885,8 @@ def suite_metric(bundle, rep, sampler):
                dagger_identity)
 
     def metric_roundtrip():
-        back = twist_world(world).metric
-        yield "g round trip differs" if back.g != metric.g else None
-        yield from table_outcomes(metric.pairing_table, back.pairing_table,
+        yield "g round trip differs" if back.metric.g != metric.g else None
+        yield from table_outcomes(metric.pairing_table, back.metric.pairing_table,
                                   metric.pairing_table, "pairing round trip differs")
 
     rep.forall("metric.roundtrip", "twist.inverse-deformation", metric_roundtrip(), outcome)
@@ -975,7 +947,7 @@ def suite_metric(bundle, rep, sampler):
                    lambda m: "nabla g != 0" if not c.metric_compat(m).is_zero() else None)
 
     def lc_roundtrip():
-        yield from table_outcomes(conn.module.basis, twist_world(world).connection.table,
+        yield from table_outcomes(conn.module.basis, back.connection.table,
                                   conn.table, "connection round trip differs")
 
     rep.forall("lc.roundtrip", "twist.inverse-deformation", lc_roundtrip(), outcome)
@@ -984,11 +956,10 @@ def suite_metric(bundle, rep, sampler):
 # -- hermitian suite ---------------------------------------------------------------
 
 
-def suite_hermitian(bundle, rep, sampler):
+def suite_hermitian(bundle, world, back, rep, sampler):
     if bundle.calculus is None:
         rep.add_skipped("herm.base", "plumbing", "model has no calculus")
         return
-    world = twist_world(bundle)
     data = bundle.data
     cal, cal_tw = bundle.calculus, world.calculus
     herm, herm_tw = bundle.hermitian, world.hermitian
@@ -1085,7 +1056,7 @@ def suite_hermitian(bundle, rep, sampler):
     res.sample_spec += f";pairs={res.instances}"
 
     def herm_roundtrip():
-        yield from table_outcomes(herm.table, twist_world(world).hermitian.table,
+        yield from table_outcomes(herm.table, back.hermitian.table,
                                   herm.table, "Hermitian round trip differs")
 
     rep.forall("herm.roundtrip", "twist.inverse-deformation", herm_roundtrip(), outcome)
@@ -1127,11 +1098,10 @@ def _chern_solve(rep, check_id, anchor, holo, h):
     return solved[0] if solved else None
 
 
-def suite_chern(bundle, rep, sampler):
+def suite_chern(bundle, world, back, rep, sampler):
     if bundle.calculus is None:
         rep.add_skipped("chern.base", "plumbing", "model has no calculus")
         return
-    world = twist_world(bundle)
     data = bundle.data
     cal, cal_tw = bundle.calculus, world.calculus
     h1, h2 = bundle.hermitian_splits
@@ -1228,11 +1198,10 @@ def suite_chern(bundle, rep, sampler):
 # -- main suite ---------------------------------------------------------------
 
 
-def suite_main(bundle, rep, sampler):
+def suite_main(bundle, world, back, rep, sampler):
     if bundle.calculus is None:
         rep.add_skipped("main.direct-sum", "plumbing", "model has no calculus")
         return
-    world = twist_world(bundle)
     cal_tw = world.calculus
     conn_tw = world.connection
     cs_tw = world.complex_structure
@@ -1261,8 +1230,8 @@ def suite_main(bundle, rep, sampler):
     res.sample_spec += f";monomials={res.instances}"
 
     def lc_uniqueness_roundtrip():
-        back = twist_world(world).connection
-        yield from table_outcomes(back.module.basis, back.table, bundle.connection.table,
+        lc_back = back.connection
+        yield from table_outcomes(lc_back.module.basis, lc_back.table, bundle.connection.table,
                                   "gammabar round trip does not recover the LC connection")
 
     rep.forall("main.lc-uniqueness-roundtrip", "main.uniqueness-witness",
@@ -1273,6 +1242,11 @@ def suite_main(bundle, rep, sampler):
 
 
 def run_suite(bundle, suite, rep, box=None, samples=None, seed=None):
+    """Run one suite, or `all`, on the bundle.
+
+    The bundle is twisted once and untwisted once here; every suite reads
+    the twisted world and the round trip back from that one pair.
+    """
     sampler = Sampler(bundle, box=box, samples=samples, seed=seed)
     rep.meta.setdefault("sample_spec", sampler.spec())
     rep.meta.setdefault("exhaustive", sampler.exhaustive)
@@ -1286,11 +1260,10 @@ def run_suite(bundle, suite, rep, box=None, samples=None, seed=None):
         "chern": suite_chern,
         "main": suite_main,
     }
-    if suite == "all":
-        for name in SUITES:
-            table[name](bundle, rep, sampler)
-        return rep
-    if suite not in table:
+    if suite != "all" and suite not in table:
         raise ValueError(f"unknown suite {suite!r}")
-    table[suite](bundle, rep, sampler)
+    world = twist_world(bundle)
+    back = twist_world(world)
+    for name in SUITES if suite == "all" else (suite,):
+        table[name](bundle, world, back, rep, sampler)
     return rep

@@ -55,7 +55,7 @@ def test_criterion_01_appendix_identities_exhaustive():
 
 def test_criterion_02_cocommutative_collapse(nct13):
     A = nct13.hopf
-    Atw = nct13.twisted_hopf
+    Atw = twist_world(nct13).hopf
     labels = A.labels_box(6)
     ok = True
     for a in labels:

@@ -90,7 +90,7 @@ def test_finite_models_have_no_geometry():
     b = finite_bicharacter(5)
     assert b.calculus is None
     assert not b.is_geometric()
-    assert b.twisted_hopf is not None
+    assert twist_world(b).hopf is not None
     g = fun_group("s3")
     labels = g.hopf.finite_labels()
     for a in labels:

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from cotwist.models import classical_torus, finite_bicharacter, fun_group, nc_torus
+from cotwist.models import (
+    classical_torus, finite_bicharacter, fun_group, nc_torus, twist_world)
 from cotwist.report import Report
+from cotwist import suites
 from cotwist.suites import SUITES, run_suite
 from cotwist.vectors import Vec
 
@@ -72,6 +74,20 @@ def test_skipped_checks_for_instrument_models():
     run_suite(finite_bicharacter(3), "main", rep)
     assert any(c.status == "skipped" for c in rep.checks)
     assert rep.passed  # skipped entries do not fail the run
+
+
+def test_all_twists_once_and_untwists_once(monkeypatch):
+    calls = []
+
+    def counted(bundle):
+        calls.append(bundle.name)
+        return twist_world(bundle)
+
+    monkeypatch.setattr(suites, "twist_world", counted)
+    rep = Report()
+    run_suite(nc_torus(1, 5, box=2, samples=4), "all", rep)
+    assert calls == ["nc_torus(1,5)", "tw(nc_torus(1,5))"]
+    assert rep.passed, rep.to_text()
 
 
 @pytest.mark.parametrize("override,message", [
