@@ -8,9 +8,7 @@ monic with integer coefficients, so reducing x^k modulo it is an integer
 table (`_power_reduction`); canonicalisation applies it lazily, at equality
 tests and serialisation, and yields integer numerators over the same kind
 of denominator.  `Fraction`s appear only at the edges: the constructor
-accepts them, `format_scalar` builds them for output, and
-`geometry.cyc_to_coords` for the one solve that is antilinear in its
-unknowns.
+accepts them, and `format_scalar` builds them for output.
 
 Nearly every scalar the engine meets is a rational times a root of unity,
 so one-term elements take fast paths chosen by their number of terms: a

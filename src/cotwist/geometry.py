@@ -8,23 +8,21 @@ compatibility equation
     d< , > = (id (x) < , >)(nabla (x) id) + (< , > (x) id)(id (x) conj-nabla)
 
 is imposed on all basis pairs.  The conjugate right connection makes the
-equation antilinear in half the unknowns, so the solve runs over Q on the
-canonical cyclotomic coordinates, where conjugation is Q-linear.  A
+equation antilinear in half the unknowns, so the solve runs over Q(zeta_N)
+with conj(z) as unknowns of their own beside z (`solve_antilinear`).  A
 nontrivial kernel or an inconsistent system is reported as such: the solver
 doubles as the uniqueness witness.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .calculus import Form, coinvariant_matrix
-from .cyclotomic import Cyc, _phi
+from .cyclotomic import Cyc
 from .modules import ConjugateModule, HomModule, Morphism, TensorModule, hom_apply, unconj
 from .relhopf import (
     TwistedModule, conj_twist_iso, hom_twist_iso, phi_inv_map, phi_map, twist_tensor_morphism,
     untwisted_of)
-from .vectors import Vec, gauss_solve
+from .vectors import Vec, gauss_solve, solve_antilinear
 
 
 # -- metrics -----------------------------------------------------------------
@@ -331,21 +329,15 @@ def _compat_terms(cal, herm, conn_table, i, jbar):
     return conn_table[i].apply(lin_term), conn_table[jbar].apply_conj(anti_term)
 
 
-def cyc_to_coords(c, order):
-    """Canonical rational coordinates of c in the power basis of Q(zeta_order)."""
-    out = [Fraction(0)] * _phi(order)
-    can, den = c.embed(order).canonical()
-    for k, v in can:
-        out[k] = Fraction(v, den)
-    return out
-
-
 def chern_solve(holo, herm, coeff_box=1):
     """Solve for the unique covariant connection fixed by (delbar_E, H).
 
-    The unknown view-(1,0)-part is expanded over monomial coefficients in
-    the declared box times the (1,0) (x) E basis; the exact rational system
-    encodes compatibility with H on every basis pair.
+    The unknown view-(1,0)-part is expanded over monomial coefficients z in
+    the declared box times the (1,0) (x) E basis.  Compatibility with H on
+    every basis pair gives one row per key of its value: linear in z through
+    nabla, antilinear through the conjugate connection, solved exactly over
+    Q(zeta_N) by `solve_antilinear`.  ChernNotUnique counts the kernel over
+    the real subfield; the ChernNoSolution witness indexes those rows.
     """
     cs = holo.cs                    # the view in whose terms E is holomorphic
     cal = cs.cal
@@ -368,67 +360,37 @@ def chern_solve(holo, herm, coeff_box=1):
                     cand[i] = Vec.single(order, (m, (w, t)), 1)
                     candidates.append(cand)
 
-    deg = _phi(order)
-
     # residual(z) per (i,j): d<,> - lin(fixed) - anti(fixed)
     #                        - sum_k z_k lin_k - sum_k conj(z_k) anti_k
-    rows_by_key = {}
-    const_by_key = {}
+    zero = Cyc.zero(order)
+    lin, anti, rhs = [], [], []
+    for i in mod.basis:
+        for j in mod.basis:
+            lhs_b = herm.pair(mod.el(i), herm.ebar.el(("bar", j)))
+            lin0, anti0 = _compat_terms(cal, herm, fixed, i, j)
+            const = cal.d(cal.from_b(lhs_b)).vec - lin0 - anti0
+            parts = [_compat_terms(cal, herm, cand, i, j) for cand in candidates]
+            keys = set(const.terms)
+            for link, antik in parts:
+                keys |= link.terms.keys() | antik.terms.keys()
+            for key in sorted(keys, key=str):
+                lin.append([link.terms.get(key, zero) for link, _ in parts])
+                anti.append([antik.terms.get(key, zero) for _, antik in parts])
+                rhs.append(const.terms.get(key, zero))
+    if not rhs:
+        # no key at all: one zero row keeps the width of the system
+        lin, anti, rhs = [[zero] * len(candidates)], [[zero] * len(candidates)], [zero]
 
-    def key_rows(pair, key):
-        return rows_by_key.setdefault((pair, key), [
-            [Fraction(0)] * (len(candidates) * deg) for _ in range(deg)])
-
-    pairs = [(i, j) for i in mod.basis for j in mod.basis]
-    for (i, j) in pairs:
-        lhs_b = herm.pair(mod.el(i), herm.ebar.el(("bar", j)))
-        lhs = cal.d(cal.from_b(lhs_b)).vec
-        lin0, anti0 = _compat_terms(cal, herm, fixed, i, j)
-        const = lhs - lin0 - anti0
-        for key, c in const.pruned().terms.items():
-            coords = cyc_to_coords(c, order)
-            cur = const_by_key.setdefault(((i, j), key), [Fraction(0)] * deg)
-            for r in range(deg):
-                cur[r] += coords[r]
-        for k, cand in enumerate(candidates):
-            link, antik = _compat_terms(cal, herm, cand, i, j)
-            # antilinear in z_k, so the unknowns are the rational coordinates
-            # of z_k = sum_s q_{k,s} zeta^s: q_{k,s} has coefficient zeta^s * c
-            # in lin_k and conj(zeta^s) * c = zeta^-s * c in anti_k
-            for part, sign in ((link, 1), (antik, -1)):
-                for key, c in part.pruned().terms.items():
-                    rows = key_rows((i, j), key)
-                    for s in range(deg):
-                        shifted = cyc_to_coords(Cyc.root(order, sign * s) * c, order)
-                        for r in range(deg):
-                            rows[r][k * deg + s] += shifted[r]
-
-    all_keys = sorted(set(rows_by_key) | set(const_by_key),
-                      key=lambda pk: (str(pk[0]), str(pk[1])))
-    rows, rhs = [], []
-    for pk in all_keys:
-        mat = rows_by_key.get(pk)
-        con = const_by_key.get(pk, [Fraction(0)] * deg)
-        for r in range(deg):
-            row = mat[r] if mat is not None else [Fraction(0)] * (len(candidates) * deg)
-            rows.append(list(row))
-            rhs.append(con[r])
-    if not rows:
-        rows = [[Fraction(0)] * (len(candidates) * deg)]
-        rhs = [Fraction(0)]
-
-    sol, kernel, bad = gauss_solve(rows, rhs)
+    sol, kernel_dim, bad = solve_antilinear(lin, anti, rhs)
     if sol is None:
         raise ChernNoSolution(
             f"no Chern connection in search space (witness row {bad})")
-    if kernel:
+    if kernel_dim:
         raise ChernNotUnique(
-            f"uniqueness violated in search space (kernel dim {len(kernel)})",
-            len(kernel))
+            f"uniqueness violated in search space (kernel dim {kernel_dim})", kernel_dim)
 
     table = {i: fixed[i].copy() for i in mod.basis}
-    for k, cand in enumerate(candidates):
-        z = Cyc(order, dict(enumerate(sol[k * deg:(k + 1) * deg])))
+    for z, cand in zip(sol, candidates):
         if z.is_zero():
             continue
         for i in mod.basis:

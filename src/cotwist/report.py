@@ -28,29 +28,6 @@ class CheckResult:
         return self.status != "fail"
 
 
-class _CheckContext:
-    def __init__(self, report, check_id, anchor, sample_spec):
-        self.result = CheckResult(check_id, anchor, sample_spec=sample_spec)
-        self._report = report
-        self._t0 = None
-
-    def fail(self, witness):
-        self.result.status = "fail"
-        self.result.witness = str(witness)
-
-    def __enter__(self):
-        self._t0 = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.result.duration_ms = int((time.monotonic() - self._t0) * 1000)
-        if exc_type is not None:
-            self.result.status = "fail"
-            self.result.witness = f"exception {exc_type.__name__}: {exc}"
-        self._report.checks.append(self.result)
-        return exc_type is not None
-
-
 def outcome(witness):
     """Defect of a domain whose instances are already outcomes (None or a witness)."""
     return witness
@@ -69,9 +46,6 @@ class Report:
         self.meta = dict(meta or {})
         self.checks: list[CheckResult] = []
 
-    def check(self, check_id, anchor):
-        return _CheckContext(self, check_id, anchor, self.meta.get("sample_spec", ""))
-
     def forall(self, check_id, anchor, domain, defect):
         """Check that `defect(x)` is None for every x of the lazy `domain`.
 
@@ -82,17 +56,25 @@ class Report:
         recorded as skipped, never as a pass.  Returns the CheckResult,
         falsy on failure.
         """
-        with self.check(check_id, anchor) as ck:
+        res = CheckResult(check_id, anchor, sample_spec=self.meta.get("sample_spec", ""))
+        t0 = time.monotonic()
+        try:
             for x in domain:
                 witness = defect(x)
                 if witness is not None:
-                    ck.fail(witness)
+                    res.status = "fail"
+                    res.witness = str(witness)
                     break
-                ck.result.instances += 1
-            if ck.result.status == "pass" and not ck.result.instances:
-                ck.result.status = "skipped"
-                ck.result.witness = NO_INSTANCES
-        return ck.result
+                res.instances += 1
+        except Exception as exc:
+            res.status = "fail"
+            res.witness = f"exception {type(exc).__name__}: {exc}"
+        if res.status == "pass" and not res.instances:
+            res.status = "skipped"
+            res.witness = NO_INSTANCES
+        res.duration_ms = int((time.monotonic() - t0) * 1000)
+        self.checks.append(res)
+        return res
 
     def add_skipped(self, check_id, anchor, reason):
         self.checks.append(CheckResult(check_id, anchor, "skipped", str(reason)))

@@ -5,11 +5,10 @@ main; `all` is their union.  Every check id is unique to one suite, and the
 identities are always evaluated with exact scalars, so pass/fail carries no
 tolerance.  Sampling is seed-deterministic and the box is recorded.
 
-Every check but `calc.*.star-antimultiplicative` is one `Report.forall`
-over a lazy domain.  Where a check has its own set-up, or draws samples
-between the sides it compares, the domain is a generator that does that
-work and yields each instance's outcome (None or a witness); `outcome` is
-then its defect.
+Every check is one `Report.forall` over a lazy domain.  Where a check has
+its own set-up, or draws samples between the sides it compares, the domain
+is a generator that does that work and yields each instance's outcome (None
+or a witness); `outcome` is then its defect.
 """
 
 from __future__ import annotations
@@ -562,10 +561,12 @@ def _calculus_core(cal, rep, sampler, prefix):
                 for deg in (0, 1) for _ in range(min(sampler.n, 8))),
                lambda w: f"(dw)* != d(w*) in degree {w.degree}"
                if cal.star(cal.d(w)) != cal.d(cal.star(w)) else None)
-    # kept as a hand-written loop: after a failure it goes on drawing for the
-    # remaining degree pairs (and reports the last failing one); the samples
-    # of every later check, and the recorded fault outputs, depend on that
-    with rep.check(f"{prefix}.star-antimultiplicative", anchor="calculus.star-laws") as ck:
+
+    def star_antimultiplicative():
+        # after a failure it goes on drawing for the remaining degree pairs,
+        # and yields the last failing one: the samples of every later check,
+        # and the recorded fault outputs, depend on those draws
+        last = None
         for k, l in ((0, 1), (1, 1), (0, 2)):
             for _ in range(4):
                 w = _sample_form(cal, sampler, k)
@@ -574,8 +575,12 @@ def _calculus_core(cal, rep, sampler, prefix):
                 lhs = cal.star(cal.wedge(w, v))
                 rhs = cal.wedge(cal.star(v), cal.star(w)).scale(sign)
                 if lhs != rhs:
-                    ck.fail(f"(w^v)* != (-1)^kl v*^w* at degrees ({k},{l})")
+                    last = f"(w^v)* != (-1)^kl v*^w* at degrees ({k},{l})"
                     break
+        yield last
+
+    rep.forall(f"{prefix}.star-antimultiplicative", "calculus.star-laws",
+               star_antimultiplicative(), outcome)
 
     def wedge_associative(abc):
         a, b2, c = abc

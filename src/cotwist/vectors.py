@@ -46,10 +46,6 @@ class Vec:
         v.add_term(key, coeff)
         return v
 
-    @staticmethod
-    def zero(order):
-        return Vec(order)
-
     def copy(self):
         v = Vec(self.order)
         v.terms = dict(self.terms)
@@ -223,7 +219,8 @@ def gauss_solve(rows, rhs):
     row echelon form, so the first row that contradicts the ones before it
     is the witness.  Returns (the solution with every free unknown 0, or
     None if inconsistent; a kernel basis as n-lists, one per free unknown in
-    ascending order; the witness row index, or None).
+    ascending order; the witness row index, or None).  A system that is
+    antilinear in its unknowns goes through `solve_antilinear`.
     """
     n = len(rows[0]) if rows else 0
     pivots, bad = _echelon([list(r) + [b] for r, b in zip(rows, rhs)], n)
@@ -242,6 +239,34 @@ def gauss_solve(rows, rhs):
                 vec[col] = -prow[fc]
             kernel.append(vec)
     return sol, kernel, None
+
+
+def solve_antilinear(lin, anti, rhs):
+    """Solve lin * z + anti * conj(z) = rhs exactly over Q(zeta_N), N > 2.
+
+    lin, anti: m >= 1 lists of n Cyc entries, rhs: m Cyc entries.  The
+    unknowns w = conj(z) join z, and each row is paired with its conjugate
+    row conj(anti) * z + conj(lin) * w = conj(rhs).  By Galois descent the
+    doubled system is consistent iff this one is, and its kernel dimension
+    over Q(zeta_N) is the dimension over the real subfield of the solutions
+    of the homogeneous system (phi(N)/2 times less than over Q).  Returns
+    (a solution, or None if inconsistent; that kernel dimension; the index
+    into rhs of the witness row, or None).  For N <= 2 conjugation is the
+    identity and the doubled kernel would over-count, so that raises.
+    """
+    if rhs[0].order <= 2:
+        raise ValueError("antilinear solve needs a field with complex conjugation")
+    rows, full = [], []
+    for a, b, c in zip(lin, anti, rhs):
+        rows += [a + b, [x.conj() for x in b] + [x.conj() for x in a]]
+        full += [c, c.conj()]
+    sol, kernel, bad = gauss_solve(rows, full)
+    if sol is None:
+        return None, 0, bad // 2
+    n = len(lin[0])
+    # (conj(w), conj(z)) solves the doubled system too, so the mean has
+    # w = conj(z), also when the kernel is not zero
+    return [(z + w.conj()) / 2 for z, w in zip(sol[:n], sol[n:])], len(kernel), None
 
 
 def invert(rows):

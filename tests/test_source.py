@@ -1,5 +1,6 @@
-"""Source hygiene: no function-local name is assigned and never read, and
-only `vectors.py` accumulates a Vec term by term."""
+"""Source hygiene: no function-local name is assigned and never read, only
+`vectors.py` accumulates a Vec term by term, and `Fraction` stays at the
+edges of the scalar field."""
 
 import ast
 from pathlib import Path
@@ -135,3 +136,27 @@ def test_only_vectors_accumulates():
     assert sorted((f, l) for f, l in found if f not in ADD_TERM_ALLOWED) == []
     # an entry whose function no longer accumulates is stale
     assert {f for f, _ in found} == set(ADD_TERM_ALLOWED)
+
+
+# Modules that may import `fractions`: rationals enter the field through them
+# (`Cyc` accepts them, models build their constants such as 1/2) and leave it
+# (`format_scalar`); every solve in between runs over Q(zeta_N).
+FRACTIONS_ALLOWED = {"cyclotomic.py", "models.py"}
+
+
+def imports_fractions(tree):
+    return any(isinstance(node, ast.ImportFrom) and node.module == "fractions"
+               or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+               for node in ast.walk(tree))
+
+
+def test_imports_fractions_sees_both_forms():
+    assert imports_fractions(ast.parse("def f():\n    from fractions import Fraction\n"))
+    assert imports_fractions(ast.parse("import os, fractions\n"))
+    assert not imports_fractions(ast.parse("from .cyclotomic import Cyc\n"))
+
+
+def test_fractions_stay_at_the_edges():
+    found = {path.name for path in PACKAGE.glob("*.py")
+             if imports_fractions(ast.parse(path.read_text()))}
+    assert found <= FRACTIONS_ALLOWED

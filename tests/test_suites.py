@@ -69,6 +69,13 @@ def test_every_check_is_anchored():
     assert all(c.anchor for c in rep.checks)
 
 
+def test_every_pass_evaluated_an_instance():
+    rep = Report()
+    run_suite(nc_torus(1, 3, box=2, samples=6), "all", rep, samples=6)
+    vacuous = [c.check_id for c in rep.checks if c.status == "pass" and not c.instances]
+    assert vacuous == []
+
+
 def test_skipped_checks_for_instrument_models():
     rep = Report()
     run_suite(finite_bicharacter(3), "main", rep)

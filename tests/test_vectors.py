@@ -1,5 +1,6 @@
 """The exact linear solver and inverse over Q and Q(zeta_12), against minors,
-and the extensions of Vec, against their coefficients summed key by key."""
+the antilinear solver, against the same system in rational coordinates, and
+the extensions of Vec, against their coefficients summed key by key."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotwist.cyclotomic import Cyc
-from cotwist.vectors import Vec, gauss_solve, invert
+from cotwist.cyclotomic import Cyc, cyclotomic_polynomial
+from cotwist.vectors import Vec, gauss_solve, invert, solve_antilinear
 
 ORDER = 12
 # mostly zeros, so singular and inconsistent systems are common
@@ -87,6 +88,84 @@ def test_gauss_solve_empty_and_zero_width_systems():
     assert gauss_solve([], []) == ([], [], None)
     assert gauss_solve([[]], [Fraction(0)]) == ([], [], None)
     assert gauss_solve([[], []], [Fraction(0), Fraction(3)]) == (None, [], 1)
+
+
+@st.composite
+def antilinear_systems(draw):
+    """(order, lin, anti, rhs, z0): rhs = lin z0 + anti conj(z0), or random with z0 None."""
+    order = draw(st.sampled_from([3, 4, 5, 8, 12]))
+    entries = st.dictionaries(st.integers(0, order - 1), small, max_size=2).map(
+        lambda d: Cyc(order, d))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lin = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    anti = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    z0 = None
+    if draw(st.booleans()):
+        z0 = [draw(entries) for _ in range(n)]
+        rhs = [_antilinear(a, b, z0) for a, b in zip(lin, anti)]
+    else:
+        rhs = [draw(entries) for _ in range(m)]
+    return order, lin, anti, rhs, z0
+
+
+def _antilinear(a, b, z):
+    return _dot(a, z) + _dot(b, [x.conj() for x in z])
+
+
+def _coords(c, deg):
+    out = [Fraction(0)] * deg
+    can, den = c.canonical()
+    for k, v in can:
+        out[k] = Fraction(v, den)
+    return out
+
+
+def _rational_reference(order, lin, anti, rhs):
+    """gauss_solve of the same system over Q: z_k = sum_s q_ks zeta^s for
+    s < phi(order), and each row split into its phi(order) coordinates."""
+    deg = len(cyclotomic_polynomial(order)) - 1
+    n = len(lin[0])
+    rows, out = [], []
+    for a, b, c in zip(lin, anti, rhs):
+        block = [[Fraction(0)] * (n * deg) for _ in range(deg)]
+        for k in range(n):
+            for s in range(deg):
+                # q_ks contributes zeta^s through a and conj(zeta^s) through b
+                image = a[k] * Cyc.root(order, s) + b[k] * Cyc.root(order, -s)
+                for r, q in enumerate(_coords(image, deg)):
+                    block[r][k * deg + s] = q
+        rows += block
+        out += _coords(c, deg)
+    return gauss_solve(rows, out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(antilinear_systems())
+def test_solve_antilinear_against_rational_coordinates(system):
+    order, lin, anti, rhs, z0 = system
+    z, kernel_dim, bad = solve_antilinear(lin, anti, rhs)
+    ref, ref_kernel, _ = _rational_reference(order, lin, anti, rhs)
+    assert (z is None) == (ref is None)
+    if z is None:
+        # the witness is the first row that contradicts the rows before it
+        assert z0 is None
+        assert _rational_reference(order, lin[:bad + 1], anti[:bad + 1], rhs[:bad + 1])[0] is None
+        assert bad == 0 or \
+            _rational_reference(order, lin[:bad], anti[:bad], rhs[:bad])[0] is not None
+        return
+    assert bad is None
+    deg = len(cyclotomic_polynomial(order)) - 1
+    assert len(ref_kernel) == kernel_dim * deg // 2
+    assert [_antilinear(a, b, z) for a, b in zip(lin, anti)] == rhs
+    if z0 is not None and not kernel_dim:
+        assert z == z0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_solve_antilinear_needs_complex_conjugation(order):
+    one = Cyc.one(order)
+    with pytest.raises(ValueError):
+        solve_antilinear([[one]], [[one]], [one])
 
 
 @st.composite
