@@ -20,9 +20,9 @@ from .relhopf import (
     TwistedComodule, TwistedModule, conj_twist_iso, conj_twist_iso_inv,
     hom_twist_iso, phi_inv_map, phi_map)
 from .calculus import (
-    Calculus, ComplexStructure, Form, KahlerData,
+    Calculus, ComplexStructure, KahlerData,
     factorization_inverse, holomorphic_from_factorizable,
-    twist_calculus, twist_complex_structure, twist_holomorphic)
+    twist_calculus, twist_holomorphic)
 from .geometry import (
     ConnectionData, HermitianData, MetricData, chern_solve,
     hermitian_from_real, split_hermitian, twist_connection,

@@ -1,15 +1,15 @@
 """Covariant *-differential calculi, complex structures, holomorphic data.
 
 A calculus is a graded family of free modules with wedge/d/star tables on
-basis forms, extended to elements by (graded) Leibniz and linearity.  The
-cocycle twist shares all basis tables (the bases are coinvariant); the
-deformation enters through the twisted comodule algebra underneath and is
-re-verified by the calculus suite, never assumed.
+basis forms, extended to elements by (graded) Leibniz and linearity.  A form
+is a Vec over (b_label, basis name) keys: each basis name lives in exactly
+one degree, so a form's degree is read from its names.  The cocycle twist
+shares all basis tables (the bases are coinvariant); the deformation enters
+through the twisted comodule algebra underneath and is re-verified by the
+calculus suite, never assumed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cyclotomic import Cyc
 from .modules import CentralBasisModule, TensorModule
@@ -17,91 +17,73 @@ from .relhopf import TwistedModule, phi_inv_map
 from .vectors import Vec, gauss_solve, invert
 
 
-@dataclass
-class Form:
-    degree: int
-    vec: Vec
-
-    def __add__(self, other):
-        assert self.degree == other.degree
-        return Form(self.degree, self.vec + other.vec)
-
-    def __sub__(self, other):
-        assert self.degree == other.degree
-        return Form(self.degree, self.vec - other.vec)
-
-    def scale(self, c):
-        return Form(self.degree, self.vec.scale(c))
-
-    def is_zero(self):
-        return self.vec.is_zero()
-
-    def __eq__(self, other):
-        return self.degree == other.degree and self.vec == other.vec
-
-
 class Calculus:
     """(Omega^., wedge, d, *) over a comodule algebra, tables on basis forms."""
 
-    def __init__(self, base, modules, wedge_table, d_base, d_table, star_table, top):
+    def __init__(self, base, modules, wedge_table, d_base, d_table, star_table):
         self.base = base
         self.modules = modules              # degree -> FreeModule (0 has basis ["1"])
         self.wedge_table = wedge_table      # (name1, name2) -> Vec of Omega^{k+l}
         self.d_base = d_base                # B label -> Vec of Omega^1
         self.d_table = d_table              # form name -> Vec of Omega^{k+1}
         self.star_table = star_table        # form name -> Vec of Omega^k
-        self.top = top
+        self.top = max(modules)
         self.scalar_order = base.scalar_order
         self._degree_of = {}
         for k, mod in modules.items():
             for i in mod.basis:
+                if i in self._degree_of:
+                    raise ValueError(
+                        f"basis name {i!r} appears in degrees {self._degree_of[i]} and {k}")
                 self._degree_of[i] = k
 
     def module(self, k):
         return self.modules[k]
 
-    def degree_of(self, name):
-        return self._degree_of[name]
+    def degree(self, form):
+        """The degree of a homogeneous form, None for zero.
 
-    def zero_form(self, k):
-        return Form(k, Vec(self.scalar_order))
+        Raises ValueError when the form's basis names span two degrees.
+        """
+        degrees = {self._degree_of[i] for _, i in form.terms}
+        if len(degrees) > 1:
+            raise ValueError(f"form spans degrees {sorted(degrees)}")
+        return degrees.pop() if degrees else None
 
     def basis_form(self, name):
-        k = self.degree_of(name)
-        return Form(k, self.module(k).el(name))
+        return self.module(self._degree_of[name]).el(name)
 
     def from_b(self, b_vec):
-        return Form(0, self.module(0).from_b(b_vec, "1"))
+        return self.module(0).from_b(b_vec, "1")
 
     # -- d, wedge, star on elements ----------------------------------------
 
     def d(self, form):
-        """Exterior derivative, extended from the tables by Leibniz."""
-        k = form.degree
+        """Exterior derivative, extended from the tables by Leibniz key by key."""
+        return form.apply(self._d_term)
+
+    def _d_term(self, bi):
+        b, i = bi
+        k = self._degree_of[i]
         if k >= self.top:
-            return Form(k + 1, Vec(self.scalar_order))
+            return Vec(self.scalar_order)
         if k == 0:
-            return Form(1, form.vec.apply(lambda bi: self.d_base(bi[0])))
-
-        def d_term(bi):
-            # d(b w) = db ^ w + b dw
-            b, i = bi
-            return self.wedge(Form(1, self.d_base(b)), self.basis_form(i)).vec + \
-                self.module(k + 1).lmul(self.base.el(b), self.d_table[i])
-
-        return Form(k + 1, form.vec.apply(d_term))
+            return self.d_base(b)
+        # d(b w) = db ^ w + b dw
+        return self.wedge(self.d_base(b), self.basis_form(i)) + \
+            self.module(k + 1).lmul(self.base.el(b), self.d_table[i])
 
     def wedge(self, f1, f2):
         """Graded product through the right-action straightening."""
-        k, l = f1.degree, f2.degree
-        if k + l > self.top:
-            return self.zero_form(k + l)
+        k, l = self.degree(f1), self.degree(f2)
+        if k is None or l is None or k + l > self.top:
+            return Vec(self.scalar_order)
         B, out_mod = self.base, self.module(k + l)
         # a 0-form is b . 1, and (b . 1) ^ w = b w, w ^ (b . 1) = w b
         if k == 0:
-            return Form(l, out_mod.lmul(f1.vec.map_keys(lambda bi: bi[0]), f2.vec))
+            return out_mod.lmul(f1.map_keys(lambda bi: bi[0]), f2)
         if l == 0:
-            return Form(k, out_mod.rmul(f1.vec, f2.vec.map_keys(lambda bi: bi[0])))
+            return out_mod.rmul(f1, f2.map_keys(lambda bi: bi[0]))
 
         def term(x, y):
             # (b1 w_i1) ^ (b2 w_i2) = b1 (w_i1 . b2) ^ w_i2
@@ -110,20 +92,19 @@ class Calculus:
             return moved.apply(lambda bi: out_mod.lmul(
                 B.el(bi[0]), self.wedge_table.get((bi[1], i2), out_mod.zero())))
 
-        return Form(k + l, f1.vec.apply2(f2.vec, term))
+        return f1.apply2(f2, term)
 
     def star(self, form):
         """Antilinear involution: (b w)* = w* b* for degree-0 coefficients."""
-        mod = self.module(form.degree)
-        return Form(form.degree, form.vec.apply_conj(
-            lambda bi: mod.rmul(self.star_table[bi[1]], self.base.star(bi[0]))))
+        return form.apply_conj(lambda bi: self.module(self._degree_of[bi[1]]).rmul(
+            self.star_table[bi[1]], self.base.star(bi[0])))
 
 
 def twist_calculus(cal, data, twisted_base):
     """The deformed calculus: twisted modules, shared basis tables."""
     modules = {k: TwistedModule(m, data, twisted_base) for k, m in cal.modules.items()}
     return Calculus(twisted_base, modules, cal.wedge_table, cal.d_base,
-                    cal.d_table, cal.star_table, cal.top)
+                    cal.d_table, cal.star_table)
 
 
 class ComplexStructure:
@@ -134,24 +115,25 @@ class ComplexStructure:
         self.bigrade = dict(bigrade)   # basis name -> (p, q)
 
     def proj(self, form, p, q):
-        return Form(form.degree, Vec(self.cal.scalar_order, {
-            k: c for k, c in form.vec.terms.items() if self.bigrade.get(k[1]) == (p, q)}))
+        return Vec(self.cal.scalar_order, {
+            k: c for k, c in form.terms.items() if self.bigrade.get(k[1]) == (p, q)})
 
     def components(self, form):
-        grades = dict.fromkeys(self.bigrade[i] for _, i in form.vec.terms)
+        grades = dict.fromkeys(self.bigrade[i] for _, i in form.terms)
         return {pq: self.proj(form, *pq) for pq in grades}
 
-    def del_(self, form):
-        out = self.cal.zero_form(form.degree + 1)
+    def _d_part(self, form, dp, dq):
+        # the (p+dp, q+dq)-part of d on each (p, q)-component
+        out = Vec(self.cal.scalar_order)
         for (p, q), comp in self.components(form).items():
-            out = out + self.proj(self.cal.d(comp), p + 1, q)
+            out = out + self.proj(self.cal.d(comp), p + dp, q + dq)
         return out
 
+    def del_(self, form):
+        return self._d_part(form, 1, 0)
+
     def delbar(self, form):
-        out = self.cal.zero_form(form.degree + 1)
-        for (p, q), comp in self.components(form).items():
-            out = out + self.proj(self.cal.d(comp), p, q + 1)
-        return out
+        return self._d_part(form, 0, 1)
 
     def delbar_b(self, b_vec):
         return self.delbar(self.cal.from_b(b_vec))
@@ -163,10 +145,6 @@ class ComplexStructure:
     def opposite(self):
         swapped = {i: (q, p) for i, (p, q) in self.bigrade.items()}
         return ComplexStructure(self.cal, swapped)
-
-
-def twist_complex_structure(cs, twisted_cal):
-    return ComplexStructure(twisted_cal, cs.bigrade)
 
 
 def coinvariant_matrix(cal, images, targets, error):
@@ -208,7 +186,7 @@ def factorization_inverse(cs, left_grade=(0, 1), right_grade=(1, 0)):
     order = cal.scalar_order
     # the wedge images must be coinvariant (scalar) for the exact solve over Q(zeta)
     rows = coinvariant_matrix(
-        cal, [cal.wedge(cal.basis_form(i), cal.basis_form(j)).vec for (i, j) in pair_names],
+        cal, [cal.wedge(cal.basis_form(i), cal.basis_form(j)) for (i, j) in pair_names],
         target_names, NotFactorizable("wedge image has non-coinvariant coefficient"))
     columns = invert(rows)
     if columns is None:
@@ -222,7 +200,7 @@ def factorization_inverse(cs, left_grade=(0, 1), right_grade=(1, 0)):
             raise ValueError("factorization inverse expects a (1,1)-form")
         return tens.lmul(cal.base.el(b), inv_table[i])
 
-    return lambda form: form.vec.apply(theta_term), tens
+    return lambda form: form.apply(theta_term), tens
 
 
 class HoloModule:
@@ -239,14 +217,14 @@ class HoloModule:
         """delbar_E(b e) = b delbar_E(e) + delbar(b) (x) e."""
         cs, mod, tens = self.cs, self.module, self.tensor_01
         return elem.apply(lambda bi: tens.lmul(mod.base.el(bi[0]), self.delbar_table[bi[1]])
-                          + tens.pure(cs.delbar_b(mod.base.el(bi[0])).vec, mod.el(bi[1])))
+                          + tens.pure(cs.delbar_b(mod.base.el(bi[0])), mod.el(bi[1])))
 
     def operator(self, u):
         """(delbar (x) id - id ^ delbar_E) on a normal-form element of O^{(0,1)} (x) E."""
         cs, mod = self.cs, self.module
 
         def form(b, w):
-            return Form(1, Vec.single(mod.scalar_order, (b, w)))
+            return Vec.single(mod.scalar_order, (b, w))
 
         def with_leg(vec, j):
             # a Vec over (b, w) keys, tensored with e_j
@@ -256,9 +234,9 @@ class HoloModule:
             b, (w, j) = k
             # (id ^ delbar_E): wedge the form leg with delbar_E of the module leg
             wedged = self.delbar_conn(mod.el(j)).apply(lambda k2: with_leg(
-                cs.cal.wedge(form(b, w), form(k2[0], k2[1][0])).vec, k2[1][1]))
+                cs.cal.wedge(form(b, w), form(k2[0], k2[1][0])), k2[1][1]))
             # (delbar (x) id): delbar hits the form leg with its left coefficient
-            return with_leg(cs.delbar(form(b, w)).vec, j) - wedged
+            return with_leg(cs.delbar(form(b, w)), j) - wedged
 
         return u.apply(on_key)
 
@@ -284,10 +262,7 @@ def holomorphic_from_factorizable(cs, grade=(1, 0)):
         raise ValueError("holomorphic structures are built in degree one")
     mod = cs.submodule(*grade)
     tens2 = TensorModule(tens.left, mod)
-    table = {}
-    for i in mod.basis:
-        img = view.delbar(cs.cal.basis_form(i))
-        table[i] = theta(img) if not img.is_zero() else Vec(cs.cal.scalar_order)
+    table = {i: theta(view.delbar(cs.cal.basis_form(i))) for i in mod.basis}
     return HoloModule(view, mod, tens2, table, name=f"O{grade}")
 
 
@@ -306,11 +281,11 @@ def twist_holomorphic(h, data, twisted_cs, twisted_base):
 class KahlerData:
     """A candidate Hermitian/Kahler form with its Lefschetz data."""
 
-    def __init__(self, cal, cs, kappa, dimension=1):
+    def __init__(self, cal, cs, kappa):
         self.cal = cal
         self.cs = cs
-        self.kappa = kappa        # a Form of degree 2
-        self.dimension = dimension
+        self.kappa = kappa        # a 2-form
+        self.dimension = cal.top // 2
 
     def lefschetz_matrix(self, k=0):
         """The matrix of L^{n-k}: Omega^k -> Omega^{2n-k} over scalars."""
@@ -318,10 +293,10 @@ class KahlerData:
         src = cal.module(k)
         images = []
         for i in src.basis:
-            img = Form(k, src.el(i))
+            img = src.el(i)
             for _ in range(self.dimension - k):
                 img = cal.wedge(self.kappa, img)
-            images.append(img.vec)
+            images.append(img)
         return coinvariant_matrix(cal, images, cal.module(2 * self.dimension - k).basis,
                                   ValueError("Lefschetz image not coinvariant"))
 
@@ -332,7 +307,7 @@ class KahlerData:
             not gauss_solve(mat, [zero] * len(mat))[1]
 
 
-def fundamental_form(cal, cs, pairing_table, complex_op):
+def fundamental_form(cal, pairing_table, complex_op):
     """kappa = sum_i Iinv(Vinv(f_i)) ^ f^i for the classical recipe.
 
     pairing_table maps basis-name pairs to scalars ((w_i, w_j)); complex_op
@@ -344,9 +319,9 @@ def fundamental_form(cal, cs, pairing_table, complex_op):
     columns = invert([[pairing_table[(r, c)] for c in names] for r in names])
     if columns is None:
         raise ValueError("pairing is degenerate; no fundamental form")
-    kappa = cal.zero_form(2)
+    kappa = Vec(order)
     for f_i, sol in zip(names, columns):
         # Vinv(f_i) = sum_j sol[j] w_j; apply I^{-1} = -I (I^2 = -id)
         i_inv = Vec(order, dict(zip(names, sol))).apply(complex_op).scale(-1)
-        kappa = kappa + cal.wedge(Form(1, i_inv), cal.basis_form(f_i))
+        kappa = kappa + cal.wedge(i_inv, cal.basis_form(f_i))
     return kappa

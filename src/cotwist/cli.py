@@ -156,8 +156,7 @@ def cmd_twist(args):
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"cannot build model {name}: {exc}")
     b = bundle if args.untwisted else twist_world(bundle)
-    tables = structure_tables(
-        b.hopf, b.comodule, b.calculus, b.metric, b.connection, b.hermitian)
+    tables = structure_tables(b)
     tables["model"] = bundle.name
     payload = emit_json(tables)
     if merged["emit"]:

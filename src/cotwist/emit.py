@@ -32,10 +32,9 @@ def _mod_name(mod):
     return name
 
 
-def structure_tables(hopf, comodule, calculus=None, metric=None,
-                     connection=None, hermitian=None):
-    """Collect product/star/wedge/d/g/nabla/H tables into a JSON-ready dict."""
-    B = comodule
+def structure_tables(bundle):
+    """Collect a bundle's product/star/wedge/d/g/nabla/H tables into a JSON-ready dict."""
+    B = bundle.comodule
     gens = B.generators()
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -47,43 +46,44 @@ def structure_tables(hopf, comodule, calculus=None, metric=None,
             key = f"{B.label_name(a)}|{B.label_name(b)}"
             out["product"][key] = _terms(B.mult(a, b), _b_name(B))
         out["star"][B.label_name(a)] = _terms(B.star(a), _b_name(B))
-    if calculus is not None:
+    cal = bundle.calculus
+    if cal is not None:
         # evaluate through the calculus operations, so twisted instances
         # emit their genuinely recomputed tables
-        cal = calculus
         out["wedge"] = {}
         for i in cal.module(1).basis:
             for j in cal.module(1).basis:
                 val = cal.wedge(cal.basis_form(i), cal.basis_form(j))
-                out["wedge"][f"{i}|{j}"] = _terms(val.vec, _mod_name(cal.module(2)))
+                out["wedge"][f"{i}|{j}"] = _terms(val, _mod_name(cal.module(2)))
         out["d"] = {}
         for g in gens:
             out["d"][B.label_name(g)] = _terms(
-                cal.d(cal.from_b(B.el(g))).vec, _mod_name(cal.module(1)))
+                cal.d(cal.from_b(B.el(g))), _mod_name(cal.module(1)))
         for k in range(1, cal.top):
             for name in cal.module(k).basis:
                 out["d"][name] = _terms(
-                    cal.d(cal.basis_form(name)).vec, _mod_name(cal.module(k + 1)))
+                    cal.d(cal.basis_form(name)), _mod_name(cal.module(k + 1)))
         out["star_forms"] = {}
         for k in range(0, cal.top + 1):
             for name in cal.module(k).basis:
                 out["star_forms"][name] = _terms(
-                    cal.star(cal.basis_form(name)).vec, _mod_name(cal.module(k)))
+                    cal.star(cal.basis_form(name)), _mod_name(cal.module(k)))
+    metric = bundle.metric
     if metric is not None:
         out["g"] = _terms(metric.g, _mod_name(metric.tensor))
         out["pairing"] = {
             f"{i}|{j}": _terms(v, _b_name(B))
             for (i, j), v in sorted(metric.pairing_table.items(), key=str)
         }
-    if connection is not None:
+    if bundle.connection is not None:
         out["nabla"] = {
-            str(i): _terms(v, _mod_name(connection.tensor))
-            for i, v in sorted(connection.table.items(), key=str)
+            str(i): _terms(v, _mod_name(bundle.connection.tensor))
+            for i, v in sorted(bundle.connection.table.items(), key=str)
         }
-    if hermitian is not None:
+    if bundle.hermitian is not None:
         out["hermitian"] = {
-            str(k): _terms(v, _mod_name(hermitian.hom))
-            for k, v in sorted(hermitian.table.items(), key=str)
+            str(k): _terms(v, _mod_name(bundle.hermitian.hom))
+            for k, v in sorted(bundle.hermitian.table.items(), key=str)
         }
     return out
 

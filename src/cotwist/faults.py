@@ -30,7 +30,7 @@ def _nc():
     return nc_torus(1, 3, box=2, samples=24)
 
 
-def _scale_gamma(bundle, pair, factor, keep_inverse=False):
+def _scale_gamma(bundle, pair, factor):
     data = bundle.data
     old = data.gamma
 
@@ -39,10 +39,7 @@ def _scale_gamma(bundle, pair, factor, keep_inverse=False):
         return v * factor if (a, b) == pair else v
 
     gamma = PairFunctional(bundle.hopf, fn)
-    if keep_inverse:
-        gamma_bar = data.gamma_bar
-    else:
-        gamma_bar = convolution_inverse(gamma, bundle.hopf)
+    gamma_bar = convolution_inverse(gamma, bundle.hopf)
     return replace(bundle, data=CocycleData(bundle.hopf, gamma, gamma_bar))
 
 
@@ -106,7 +103,6 @@ def fault_hermitian_scaled():
     b = _nc()
     key = ("bar", "w+")
     b.hermitian.table[key] = b.hermitian.table[key].scale(Cyc.root(3))
-    b.hermitian.morphism.table[key] = b.hermitian.table[key]
     return b
 
 

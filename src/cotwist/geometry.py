@@ -16,7 +16,7 @@ doubles as the uniqueness witness.
 
 from __future__ import annotations
 
-from .calculus import Form, coinvariant_matrix
+from .calculus import coinvariant_matrix
 from .cyclotomic import Cyc
 from .modules import ConjugateModule, HomModule, Morphism, TensorModule, hom_apply, unconj
 from .relhopf import (
@@ -75,9 +75,9 @@ class MetricData:
 
         def term(t):
             b, (i, j) = t
-            ystar = cal.star(Form(1, self.module.el(j)))
-            xstar = cal.star(Form(1, self.module.from_b(cal.base.el(b), i)))
-            return self.tensor.pure(ystar.vec, xstar.vec)
+            ystar = cal.star(self.module.el(j))
+            xstar = cal.star(self.module.from_b(cal.base.el(b), i))
+            return self.tensor.pure(ystar, xstar)
 
         return tensor_elem.apply_conj(term)
 
@@ -118,7 +118,7 @@ class ConnectionData:
         def term(bi):
             b, i = bi
             db = cal.d(cal.from_b(cal.base.el(b)))
-            return tens.lmul(cal.base.el(b), self.table[i]) + tens.pure(db.vec, mod.el(i))
+            return tens.lmul(cal.base.el(b), self.table[i]) + tens.pure(db, mod.el(i))
 
         return elem.apply(term)
 
@@ -127,9 +127,8 @@ class ConnectionData:
         cal = self.cal
         # (b w_i (x) w_j) -> b w_i ^ w_j
         wedged = self.apply(elem).apply(lambda k: cal.wedge(
-            Form(1, Vec.single(cal.scalar_order, (k[0], k[1][0]))),
-            Form(1, cal.module(1).el(k[1][1]))).vec)
-        return Form(2, wedged) - cal.d(Form(1, elem))
+            Vec.single(cal.scalar_order, (k[0], k[1][0])), cal.module(1).el(k[1][1])))
+        return wedged - cal.d(elem)
 
     def tensor_connection(self, other, elem, tensor_mod):
         """nabla_{E (x) F} = nabla_E (x) id + (sigma_E (x) id)(id (x) nabla_F)."""
@@ -156,7 +155,7 @@ class ConnectionData:
             part = with_leg(self.table[i], j) + \
                 other.table[j].apply(lambda y: through_sigma(i, y))
             db = cal.d(cal.from_b(cal.base.el(b)))
-            return target.lmul(cal.base.el(b), part) + target.pure(db.vec, tensor_mod.el((i, j)))
+            return target.lmul(cal.base.el(b), part) + target.pure(db, tensor_mod.el((i, j)))
 
         return elem.apply(term)
 
@@ -188,8 +187,8 @@ def conj_connection(conn):
     def conj_term(k):
         # b w (x) e_t  ->  (e_t)bar (x) (b w)*
         b, (w, t) = k
-        starred = cal.star(Form(1, Vec.single(cal.scalar_order, (b, w))))
-        return tens.pure(ebar.el(("bar", t)), starred.vec)
+        starred = cal.star(Vec.single(cal.scalar_order, (b, w)))
+        return tens.pure(ebar.el(("bar", t)), starred)
 
     def apply(elem):
         return elem.apply(lambda key: conn.apply(
@@ -209,15 +208,13 @@ class HermitianData:
         self.module = module
         self.ebar = ConjugateModule(module)
         self.hom = HomModule(module)
-        self.table = dict(table)    # ('bar', i) -> Vec over HomModule keys
-        self.morphism = Morphism(self.ebar, self.hom, self.table, "H")
-
-    def H(self, ebar_elem):
-        return self.morphism(ebar_elem)
+        self.morphism = Morphism(self.ebar, self.hom, table, "H")
+        # the morphism's own table: an edit to it is an edit to H
+        self.table = self.morphism.table    # ('bar', i) -> Vec over HomModule keys
 
     def pair(self, x, ybar):
         """<x, ybar> = ev(x (x) H(ybar))."""
-        return hom_apply(self.hom, self.H(ybar), x)
+        return hom_apply(self.hom, self.morphism(ybar), x)
 
     def scalar_matrix(self):
         """The matrix of H over scalars; raises if entries are not coinvariant."""
@@ -238,10 +235,10 @@ def hermitian_from_real(metric):
     hom = HomModule(mod)
     table = {}
     for i in mod.basis:
-        starred = cal.star(Form(1, mod.el(i)))
+        starred = cal.star(mod.el(i))
         f = hom.zero()
         for j in mod.basis:
-            val = metric.pair_apply(metric.tensor.pure(mod.el(j), starred.vec))
+            val = metric.pair_apply(metric.tensor.pure(mod.el(j), starred))
             f = f + hom.from_b(val, ("dual", j))
         table[("bar", i)] = f
     return HermitianData(cal, mod, table)
@@ -322,9 +319,9 @@ def _compat_terms(cal, herm, conn_table, i, jbar):
     def anti_term(k):
         # (< , > (x) id)(e_i (x) tilde-nabla bar e_j)
         b, (w, t) = k
-        starred = cal.star(Form(1, Vec.single(cal.scalar_order, (b, w))))
+        starred = cal.star(Vec.single(cal.scalar_order, (b, w)))
         val = herm.pair(mod.el(i), herm.ebar.el(("bar", t)))
-        return O1.lmul(val, starred.vec)
+        return O1.lmul(val, starred)
 
     return conn_table[i].apply(lin_term), conn_table[jbar].apply_conj(anti_term)
 
@@ -368,7 +365,7 @@ def chern_solve(holo, herm, coeff_box=1):
         for j in mod.basis:
             lhs_b = herm.pair(mod.el(i), herm.ebar.el(("bar", j)))
             lin0, anti0 = _compat_terms(cal, herm, fixed, i, j)
-            const = cal.d(cal.from_b(lhs_b)).vec - lin0 - anti0
+            const = cal.d(cal.from_b(lhs_b)) - lin0 - anti0
             parts = [_compat_terms(cal, herm, cand, i, j) for cand in candidates]
             keys = set(const.terms)
             for link, antik in parts:
@@ -419,7 +416,7 @@ def chern_conditions_hold(holo, herm, conn):
             return False, f"(0,1)-part differs at basis {i}"
     for i in mod.basis:
         for j in mod.basis:
-            lhs = cal.d(cal.from_b(herm.pair(mod.el(i), herm.ebar.el(("bar", j))))).vec
+            lhs = cal.d(cal.from_b(herm.pair(mod.el(i), herm.ebar.el(("bar", j)))))
             lin, anti = _compat_terms(cal, herm, conn.table, i, j)
             if not (lhs - lin - anti).is_zero():
                 return False, f"compatibility fails at pair ({i},{j})"

@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .calculus import (
-    Calculus, ComplexStructure, Form, KahlerData, fundamental_form,
-    holomorphic_from_factorizable, twist_calculus, twist_complex_structure,
-    twist_holomorphic)
+    Calculus, ComplexStructure, KahlerData, fundamental_form,
+    holomorphic_from_factorizable, twist_calculus, twist_holomorphic)
 from .cocycle import CocycleData, TwistedHopf, bicharacter_cocycle, trivial_cocycle
 from .cyclotomic import Cyc
 from .geometry import (
@@ -111,7 +110,7 @@ def build_torus_geometry(B, order):
         "w-": O1.el("w+").scale(-1),
         "vol": O2.el("vol").scale(-1),
     }
-    cal = Calculus(B, modules, wedge_table, d_base, d_table, star_table, top=2)
+    cal = Calculus(B, modules, wedge_table, d_base, d_table, star_table)
     cs = ComplexStructure(cal, {"1": (0, 0), "w+": (1, 0), "w-": (0, 1), "vol": (1, 1)})
 
     # metric: g = w1 (x) w1 + w2 (x) w2 = 1/2 (w+ (x) w- + w- (x) w+)
@@ -140,8 +139,8 @@ def build_torus_geometry(B, order):
         sign = i_unit if name == "w+" else -i_unit
         return O1.el(name).scale(sign)
 
-    kappa = fundamental_form(cal, cs, pairing, complex_op)
-    kahler = KahlerData(cal, cs, kappa, dimension=1)
+    kappa = fundamental_form(cal, pairing, complex_op)
+    kahler = KahlerData(cal, cs, kappa)
 
     holo10 = holomorphic_from_factorizable(cs, (1, 0))
     holo01 = holomorphic_from_factorizable(cs, (0, 1))
@@ -191,7 +190,7 @@ def twist_world(bundle):
     geometry = {}
     if bundle.is_geometric():
         cal_tw = twist_calculus(bundle.calculus, data, Btw)
-        cs_tw = twist_complex_structure(bundle.complex_structure, cal_tw)
+        cs_tw = ComplexStructure(cal_tw, bundle.complex_structure.bigrade)
         geometry = dict(
             calculus=cal_tw, complex_structure=cs_tw,
             metric=twist_metric(bundle.metric, data, cal_tw),
@@ -199,8 +198,7 @@ def twist_world(bundle):
             hermitian=twist_hermitian(bundle.hermitian, data, cal_tw),
             hermitian_splits=tuple(
                 twist_hermitian(h, data, cal_tw) for h in bundle.hermitian_splits),
-            kahler=KahlerData(cal_tw, cs_tw, Form(2, bundle.kahler.kappa.vec),
-                              bundle.kahler.dimension),
+            kahler=KahlerData(cal_tw, cs_tw, bundle.kahler.kappa),
             holo_10=twist_holomorphic(bundle.holo_10, data, cs_tw, Btw),
             holo_01=twist_holomorphic(bundle.holo_01, data, cs_tw.opposite(), Btw))
     return ModelBundle(

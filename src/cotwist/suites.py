@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .calculus import Form, NotFactorizable, factorization_inverse
+from .calculus import NotFactorizable, factorization_inverse
 from .cocycle import verify_cocycle_identities, verify_unitarity_suite
 from .cyclotomic import Cyc
 from .geometry import (
@@ -488,7 +488,7 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
             Obar = ConjugateModule(O1)
 
             def star(w):
-                return conj_of(O1, cal.star(Form(1, w)).vec)
+                return conj_of(O1, cal.star(w))
 
             star_bar = bar_map(star, Obar, Obar)
             for _ in range(min(sampler.n, 6)):
@@ -499,8 +499,8 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
         rep.forall("bar.star-object", "bar.star-object-law", star_object(), outcome)
 
         def star_transport(w):
-            lhs = conj_of(G1, cal_tw.star(Form(1, w)).vec)
-            gstar = conj_of(O1, cal.star(Form(1, w)).vec)
+            lhs = conj_of(G1, cal_tw.star(w))
+            gstar = conj_of(O1, cal.star(w))
             if lhs != conj_twist_iso_inv(data, G1, gstar):
                 return "star_g != N^-1 . Gamma(star) on a one-form sample"
             return None
@@ -522,22 +522,16 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
 # -- calculus suite (includes complex structure, holomorphic, Kahler) -----------
 
 
-def _sample_form(cal, sampler, degree):
-    mod = cal.module(degree)
-    i = sampler.rng.choice(mod.basis)
-    return Form(degree, mod.from_b(cal.base.el(sampler.label()), i))
-
-
 def _calculus_core(cal, rep, sampler, prefix):
     B = cal.base
 
     def degree_0_and_1():
         for _ in range(min(sampler.n, 12)):
             yield cal.from_b(B.el(sampler.label()))
-            yield _sample_form(cal, sampler, 1)
+            yield sampler.module_elem(cal.module(1))
 
     rep.forall(f"{prefix}.d-squared", "calculus.d-squared", degree_0_and_1(),
-               lambda f: f"d^2 != 0 on a degree-{f.degree} sample"
+               lambda f: f"d^2 != 0 on a degree-{cal.degree(f)} sample"
                if not cal.d(cal.d(f)).is_zero() else None)
 
     def graded_leibniz(wf):
@@ -549,17 +543,17 @@ def _calculus_core(cal, rep, sampler, prefix):
         return None
 
     rep.forall(f"{prefix}.graded-leibniz", "calculus.graded-leibniz",
-               sampler.draws(10, lambda: (_sample_form(cal, sampler, 1),
+               sampler.draws(10, lambda: (sampler.module_elem(cal.module(1)),
                                           cal.from_b(B.el(sampler.label())))),
                graded_leibniz)
     rep.forall(f"{prefix}.star-involution", "calculus.star-laws",
-               (_sample_form(cal, sampler, deg) for deg in (0, 1, 2) for _ in range(4)),
-               lambda w: f"star not involutive in degree {w.degree}"
+               (sampler.module_elem(cal.module(deg)) for deg in (0, 1, 2) for _ in range(4)),
+               lambda w: f"star not involutive in degree {cal.degree(w)}"
                if cal.star(cal.star(w)) != w else None)
     rep.forall(f"{prefix}.star-d-commute", "calculus.star-d-compatibility",
-               (_sample_form(cal, sampler, deg)
+               (sampler.module_elem(cal.module(deg))
                 for deg in (0, 1) for _ in range(min(sampler.n, 8))),
-               lambda w: f"(dw)* != d(w*) in degree {w.degree}"
+               lambda w: f"(dw)* != d(w*) in degree {cal.degree(w)}"
                if cal.star(cal.d(w)) != cal.d(cal.star(w)) else None)
 
     def star_antimultiplicative():
@@ -569,8 +563,8 @@ def _calculus_core(cal, rep, sampler, prefix):
         last = None
         for k, l in ((0, 1), (1, 1), (0, 2)):
             for _ in range(4):
-                w = _sample_form(cal, sampler, k)
-                v = _sample_form(cal, sampler, l)
+                w = sampler.module_elem(cal.module(k))
+                v = sampler.module_elem(cal.module(l))
                 sign = -1 if (k * l) % 2 else 1
                 lhs = cal.star(cal.wedge(w, v))
                 rhs = cal.wedge(cal.star(v), cal.star(w)).scale(sign)
@@ -589,14 +583,14 @@ def _calculus_core(cal, rep, sampler, prefix):
         return None
 
     rep.forall(f"{prefix}.wedge-associative", "calculus.associativity",
-               sampler.draws(8, lambda: (_sample_form(cal, sampler, 0),
-                                         _sample_form(cal, sampler, 1),
-                                         _sample_form(cal, sampler, 1))),
+               sampler.draws(8, lambda: (sampler.module_elem(cal.module(0)),
+                                         sampler.module_elem(cal.module(1)),
+                                         sampler.module_elem(cal.module(1)))),
                wedge_associative)
 
     def d_covariant(b):
-        lhs = cal.module(1).coact(cal.d(cal.from_b(b)).vec)
-        rhs = B.coact_elem(b).apply(lambda ab: cal.d(cal.from_b(B.el(ab[1]))).vec.map_keys(
+        lhs = cal.module(1).coact(cal.d(cal.from_b(b)))
+        rhs = B.coact_elem(b).apply(lambda ab: cal.d(cal.from_b(B.el(ab[1]))).map_keys(
             lambda bi: (ab[0], *bi)))
         return "d is not covariant on a sample" if lhs != rhs else None
 
@@ -610,9 +604,8 @@ def _calculus_core(cal, rep, sampler, prefix):
         images = []
         for m in cal.base.hopf.labels_box(1):
             dm = cal.d(cal.from_b(B.el(m)))
-            images.append(dm.vec)
-            inv = cal.wedge(Form(0, cal.module(0).from_b(B.star(m), "1")), dm)
-            images.append(inv.vec)
+            images.append(dm)
+            images.append(cal.wedge(cal.from_b(B.star(m)), dm))
         targets = {t: cal.module(1).el(t) for t in cal.module(1).basis}
         keys = sorted({k for v in images + list(targets.values()) for k in v.terms}, key=str)
         zero = Cyc.zero(cal.scalar_order)
@@ -640,70 +633,72 @@ def suite_calculus(bundle, world, back, rep, sampler):
     _calculus_core(cal_tw, rep, sampler, "calc.twisted")
 
     rep.forall("calc.twisted.d-is-functor-image", "twist.calculus",
-               sampler.draws(10, lambda: _sample_form(cal_tw, sampler, sampler.rng.choice((0, 1)))),
+               sampler.draws(10, lambda: sampler.module_elem(
+                   cal_tw.module(sampler.rng.choice((0, 1))))),
                lambda f: "d_g differs from Gamma(d) on a sample"
-               if cal_tw.d(f).vec != cal.d(Form(f.degree, f.vec)).vec else None)
+               if cal_tw.d(f) != cal.d(f) else None)
 
     def star_formula(f):
         # star_g(b w) must match Vbar(w-weight*) of the coaction formula
         A = bundle.hopf
         mod1 = cal.module(1)
-        lhs = cal_tw.star(f).vec
+        lhs = cal_tw.star(f)
 
         def term(k):
             # a (x) b e_i  ->  Vbar(a*) (b e_i)*, antilinear in the coaction
             a, b, i = k
-            starred = cal.star(Form(1, mod1.from_b(bundle.comodule.el(b), i))).vec
+            starred = cal.star(mod1.from_b(bundle.comodule.el(b), i))
             return starred.scale(A.star(a).evaluate(data.Vbar))
 
-        rhs = mod1.coact(f.vec).apply_conj(term)
+        rhs = mod1.coact(f).apply_conj(term)
         return "twisted star does not match its coaction formula" if lhs != rhs else None
 
     rep.forall("calc.twisted.star-formula", "twist.comodule-star",
-               sampler.draws(10, lambda: _sample_form(cal_tw, sampler, 1)), star_formula)
+               sampler.draws(10, lambda: sampler.module_elem(cal_tw.module(1))), star_formula)
 
     def calc_roundtrip():
         cal_back = back.calculus
         for _ in range(min(sampler.n, 8)):
-            f = _sample_form(cal, sampler, 1)
-            g2 = _sample_form(cal, sampler, 1)
+            f = sampler.module_elem(cal.module(1))
+            g2 = sampler.module_elem(cal.module(1))
             yield "wedge round trip fails on a sample" \
-                if cal_back.wedge(f, g2).vec != cal.wedge(f, g2).vec else None
+                if cal_back.wedge(f, g2) != cal.wedge(f, g2) else None
             yield "star round trip fails on a sample" \
-                if cal_back.star(f).vec != cal.star(f).vec else None
-            yield "d round trip fails on a sample" if cal_back.d(f).vec != cal.d(f).vec else None
+                if cal_back.star(f) != cal.star(f) else None
+            yield "d round trip fails on a sample" if cal_back.d(f) != cal.d(f) else None
 
     rep.forall("calc.roundtrip", "twist.inverse-deformation", calc_roundtrip(), outcome)
 
     for tag, c_s, c_al in (("base", cs, cal), ("twisted", cs_tw, cal_tw)):
         def projections(f):
-            total = c_al.zero_form(f.degree)
+            degree = c_al.degree(f)
+            total = Vec(c_al.scalar_order)
             for (p, q), comp in c_s.components(f).items():
-                if p + q != f.degree:
-                    return f"bigrade ({p},{q}) appears in degree {f.degree}"
+                if p + q != degree:
+                    return f"bigrade ({p},{q}) appears in degree {degree}"
                 total = total + comp
             return "bigrade projections do not sum to the identity" if total != f else None
 
         rep.forall(f"cs.{tag}.projections", "complex.bigrading",
-                   (_sample_form(c_al, sampler, deg) for deg in (1, 2) for _ in range(4)),
+                   (sampler.module_elem(c_al.module(deg)) for deg in (1, 2) for _ in range(4)),
                    projections)
 
         def star_swaps(f):
             for (p, q), piece in c_s.components(f).items():
-                for (b, i), c in c_al.star(piece).vec.terms.items():
+                for (b, i), c in c_al.star(piece).terms.items():
                     if not c.is_zero() and c_s.bigrade[i] != (q, p):
                         return f"star leaves ({p},{q}) outside ({q},{p})"
             return None
 
         rep.forall(f"cs.{tag}.star-swaps", "complex.star-swap",
-                   sampler.draws(8, lambda: _sample_form(c_al, sampler, 1)), star_swaps)
+                   sampler.draws(8, lambda: sampler.module_elem(c_al.module(1))), star_swaps)
 
         def d_splits(f):
             df = c_al.d(f)
             return "d != del + delbar on a sample" if c_s.del_(f) + c_s.delbar(f) != df else None
 
         rep.forall(f"cs.{tag}.d-splits", "complex.d-decomposition",
-                   sampler.draws(8, lambda: _sample_form(c_al, sampler, 1)), d_splits)
+                   sampler.draws(8, lambda: sampler.module_elem(c_al.module(1))), d_splits)
 
         def dolbeault_squares(b):
             if not c_s.del_(c_s.del_(b)).is_zero() or \
@@ -726,12 +721,11 @@ def suite_calculus(bundle, world, back, rep, sampler):
                 return
             c_al = c_s.cal
             for _ in range(min(sampler.n, 6)):
-                f11 = c_s.proj(_sample_form(c_al, sampler, 2), 1, 1)
-                back = c_al.zero_form(2)
+                f11 = c_s.proj(sampler.module_elem(c_al.module(2)), 1, 1)
+                back = Vec(c_al.scalar_order)
                 for (b, (i, j)), c in theta(f11).terms.items():
-                    back = back + c_al.wedge(
-                        Form(1, c_al.module(1).from_b(c_al.base.el(b), i)),
-                        Form(1, c_al.module(1).el(j))).scale(c)
+                    back = back + c_al.wedge(c_al.module(1).from_b(c_al.base.el(b), i),
+                                             c_al.module(1).el(j)).scale(c)
                 yield "wedge . theta != id on a (1,1) sample" if back != f11 else None
 
         rep.forall(f"factor.{tag}.invertible", "complex.factorizability",
@@ -747,7 +741,7 @@ def suite_calculus(bundle, world, back, rep, sampler):
                 b, i = bi
                 lhs = hh.delbar_conn(mod.lmul(b, mod.el(i)))
                 rhs = hh.tensor_01.lmul(b, hh.delbar_conn(mod.el(i))) + \
-                    hh.tensor_01.pure(hh.cs.delbar_b(b).vec, mod.el(i))
+                    hh.tensor_01.pure(hh.cs.delbar_b(b), mod.el(i))
                 return "delbar-connection Leibniz fails on a sample" if lhs != rhs else None
 
             rep.forall(f"holo.{wtag}.{tag}.leibniz", "holomorphic.leibniz",
@@ -766,21 +760,21 @@ def suite_calculus(bundle, world, back, rep, sampler):
     def holo_transport(w_lab):
         w, lab = w_lab
         e = h.module.from_b(cal.base.el(lab), h.module.basis[0])
-        u = h.tensor_01.pure(cs.proj(w, 0, 1).vec, e)
+        u = h.tensor_01.pure(cs.proj(w, 0, 1), e)
         moved = phi_inv_map(data, h_tw.tensor_01, h.tensor_01, u)
         rhs = phi_map(data, _op_target(h_tw), _op_target(h), h_tw.operator(moved))
         return "holomorphic transport identity fails on a sample" \
             if h.operator(u) != rhs else None
 
     rep.forall("holo.twist-intermediate", "twist.holomorphic-transport",
-               sampler.draws(6, lambda: (_sample_form(cal, sampler, 1), sampler.label())),
+               sampler.draws(6, lambda: (sampler.module_elem(cal.module(1)), sampler.label())),
                holo_transport)
 
     # Kahler layer
     for tag, kd, c_al in (("base", bundle.kahler, cal), ("twisted", world.kahler, cal_tw)):
-        kappa = Form(2, kd.kappa.vec)
+        kappa = kd.kappa
         rep.forall(f"kahler.{tag}.central", "kahler.centrality",
-                   sampler.draws(8, lambda: _sample_form(c_al, sampler, 0)),
+                   sampler.draws(8, lambda: sampler.module_elem(c_al.module(0))),
                    lambda f: "kappa not central on a sample"
                    if c_al.wedge(kappa, f) != c_al.wedge(f, kappa) else None)
         rep.forall(f"kahler.{tag}.real", "kahler.reality", [kappa],
@@ -789,7 +783,7 @@ def suite_calculus(bundle, world, back, rep, sampler):
         O2 = c_al.module(2)
         rep.forall(f"kahler.{tag}.coinvariant", "kahler.coinvariance", [kappa],
                    lambda k: "kappa not coinvariant"
-                   if O2.coact(k.vec) != unit_coaction(O2, k.vec) else None)
+                   if O2.coact(k) != unit_coaction(O2, k) else None)
         rep.forall(f"kahler.{tag}.closed", "kahler.closedness", [kappa],
                    lambda k: "d kappa != 0" if not c_al.d(k).is_zero() else None)
         rep.forall(f"kahler.{tag}.lefschetz", "kahler.lefschetz-bijectivity", [kd],
@@ -873,8 +867,8 @@ def suite_metric(bundle, world, back, rep, sampler):
         # dagger_g(phi^-1(w (x) e)) = phi^-1(e*_(0) (x) w*_(0)) Vbar(e*_(-1) w*_(-1))
         w, e = we
         lhs = metric_tw.dagger(phi_inv_map(data, T_tw, T_unt, T_unt.pure(w, e)))
-        ws = cal.star(Form(1, w)).vec
-        es = cal.star(Form(1, e)).vec
+        ws = cal.star(w)
+        es = cal.star(e)
 
         def term(x, y):
             (a1, b1, i1), (a2, b2, i2) = x, y
@@ -906,7 +900,7 @@ def suite_metric(bundle, world, back, rep, sampler):
             b, e = be
             lhs = c.apply(c.module.lmul(b, e))
             rhs = c.tensor.lmul(b, c.apply(e)) + \
-                c.tensor.pure(c_al.d(c_al.from_b(b)).vec, e)
+                c.tensor.pure(c_al.d(c_al.from_b(b)), e)
             return "left Leibniz fails on a sample" if lhs != rhs else None
 
         rep.forall(f"lc.{tag}.leibniz", "connection.left-leibniz",
@@ -916,7 +910,7 @@ def suite_metric(bundle, world, back, rep, sampler):
             b, e = be
             lhs = c.apply(c.module.rmul(e, b))
             rhs = c.tensor.rmul(c.apply(e), b) + \
-                c.sigma(c.sigma.src.pure(e, c_al.d(c_al.from_b(b)).vec))
+                c.sigma(c.sigma.src.pure(e, c_al.d(c_al.from_b(b))))
             return "sigma-twisted right Leibniz fails on a sample" if lhs != rhs else None
 
         rep.forall(f"lc.{tag}.bimodule", "connection.sigma-leibniz",
@@ -1010,7 +1004,7 @@ def suite_hermitian(bundle, world, back, rep, sampler):
         w, e = we
         lhs = herm.pair(w, conj_of(O1, e))
         rhs = bundle.metric.pair_apply(
-            bundle.metric.tensor.pure(w, cal.star(Form(1, e)).vec))
+            bundle.metric.tensor.pure(w, cal.star(e)))
         return "<w,ebar> != (w, e*) on a sample" if lhs != rhs else None
 
     rep.forall("herm.pairing-from-metric", "hermitian.metric-correspondence",
@@ -1071,7 +1065,7 @@ def suite_hermitian(bundle, world, back, rep, sampler):
         rebuilt = {}
         for (i, j) in bundle.metric.pairing_table:
             # (w_i, w_j) = <w_i, (w_j*)bar> since ** = id
-            starred = cal.star(Form(1, O1.el(j))).vec
+            starred = cal.star(O1.el(j))
             rebuilt[(i, j)] = herm.pair(O1.el(i), conj_of(O1, starred))
         yield from table_outcomes(bundle.metric.pairing_table, rebuilt,
                                   bundle.metric.pairing_table, "metric->Hermitian->metric differs")
@@ -1155,7 +1149,7 @@ def suite_chern(bundle, world, back, rep, sampler):
         xbar = conj_of(O1, x)
         lhs = nabla_tilde(ebar.rmul(xbar, b))
         rhs = tens_bar.rmul(nabla_tilde(xbar), b) + \
-            tens_bar.pure(xbar, cal.d(cal.from_b(b)).vec)
+            tens_bar.pure(xbar, cal.d(cal.from_b(b)))
         return "right Leibniz fails for the conjugate connection" if lhs != rhs else None
 
     rep.forall("conj.right-leibniz", "connection.conjugate-right",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cotwist.calculus import Form, KahlerData, NotFactorizable, factorization_inverse
+from cotwist.calculus import Calculus, KahlerData, NotFactorizable, factorization_inverse
 from cotwist.cyclotomic import Cyc
 from cotwist.models import classical_torus, nc_torus, twist_world
 from cotwist.vectors import Vec
@@ -40,7 +40,7 @@ def test_d_on_monomials(torus):
         want = Vec(12)
         want.add_term(((m, n), "w+"), (Cyc.rational(m, 12) - i * n) * Fraction(1, 2))
         want.add_term(((m, n), "w-"), (Cyc.rational(m, 12) + i * n) * Fraction(1, 2))
-        assert df.vec == want
+        assert df == want
 
 
 def test_w1_w2_change_of_basis(torus):
@@ -48,11 +48,11 @@ def test_w1_w2_change_of_basis(torus):
     cal = torus.calculus
     O1 = cal.module(1)
     i = Cyc.i(12)
-    w1 = Form(1, (O1.el("w+") + O1.el("w-")).scale(Fraction(1, 2)))
-    w2 = Form(1, (O1.el("w+") - O1.el("w-")).scale((i * 2).inverse()))
+    w1 = (O1.el("w+") + O1.el("w-")).scale(Fraction(1, 2))
+    w2 = (O1.el("w+") - O1.el("w-")).scale((i * 2).inverse())
     w12 = cal.wedge(w1, w2)
     want = cal.module(2).el("vol").scale(i * Fraction(1, 2))
-    assert w12.vec == want
+    assert w12 == want
     # and kappa = -2 w1 ^ w2
     assert torus.kahler.kappa == w12.scale(-2)
 
@@ -60,8 +60,8 @@ def test_w1_w2_change_of_basis(torus):
 def test_star_is_involutive_antimultiplicative(torus):
     cal = torus.calculus
     B = torus.comodule
-    w = Form(1, cal.module(1).from_b(B.el((1, 2)), "w+"))
-    v = Form(1, cal.module(1).from_b(B.el((-1, 0)), "w-"))
+    w = cal.module(1).from_b(B.el((1, 2)), "w+")
+    v = cal.module(1).from_b(B.el((-1, 0)), "w-")
     assert cal.star(cal.star(w)) == w
     lhs = cal.star(cal.wedge(w, v))
     rhs = cal.wedge(cal.star(v), cal.star(w)).scale(-1)
@@ -71,8 +71,7 @@ def test_star_is_involutive_antimultiplicative(torus):
 def test_bigrade_projections(torus):
     cal, cs = torus.calculus, torus.complex_structure
     B = torus.comodule
-    f = Form(1, cal.module(1).from_b(B.el((1, 1)), "w+")
-             + cal.module(1).from_b(B.el((0, 2)), "w-"))
+    f = cal.module(1).from_b(B.el((1, 1)), "w+") + cal.module(1).from_b(B.el((0, 2)), "w-")
     p10 = cs.proj(f, 1, 0)
     p01 = cs.proj(f, 0, 1)
     assert p10 + p01 == f
@@ -98,21 +97,20 @@ def test_factorization_inverse_values(torus):
     theta, tens = factorization_inverse(cs, (0, 1), (1, 0))
     # w- ^ w+ = -vol, so theta(vol) = -(w- (x) w+); equivalently
     # theta(w1^w2) = (-i/2) w- (x) w+ in the real basis
-    img = theta(Form(2, cal.module(2).el("vol")))
+    img = theta(cal.module(2).el("vol"))
     want = tens.el(("w-", "w+")).scale(-1)
     assert img == want
     i = Cyc.i(12)
-    w1w2 = Form(2, cal.module(2).el("vol").scale(i * Fraction(1, 2)))
+    w1w2 = cal.module(2).el("vol").scale(i * Fraction(1, 2))
     img2 = theta(w1w2)
     assert img2 == tens.el(("w-", "w+")).scale(-(i * Fraction(1, 2)))
     # round trip on a weighted sample
-    f11 = Form(2, cal.module(2).from_b(torus.comodule.el((2, 1)), "vol"))
+    f11 = cal.module(2).from_b(torus.comodule.el((2, 1)), "vol")
     t = theta(f11)
-    back = cal.zero_form(2)
+    back = Vec(12)
     for (b, (i2, j2)), c in t.terms.items():
         back = back + cal.wedge(
-            Form(1, cal.module(1).from_b(torus.comodule.el(b), i2)),
-            Form(1, cal.module(1).el(j2))).scale(c)
+            cal.module(1).from_b(torus.comodule.el(b), i2), cal.module(1).el(j2)).scale(c)
     assert back == f11
 
 
@@ -120,9 +118,8 @@ def test_not_factorizable_error(torus):
     cal, cs = torus.calculus, torus.complex_structure
     broken = dict(cal.wedge_table)
     broken[("w-", "w+")] = Vec(12)
-    from cotwist.calculus import Calculus, ComplexStructure
-    cal2 = Calculus(cal.base, cal.modules, broken, cal.d_base, cal.d_table,
-                    cal.star_table, cal.top)
+    from cotwist.calculus import ComplexStructure
+    cal2 = Calculus(cal.base, cal.modules, broken, cal.d_base, cal.d_table, cal.star_table)
     cs2 = ComplexStructure(cal2, cs.bigrade)
     with pytest.raises(NotFactorizable):
         factorization_inverse(cs2, (0, 1), (1, 0))
@@ -148,13 +145,13 @@ def test_twisted_wedge_bicharacter(nct, nct_world):
     B = nct.comodule
     Btw = nct_world.comodule
     # (x w+) ^_g (y w-) = zeta3^{-1} xy w+ ^ w-
-    xw = Form(1, cal_tw.module(1).from_b(Btw.el((1, 0)), "w+"))
-    yw = Form(1, cal_tw.module(1).from_b(Btw.el((0, 1)), "w-"))
+    xw = cal_tw.module(1).from_b(Btw.el((1, 0)), "w+")
+    yw = cal_tw.module(1).from_b(Btw.el((0, 1)), "w-")
     got = cal_tw.wedge(xw, yw)
     want = cal_tw.module(2).from_b(B.el((1, 1)), "vol").scale(Cyc.root(3, 2))
-    assert got.vec == want
+    assert got == want
     # coinvariant basis forms multiply untwisted
-    assert cal_tw.wedge(cal_tw.basis_form("w+"), cal_tw.basis_form("w-")).vec \
+    assert cal_tw.wedge(cal_tw.basis_form("w+"), cal_tw.basis_form("w-")) \
         == cal_tw.module(2).el("vol")
 
 
@@ -162,17 +159,17 @@ def test_twisted_leibniz(nct, nct_world):
     cal_tw = nct_world.calculus
     Btw = nct_world.comodule
     b = Btw.el((1, 0))
-    w = Form(1, cal_tw.module(1).from_b(Btw.el((0, 1)), "w+"))
-    lhs = cal_tw.d(Form(1, cal_tw.module(1).lmul(b, w.vec)))
+    w = cal_tw.module(1).from_b(Btw.el((0, 1)), "w+")
+    lhs = cal_tw.d(cal_tw.module(1).lmul(b, w))
     db = cal_tw.d(cal_tw.from_b(b))
-    rhs = cal_tw.wedge(db, w) + Form(2, cal_tw.module(2).lmul(b, cal_tw.d(w).vec))
+    rhs = cal_tw.wedge(db, w) + cal_tw.module(2).lmul(b, cal_tw.d(w))
     assert lhs == rhs
 
 
 def test_twisted_complex_structure_star_swap(nct, nct_world):
     cal_tw, cs_tw = nct_world.calculus, nct_world.complex_structure
     Btw = nct_world.comodule
-    f = Form(1, cal_tw.module(1).from_b(Btw.el((2, 1)), "w+"))
+    f = cal_tw.module(1).from_b(Btw.el((2, 1)), "w+")
     starred = cal_tw.star(f)
     assert cs_tw.proj(starred, 0, 1) == starred
     assert not starred.is_zero()
@@ -193,11 +190,50 @@ def test_kahler_checks(torus, nct_world):
     # twisted layer
     cal_tw = nct_world.calculus
     k_tw = nct_world.kahler
-    assert cal_tw.d(Form(2, k_tw.kappa.vec)).is_zero()
-    assert cal_tw.star(Form(2, k_tw.kappa.vec)) == Form(2, k_tw.kappa.vec)
+    assert cal_tw.d(k_tw.kappa).is_zero()
+    assert cal_tw.star(k_tw.kappa) == k_tw.kappa
     assert k_tw.lefschetz_bijective(0)
 
 
 def test_lefschetz_not_bijective_for_zero_kappa(torus):
-    zero = KahlerData(torus.calculus, torus.complex_structure, torus.calculus.zero_form(2))
+    zero = KahlerData(torus.calculus, torus.complex_structure, Vec(12))
     assert not zero.lefschetz_bijective(0)
+
+
+def test_degree_is_read_from_basis_names(torus):
+    world = twist_world(torus)
+    for cal in (torus.calculus, world.calculus):
+        for k, mod in cal.modules.items():
+            for n in mod.basis:
+                assert cal.degree(cal.module(k).el(n)) == k
+                assert cal.degree(mod.from_b(cal.base.el((1, -2)), n)) == k
+        assert cal.degree(Vec(12)) is None
+
+
+def test_d_and_star_are_additive_across_degrees(torus):
+    cal = torus.calculus
+    f0 = cal.from_b(torus.comodule.el((2, 1)))
+    f1 = cal.module(1).from_b(torus.comodule.el((1, -1)), "w+")
+    mixed = f0 + f1
+    assert cal.d(mixed) == cal.d(f0) + cal.d(f1)
+    assert not cal.d(mixed).is_zero()
+    assert cal.star(mixed) == cal.star(f0) + cal.star(f1)
+
+
+def test_wedge_refuses_a_mixed_degree_factor(torus):
+    cal = torus.calculus
+    mixed = cal.from_b(torus.comodule.el((1, 0))) + cal.basis_form("w+")
+    with pytest.raises(ValueError, match="spans degrees"):
+        cal.degree(mixed)
+    with pytest.raises(ValueError, match="spans degrees"):
+        cal.wedge(mixed, cal.basis_form("w-"))
+    with pytest.raises(ValueError, match="spans degrees"):
+        cal.wedge(cal.basis_form("w-"), mixed)
+
+
+def test_calculus_refuses_a_name_in_two_degrees(torus):
+    cal = torus.calculus
+    modules = dict(cal.modules)
+    modules[2] = cal.module(1)
+    with pytest.raises(ValueError, match="appears in degrees"):
+        Calculus(cal.base, modules, cal.wedge_table, cal.d_base, cal.d_table, cal.star_table)

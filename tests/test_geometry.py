@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from cotwist.calculus import Form
 from cotwist.cyclotomic import Cyc
 from cotwist.geometry import (
     ChernNotUnique, ChernNoSolution, DiamondViolation, HermitianData,
@@ -130,7 +129,7 @@ def test_conjugate_connection(torus):
     xbar = conj_of(O1, x)
     lhs = nt(ebar.rmul(xbar, b))
     rhs = tens.rmul(nt(xbar), b) + tens.pure(
-        xbar, torus.calculus.d(torus.calculus.from_b(b)).vec)
+        xbar, torus.calculus.d(torus.calculus.from_b(b)))
     assert lhs == rhs
 
 
@@ -208,3 +207,13 @@ def test_direct_sum_on_weighted_sample(nct, world):
         for (b, (w, t)), c in part.terms.items():
             rhs.add_term((b, (w, t)), c)
     assert lhs == rhs
+
+
+def test_hermitian_table_edit_reaches_pair():
+    # the pairing reads the table the fault and the emitter see
+    herm = nc_torus(1, 3).hermitian
+    x, ybar = herm.module.el("w+"), herm.ebar.el(("bar", "w+"))
+    before = herm.pair(x, ybar)
+    assert not before.is_zero()
+    herm.table[("bar", "w+")] = herm.table[("bar", "w+")].scale(Cyc.root(3))
+    assert herm.pair(x, ybar) == before.scale(Cyc.root(3))

@@ -10,8 +10,7 @@ from cotwist.suites import run_suite
 
 
 def emit(b):
-    return emit_json(structure_tables(
-        b.hopf, b.comodule, b.calculus, b.metric, b.connection, b.hermitian))
+    return emit_json(structure_tables(b))
 
 
 def test_determinism_bit_identical():

@@ -1,6 +1,6 @@
-"""Source hygiene: no function-local name is assigned and never read, only
-`vectors.py` accumulates a Vec term by term, and `Fraction` stays at the
-edges of the scalar field."""
+"""Source hygiene: no function-local name is assigned and never read, no
+parameter goes unread without a reason, only `vectors.py` accumulates a Vec
+term by term, and `Fraction` stays at the edges of the scalar field."""
 
 import ast
 from pathlib import Path
@@ -81,6 +81,92 @@ def test_no_dead_locals_in_package():
             found.append(f"{path.name}:{line} {func}: {name}")
     assert found == []
 
+
+
+# Parameters that may go unread, each with why.  `_`-prefixed parameters,
+# `self`/`cls` and `raise NotImplementedError` stubs need no entry.
+UNREAD_ALLOWED = {
+    "hopf.py:HopfAlgebra.labels_box:box":
+        "the finite default returns every label; infinite families override it and read box",
+    "hopf.py:GroupAlgebra.counit:label":
+        "every group element has counit 1; the signature is the Hopf algebra interface",
+    "suites.py:suite_hopf:back":
+        "run_suite calls every suite with one signature (bundle, world, back, rep, sampler)",
+    "suites.py:suite_cocycle:world":
+        "run_suite calls every suite with one signature (bundle, world, back, rep, sampler)",
+    "suites.py:suite_chern:back":
+        "run_suite calls every suite with one signature (bundle, world, back, rep, sampler)",
+}
+
+
+def _is_stub(func):
+    """A body that is only `raise NotImplementedError`, after any docstring."""
+    body = func.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unread_parameters(tree):
+    """(qualified function name, parameter) of each parameter never read.
+
+    A read anywhere below the function counts, nested closures included.
+    """
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, ast.ClassDef):
+                inner = scope + (child.name,)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+                args = child.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + \
+                    [a for a in (args.vararg, args.kwarg) if a is not None]
+                read = {n.id for n in ast.walk(child)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                if not _is_stub(child):
+                    out.extend((".".join(inner), a.arg) for a in params
+                               if a.arg not in read and a.arg not in ("self", "cls")
+                               and not a.arg.startswith("_"))
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
+
+
+def test_unread_parameter_scanner():
+    tree = ast.parse(
+        "def f(a, b, _c, *args, d=1, **kw):\n"
+        "    def g(e):\n"
+        "        return a\n"
+        "    return g(kw)\n"
+        "class C:\n"
+        "    def m(self, x):\n"
+        "        \"A stub.\"\n"
+        "        raise NotImplementedError\n"
+        "    def n(self, y, z):\n"
+        "        y = 2\n"
+        "        raise NotImplementedError(z)\n"
+        "    def o(self, w):\n"
+        "        raise ValueError\n")
+    assert unread_parameters(tree) == [
+        ("f", "b"), ("f", "d"), ("f", "args"), ("f.g", "e"), ("C.n", "y"), ("C.o", "w")]
+
+
+def test_no_unread_parameters_in_package():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func, param in unread_parameters(ast.parse(path.read_text())):
+            found.add(f"{path.name}:{func}:{param}")
+    assert sorted(found - set(UNREAD_ALLOWED)) == []
+    # an entry whose parameter is now read, or gone, is stale
+    assert found == set(UNREAD_ALLOWED)
 
 # Functions outside vectors.py that may still call Vec.add_term, each with why.
 # Every other element map is a linear, bilinear or antilinear extension
