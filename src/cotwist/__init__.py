@@ -20,8 +20,8 @@ from .relhopf import (
     TwistedComodule, TwistedModule, conj_twist_iso, conj_twist_iso_inv,
     hom_twist_iso, phi_inv_map, phi_map)
 from .calculus import (
-    Calculus, ComplexStructure, KahlerData,
-    factorization_inverse, holomorphic_from_factorizable,
+    Calculus, ComplexStructure, factorization_inverse,
+    holomorphic_from_factorizable, lefschetz_bijective,
     twist_calculus, twist_holomorphic)
 from .geometry import (
     ConnectionData, HermitianData, MetricData, chern_solve,

@@ -138,9 +138,9 @@ class ComplexStructure:
     def delbar_b(self, b_vec):
         return self.delbar(self.cal.from_b(b_vec))
 
-    def submodule(self, p, q, name=None):
+    def submodule(self, p, q):
         basis = [i for i in self.cal.module(p + q).basis if self.bigrade[i] == (p, q)]
-        return CentralBasisModule(self.cal.base, basis, name or f"O({p},{q})")
+        return CentralBasisModule(self.cal.base, basis)
 
     def opposite(self):
         swapped = {i: (q, p) for i, (p, q) in self.bigrade.items()}
@@ -206,12 +206,11 @@ def factorization_inverse(cs, left_grade=(0, 1), right_grade=(1, 0)):
 class HoloModule:
     """A module with a delbar-connection of vanishing holomorphic curvature."""
 
-    def __init__(self, cs, module, tensor_01, delbar_table, name="E"):
+    def __init__(self, cs, module, tensor_01, delbar_table):
         self.cs = cs
         self.module = module
         self.tensor_01 = tensor_01      # TensorModule(O^{(0,1)}-module, module)
         self.delbar_table = dict(delbar_table)   # basis -> tensor element
-        self.name = name
 
     def delbar_conn(self, elem):
         """delbar_E(b e) = b delbar_E(e) + delbar(b) (x) e."""
@@ -263,7 +262,7 @@ def holomorphic_from_factorizable(cs, grade=(1, 0)):
     mod = cs.submodule(*grade)
     tens2 = TensorModule(tens.left, mod)
     table = {i: theta(view.delbar(cs.cal.basis_form(i))) for i in mod.basis}
-    return HoloModule(view, mod, tens2, table, name=f"O{grade}")
+    return HoloModule(view, mod, tens2, table)
 
 
 def twist_holomorphic(h, data, twisted_cs, twisted_base):
@@ -275,36 +274,24 @@ def twist_holomorphic(h, data, twisted_cs, twisted_base):
         i: phi_inv_map(data, tens_tw, h.tensor_01, v)
         for i, v in h.delbar_table.items()
     }
-    return HoloModule(twisted_cs, mod_tw, tens_tw, table, name=f"tw({h.name})")
+    return HoloModule(twisted_cs, mod_tw, tens_tw, table)
 
 
-class KahlerData:
-    """A candidate Hermitian/Kahler form with its Lefschetz data."""
-
-    def __init__(self, cal, cs, kappa):
-        self.cal = cal
-        self.cs = cs
-        self.kappa = kappa        # a 2-form
-        self.dimension = cal.top // 2
-
-    def lefschetz_matrix(self, k=0):
-        """The matrix of L^{n-k}: Omega^k -> Omega^{2n-k} over scalars."""
-        cal = self.cal
-        src = cal.module(k)
-        images = []
-        for i in src.basis:
-            img = src.el(i)
-            for _ in range(self.dimension - k):
-                img = cal.wedge(self.kappa, img)
-            images.append(img)
-        return coinvariant_matrix(cal, images, cal.module(2 * self.dimension - k).basis,
-                                  ValueError("Lefschetz image not coinvariant"))
-
-    def lefschetz_bijective(self, k=0):
-        mat = self.lefschetz_matrix(k)
-        zero = Cyc.zero(self.cal.scalar_order)
-        return len(mat) == len(self.cal.module(k).basis) and \
-            not gauss_solve(mat, [zero] * len(mat))[1]
+def lefschetz_bijective(cal, kappa, k=0):
+    """Whether L^{n-k} = (kappa ^ .)^{n-k}: Omega^k -> Omega^{2n-k} is bijective
+    over scalars, for the Kahler form kappa of a calculus of top degree 2n."""
+    n = cal.top // 2
+    src = cal.module(k)
+    images = []
+    for i in src.basis:
+        img = src.el(i)
+        for _ in range(n - k):
+            img = cal.wedge(kappa, img)
+        images.append(img)
+    mat = coinvariant_matrix(cal, images, cal.module(2 * n - k).basis,
+                             ValueError("Lefschetz image not coinvariant"))
+    zero = Cyc.zero(cal.scalar_order)
+    return len(mat) == len(src.basis) and not gauss_solve(mat, [zero] * len(mat))[1]
 
 
 def fundamental_form(cal, pairing_table, complex_op):

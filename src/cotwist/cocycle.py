@@ -29,8 +29,7 @@ from .vectors import gauss_solve
 class PairFunctional:
     """A linear functional on A (x) A, total on basis label pairs."""
 
-    def __init__(self, A, fn):
-        self.A = A
+    def __init__(self, fn):
         self.fn = fn
         self._cache = {}
 
@@ -56,13 +55,13 @@ def sweedler_sum(A, fn, *labels):
 
 
 def counit_functional(A):
-    return PairFunctional(A, lambda l1, l2: A.counit(l1) * A.counit(l2))
+    return PairFunctional(lambda l1, l2: A.counit(l1) * A.counit(l2))
 
 
 def convolve(phi, psi, A):
     """(phi * psi)(a (x) b) = phi(a1 (x) b1) psi(a2 (x) b2)."""
 
-    return PairFunctional(A, lambda l1, l2: sweedler_sum(
+    return PairFunctional(lambda l1, l2: sweedler_sum(
         A, lambda a1, a2, b1, b2: phi(a1, b1) * psi(a2, b2), l1, l2))
 
 
@@ -89,7 +88,7 @@ def convolution_inverse(gamma, A):
                     pair=(l1, l2))
             return v.inverse()
 
-        return PairFunctional(A, fn)
+        return PairFunctional(fn)
 
     labels = A.finite_labels()
     if labels is None:
@@ -117,7 +116,7 @@ def convolution_inverse(gamma, A):
             f"gamma has no convolution inverse; inconsistent at "
             f"({A.label_name(a)},{A.label_name(b)})", pair=(a, b))
     table = {(a, b): sol[idx[a] * n + idx[b]] for a in labels for b in labels}
-    psi = PairFunctional(A, lambda l1, l2: table[(l1, l2)])
+    psi = PairFunctional(lambda l1, l2: table[(l1, l2)])
     # the solve only imposed gamma * psi; confirm the other side
     other = convolve(psi, gamma, A)
     for a in labels:
@@ -161,8 +160,8 @@ class CocycleData:
 
     def inverse_data(self, twisted_hopf):
         """gammabar as a cocycle on the twisted algebra (for round trips)."""
-        return CocycleData(twisted_hopf, PairFunctional(twisted_hopf, self.gamma_bar.fn),
-                           PairFunctional(twisted_hopf, self.gamma.fn))
+        return CocycleData(twisted_hopf, PairFunctional(self.gamma_bar.fn),
+                           PairFunctional(self.gamma.fn))
 
 
 def trivial_cocycle(A):
@@ -189,7 +188,7 @@ def bicharacter_cocycle(A, pairing):
                     e += pairing[i][j] * l1[i] * l2[j]
         return Cyc.root(order, e)
 
-    gamma = PairFunctional(A, fn)
+    gamma = PairFunctional(fn)
     return CocycleData(A, gamma, convolution_inverse(gamma, A))
 
 
@@ -203,7 +202,6 @@ class TwistedHopf(HopfAlgebra):
         self.base = base
         self.data = data
         self.scalar_order = base.scalar_order
-        self.name = base.name + "_twisted"
         self._mult_cache = {}
         self.antipode = memoize_table(self.antipode)
         self.antipode_inv = memoize_table(self.antipode_inv)

@@ -38,7 +38,7 @@ def _scale_gamma(bundle, pair, factor):
         v = old(a, b)
         return v * factor if (a, b) == pair else v
 
-    gamma = PairFunctional(bundle.hopf, fn)
+    gamma = PairFunctional(fn)
     gamma_bar = convolution_inverse(gamma, bundle.hopf)
     return replace(bundle, data=CocycleData(bundle.hopf, gamma, gamma_bar))
 
@@ -57,7 +57,7 @@ def fault_cocycle_inverse_corrupted():
         v = old_bar(a, c)
         return v * Cyc.root(3) if (a, c) == ((0, 1), (1, 0)) else v
 
-    bar = PairFunctional(b.hopf, fn)
+    bar = PairFunctional(fn)
     return replace(b, data=CocycleData(b.hopf, data.gamma, bar))
 
 
@@ -73,7 +73,7 @@ def fault_antipode_corrupted():
                 return self.el(self.elements[3])
             return super().antipode(label)
 
-    A = Corrupted(symmetric_group(3), name="fun(S3)!")
+    A = Corrupted(symmetric_group(3))
     return replace(fun_group("s3"), hopf=A, comodule=SelfComodule(A), data=trivial_cocycle(A))
 
 

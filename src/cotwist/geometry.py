@@ -208,7 +208,7 @@ class HermitianData:
         self.module = module
         self.ebar = ConjugateModule(module)
         self.hom = HomModule(module)
-        self.morphism = Morphism(self.ebar, self.hom, table, "H")
+        self.morphism = Morphism(self.ebar, self.hom, table)
         # the morphism's own table: an edit to it is an edit to H
         self.table = self.morphism.table    # ('bar', i) -> Vec over HomModule keys
 
@@ -296,9 +296,7 @@ class ChernNoSolution(ValueError):
 
 
 class ChernNotUnique(ValueError):
-    def __init__(self, message, kernel_dim):
-        super().__init__(message)
-        self.kernel_dim = kernel_dim
+    pass
 
 
 def _compat_terms(cal, herm, conn_table, i, jbar):
@@ -384,7 +382,7 @@ def chern_solve(holo, herm, coeff_box=1):
             f"no Chern connection in search space (witness row {bad})")
     if kernel_dim:
         raise ChernNotUnique(
-            f"uniqueness violated in search space (kernel dim {kernel_dim})", kernel_dim)
+            f"uniqueness violated in search space (kernel dim {kernel_dim})")
 
     table = {i: fixed[i].copy() for i in mod.basis}
     for z, cand in zip(sol, candidates):

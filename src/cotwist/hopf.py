@@ -39,7 +39,6 @@ class HopfAlgebra(LabelAlgebra):
     """Base protocol: label tables for mult/unit/coproduct/counit/S/S^-1/star."""
 
     scalar_order = 1
-    name = "hopf"
 
     def mult(self, l1, l2):
         raise NotImplementedError
@@ -125,13 +124,12 @@ class GroupAlgebra(HopfAlgebra):
     2-torus.
     """
 
-    def __init__(self, free_rank, torsion=(), scalar_order=1, name=None):
+    def __init__(self, free_rank, torsion=(), scalar_order=1):
         from .vectors import memoize_table
         self.free_rank = free_rank
         self.torsion = tuple(torsion)
         self.rank = free_rank + len(self.torsion)
         self.scalar_order = scalar_order
-        self.name = name or f"group({free_rank},{self.torsion})"
         self.mult = memoize_table(self.mult)
         self.coproduct = memoize_table(self.coproduct)
         self.sweedler = memoize_table(self.sweedler)
@@ -213,12 +211,11 @@ class FunctionAlgebra(HopfAlgebra):
     multi-term; the unit is the sum of all deltas.
     """
 
-    def __init__(self, elements, scalar_order=1, name="fun"):
+    def __init__(self, elements, scalar_order=1):
         from .vectors import memoize_table
         self.elements = list(elements)
         self.identity = next(g for g in self.elements if g == g * g)
         self.scalar_order = scalar_order
-        self.name = name
         self._factorisations = {}
         for g in self.elements:
             self._factorisations[g] = [(h, h.inv() * g) for h in self.elements]
@@ -259,7 +256,7 @@ class FunctionAlgebra(HopfAlgebra):
 
 
 def fun_s3(scalar_order=1):
-    return FunctionAlgebra(symmetric_group(3), scalar_order, name="fun(S3)")
+    return FunctionAlgebra(symmetric_group(3), scalar_order)
 
 
 # -- axiom verification -----------------------------------------------------

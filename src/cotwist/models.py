@@ -19,13 +19,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .calculus import (
-    Calculus, ComplexStructure, KahlerData, fundamental_form,
-    holomorphic_from_factorizable, twist_calculus, twist_holomorphic)
+    Calculus, ComplexStructure, fundamental_form, holomorphic_from_factorizable,
+    twist_calculus, twist_holomorphic)
 from .cocycle import CocycleData, TwistedHopf, bicharacter_cocycle, trivial_cocycle
 from .cyclotomic import Cyc
 from .geometry import (
-    ConnectionData, HermitianData, MetricData, hermitian_from_real, split_hermitian,
-    twist_connection, twist_hermitian, twist_metric)
+    ConnectionData, HermitianData, MetricData, chern_solve, hermitian_from_real,
+    split_hermitian, twist_connection, twist_hermitian, twist_metric)
 from .hopf import GroupAlgebra, fun_s3
 from .modules import CentralBasisModule, Morphism, SelfComodule, TensorModule
 from .relhopf import TwistedComodule
@@ -44,7 +44,8 @@ def check_sampling(box, samples):
 class ModelBundle:
     """One world: Hopf and comodule algebras, a cocycle, optional geometry.
 
-    A bundle holds no twisted structures; `twist_world` builds them.
+    A bundle holds no twisted structures; `twist_world` builds them.  Its
+    Chern connections are derived data: `chern(tag)` solves each once.
     """
 
     name: str
@@ -57,7 +58,7 @@ class ModelBundle:
     connection: ConnectionData = None
     hermitian: HermitianData = None
     hermitian_splits: tuple = None
-    kahler: KahlerData = None
+    kappa: Vec = None             # the Kahler form, a 2-form
     holo_10: object = None
     holo_01: object = None
     box: int = 4
@@ -65,10 +66,24 @@ class ModelBundle:
     seed: int = 42
 
     def __post_init__(self):
+        from .vectors import memoize_table
         check_sampling(self.box, self.samples)
+        # per instance, so a `dataclasses.replace` copy solves afresh
+        self.chern = memoize_table(self.chern)
 
     def is_geometric(self):
         return self.calculus is not None
+
+    def chern_system(self, tag):
+        """The holomorphic bimodule of bigrade `tag` ("10" or "01") and its
+        block of the Hermitian metric."""
+        h10, h01 = self.hermitian_splits
+        return {"10": (self.holo_10, h10), "01": (self.holo_01, h01)}[tag]
+
+    def chern(self, tag):
+        """The Chern connection of `chern_system(tag)`.  A solver error is
+        raised each time, never cached."""
+        return chern_solve(*self.chern_system(tag))
 
 
 def _half(order):
@@ -76,11 +91,12 @@ def _half(order):
 
 
 def build_torus_geometry(B, order):
-    """Calculus, complex structure, metric, LC connection, Hermitian data."""
+    """The geometric `ModelBundle` fields: calculus, complex structure,
+    metric, LC connection, Hermitian, Kahler and holomorphic data."""
     i_unit = Cyc.i(order)
-    O0 = CentralBasisModule(B, ["1"], name="O0")
-    O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
-    O2 = CentralBasisModule(B, ["vol"], name="O2")
+    O0 = CentralBasisModule(B, ["1"])
+    O1 = CentralBasisModule(B, ["w+", "w-"])
+    O2 = CentralBasisModule(B, ["vol"])
     modules = {0: O0, 1: O1, 2: O2}
 
     zero2 = Vec(order)
@@ -128,36 +144,31 @@ def build_torus_geometry(B, order):
     metric = MetricData(cal, g, pairing_table)
 
     # Levi-Civita: nabla w = 0, sigma = flip
-    flip = Morphism(T11, T11, {(i, j): T11.el((j, i)) for (i, j) in T11.basis}, "flip")
+    flip = Morphism(T11, T11, {(i, j): T11.el((j, i)) for (i, j) in T11.basis})
     conn = ConnectionData(cal, O1, {i: Vec(order) for i in O1.basis}, sigma=flip)
 
     herm = hermitian_from_real(metric)
-    h1, h2 = split_hermitian(herm, cs)
 
     def complex_op(name):
         # I(w+) = i w+, I(w-) = -i w-
         sign = i_unit if name == "w+" else -i_unit
         return O1.el(name).scale(sign)
 
-    kappa = fundamental_form(cal, pairing, complex_op)
-    kahler = KahlerData(cal, cs, kappa)
-
-    holo10 = holomorphic_from_factorizable(cs, (1, 0))
-    holo01 = holomorphic_from_factorizable(cs, (0, 1))
-    return cal, cs, metric, conn, herm, (h1, h2), kahler, holo10, holo01
+    return dict(
+        calculus=cal, complex_structure=cs, metric=metric, connection=conn,
+        hermitian=herm, hermitian_splits=split_hermitian(herm, cs),
+        kappa=fundamental_form(cal, pairing, complex_op),
+        holo_10=holomorphic_from_factorizable(cs, (1, 0)),
+        holo_01=holomorphic_from_factorizable(cs, (0, 1)))
 
 
 def classical_torus(order=4, box=4, samples=100, seed=42):
     order = int(math.lcm(4, order))
-    A = GroupAlgebra(2, scalar_order=order, name="C[Z^2]")
-    B = SelfComodule(A, name="O(T^2)")
-    data = trivial_cocycle(A)
-    cal, cs, metric, conn, herm, splits, kahler, h10, h01 = build_torus_geometry(B, order)
+    A = GroupAlgebra(2, scalar_order=order)
+    B = SelfComodule(A)
     return ModelBundle(
-        name="classical_torus", hopf=A, comodule=B, data=data, calculus=cal,
-        complex_structure=cs, metric=metric, connection=conn, hermitian=herm,
-        hermitian_splits=splits, kahler=kahler, holo_10=h10, holo_01=h01,
-        box=box, samples=samples, seed=seed)
+        name="classical_torus", hopf=A, comodule=B, data=trivial_cocycle(A),
+        box=box, samples=samples, seed=seed, **build_torus_geometry(B, order))
 
 
 def nc_torus(p=1, q=3, box=4, samples=100, seed=42):
@@ -198,7 +209,7 @@ def twist_world(bundle):
             hermitian=twist_hermitian(bundle.hermitian, data, cal_tw),
             hermitian_splits=tuple(
                 twist_hermitian(h, data, cal_tw) for h in bundle.hermitian_splits),
-            kahler=KahlerData(cal_tw, cs_tw, bundle.kahler.kappa),
+            kappa=bundle.kappa,
             holo_10=twist_holomorphic(bundle.holo_10, data, cs_tw, Btw),
             holo_01=twist_holomorphic(bundle.holo_01, data, cs_tw.opposite(), Btw))
     return ModelBundle(
@@ -216,7 +227,7 @@ def finite_bicharacter(n=5, pairing="skew", box=0, samples=100, seed=42):
         raise ValueError(f"n must be >= 1, got {n}")
     if isinstance(pairing, str) and pairing not in ("skew", "upper", "trivial"):
         raise ValueError(f"unknown pairing {pairing!r}; available: skew, upper, trivial")
-    A = GroupAlgebra(0, (n, n), scalar_order=n, name=f"C[Z{n}^2]")
+    A = GroupAlgebra(0, (n, n), scalar_order=n)
     B = SelfComodule(A)
     if pairing == "skew":
         mat = [[0, 1], [-1, 0]]

@@ -20,10 +20,9 @@ from .vectors import Vec
 class ComodAlgebra(LabelAlgebra):
     """Presentation of a left comodule *-algebra B over a Hopf algebra A."""
 
-    def __init__(self, hopf, name="B"):
+    def __init__(self, hopf):
         self.hopf = hopf
         self.scalar_order = hopf.scalar_order
-        self.name = name
 
     def mult(self, l1, l2):
         raise NotImplementedError
@@ -55,9 +54,6 @@ class SelfComodule(ComodAlgebra):
     Covers both torus coordinate algebras (A = C[Z^n]) and the regular
     function-algebra instruments.
     """
-
-    def __init__(self, hopf, name=None):
-        super().__init__(hopf, name or hopf.name)
 
     def mult(self, l1, l2):
         return self.hopf.mult(l1, l2)
@@ -103,10 +99,9 @@ def _flat(v):
 class FreeModule:
     """A relative Hopf module, free as a left B-module on a finite basis."""
 
-    def __init__(self, base, basis, name="E"):
+    def __init__(self, base, basis):
         self.base = base
         self.basis = list(basis)
-        self.name = name
         self.scalar_order = base.scalar_order
         # structure tables are pure; memoise the bound (most-derived) methods
         self.r_act = _memoize(self.r_act)
@@ -205,11 +200,11 @@ class CentralBasisModule(FreeModule):
 class TensorModule(FreeModule):
     """E (x)_B F for free left modules, basis pairs, left normal form."""
 
-    def __init__(self, left, right, name=None):
+    def __init__(self, left, right):
         if left.base is not right.base:
             raise ValueError("tensor factors live over different algebras")
         basis = [(i, j) for i in left.basis for j in right.basis]
-        super().__init__(left.base, basis, name or f"{left.name}(x){right.name}")
+        super().__init__(left.base, basis)
         self.left = left
         self.right = right
 
@@ -250,9 +245,9 @@ class TensorModule(FreeModule):
 class ConjugateModule(FreeModule):
     """The conjugate module: b.mbar = (m b*)bar, mbar.b = (b* m)bar."""
 
-    def __init__(self, inner, name=None):
+    def __init__(self, inner):
         basis = [("bar", i) for i in inner.basis]
-        super().__init__(inner.base, basis, name or f"bar({inner.name})")
+        super().__init__(inner.base, basis)
         self.inner = inner
 
     def basis_name(self, key):
@@ -297,9 +292,9 @@ class HomModule(FreeModule):
     stands for b.e^i, where (b.f)(x) = f(x b).
     """
 
-    def __init__(self, inner, name=None):
+    def __init__(self, inner):
         basis = [("dual", i) for i in inner.basis]
-        super().__init__(inner.base, basis, name or f"hom({inner.name},B)")
+        super().__init__(inner.base, basis)
         self.inner = inner
 
     def basis_name(self, key):
@@ -354,18 +349,17 @@ def hom_coact(hom_mod, f_elem):
 class Morphism:
     """A left-linear map between free modules given by its basis table."""
 
-    def __init__(self, src, dst, table, name="f"):
+    def __init__(self, src, dst, table):
         self.src = src
         self.dst = dst
         self.table = dict(table)
-        self.name = name
 
     def __call__(self, elem):
         return elem.apply(lambda bi: self.dst.lmul(self.src.base.el(bi[0]), self.table[bi[1]]))
 
     @staticmethod
     def identity(mod):
-        return Morphism(mod, mod, {i: mod.el(i) for i in mod.basis}, "id")
+        return Morphism(mod, mod, {i: mod.el(i) for i in mod.basis})
 
 
 def right_linear_defect(f, b_label, i):

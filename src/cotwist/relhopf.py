@@ -26,9 +26,9 @@ from .vectors import Vec
 class TwistedComodule(ComodAlgebra):
     """B_gamma: same labels and coaction, deformed product and involution."""
 
-    def __init__(self, base, data, twisted_hopf, name=None):
+    def __init__(self, base, data, twisted_hopf):
         from .vectors import memoize_table
-        super().__init__(twisted_hopf, name or base.name + "_tw")
+        super().__init__(twisted_hopf)
         self.untwisted = base
         self.data = data
         self.mult = memoize_table(self.mult)
@@ -62,8 +62,8 @@ class TwistedComodule(ComodAlgebra):
 class TwistedModule(FreeModule):
     """Gamma(E) over B_gamma: same basis, actions deformed through gamma."""
 
-    def __init__(self, inner, data, twisted_base, name=None):
-        super().__init__(twisted_base, inner.basis, name or f"tw({inner.name})")
+    def __init__(self, inner, data, twisted_base):
+        super().__init__(twisted_base, inner.basis)
         inner.check_coinvariant_basis()
         self.inner = inner
         self.data = data
@@ -138,7 +138,7 @@ def _phi(weight, src, dst, elem):
         W.coact_basis(k[1][1]), term))
 
 
-def twist_tensor_morphism(T, data, src_tw, dst_tw, name=None):
+def twist_tensor_morphism(T, data, src_tw, dst_tw):
     """T_g = phi^-1 . Gamma(T) . phi for T between tensor modules."""
     src_unt = TensorModule(untwisted_of(src_tw.left), untwisted_of(src_tw.right))
     dst_unt = TensorModule(untwisted_of(dst_tw.left), untwisted_of(dst_tw.right))
@@ -147,7 +147,7 @@ def twist_tensor_morphism(T, data, src_tw, dst_tw, name=None):
         moved = phi_map(data, src_tw, src_unt, src_tw.el(key))
         img = T(moved)
         table[key] = phi_inv_map(data, dst_tw, dst_unt, img)
-    return Morphism(src_tw, dst_tw, table, name or f"tw({T.name})")
+    return Morphism(src_tw, dst_tw, table)
 
 
 # -- bar structure ------------------------------------------------------------

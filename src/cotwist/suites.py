@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .calculus import NotFactorizable, factorization_inverse
+from .calculus import NotFactorizable, factorization_inverse, lefschetz_bijective
 from .cocycle import verify_cocycle_identities, verify_unitarity_suite
 from .cyclotomic import Cyc
 from .geometry import (
@@ -37,6 +37,7 @@ from .vectors import Vec, gauss_solve
 
 SUITES = ("hopf", "cocycle", "barfunctor", "calculus", "metric", "hermitian",
           "chern", "main")
+CHERN_TAGS = ("10", "01")
 
 
 class Sampler:
@@ -224,11 +225,10 @@ def suite_cocycle(bundle, world, back, rep, sampler):
 
 
 def _instrument_modules(bundle):
-    """Module instruments: B as a module over itself, plus Omega^1 if present."""
-    B = bundle.comodule
-    mods = [CentralBasisModule(B, ["e"], name="B-self")]
+    """Labelled module instruments: B as a module over itself, plus Omega^1 if present."""
+    mods = [("B-self", CentralBasisModule(bundle.comodule, ["e"]))]
     if bundle.calculus is not None:
-        mods.append(bundle.calculus.module(1))
+        mods.append(("O1", bundle.calculus.module(1)))
     return mods
 
 
@@ -238,9 +238,9 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     Btw = world.comodule
     mods = _instrument_modules(bundle)
 
-    for E in mods:
+    for label, E in mods:
         Ebar = ConjugateModule(E)
-        rep.forall(f"bar.conj-involution[{E.name}]", "bar.conjugate-structure",
+        rep.forall(f"bar.conj-involution[{label}]", "bar.conjugate-structure",
                    sampler.draws(12, lambda: sampler.module_elem(E)),
                    lambda x: f"conjugation not involutive on {E.describe(x)}"
                    if unconj(Ebar, conj_of(E, x)) != x else None)
@@ -253,12 +253,12 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
                 return "(m bar).b != (b* m)bar on a sample"
             return None
 
-        rep.forall(f"bar.bimodule-laws[{E.name}]", "bar.conjugate-structure",
+        rep.forall(f"bar.bimodule-laws[{label}]", "bar.conjugate-structure",
                    sampler.draws(8, lambda: (sampler.module_elem(E), sampler.b_elem(B))),
                    bimodule_laws)
 
-    E = mods[0]
-    F = mods[-1]
+    E = mods[0][1]
+    F = mods[-1][1]
     TEF = TensorModule(E, F)
     barT = ConjugateModule(TEF)
     TFbarEbar = TensorModule(ConjugateModule(F), ConjugateModule(E))
@@ -279,7 +279,7 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
         Ebarbar = ConjugateModule(Ebar)
         # a non-real scalar multiple of the identity catches stray conjugations
         z = Cyc.root(E.scalar_order) if E.scalar_order > 2 else Cyc.rational(3, E.scalar_order)
-        f_nat = Morphism(E, E, {i: E.el(i, z) for i in E.basis}, "z.id")
+        f_nat = Morphism(E, E, {i: E.el(i, z) for i in E.basis})
         fbar = bar_map(f_nat, Ebar, E)
         for _ in range(min(sampler.n, 8)):
             x = sampler.module_elem(E)
@@ -317,14 +317,14 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
         # the complex-structure operator is a genuine covariant bimodule map
         i_unit = Cyc.i(F.scalar_order)
         g_mor = Morphism(F, F, {
-            i: F.el(i, i_unit if i == "w+" else -i_unit) for i in F.basis}, "I")
+            i: F.el(i, i_unit if i == "w+" else -i_unit) for i in F.basis})
     else:
-        g_mor = Morphism(F, F, {i: F.el(i, 2) for i in F.basis}, "2id")
+        g_mor = Morphism(F, F, {i: F.el(i, 2) for i in F.basis})
 
     def phi_naturality():
         prod = Morphism(T_unt, T_unt, {
             (i, j): T_unt.pure(idE(E.el(i)), g_mor(F.el(j)))
-            for (i, j) in T_unt.basis}, "f(x)g")
+            for (i, j) in T_unt.basis})
         for _ in range(min(sampler.n, 6)):
             u = T_unt.pure(sampler.module_elem(E), sampler.module_elem(F))
             lhs = tensor_map_pair(T_tw, T_tw, idE, g_mor,
@@ -412,7 +412,7 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
         # N_E . bar(Gamma(f)) = Gamma(fbar) . N_E for a sampled morphism f
         z = Cyc.root(E.scalar_order) if E.scalar_order > 2 \
             else Cyc.rational(2, E.scalar_order)
-        f_mor = Morphism(E, E, {i: E.el(i, z) for i in E.basis}, "z.id")
+        f_mor = Morphism(E, E, {i: E.el(i, z) for i in E.basis})
         fbar = bar_map(f_mor, ConjugateModule(E), E)
         # bar(Gamma(f)) through the twisted conjugate structure
         fbar_tw = bar_map(f_mor, bar_GE, GE)
@@ -771,8 +771,7 @@ def suite_calculus(bundle, world, back, rep, sampler):
                holo_transport)
 
     # Kahler layer
-    for tag, kd, c_al in (("base", bundle.kahler, cal), ("twisted", world.kahler, cal_tw)):
-        kappa = kd.kappa
+    for tag, kappa, c_al in (("base", bundle.kappa, cal), ("twisted", world.kappa, cal_tw)):
         rep.forall(f"kahler.{tag}.central", "kahler.centrality",
                    sampler.draws(8, lambda: sampler.module_elem(c_al.module(0))),
                    lambda f: "kappa not central on a sample"
@@ -786,18 +785,15 @@ def suite_calculus(bundle, world, back, rep, sampler):
                    if O2.coact(k) != unit_coaction(O2, k) else None)
         rep.forall(f"kahler.{tag}.closed", "kahler.closedness", [kappa],
                    lambda k: "d kappa != 0" if not c_al.d(k).is_zero() else None)
-        rep.forall(f"kahler.{tag}.lefschetz", "kahler.lefschetz-bijectivity", [kd],
+        rep.forall(f"kahler.{tag}.lefschetz", "kahler.lefschetz-bijectivity", [kappa],
                    lambda k: "L: Omega^0 -> Omega^2 is not bijective"
-                   if not k.lefschetz_bijective(0) else None)
+                   if not lefschetz_bijective(c_al, k) else None)
 
 
 def _op_target(h):
     """Tensor module holding the image of the transported operator."""
     cs, mod = h.cs, h.module
-    sub02 = CentralBasisModule(cs.cal.base,
-                               [i for i in cs.cal.module(2).basis],
-                               name="O2-of")
-    return TensorModule(sub02, mod)
+    return TensorModule(CentralBasisModule(cs.cal.base, cs.cal.module(2).basis), mod)
 
 
 # -- metric suite ---------------------------------------------------------------
@@ -1077,24 +1073,27 @@ def suite_hermitian(bundle, world, back, rep, sampler):
 # -- chern suite ---------------------------------------------------------------
 
 
-def _chern_solve(rep, check_id, anchor, holo, h):
-    """Solve for the Chern connection as a one-instance check.
+def _chern_solve(rep, check_id, anchor, bundle, tag):
+    """Check the bundle's Chern connection of bigrade `tag` as one instance.
 
-    Returns the solution, also when it then fails the Chern conditions, or
-    None when the solve itself failed.
+    Returns the connection, also when it then fails the Chern conditions, or
+    None when the solve itself failed (a failed solve is not memoised, so it
+    runs once more to say so).
     """
-    solved = []
+    holo, h = bundle.chern_system(tag)
 
     def defect(_):
         try:
-            conn = chern_solve(holo, h, coeff_box=1)
+            conn = bundle.chern(tag)
         except (ChernNoSolution, ChernNotUnique) as exc:
             return str(exc)
-        solved.append(conn)
         return chern_conditions_hold(holo, h, conn)[1]
 
     rep.forall(check_id, anchor, [holo], defect)
-    return solved[0] if solved else None
+    try:
+        return bundle.chern(tag)
+    except (ChernNoSolution, ChernNotUnique):
+        return None
 
 
 def suite_chern(bundle, world, back, rep, sampler):
@@ -1103,19 +1102,18 @@ def suite_chern(bundle, world, back, rep, sampler):
         return
     data = bundle.data
     cal, cal_tw = bundle.calculus, world.calculus
-    h1, h2 = bundle.hermitian_splits
-    h1_tw, h2_tw = world.hermitian_splits
 
     solved = {}
-    for tag, holo, h in (("10", bundle.holo_10, h1), ("01", bundle.holo_01, h2)):
-        conn = _chern_solve(rep, f"chern.base.{tag}.solve", "chern.existence-uniqueness", holo, h)
+    for tag in CHERN_TAGS:
+        conn = _chern_solve(rep, f"chern.base.{tag}.solve", "chern.existence-uniqueness",
+                            bundle, tag)
         if conn is None:
             continue
         solved[tag] = conn
 
         def box_independent():
             yield from table_outcomes(conn.module.basis, conn.table,
-                                      chern_solve(holo, h, coeff_box=0).table,
+                                      chern_solve(*bundle.chern_system(tag), coeff_box=0).table,
                                       "solution depends on the coefficient box")
 
         rep.forall(f"chern.base.{tag}.box-independent", "chern.search-space",
@@ -1179,9 +1177,9 @@ def suite_chern(bundle, world, back, rep, sampler):
 
     rep.forall("conj.twist-commutes", "twist.conjugate-connection", twist_commutes(), outcome)
 
-    for tag, holo_tw, h_tw in (("10", world.holo_10, h1_tw), ("01", world.holo_01, h2_tw)):
+    for tag in CHERN_TAGS:
         conn_tw = _chern_solve(rep, f"chern.twisted.{tag}.solve", "chern.twisted-existence",
-                               holo_tw, h_tw)
+                               world, tag)
         if conn_tw is None or tag not in solved:
             continue
 
@@ -1205,10 +1203,8 @@ def suite_main(bundle, world, back, rep, sampler):
     conn_tw = world.connection
     cs_tw = world.complex_structure
     O1tw = cal_tw.module(1)
-    h1_tw, h2_tw = world.hermitian_splits
     try:
-        ch10 = chern_solve(world.holo_10, h1_tw, coeff_box=1)
-        ch01 = chern_solve(world.holo_01, h2_tw, coeff_box=1)
+        ch10, ch01 = world.chern("10"), world.chern("01")
     except (ChernNoSolution, ChernNotUnique) as exc:
         # the solver's error is the one witness
         rep.forall("main.direct-sum-basis", "main.twisted-direct-sum", [exc], str)

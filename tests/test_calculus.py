@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cotwist.calculus import Calculus, KahlerData, NotFactorizable, factorization_inverse
+from cotwist.calculus import (
+    Calculus, NotFactorizable, factorization_inverse, lefschetz_bijective)
 from cotwist.cyclotomic import Cyc
 from cotwist.models import classical_torus, nc_torus, twist_world
 from cotwist.vectors import Vec
@@ -54,7 +55,7 @@ def test_w1_w2_change_of_basis(torus):
     want = cal.module(2).el("vol").scale(i * Fraction(1, 2))
     assert w12 == want
     # and kappa = -2 w1 ^ w2
-    assert torus.kahler.kappa == w12.scale(-2)
+    assert torus.kappa == w12.scale(-2)
 
 
 def test_star_is_involutive_antimultiplicative(torus):
@@ -182,22 +183,21 @@ def test_twisted_holomorphic_curvature_zero(nct_world):
 
 
 def test_kahler_checks(torus, nct_world):
-    kappa = torus.kahler.kappa
+    kappa = torus.kappa
     cal = torus.calculus
     assert cal.star(kappa) == kappa
     assert cal.d(kappa).is_zero()
-    assert torus.kahler.lefschetz_bijective(0)
+    assert lefschetz_bijective(cal, kappa, 0)
     # twisted layer
     cal_tw = nct_world.calculus
-    k_tw = nct_world.kahler
-    assert cal_tw.d(k_tw.kappa).is_zero()
-    assert cal_tw.star(k_tw.kappa) == k_tw.kappa
-    assert k_tw.lefschetz_bijective(0)
+    k_tw = nct_world.kappa
+    assert cal_tw.d(k_tw).is_zero()
+    assert cal_tw.star(k_tw) == k_tw
+    assert lefschetz_bijective(cal_tw, k_tw, 0)
 
 
 def test_lefschetz_not_bijective_for_zero_kappa(torus):
-    zero = KahlerData(torus.calculus, torus.complex_structure, Vec(12))
-    assert not zero.lefschetz_bijective(0)
+    assert not lefschetz_bijective(torus.calculus, Vec(12), 0)
 
 
 def test_degree_is_read_from_basis_names(torus):

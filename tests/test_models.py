@@ -1,5 +1,7 @@
 """Model bundles: determinism, degenerate parameters, correspondence loops."""
 
+from dataclasses import replace
+
 import pytest
 
 from cotwist.emit import emit_json, structure_tables
@@ -24,6 +26,13 @@ def test_nc_torus_p0_equals_classical():
     classical = classical_torus(order=flat.hopf.scalar_order)
     assert emit(flat) == emit(classical)
     assert emit(twist_world(flat)) == emit(classical)
+
+
+def test_chern_is_solved_once_per_bundle():
+    b = classical_torus(box=1, samples=4)
+    assert b.chern("10") is b.chern("10")
+    # a copy with the same fields is a new bundle with its own solutions
+    assert replace(b).chern("10") is not b.chern("10")
 
 
 def test_nc_torus_reduces_fraction():

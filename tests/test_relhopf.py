@@ -16,7 +16,7 @@ THETA13 = [[0, -4], [4, 0]]
 
 
 def torus_setup():
-    A = GroupAlgebra(2, scalar_order=12, name="C[Z^2]")
+    A = GroupAlgebra(2, scalar_order=12)
     B = SelfComodule(A)
     data = bicharacter_cocycle(A, THETA13)
     Atw = TwistedHopf(A, data)
@@ -58,7 +58,7 @@ def test_trivial_twist_is_identity():
 
 def test_module_basics_and_conjugate_round_trip():
     A, B, data, Atw, Btw = torus_setup()
-    O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
+    O1 = CentralBasisModule(B, ["w+", "w-"])
     O1.check_coinvariant_basis()
     x = O1.from_b(B.el((2, 1)), "w+") + O1.el("w-", Cyc.root(12, 7))
     O1bar = ConjugateModule(O1)
@@ -72,7 +72,7 @@ def test_module_basics_and_conjugate_round_trip():
 
 def test_hopf_module_compatibility_sampled():
     A, B, data, Atw, Btw = torus_setup()
-    O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
+    O1 = CentralBasisModule(B, ["w+", "w-"])
     e = O1.from_b(B.el((1, -2)), "w+")
     a, b = B.el((1, 0)), B.el((0, 1))
     lhs = O1.coact(O1.rmul(O1.lmul(a, e), b))
@@ -89,7 +89,7 @@ def test_hopf_module_compatibility_sampled():
 
 def test_twisted_module_actions_on_coinvariant_basis():
     A, B, data, Atw, Btw = torus_setup()
-    O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
+    O1 = CentralBasisModule(B, ["w+", "w-"])
     G1 = TwistedModule(O1, data, Btw)
     for lab in [X, Y, (1, 1)]:
         assert G1.r_act("w+", lab) == Vec.single(12, (lab, "w+"))
@@ -103,7 +103,7 @@ def test_twisted_module_actions_on_coinvariant_basis():
 
 def test_phi_on_weighted_tensors():
     A, B, data, Atw, Btw = torus_setup()
-    O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
+    O1 = CentralBasisModule(B, ["w+", "w-"])
     G1 = TwistedModule(O1, data, Btw)
     T_unt = TensorModule(O1, O1)
     T_tw = TensorModule(G1, G1)
@@ -123,12 +123,12 @@ def test_phi_on_weighted_tensors():
 
 def test_twist_flip_morphism_on_basis():
     A, B, data, Atw, Btw = torus_setup()
-    O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
+    O1 = CentralBasisModule(B, ["w+", "w-"])
     G1 = TwistedModule(O1, data, Btw)
     T_unt = TensorModule(O1, O1)
     T_tw = TensorModule(G1, G1)
     flip = Morphism(T_unt, T_unt,
-                    {(i, j): T_unt.el((j, i)) for (i, j) in T_unt.basis}, "flip")
+                    {(i, j): T_unt.el((j, i)) for (i, j) in T_unt.basis})
     flip_tw = twist_tensor_morphism(flip, data, T_tw, T_tw)
     for key in T_tw.basis:
         i, j = key
@@ -137,7 +137,7 @@ def test_twist_flip_morphism_on_basis():
 
 def test_round_trip_module_tables():
     A, B, data, Atw, Btw = torus_setup()
-    O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
+    O1 = CentralBasisModule(B, ["w+", "w-"])
     G1 = TwistedModule(O1, data, Btw)
     data_bar = data.inverse_data(Atw)
     Bback = TwistedComodule(Btw, data_bar, TwistedHopf(Atw, data_bar))
@@ -153,7 +153,7 @@ def test_round_trip_module_tables():
 
 def test_conj_twist_iso_identity_on_torus_and_inverse():
     A, B, data, Atw, Btw = torus_setup()
-    O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
+    O1 = CentralBasisModule(B, ["w+", "w-"])
     G1 = TwistedModule(O1, data, Btw)
     barG1 = ConjugateModule(G1)
     wbar = barG1.el(("bar", "w+"))
@@ -170,7 +170,7 @@ def test_conj_twist_fake_identity_differs_for_nonskew():
     data = bicharacter_cocycle(A, [[0, 1], [0, 0]])
     Atw = TwistedHopf(A, data)
     Btw = TwistedComodule(B, data, Atw)
-    E = CentralBasisModule(B, ["e"], name="B-self")
+    E = CentralBasisModule(B, ["e"])
     GE = TwistedModule(E, data, Btw)
     # an element with weight (1,2): Vbar((1,2)) = zeta5^{2} != 1
     x = conj_of(GE, GE.from_b(Btw.el((1, 2)), "e"))
@@ -185,7 +185,7 @@ def test_hom_twist_iso_trivial_cocycle_fun_s3():
     A = fun_s3()
     B = SelfComodule(A)
     data = trivial_cocycle(A)
-    E = CentralBasisModule(B, ["e"], name="reg")
+    E = CentralBasisModule(B, ["e"])
     H = HomModule(E)
     # f = the dual functional weighted by a delta
     f = H.from_b(B.el(A.finite_labels()[2]), ("dual", "e"))
@@ -197,7 +197,7 @@ def test_hom_twist_iso_trivial_cocycle_fun_s3():
 
 def test_tensor_map_pair_and_hom_apply():
     A, B, data, Atw, Btw = torus_setup()
-    O1 = CentralBasisModule(B, ["w+", "w-"], name="O1")
+    O1 = CentralBasisModule(B, ["w+", "w-"])
     T = TensorModule(O1, O1)
     sw = tensor_map_pair(
         T, T, lambda v: v.map_keys(lambda k: (k[0], "w-" if k[1] == "w+" else "w+")),
@@ -220,8 +220,8 @@ def test_hexagon_fails_with_fake_identity_for_N():
     B = SelfComodule(A)
     data = bicharacter_cocycle(A, [[0, 1], [0, 0]])
     Btw = TwistedComodule(B, data, TwistedHopf(A, data))
-    E = CentralBasisModule(B, ["e"], name="B-self")
-    F = CentralBasisModule(B, ["f"], name="B-self2")
+    E = CentralBasisModule(B, ["e"])
+    F = CentralBasisModule(B, ["f"])
     GE = TwistedModule(E, data, Btw)
     GF = TwistedModule(F, data, Btw)
     T_unt = TensorModule(E, F)

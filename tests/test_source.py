@@ -1,6 +1,7 @@
 """Source hygiene: no function-local name is assigned and never read, no
-parameter goes unread without a reason, only `vectors.py` accumulates a Vec
-term by term, and `Fraction` stays at the edges of the scalar field."""
+parameter or attribute goes unread without a reason, only `vectors.py`
+accumulates a Vec term by term, and `Fraction` stays at the edges of the
+scalar field."""
 
 import ast
 from pathlib import Path
@@ -167,6 +168,53 @@ def test_no_unread_parameters_in_package():
     assert sorted(found - set(UNREAD_ALLOWED)) == []
     # an entry whose parameter is now read, or gone, is stale
     assert found == set(UNREAD_ALLOWED)
+
+# Attributes that may be stored on `self` and never read in the package, each
+# with why.  One read only by tests or by the benchmark's probes would belong
+# here; there is none.
+UNREAD_ATTRIBUTES_ALLOWED = {}
+
+
+def unread_attributes(trees):
+    """(file, line, name) of each `self.<name> = ...` whose name no attribute
+    load in any of the trees reads.
+
+    `trees` maps file names to parsed modules.  The scan is keyed by the
+    attribute's name alone, not by its class: a stored `KahlerData.cs` would
+    have passed, because `HoloModule.cs` is read as `holo.cs`.
+    """
+    stored, loaded = [], set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                stored.append((name, node.lineno, node.attr))
+    return sorted(s for s in stored if s[2] not in loaded)
+
+
+def test_unread_attribute_scanner():
+    trees = {
+        "a.py": ast.parse(
+            "class C:\n"
+            "    def __init__(self, x):\n"
+            "        self.kept = x\n"
+            "        self.lost, self.seen = x\n"
+            "        self.other.deep = x\n"),
+        "b.py": ast.parse("def f(c):\n    return c.kept + c.seen\n"),
+    }
+    assert unread_attributes(trees) == [("a.py", 4, "lost")]
+
+
+def test_no_unread_attributes_in_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    found = {f"{name}:{attr}" for name, _, attr in unread_attributes(trees)}
+    assert sorted(found - set(UNREAD_ATTRIBUTES_ALLOWED)) == []
+    # an entry whose attribute is now read, or gone, is stale
+    assert found == set(UNREAD_ATTRIBUTES_ALLOWED)
+
 
 # Functions outside vectors.py that may still call Vec.add_term, each with why.
 # Every other element map is a linear, bilinear or antilinear extension

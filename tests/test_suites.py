@@ -1,14 +1,17 @@
 """Suite-level behaviour: models pass, check ids are disjoint, `all` is the union."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from cotwist.cyclotomic import Cyc
+from cotwist.geometry import ChernNoSolution, HermitianData, chern_solve
 from cotwist.models import (
     classical_torus, finite_bicharacter, fun_group, nc_torus, twist_world)
 from cotwist.report import Report
-from cotwist import suites
+from cotwist import models, suites
 from cotwist.suites import SUITES, run_suite
 from cotwist.vectors import Vec
 
@@ -95,6 +98,69 @@ def test_all_twists_once_and_untwists_once(monkeypatch):
     run_suite(nc_torus(1, 5, box=2, samples=4), "all", rep)
     assert calls == ["nc_torus(1,5)", "tw(nc_torus(1,5))"]
     assert rep.passed, rep.to_text()
+
+
+def _count_chern_solves(monkeypatch):
+    """Record the coefficient box of every Chern solve, from the bundle
+    accessor and from the suites' own box-0 re-solve."""
+    boxes = []
+
+    def counted(holo, herm, coeff_box=1):
+        boxes.append(coeff_box)
+        return chern_solve(holo, herm, coeff_box)
+
+    monkeypatch.setattr(models, "chern_solve", counted)
+    monkeypatch.setattr(suites, "chern_solve", counted)
+    return boxes
+
+
+def test_all_solves_each_chern_connection_once(monkeypatch):
+    boxes = _count_chern_solves(monkeypatch)
+    rep = Report()
+    run_suite(nc_torus(1, 5, box=2, samples=4), "all", rep)
+    # base and twisted, (1,0) and (0,1); plus the base box-0 re-solves
+    assert sorted(boxes) == [0, 0, 1, 1, 1, 1]
+    assert rep.passed, rep.to_text()
+
+
+def test_main_alone_solves_its_chern_connections(monkeypatch):
+    boxes = _count_chern_solves(monkeypatch)
+    rep = Report()
+    run_suite(nc_torus(1, 5, box=2, samples=4), "main", rep)
+    assert boxes == [1, 1]
+    assert rep.passed, rep.to_text()
+    assert {c.check_id for c in rep.checks} >= {
+        "main.direct-sum-basis", "main.direct-sum-samples"}
+
+
+def _unsolvable_10(bundle):
+    """The bundle with a (1,0) Hermitian block no connection is compatible with."""
+    h1, h2 = bundle.hermitian_splits
+    table = {("bar", "w+"): h1.table[("bar", "w+")].copy()}
+    table[("bar", "w+")].add_term(((1, 0), ("dual", "w+")), Cyc.one(4))
+    return replace(bundle, hermitian_splits=(HermitianData(bundle.calculus, h1.module, table), h2))
+
+
+def test_chern_solver_error_is_raised_not_cached():
+    good = classical_torus(box=1, samples=4)
+    bad = _unsolvable_10(good)
+    for _ in range(2):
+        with pytest.raises(ChernNoSolution):
+            bad.chern("10")
+    assert bad.chern("01").table == good.chern("01").table
+
+
+def test_failed_chern_solve_is_the_witness():
+    rep = Report()
+    run_suite(_unsolvable_10(classical_torus(box=1, samples=4)), "all", rep, samples=4)
+    status = {c.check_id: (c.status, c.witness) for c in rep.checks}
+    witness = "no Chern connection in search space (witness row 14)"
+    for check_id in ("chern.base.10.solve", "chern.twisted.10.solve", "main.direct-sum-basis"):
+        assert status[check_id] == ("fail", witness)
+    # nothing that needs the (1,0) connection runs; the (0,1) one still does
+    assert "chern.base.10.box-independent" not in status
+    assert status["chern.untwisted-hypothesis"][0] == "skipped"
+    assert status["chern.base.01.box-independent"] == ("pass", None)
 
 
 @pytest.mark.parametrize("override,message", [
