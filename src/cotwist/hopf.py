@@ -65,6 +65,9 @@ class HopfAlgebra(LabelAlgebra):
     def label_name(self, label):
         return str(label)
 
+    def label_names(self, labels):
+        return ",".join(self.label_name(x) for x in labels)
+
     def finite_labels(self):
         """All labels for finite algebras, None for infinite families."""
         return None
@@ -276,9 +279,6 @@ def verify_hopf_axioms(A, labels, reporter, prefix="hopf", pair_samples=None):
     def el(l):
         return A.el(l)
 
-    def name(t):
-        return ",".join(A.label_name(x) for x in t)
-
     reporter.forall(f"{prefix}.coassociativity", "coproduct.coassociativity", labels,
                     lambda l: f"coassociativity fails at {A.label_name(l)}"
                     if A.sweedler(l, 3) != A.sweedler_first(l, 3) else None)
@@ -331,7 +331,7 @@ def verify_hopf_axioms(A, labels, reporter, prefix="hopf", pair_samples=None):
         a, b, c = abc
         lhs = A.mult_elem(A.mult_elem(el(a), el(b)), el(c))
         rhs = A.mult_elem(el(a), A.mult_elem(el(b), el(c)))
-        return f"associativity fails at ({name(abc)})" if lhs != rhs else None
+        return f"associativity fails at ({A.label_names(abc)})" if lhs != rhs else None
 
     reporter.forall(f"{prefix}.associativity", "plumbing",
                     ((a, b, c) for a, b in pairs[: len(labels) ** 2] for c in labels[:3]),
@@ -353,7 +353,7 @@ def verify_hopf_axioms(A, labels, reporter, prefix="hopf", pair_samples=None):
         # Delta(a) Delta(b) = a1 b1 (x) a2 b2
         rhs = A.coproduct(a).apply2(
             A.coproduct(b), lambda x, y: A.mult(x[0], y[0]).tensor(A.mult(x[1], y[1])))
-        return f"Delta not multiplicative at ({name(ab)})" if lhs != rhs else None
+        return f"Delta not multiplicative at ({A.label_names(ab)})" if lhs != rhs else None
 
     reporter.forall(f"{prefix}.coproduct-algebra-map", "bialgebra.compatibility", pairs,
                     coproduct_algebra_map)
@@ -363,7 +363,7 @@ def verify_hopf_axioms(A, labels, reporter, prefix="hopf", pair_samples=None):
         lhs = A.star_elem(A.mult_elem(el(a), el(b)))
         rhs = A.mult_elem(A.star_elem(el(b)), A.star_elem(el(a)))
         if lhs != rhs or A.star_elem(A.star_elem(el(a))) != el(a):
-            return f"* not an antimultiplicative involution at ({name(ab)})"
+            return f"* not an antimultiplicative involution at ({A.label_names(ab)})"
         return None
 
     reporter.forall(f"{prefix}.star-antimultiplicative", "plumbing", pairs,

@@ -7,10 +7,10 @@ import pytest
 from cotwist.cyclotomic import Cyc
 from cotwist.cocycle import (
     CocycleData, NotInvertible, PairFunctional, TwistedHopf, bicharacter_cocycle,
-    convolution_inverse, convolve, counit_functional, trivial_cocycle,
+    convolution_inverse, convolve, counit_functional, sweedler_sum, trivial_cocycle,
     verify_cocycle_identities, verify_unitarity_suite)
-from cotwist.hopf import GroupAlgebra, fun_s3
-from cotwist.models import finite_bicharacter, nc_torus
+from cotwist.hopf import GroupAlgebra, HopfAlgebra, fun_s3
+from cotwist.models import finite_bicharacter, fun_group, nc_torus
 from cotwist.report import Report
 from cotwist.vectors import Vec
 
@@ -267,3 +267,109 @@ def test_no_inverse_method_without_grouplike_basis_or_finite_labels():
 def test_malformed_pairing_is_rejected(pairing):
     with pytest.raises(ValueError, match="2x2 matrix of ints"):
         finite_bicharacter(3, pairing)
+
+
+# -- the flat Sweedler sum against a nested expansion ----------------------
+
+
+def nested_sweedler_sum(A, fn, *labels):
+    """The reference: one sum per label, innermost over the last label."""
+    if not labels:
+        return fn()
+    total = Cyc.zero(A.scalar_order)
+    for x, c in A.sweedler(labels[0], 2).terms.items():
+        total = total + c * nested_sweedler_sum(
+            A, lambda *rest: fn(*x, *rest), *labels[1:])
+    return total
+
+
+class WeightedCoproduct(HopfAlgebra):
+    """Only a two-leg Sweedler table, with coefficients 1, 2, zeta_3 and a sum."""
+
+    scalar_order = 3
+
+    def sweedler(self, label, legs):
+        assert legs == 2
+        other = "b" if label == "a" else "a"
+        return Vec(3, {(label, label): 1, (label, other): 2, (other, label): Cyc.root(3),
+                       (other, other): Cyc(3, {0: 1, 2: Fraction(-1, 2)})})
+
+
+def _leg_values(labels, order):
+    """A scalar per leg tuple that tells the tuples and their order apart."""
+    index = {l: i for i, l in enumerate(labels)}
+    calls = []
+
+    def fn(*legs):
+        calls.append(legs)
+        k = sum((i + 1) * index[l] for i, l in enumerate(legs))
+        return Cyc.rational(Fraction(k + 1, len(legs) + 1), order) + Cyc.root(order, k)
+    return fn, calls
+
+
+@pytest.mark.parametrize("algebra", ["fun_s3", "weighted"])
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_flat_sweedler_sum_matches_nested_expansion(algebra, count):
+    A = fun_s3() if algebra == "fun_s3" else WeightedCoproduct()
+    labels = A.finite_labels() if algebra == "fun_s3" else ["a", "b"]
+    fn, calls = _leg_values(labels, A.scalar_order)
+    for start in range(len(labels)):
+        args = [labels[(start + 2 * i) % len(labels)] for i in range(count)]
+        calls.clear()
+        flat = sweedler_sum(A, fn, *args)
+        flat_calls = list(calls)
+        calls.clear()
+        assert flat == nested_sweedler_sum(A, fn, *args)
+        # one call per term tuple, in the nested loop order
+        assert flat_calls == calls
+        terms = 1
+        for l in args:
+            terms *= len(A.sweedler(l, 2).terms)
+        assert len(flat_calls) == terms
+
+
+# -- skip paths on a multi-term basis ---------------------------------------
+
+
+def _s3_with_gamma_bumped(inverse):
+    """fun(S_3) with 1 added to gamma at (c, c) for a 3-cycle c, where the
+    trivial gamma vanishes; gammabar kept, or replaced by the new inverse."""
+    A = fun_group("s3").hopf
+    data = trivial_cocycle(A)
+    c = A.finite_labels()[3]
+    assert A.label_name(c) == "d[120]" and c * c * c == A.identity
+    gamma = PairFunctional(
+        lambda a, b: data.gamma(a, b) + 1 if (a, b) == (c, c) else data.gamma(a, b))
+    gamma_bar = convolution_inverse(gamma, A) if inverse else data.gamma_bar
+    return A, CocycleData(A, gamma, gamma_bar)
+
+
+# (status, instances, witness) of the four equivalent forms, recorded from the
+# nested-closure sums that the flat sums replaced
+S3_BUMPED = {
+    False: {
+        "cocycle.equation": ("fail", 21, "cocycle equation fails at (d[012],d[120],d[120])"),
+        # (ii) reads gammabar only, which is still the counit
+        "cocycle.equivalent-ii": ("pass", 216, None),
+        "cocycle.equivalent-iii": ("fail", 21, "identity (iii) fails at (d[012],d[120],d[120])"),
+        "cocycle.equivalent-iv": ("fail", 126, "identity (iv) fails at (d[120],d[120],d[012])"),
+    },
+    True: {
+        "cocycle.equation": ("fail", 21, "cocycle equation fails at (d[012],d[120],d[120])"),
+        "cocycle.equivalent-ii": ("fail", 3, "identity (ii) fails at (d[012],d[012],d[120])"),
+        "cocycle.equivalent-iii": ("fail", 0, "identity (iii) fails at (d[012],d[012],d[012])"),
+        "cocycle.equivalent-iv": ("fail", 0, "identity (iv) fails at (d[012],d[012],d[012])"),
+    },
+}
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_multi_term_cocycle_fault_witnesses(inverse):
+    A, data = _s3_with_gamma_bumped(inverse)
+    labels = A.finite_labels()
+    rep = Report()
+    verify_cocycle_identities(data, A, [(a, b, c) for a in labels for b in labels
+                                        for c in labels], rep)
+    got = {c.check_id: (c.status, c.instances, c.witness) for c in rep.checks
+           if c.check_id in S3_BUMPED[inverse]}
+    assert got == S3_BUMPED[inverse]

@@ -35,6 +35,16 @@ def test_chern_is_solved_once_per_bundle():
     assert replace(b).chern("10") is not b.chern("10")
 
 
+def test_twisted_world_shares_the_base_functionals():
+    # the twisted cocycle is gammabar on the same labels, so its pair values
+    # come from the base caches rather than from fresh functionals
+    b = nc_torus(1, 5, box=1, samples=4)
+    world = twist_world(b)
+    assert world.data.gamma is b.data.gamma_bar
+    assert world.data.gamma_bar is b.data.gamma
+    assert twist_world(world).data.gamma is b.data.gamma
+
+
 def test_nc_torus_reduces_fraction():
     assert nc_torus(2, 6).hopf.scalar_order == nc_torus(1, 3).hopf.scalar_order
 
