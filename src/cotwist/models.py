@@ -24,8 +24,8 @@ from .calculus import (
 from .cocycle import CocycleData, TwistedHopf, bicharacter_cocycle, trivial_cocycle
 from .cyclotomic import Cyc
 from .geometry import (
-    ConnectionData, HermitianData, MetricData, chern_solve, hermitian_from_real,
-    split_hermitian, twist_connection, twist_hermitian, twist_metric)
+    ChernNoSolution, ChernNotUnique, ConnectionData, HermitianData, MetricData, chern_solve,
+    hermitian_from_real, split_hermitian, twist_connection, twist_hermitian, twist_metric)
 from .hopf import GroupAlgebra, fun_s3
 from .modules import CentralBasisModule, Morphism, SelfComodule, TensorModule
 from .relhopf import TwistedComodule
@@ -69,7 +69,7 @@ class ModelBundle:
         from .vectors import memoize_table
         check_sampling(self.box, self.samples)
         # per instance, so a `dataclasses.replace` copy solves afresh
-        self.chern = memoize_table(self.chern)
+        self._chern_outcome = memoize_table(self._chern_outcome)
 
     def is_geometric(self):
         return self.calculus is not None
@@ -81,9 +81,18 @@ class ModelBundle:
         return {"10": (self.holo_10, h10), "01": (self.holo_01, h01)}[tag]
 
     def chern(self, tag):
-        """The Chern connection of `chern_system(tag)`.  A solver error is
-        raised each time, never cached."""
-        return chern_solve(*self.chern_system(tag))
+        """The Chern connection of `chern_system(tag)`, solved once.  A solver
+        error is kept without its traceback and raised as a fresh copy."""
+        out = self._chern_outcome(tag)
+        if isinstance(out, (ChernNoSolution, ChernNotUnique)):
+            raise type(out)(*out.args)
+        return out
+
+    def _chern_outcome(self, tag):
+        try:
+            return chern_solve(*self.chern_system(tag))
+        except (ChernNoSolution, ChernNotUnique) as exc:
+            return exc.with_traceback(None)
 
 
 def _half(order):

@@ -1077,8 +1077,8 @@ def _chern_solve(rep, check_id, anchor, bundle, tag):
     """Check the bundle's Chern connection of bigrade `tag` as one instance.
 
     Returns the connection, also when it then fails the Chern conditions, or
-    None when the solve itself failed (a failed solve is not memoised, so it
-    runs once more to say so).
+    None when the solve itself failed (the bundle keeps the error, so asking
+    again solves nothing).
     """
     holo, h = bundle.chern_system(tag)
 

@@ -16,9 +16,9 @@ from cotwist.cli import main
 PKG_ENV = dict(os.environ, PYTHONPATH="src")
 
 
-def run_cli(args, env=None):
+def run_cli(args, env=None, module="cotwist.cli"):
     proc = subprocess.run(
-        [sys.executable, "-m", "cotwist.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, env=env or PKG_ENV, cwd=os.path.dirname(os.path.dirname(__file__)) or ".")
     return proc
 
@@ -145,6 +145,19 @@ def test_console_entry_point_runs():
     proc = run_cli(["verify", "--model", "finite_bicharacter", "--n", "2",
                     "--suite", "hopf"])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args,code", [
+    (["verify", "--model", "finite_bicharacter", "--n", "2", "--suite", "cocycle"], 0),
+    (["verify", "--model", "nc_torus", "--q", "0"], 2),
+])
+def test_package_runs_as_a_module(args, code):
+    proc = run_cli(args, module="cotwist")
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == "error: cannot build model nc_torus: q must be positive\n"
+    else:
+        assert proc.stderr == "" and "cocycle.equation" in proc.stdout
 
 
 def test_twist_emits_twisted_tables_for_finite_models(tmp_path):

@@ -284,15 +284,37 @@ def nested_sweedler_sum(A, fn, *labels):
 
 
 class WeightedCoproduct(HopfAlgebra):
-    """Only a two-leg Sweedler table, with coefficients 1, 2, zeta_3 and a sum."""
+    """Two-leg Sweedler and product tables whose coefficients are 1, 2,
+    zeta_3 and a two-term sum, with one zero product.  The third label c is
+    grouplike, so the sums of a triple reach c-pairs only through its c legs.
+    No Hopf axiom holds: the tables only feed the formulas."""
 
     scalar_order = 3
 
     def sweedler(self, label, legs):
         assert legs == 2
+        if label == "c":
+            return Vec(3, {("c", "c"): 1})
         other = "b" if label == "a" else "a"
         return Vec(3, {(label, label): 1, (label, other): 2, (other, label): Cyc.root(3),
                        (other, other): Cyc(3, {0: 1, 2: Fraction(-1, 2)})})
+
+    def mult(self, l1, l2):
+        if "c" in (l1, l2):
+            # c times c is c, and c times x or x times c is zeta_3 x
+            return Vec(3, {l1 if l2 == "c" else l2: 1 if l1 == l2 else Cyc.root(3)})
+        return {("a", "a"): Vec(3, {"a": 2}), ("a", "b"): Vec(3, {"b": Cyc.root(3)}),
+                ("b", "a"): Vec(3, {"a": 1, "b": Cyc(3, {0: 1, 2: Fraction(-1, 2)})}),
+                ("b", "b"): Vec(3)}[(l1, l2)]
+
+    def unit(self):
+        return Vec(3, {"a": 1, "b": 1, "c": 1})
+
+    def counit(self, label):
+        return Cyc.rational(int(label == "a"), 3)
+
+    def finite_labels(self):
+        return ["a", "b", "c"]
 
 
 def _leg_values(labels, order):
@@ -373,3 +395,97 @@ def test_multi_term_cocycle_fault_witnesses(inverse):
     got = {c.check_id: (c.status, c.instances, c.witness) for c in rep.checks
            if c.check_id in S3_BUMPED[inverse]}
     assert got == S3_BUMPED[inverse]
+
+
+# -- the pair tables against the nested formulas ----------------------------
+
+
+def reference_identities(data, A, triples):
+    """The four identities as nested sums over f(ab (x) k) and f(k (x) ab),
+    the formulas the pair tables replaced, checked through one Report."""
+    g, gb = data.gamma, data.gamma_bar
+
+    def left_product(f, a, b, k):
+        """f(ab (x) k)"""
+        return A.mult(a, b).evaluate(lambda l: f(l, k))
+
+    def right_product(f, k, a, b):
+        """f(k (x) ab)"""
+        return A.mult(a, b).evaluate(lambda l: f(k, l))
+
+    s = nested_sweedler_sum
+    identities = {
+        ("cocycle.equation", "cocycle equation"): lambda lg, lh, lk: (
+            s(A, lambda g1, g2, h1, h2: g(g1, h1) * left_product(g, g2, h2, lk), lg, lh),
+            s(A, lambda h1, h2, k1, k2: g(h1, k1) * right_product(g, lg, h2, k2), lh, lk)),
+        ("cocycle.equivalent-ii", "identity (ii)"): lambda lg, lh, lk: (
+            s(A, lambda g1, g2, h1, h2: left_product(gb, g1, h1, lk) * gb(g2, h2), lg, lh),
+            s(A, lambda h1, h2, k1, k2: right_product(gb, lg, h1, k1) * gb(h2, k2), lh, lk)),
+        ("cocycle.equivalent-iii", "identity (iii)"): lambda lg, lh, lk: (
+            s(A, lambda g1, g2, h1, h2, k1, k2: left_product(g, g1, h1, k1)
+              * right_product(gb, g2, h2, k2), lg, lh, lk),
+            s(A, lambda h1, h2: gb(lg, h1) * g(h2, lk), lh)),
+        ("cocycle.equivalent-iv", "identity (iv)"): lambda lg, lh, lk: (
+            s(A, lambda g1, g2, h1, h2, k1, k2: right_product(g, g1, h1, k1)
+              * left_product(gb, g2, h2, k2), lg, lh, lk),
+            s(A, lambda h1, h2: g(lg, h2) * gb(h1, lk), lh)),
+    }
+    rep = Report()
+    for (check_id, name), sides in identities.items():
+        def defect(t, name=name, sides=sides):
+            lhs, rhs = sides(*t)
+            return f"{name} fails at ({A.label_names(t)})" if lhs != rhs else None
+        rep.forall(check_id, check_id, triples, defect)
+    return {c.check_id: (c.status, c.instances, c.witness) for c in rep.checks}
+
+
+def _bumped(f, pair, by):
+    return PairFunctional(lambda a, b: f(a, b) + by if (a, b) == pair else f(a, b))
+
+
+def _weighted_perturbations():
+    """(gamma, gammabar) pairs that each vanish but at one label pair: both
+    sides of a triple vanish unless its legs reach that pair, so the first
+    failure moves with it."""
+    A = WeightedCoproduct()
+
+    def point(pair, value):
+        zero = Cyc.zero(3)
+        return PairFunctional(lambda a, b: value if (a, b) == pair else zero)
+
+    two, z = Cyc.rational(2, 3), Cyc.root(3)
+    return A, [(point(("a", "c"), two), point(("c", "a"), z)),
+               (point(("c", "b"), z), point(("b", "c"), two)),
+               (point(("a", "a"), two), point(("b", "b"), two)),
+               (point(("c", "c"), z), point(("b", "c"), z))]
+
+
+def _s3_perturbations():
+    """The trivial cocycle of fun(S_3) with gamma, gammabar or both raised at one pair."""
+    A = fun_s3()
+    base = trivial_cocycle(A)
+    e, _, _, c, _, t = A.finite_labels()
+    return A, [(_bumped(base.gamma, (c, c), 1), base.gamma_bar),
+               (_bumped(base.gamma, (e, t), 2), _bumped(base.gamma_bar, (c, t), 1)),
+               (_bumped(base.gamma, (t, c), Fraction(-1, 2)), _bumped(base.gamma_bar, (t, e), 2)),
+               (base.gamma, _bumped(base.gamma_bar, (c, c), 1))]
+
+
+@pytest.mark.parametrize("algebra", ["weighted", "fun_s3"])
+def test_pair_tables_match_nested_formulas(algebra):
+    A, perturbations = _weighted_perturbations() if algebra == "weighted" else _s3_perturbations()
+    labels = A.finite_labels()
+    triples = [(a, b, c) for a in labels for b in labels for c in labels]
+    witnesses = {}
+    for gamma, gamma_bar in perturbations:
+        data = CocycleData(A, gamma, gamma_bar)
+        rep = Report()
+        verify_cocycle_identities(data, A, triples, rep)
+        expected = reference_identities(data, A, triples)
+        got = {c.check_id: (c.status, c.instances, c.witness) for c in rep.checks
+               if c.check_id in expected}
+        assert got == expected
+        for check_id, (_, _, witness) in expected.items():
+            witnesses.setdefault(check_id, set()).add(witness)
+    # the perturbations fail each identity at three or more different triples
+    assert all(len(w - {None}) >= 3 for w in witnesses.values()), witnesses

@@ -150,6 +150,23 @@ def test_chern_solver_error_is_raised_not_cached():
     assert bad.chern("01").table == good.chern("01").table
 
 
+def test_each_chern_system_is_solved_once(monkeypatch):
+    solves = []
+
+    def counted(holo, herm):
+        solves.append((holo, herm))
+        return chern_solve(holo, herm)
+
+    monkeypatch.setattr(models, "chern_solve", counted)
+    bad = _unsolvable_10(classical_torus(box=1, samples=4))
+    run_suite(bad, "all", Report(), samples=4)
+    # the (1,0) and (0,1) systems of the base and of the twisted world, the
+    # failing (1,0) ones included, each solved once
+    assert len(solves) == 4
+    assert len({(id(holo), id(herm)) for holo, herm in solves}) == 4
+    assert bad.hermitian_splits[0] in [herm for _, herm in solves]
+
+
 def test_failed_chern_solve_is_the_witness():
     rep = Report()
     run_suite(_unsolvable_10(classical_torus(box=1, samples=4)), "all", rep, samples=4)
