@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from functools import cache
 
-from .cyclotomic import Cyc
+from .cyclotomic import _ONE, Cyc  # the flat sums skip every product with an exact 1
 from .hopf import HopfAlgebra
 from .vectors import gauss_solve
 
-_ONE = {0: 1}  # an exact 1 in raw form: the flat sums skip every product with it
 _zero = cache(Cyc.zero)
 
 

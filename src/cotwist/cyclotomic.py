@@ -10,12 +10,14 @@ tests and serialisation, and yields integer numerators over the same kind
 of denominator.  `Fraction`s appear only at the edges: the constructor
 accepts them, and `format_scalar` builds them for output.
 
-Nearly every scalar the engine meets is a rational times a root of unity,
-so one-term elements take fast paths chosen by their number of terms: a
-monomial product adds exponents, and a monomial inverse is
-(v/d) x^k -> (d/v) x^(N-k), exact already in Q[x]/(x^N - 1) and so also
-mod Phi_N.  A multi-term element is inverted through its field norm, the
-product of its Galois conjugates, which only needs the ring operations.
+A Cyc is never changed once built, so values are shared: `Cyc.one(n)` is
+one object per order, and a product with a zero or an exact 1 (`{0: 1}`
+over 1) returns a factor itself.  Nearly every other scalar the engine meets
+is a rational times a root of unity, so one-term elements take fast paths
+chosen by their number of terms: a monomial product adds exponents, and a
+monomial inverse is (v/d) x^k -> (d/v) x^(N-k), exact already in
+Q[x]/(x^N - 1) and so also mod Phi_N.  A multi-term element is inverted
+through its field norm, the product of its Galois conjugates.
 
 There is deliberately no floating point anywhere: every identity the engine
 checks is an exact equality in Q(zeta_N).
@@ -26,6 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+_ONE = {0: 1}  # the numerators of an exact 1 in raw form (with den == 1)
 
 
 @lru_cache(maxsize=None)
@@ -90,6 +94,12 @@ def _make(order, num, den):
     return c
 
 
+@lru_cache(maxsize=None)
+def _unit(order):
+    """The one shared 1 of Q(zeta_order); no Cyc is ever changed in place."""
+    return _make(order, {0: 1}, 1)
+
+
 def _normal(num, den):
     """Integer numerators over den > 0 with their common gcd divided out."""
     if not num:
@@ -140,6 +150,8 @@ class Cyc:
             if q.denominator != 1:
                 return _make(order, {0: q.numerator}, q.denominator)
             q = q.numerator
+        if q == 1:
+            return _unit(order)
         return _make(order, {0: q} if q else {}, 1)
 
     @staticmethod
@@ -245,7 +257,11 @@ class Cyc:
         an, bn = a.num, b.num
         n = a.order
         if not an or not bn:
-            return _make(n, {}, 1)
+            return a if not an else b
+        if an == _ONE and a.den == 1:
+            return b
+        if bn == _ONE and b.den == 1:
+            return a
         den = a.den * b.den
         if len(an) == 1 and len(bn) == 1:
             (k1, v1), = an.items()
@@ -341,8 +357,10 @@ class Cyc:
 
     def conj(self):
         """Complex conjugation zeta^k -> zeta^(order-k)."""
-        n = self.order
-        return _make(n, {(n - k) % n: v for k, v in self.num.items()}, self.den)
+        n, num = self.order, self.num
+        if len(num) == 1 and 0 in num:
+            return self
+        return _make(n, {(n - k) % n: v for k, v in num.items()}, self.den)
 
     # -- canonical form ---------------------------------------------------
 

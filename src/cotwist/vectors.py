@@ -153,7 +153,9 @@ class Vec:
     def __eq__(self, other):
         if not isinstance(other, Vec):
             return NotImplemented
-        return (self - other).is_zero()
+        a, b = self.terms, other.terms  # key by key; a one-sided key must reduce to 0
+        return all(c.is_zero() if (d := b.get(k)) is None else c == d for k, c in a.items()) \
+            and all(c.is_zero() for k, c in b.items() if k not in a)
 
     def __iter__(self):
         return iter(self.terms.items())

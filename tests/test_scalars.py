@@ -1,4 +1,5 @@
-"""Exact cyclotomic arithmetic: frozen examples and field-axiom properties."""
+"""Exact cyclotomic arithmetic: frozen examples, field-axiom properties and
+the shared unit."""
 
 import math
 from fractions import Fraction
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotwist.cyclotomic import Cyc, _phi, cyclotomic_polynomial, format_scalar
+from cotwist.models import nc_torus
+from cotwist.report import Report
+from cotwist.suites import run_suite
 
 
 def test_i_squared_is_minus_one():
@@ -171,3 +175,50 @@ def test_monomial_inverse(a):
     terms, den = a.canonical()
     spelled = Cyc(a.order, {k: Fraction(v, den) for k, v in terms})
     assert spelled.inverse() == inv
+
+
+def _general_product(a, b):
+    """a * b summed term by term over Fractions, with no fast path."""
+    out = {}
+    for k1, v1 in a.num.items():
+        for k2, v2 in b.num.items():
+            k = (k1 + k2) % a.order
+            out[k] = out.get(k, 0) + Fraction(v1 * v2, a.den * b.den)
+    return Cyc(a.order, out)
+
+
+@st.composite
+def elements(draw):
+    n = draw(orders)
+    return Cyc(n, draw(st.dictionaries(
+        st.integers(0, n - 1), st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        max_size=3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements())
+def test_multiplying_by_the_shared_one_returns_the_other_factor(x):
+    one = Cyc.one(x.order)
+    for product in (one * x, x * one):
+        # an x that is an exact 1 itself may come back as either factor
+        assert product is x or product is one and (x.num, x.den) == ({0: 1}, 1)
+    for product in (_general_product(one, x), _general_product(x, one)):
+        assert product == x and (product.num, product.den) == (x.num, x.den)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 12, 20])
+def test_one_unit_per_order(n):
+    assert Cyc.rational(1, n) is Cyc.one(n)
+    assert Cyc.rational(Fraction(1), n) is Cyc.one(n)
+    assert Cyc.one(n) is not Cyc.one(2 * n)
+    for q in (0, 1, -1, Fraction(-3, 4)):
+        x = Cyc.rational(q, n)
+        assert x.conj() == x and (x.conj().num, x.conj().den) == (x.num, x.den)
+
+
+def test_shared_unit_survives_a_suite_run():
+    units = {n: Cyc.one(n) for n in range(1, 25)}
+    run_suite(nc_torus(1, 3, box=2, samples=4), "all", Report())
+    for n, one in units.items():
+        assert Cyc.one(n) is one
+        assert one.num == {0: 1} and one.den == 1 and one.canonical() == (((0, 1),), 1)

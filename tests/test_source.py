@@ -1,7 +1,7 @@
 """Source hygiene: no function-local name is assigned and never read, no
 parameter or attribute goes unread without a reason, only `vectors.py`
-accumulates a Vec term by term, and `Fraction` stays at the edges of the
-scalar field."""
+accumulates a Vec term by term, `Fraction` stays at the edges of the
+scalar field, and only the constructors of a Cyc write its numbers."""
 
 import ast
 from pathlib import Path
@@ -294,3 +294,66 @@ def test_fractions_stay_at_the_edges():
     found = {path.name for path in PACKAGE.glob("*.py")
              if imports_fractions(ast.parse(path.read_text()))}
     assert found <= FRACTIONS_ALLOWED
+
+
+# Functions that may write a Cyc's numerators or denominator: its two
+# constructors.  Every other Cyc may be shared (`Cyc.one` is one object per
+# order, and a product by an exact 1 returns the other factor), so a change in
+# place would change the value of every holder.
+CYC_WRITERS_ALLOWED = {"cyclotomic.py:_make", "cyclotomic.py:Cyc.__init__"}
+NUM_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
+
+
+def cyc_writes(tree):
+    """(qualified name of the innermost enclosing function or class, line) of
+    each store to `.num` or `.den`, store into `.num[...]`, and call of a
+    mutating dict method on `.num`; `<module>` outside every definition."""
+    out = []
+
+    def is_num(node):
+        return isinstance(node, ast.Attribute) and node.attr == "num"
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            store = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif store and isinstance(child, ast.Attribute) and child.attr in ("num", "den") \
+                    or store and isinstance(child, ast.Subscript) and is_num(child.value) \
+                    or isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr in NUM_MUTATORS and is_num(child.func.value):
+                out.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
+
+
+def test_cyc_write_scanner():
+    tree = ast.parse(
+        "x.num = {}\n"
+        "class C:\n"
+        "    def f(self, c, d):\n"
+        "        c.den *= 2\n"
+        "        c.num[0] = 1\n"
+        "        del d.num[3]\n"
+        "        c.num.update(d.num)\n"
+        "        c.num.setdefault(1, 0), d.num.pop(2), c.num.clear()\n"
+        "        n = dict(c.num)\n"
+        "        n[0] = c.num.get(0) + d.den\n"
+        "        return c.num.items(), n.pop(0)\n"
+        "def g(c):\n"
+        "    c.order, c.den = 1, 2\n")
+    assert cyc_writes(tree) == [("<module>", 1), ("C.f", 4), ("C.f", 5), ("C.f", 6), ("C.f", 7),
+                                ("C.f", 8), ("C.f", 8), ("C.f", 8), ("g", 13)]
+
+
+def test_only_constructors_write_a_cyc():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func, line in cyc_writes(ast.parse(path.read_text())):
+            found.add((f"{path.name}:{func}", line))
+    assert sorted((f, l) for f, l in found if f not in CYC_WRITERS_ALLOWED) == []
+    # an entry that no longer writes is stale
+    assert {f for f, _ in found} == set(CYC_WRITERS_ALLOWED)

@@ -1,6 +1,7 @@
 """The exact linear solver and inverse over Q and Q(zeta_12), against minors,
 the antilinear solver, against the same system in rational coordinates, and
-the extensions of Vec, against their coefficients summed key by key."""
+the extensions of Vec, against their coefficients summed key by key, and Vec
+equality, against the difference reducing to zero."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -235,3 +236,54 @@ def test_extensions_match_explicit_loops(v, w, images, pair_images, scalars):
 def test_evaluate_on_the_empty_vec_is_the_zero_of_its_order(order):
     value = Vec(order).evaluate(lambda k: Cyc.one(ORDER))
     assert value.order == order and value.is_zero()
+
+
+# Coefficients for the equality tests.  The first three are zero but not in
+# raw form: 1 + zeta_3 + zeta_3^2 at order 3 and at order 12, and zeta_12^2
+# times it.  1 + zeta_3 and -zeta_3^2 are one value in two raw forms, as are
+# zeta_3 and zeta_12^4.
+EQ_COEFFS = [
+    Cyc(3, {0: 1, 1: 1, 2: 1}), Cyc(12, {0: 1, 4: 1, 8: 1}), Cyc(12, {2: 1, 6: 1, 10: 1}),
+    Cyc.one(3), Cyc.rational(-1, 3), Cyc.root(3), Cyc(3, {0: 1, 1: 1}), Cyc(3, {2: -1}),
+    Cyc.root(12, 4), Cyc.root(12), Cyc.rational(Fraction(1, 2), 12),
+]
+
+
+@st.composite
+def eq_vecs(draw):
+    """A Vec of order 3 or 12 over three keys, the empty one included."""
+    order = draw(st.sampled_from([3, 12]))
+    pool = [c for c in EQ_COEFFS if order % c.order == 0]
+    return Vec(order, draw(st.dictionaries(st.sampled_from("xyz"), st.sampled_from(pool),
+                                           max_size=3)))
+
+
+def _difference_is_zero(a, b):
+    """The reference equality: a - b reduces to zero.  The difference is taken
+    at the first operand's order, so the one of larger order goes first."""
+    if a.order % b.order:
+        a, b = b, a
+    return (a - b).is_zero()
+
+
+@settings(max_examples=300, deadline=None)
+@given(eq_vecs(), eq_vecs())
+def test_equality_key_by_key_matches_the_difference(a, b):
+    assert (a == b) == (b == a) == _difference_is_zero(a, b)
+
+
+@pytest.mark.parametrize("order, zero", [(3, EQ_COEFFS[0]), (12, EQ_COEFFS[0]), (12, EQ_COEFFS[1])])
+def test_equality_reduces_one_sided_keys(order, zero):
+    assert zero.num and zero.is_zero()
+    v = Vec(order, {"x": 1})
+    w = Vec(order, {"x": 1, "y": zero})
+    assert v == w and w == v
+    assert Vec(order) == Vec(order, {"y": zero}) == Vec(order)
+    assert Vec(order, {"x": 1}) != Vec(order) and Vec(order) != Vec(order, {"x": 1})
+    assert Vec(order, {"x": 1, "y": 1}) != v and v != Vec(order, {"x": 1, "y": 1})
+
+
+def test_equality_across_orders():
+    assert Vec(3, {"x": Cyc.root(3)}) == Vec(12, {"x": Cyc.root(12, 4)})
+    assert Vec(12, {"x": Cyc.root(12, 4)}) == Vec(3, {"x": Cyc.root(3)})
+    assert Vec(3, {"x": Cyc.root(3)}) != Vec(12, {"x": Cyc.root(12)})
