@@ -223,6 +223,7 @@ class TwistedHopf(HopfAlgebra):
         self.data = data
         self.scalar_order = base.scalar_order
         self._mult_cache = {}
+        self.basis = memoize_table(self.basis)
         self.antipode = memoize_table(self.antipode)
         self.antipode_inv = memoize_table(self.antipode_inv)
         self.star = memoize_table(self.star)

@@ -10,14 +10,16 @@ tests and serialisation, and yields integer numerators over the same kind
 of denominator.  `Fraction`s appear only at the edges: the constructor
 accepts them, and `format_scalar` builds them for output.
 
-A Cyc is never changed once built, so values are shared: `Cyc.one(n)` is
-one object per order, and a product with a zero or an exact 1 (`{0: 1}`
-over 1) returns a factor itself.  Nearly every other scalar the engine meets
-is a rational times a root of unity, so one-term elements take fast paths
-chosen by their number of terms: a monomial product adds exponents, and a
-monomial inverse is (v/d) x^k -> (d/v) x^(N-k), exact already in
-Q[x]/(x^N - 1) and so also mod Phi_N.  A multi-term element is inverted
-through its field norm, the product of its Galois conjugates.
+A Cyc is never changed once built, so values are shared: `Cyc.root(n, k)`
+is one object per order and exponent, made on first use, and `Cyc.one(n)`
+is its k = 0; a monomial product of value zeta^k returns that root, and a
+product with a zero or an exact 1 (`{0: 1}` over 1) returns a factor
+itself.  Nearly every other scalar is a rational times a root of unity, so
+one-term elements take fast paths chosen by their number of terms: a
+monomial product adds exponents, and a monomial inverse is
+(v/d) x^k -> (d/v) x^(N-k), exact already in Q[x]/(x^N - 1) and so also mod
+Phi_N.  A multi-term element is inverted through its field norm, the
+product of its Galois conjugates.
 
 There is deliberately no floating point anywhere: every identity the engine
 checks is an exact equality in Q(zeta_N).
@@ -60,19 +62,23 @@ def _phi(n):
 
 @lru_cache(maxsize=None)
 def _power_reduction(n, k):
-    """x^k mod Phi_n as sparse ((i, c), ...) with integer c, i < phi(n)."""
+    """x^k mod Phi_n as sparse ((i, c), ...) with integer c, i < phi(n), for k < n."""
     deg = _phi(n)
+    sign = 1
+    if n % 2 == 0 and k >= n // 2:
+        # zeta^(n/2) = -1, and phi(n) <= n/2
+        k, sign = k - n // 2, -1
     if k < deg:
-        return ((k, 1),)
+        return ((k, sign),)
     phi = cyclotomic_polynomial(n)
-    # x^k = x * x^(k-1) mod Phi_n, and x^deg = -(phi[0] + ... + phi[deg-1] x^(deg-1))
-    out = [0] * deg
-    for i, c in _power_reduction(n, k - 1):
-        if i + 1 < deg:
-            out[i + 1] += c
-        else:
+    # x^deg = -(phi[0] + ... + phi[deg-1] x^(deg-1)); then x^(j+1) = x * x^j mod Phi_n
+    out = [-sign * c for c in phi[:deg]]
+    for _ in range(k - deg):
+        top = out[-1]
+        out = [0] + out[:-1]
+        if top:
             for j in range(deg):
-                out[j] -= c * phi[j]
+                out[j] -= top * phi[j]
     return tuple((i, c) for i, c in enumerate(out) if c)
 
 
@@ -95,9 +101,9 @@ def _make(order, num, den):
 
 
 @lru_cache(maxsize=None)
-def _unit(order):
-    """The one shared 1 of Q(zeta_order); no Cyc is ever changed in place."""
-    return _make(order, {0: 1}, 1)
+def _root(order, k):
+    """The one shared zeta_order^k, 0 <= k < order; no Cyc is ever changed in place."""
+    return _make(order, {k: 1}, 1)
 
 
 def _normal(num, den):
@@ -151,7 +157,7 @@ class Cyc:
                 return _make(order, {0: q.numerator}, q.denominator)
             q = q.numerator
         if q == 1:
-            return _unit(order)
+            return _root(order, 0)
         return _make(order, {0: q} if q else {}, 1)
 
     @staticmethod
@@ -159,7 +165,7 @@ class Cyc:
         """zeta_order^k, the exact primitive root of unity power."""
         if order < 1:
             raise ValueError("root order must be >= 1")
-        return _make(order, {k % order: 1}, 1)
+        return _root(order, k % order)
 
     @staticmethod
     def i(order=4):
@@ -275,6 +281,8 @@ class Cyc:
                 if g != 1:
                     v //= g
                     den //= g
+            if v == 1 and den == 1:
+                return _root(n, k)
             return _make(n, {k: v}, den)
         out = {}
         for k1, v1 in an.items():

@@ -26,7 +26,13 @@ class LabelAlgebra:
         return Vec(self.scalar_order)
 
     def el(self, label, coeff=1):
+        if type(coeff) is int and coeff == 1:
+            return self.basis(label)
         return Vec.single(self.scalar_order, label, coeff)
+
+    def basis(self, label):
+        """The basis vector of a label, memoised by the algebras: shared, never written."""
+        return Vec.single(self.scalar_order, label)
 
     def mult_elem(self, v, w):
         return v.apply2(w, self.mult)
@@ -84,9 +90,6 @@ class HopfAlgebra(LabelAlgebra):
 
     # -- element level (linear/antilinear extensions of the tables) -------
 
-    def counit_elem(self, v):
-        return v.evaluate(self.counit)
-
     def antipode_elem(self, v):
         return v.apply(self.antipode)
 
@@ -133,6 +136,7 @@ class GroupAlgebra(HopfAlgebra):
         self.torsion = tuple(torsion)
         self.rank = free_rank + len(self.torsion)
         self.scalar_order = scalar_order
+        self.basis = memoize_table(self.basis)
         self.mult = memoize_table(self.mult)
         self.coproduct = memoize_table(self.coproduct)
         self.sweedler = memoize_table(self.sweedler)
@@ -222,6 +226,7 @@ class FunctionAlgebra(HopfAlgebra):
         self._factorisations = {}
         for g in self.elements:
             self._factorisations[g] = [(h, h.inv() * g) for h in self.elements]
+        self.basis = memoize_table(self.basis)
         self.mult = memoize_table(self.mult)
         self.coproduct = memoize_table(self.coproduct)
         self.sweedler = memoize_table(self.sweedler)

@@ -23,6 +23,7 @@ class ComodAlgebra(LabelAlgebra):
     def __init__(self, hopf):
         self.hopf = hopf
         self.scalar_order = hopf.scalar_order
+        self.basis = _memoize(self.basis)
 
     def mult(self, l1, l2):
         raise NotImplementedError

@@ -202,12 +202,6 @@ def _conj_transport(weight, A, src, dst, elem):
         unconj(src_bar, Vec.single(elem.order, key))).apply_conj(transport))
 
 
-def conj_twist_fake_identity(_data, GE, elem):
-    """The deliberately wrong 'identity' comparison map (Vbar omitted)."""
-    bar_GE = ConjugateModule(GE)
-    return elem.apply(lambda key: conj_of(GE.inner, unconj(bar_GE, Vec.single(elem.order, key))))
-
-
 def hom_twist_iso(data, hom_mod, f_elem):
     """S: Gamma(Hom_B(E,B)) -> Hom_{B_g}(Gamma(E),B_g) as an evaluator.
 

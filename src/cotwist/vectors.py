@@ -4,13 +4,16 @@ A Vec is a finite formal sum of hashable basis keys with Cyc coefficients.
 Everything downstream (algebra elements, tensors, module elements, forms)
 is a Vec over structured keys, so canonical forms and exact equality come
 for free: a Vec is zero iff every coefficient reduces to zero mod Phi_N.
+A Vec is never written once its builder returns, so Vecs are shared: the
+algebras memoise their tables and basis vectors, a linear extension of one
+term with an exact 1 returns the image itself, and so does scaling by 1.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from .cyclotomic import Cyc, format_scalar
+from .cyclotomic import _ONE, Cyc, format_scalar
 
 
 class Vec:
@@ -52,16 +55,14 @@ class Vec:
         return v
 
     def __add__(self, other):
-        v = self.copy()
+        v = Vec(self.order)
+        v.terms = dict(self.terms)
         for k, c in other.terms.items():
             v.add_term(k, c)
         return v
 
     def __sub__(self, other):
-        v = self.copy()
-        for k, c in other.terms.items():
-            v.add_term(k, -c)
-        return v
+        return self + -other
 
     def __neg__(self):
         v = Vec(self.order)
@@ -77,6 +78,8 @@ class Vec:
             return v
         if type(coeff) is not Cyc:
             coeff = Cyc.rational(coeff, self.order)
+        if coeff.den == 1 and coeff.num == _ONE and coeff.order == self.order:
+            return self
         if coeff.num:
             for k, c in self.terms.items():
                 v.add_term(k, coeff * c)
@@ -94,8 +97,20 @@ class Vec:
                 terms[k2] = c
         return v
 
+    def _unit_key(self):
+        """The key of a Vec that is one term with an exact 1 in raw form, else None.
+        The extensions return such a key's image itself when it has this order;
+        a None key, or an image of another order, takes their general loop."""
+        if len(self.terms) == 1:
+            (k, c), = self.terms.items()
+            if c.den == 1 and c.num == _ONE:
+                return k
+        return None
+
     def apply(self, fn):
         """Linear extension: fn(key) -> Vec, summed with coefficients."""
+        if (k := self._unit_key()) is not None and (img := fn(k)).order == self.order:
+            return img
         out = Vec(self.order)
         add = out.add_term
         for k, c in self.terms.items():
@@ -105,6 +120,9 @@ class Vec:
 
     def apply2(self, other, fn):
         """Bilinear extension: fn(key, other_key) -> Vec, in one pass."""
+        if (k1 := self._unit_key()) is not None and (k2 := other._unit_key()) is not None \
+                and (img := fn(k1, k2)).order == self.order:
+            return img
         out = Vec(self.order)
         add = out.add_term
         for k1, c1 in self.terms.items():
@@ -118,6 +136,8 @@ class Vec:
 
     def apply_conj(self, fn):
         """Antilinear extension: fn(key) -> Vec, summed with conjugated coefficients."""
+        if (k := self._unit_key()) is not None and (img := fn(k)).order == self.order:
+            return img
         out = Vec(self.order)
         add = out.add_term
         for k, c in self.terms.items():
@@ -151,6 +171,8 @@ class Vec:
         return all(c.is_zero() for c in self.terms.values())
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Vec):
             return NotImplemented
         a, b = self.terms, other.terms  # key by key; a one-sided key must reduce to 0

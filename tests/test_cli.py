@@ -160,6 +160,15 @@ def test_package_runs_as_a_module(args, code):
         assert proc.stderr == "" and "cocycle.equation" in proc.stdout
 
 
+@pytest.mark.parametrize("command", [["verify", "--suite", "hopf", "--box", "2", "--samples", "8"],
+                                     ["twist"]])
+def test_large_prime_denominator_runs(command):
+    # Q(zeta_4036): exponents up to 4035 reduce mod Phi_4036, of degree 2016
+    proc = run_cli(command[:1] + ["--model", "nc_torus", "--p", "1", "--q", "1009"] + command[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and "FAIL" not in proc.stdout
+
+
 def test_twist_emits_twisted_tables_for_finite_models(tmp_path):
     tw = tmp_path / "tw.json"
     un = tmp_path / "un.json"

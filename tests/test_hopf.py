@@ -33,7 +33,7 @@ def test_fun_s3_unit_and_counit():
     A = fun_s3()
     one = A.unit()
     assert len(one.terms) == 6
-    assert A.counit_elem(one) == Cyc.one(1)
+    assert one.evaluate(A.counit) == Cyc.one(1)
 
 
 def test_hopf_axioms_group_algebra():

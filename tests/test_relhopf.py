@@ -7,12 +7,18 @@ from cotwist.modules import (
     CentralBasisModule, ConjugateModule, HomModule, Morphism, SelfComodule,
     TensorModule, conj_of, hom_apply, unconj)
 from cotwist.relhopf import (
-    TwistedComodule, TwistedModule, conj_twist_iso, conj_twist_fake_identity, conj_twist_iso_inv,
+    TwistedComodule, TwistedModule, conj_twist_iso, conj_twist_iso_inv,
     hom_twist_iso, phi_inv_map, phi_map, tensor_map_pair, twist_tensor_morphism)
 from cotwist.vectors import Vec
 
 # the theta cocycle at theta = 1/3 in Q(zeta_12): exponent 12 theta (m1 n0 - m0 n1)
 THETA13 = [[0, -4], [4, 0]]
+
+
+def conj_twist_fake_identity(_data, GE, elem):
+    """The deliberately wrong 'identity' comparison map (Vbar omitted)."""
+    bar_GE = ConjugateModule(GE)
+    return elem.apply(lambda key: conj_of(GE.inner, unconj(bar_GE, Vec.single(elem.order, key))))
 
 
 def torus_setup():
@@ -212,8 +218,7 @@ def test_tensor_map_pair_and_hom_apply():
 def test_hexagon_fails_with_fake_identity_for_N():
     # On a non-skew bicharacter model, substituting the bare identity for
     # the conjugation transport breaks the bar-functor hexagon.
-    from cotwist.relhopf import (
-        conj_twist_fake_identity, phi_inv_map, tensor_map_pair, upsilon)
+    from cotwist.relhopf import upsilon
     from cotwist.modules import TensorModule
 
     A = GroupAlgebra(0, (5, 5), scalar_order=5)

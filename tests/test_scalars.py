@@ -1,5 +1,5 @@
-"""Exact cyclotomic arithmetic: frozen examples, field-axiom properties and
-the shared unit."""
+"""Exact cyclotomic arithmetic: frozen examples, field-axiom properties, the
+reduction table mod Phi_N, and the shared unit and roots of unity."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotwist.cyclotomic import Cyc, _phi, cyclotomic_polynomial, format_scalar
+from cotwist.cyclotomic import Cyc, _phi, _power_reduction, cyclotomic_polynomial, format_scalar
 from cotwist.models import nc_torus
 from cotwist.report import Report
 from cotwist.suites import run_suite
@@ -222,3 +222,64 @@ def test_shared_unit_survives_a_suite_run():
     for n, one in units.items():
         assert Cyc.one(n) is one
         assert one.num == {0: 1} and one.den == 1 and one.canonical() == (((0, 1),), 1)
+
+
+def _long_reduction(n, k):
+    """x^k mod Phi_n by dense long division, the reference for `_power_reduction`."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    num = [0] * k + [1]
+    for top in range(k, deg - 1, -1):
+        f = num[top]
+        if f:
+            for i, c in enumerate(phi):
+                num[top - deg + i] -= f * c
+    return tuple((i, c) for i, c in enumerate(num[:deg]) if c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 9, 15, 20, 24, 30, 36, 45, 60, 105])
+def test_power_reduction_matches_long_division(n):
+    assert [_power_reduction(n, k) for k in range(n)] == [_long_reduction(n, k) for k in range(n)]
+
+
+def test_power_reduction_of_a_large_order():
+    # N = lcm(4, 1009): exponents far above the recursion limit, and the
+    # even-order shortcut zeta^(N/2) = -1
+    n = 4 * 1009
+    assert _phi(n) == 2016
+    assert _power_reduction(n, n // 2 + 5) == ((5, -1),)
+    for k in (2016, 2017):
+        assert _power_reduction(n, k) == _long_reduction(n, k)
+        assert _power_reduction(n, n // 2 + k) == tuple((i, -c) for i, c in _long_reduction(n, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(orders, st.integers(-50, 50), st.integers(-50, 50))
+def test_roots_of_unity_are_shared(n, k1, k2):
+    z1, z2 = Cyc.root(n, k1), Cyc.root(n, k2)
+    assert z1 is Cyc.root(n, k1 + n) and Cyc.root(n, 0) is Cyc.one(n)
+    assert (z1.num, z1.den) == ({k1 % n: 1}, 1)
+    assert z1 * z2 is Cyc.root(n, k1 + k2)
+    # a monomial product is the shared root whenever its value is 1 * zeta^k
+    assert Cyc(n, {k1: -1}) * Cyc(n, {k2: -1}) is Cyc.root(n, k1 + k2)
+    assert Cyc(n, {k1: Fraction(2, 3)}) * Cyc(n, {k2: Fraction(3, 2)}) is Cyc.root(n, k1 + k2)
+    for other in (Cyc(n, {k2: -1}), Cyc(n, {k2: 2})):
+        product = z1 * other
+        assert (product.num, product.den) == ({(k1 + k2) % n: other.num[k2 % n]}, 1)
+
+
+def test_shared_roots_and_basis_vectors_survive_a_suite_run():
+    roots = {(n, k): Cyc.root(n, k) for n in range(1, 25) for k in range(n)}
+    bundle = nc_torus(1, 3, box=2, samples=4)
+    labels = bundle.hopf.labels_box(2)
+    basis = {(alg, label): alg.el(label) for alg in (bundle.hopf, bundle.comodule)
+             for label in labels}
+    run_suite(bundle, "all", Report())
+    for (n, k), root in roots.items():
+        assert Cyc.root(n, k) is root
+        assert root.num == {k: 1} and root.den == 1
+        assert format_scalar(root) == format_scalar(Cyc(n, {k: 1}))
+    for (alg, label), v in basis.items():
+        assert alg.el(label) is v
+        (key, c), = v.terms.items()
+        assert key == label and c is Cyc.one(v.order) and c.num == {0: 1} and c.den == 1

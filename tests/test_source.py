@@ -1,7 +1,9 @@
 """Source hygiene: no function-local name is assigned and never read, no
 parameter or attribute goes unread without a reason, only `vectors.py`
 accumulates a Vec term by term, `Fraction` stays at the edges of the
-scalar field, and only the constructors of a Cyc write its numbers."""
+scalar field, only the constructors of a Cyc write its numbers, no Vec is
+written after its builder returns, and every package function is
+referenced by the package."""
 
 import ast
 from pathlib import Path
@@ -357,3 +359,172 @@ def test_only_constructors_write_a_cyc():
     assert sorted((f, l) for f, l in found if f not in CYC_WRITERS_ALLOWED) == []
     # an entry that no longer writes is stale
     assert {f for f, _ in found} == set(CYC_WRITERS_ALLOWED)
+
+
+
+# Functions that may write the Vec they are called on (`self`): its two
+# builders.  Every other write must go to a name that the same function binds
+# only to fresh `Vec(...)` calls.  A built Vec is shared (the memo tables, `el`
+# and the linear extensions of a unit term hand out one object), so a change in
+# place would change the value of every holder.
+VEC_SELF_WRITERS_ALLOWED = {"vectors.py:Vec.add_term", "vectors.py:Vec.__init__"}
+
+
+def _fresh_vec_names(scope):
+    """Names that every binding in the scope's own body binds to a `Vec(...)`
+    call; a parameter is never fresh."""
+    args = scope.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + \
+        [a for a in (args.vararg, args.kwarg) if a is not None]
+    nodes = list(_own_nodes(scope))
+    fresh = {node.targets[0]: node.targets[0].id for node in nodes
+             if isinstance(node, ast.Assign) and len(node.targets) == 1
+             and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)
+             and isinstance(node.value.func, ast.Name) and node.value.func.id == "Vec"}
+    rebound = {a.arg for a in params} | {
+        node.id for node in nodes
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load) and node not in fresh}
+    return set(fresh.values()) - rebound
+
+
+def vec_writes(tree):
+    """(qualified name of the innermost enclosing function or class, line,
+    receiver) of each write to a Vec whose receiver is not a fresh name of the
+    innermost enclosing function or lambda (`_fresh_vec_names`): a store to
+    `.terms`, a store or delete into `.terms[...]`, a mutating dict method
+    called on `.terms`, and every use of `.add_term`, a call or a bound method
+    such as `add = v.add_term`; `<module>` outside every definition."""
+    out = []
+
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    def receiver(node):
+        store = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if isinstance(node, ast.Attribute) \
+                and (node.attr == "add_term" or store and is_terms(node)):
+            return node.value
+        if store and isinstance(node, ast.Subscript) and is_terms(node.value):
+            return node.value.value
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in NUM_MUTATORS and is_terms(node.func.value):
+            return node.func.value.value
+        return None
+
+    def visit(node, scope, fresh):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_fresh = scope, fresh
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, SCOPES):
+                inner_fresh = _fresh_vec_names(child)
+            elif isinstance(child, ast.ClassDef):
+                inner_fresh = set()
+            rec = receiver(child)
+            if rec is not None and not (isinstance(rec, ast.Name) and rec.id in fresh):
+                out.append((".".join(scope) or "<module>", child.lineno, ast.unparse(rec)))
+            visit(child, inner, inner_fresh)
+
+    visit(tree, (), set())
+    return out
+
+
+def test_vec_write_scanner():
+    tree = ast.parse(
+        "class Vec:\n"
+        "    def __init__(self, order):\n"
+        "        self.terms = {}\n"
+        "    def copy(self):\n"
+        "        v = Vec(1)\n"
+        "        v.terms = dict(self.terms)\n"
+        "        add = v.add_term\n"
+        "        del v.terms[0]\n"
+        "        return v, self.terms.get(0), add\n"
+        "def f(w, u=None):\n"
+        "    w.add_term(1, 2)\n"
+        "    x, y = Vec(1), Vec(1)\n"
+        "    x.terms[0] = u = Vec(1)\n"
+        "    u.terms.update(y.terms)\n"
+        "    z = Vec(1)\n"
+        "    z.terms.pop(0)\n"
+        "    g = lambda: z.add_term(0, 1)\n"
+        "    w.el(1).terms.clear(), w.terms.copy()\n"
+        "    return g\n"
+        "A.el(1).terms[0] = 2\n")
+    assert vec_writes(tree) == [
+        ("Vec.__init__", 3, "self"), ("f", 11, "w"), ("f", 13, "x"), ("f", 14, "u"),
+        ("f", 17, "z"), ("f", 18, "w.el(1)"), ("<module>", 20, "A.el(1)")]
+
+
+def test_no_vec_is_written_after_it_is_built():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func, line, rec in vec_writes(ast.parse(path.read_text())):
+            found.add((f"{path.name}:{func}", line, rec))
+    assert sorted(w for w in found if w[0] not in VEC_SELF_WRITERS_ALLOWED or w[2] != "self") == []
+    # an entry that no longer writes is stale
+    assert {w[0] for w in found} == VEC_SELF_WRITERS_ALLOWED
+
+
+# Package functions and methods that no module of the package references, each
+# with why.  Dunder methods need no entry: the language calls them.
+UNREFERENCED_ALLOWED = {
+    "report.py:Report.failures":
+        "public API: the failing checks of a report, for callers that build one in-process",
+}
+
+
+def unreferenced_functions(trees):
+    """(file, qualified name) of each function or method, at any depth, whose
+    name no `Name` or attribute load in any of the trees reads.  Keyed by the
+    name alone, like `unread_attributes`."""
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    out = []
+
+    def visit(name, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                if not isinstance(child, ast.ClassDef) and child.name not in loaded \
+                        and not (child.name.startswith("__") and child.name.endswith("__")):
+                    out.append((name, ".".join(inner)))
+            visit(name, child, inner)
+
+    for name, tree in trees.items():
+        visit(name, tree, ())
+    return sorted(out)
+
+
+def test_unreferenced_function_scanner():
+    trees = {
+        "a.py": ast.parse(
+            "def used():\n"
+            "    def inner():\n"
+            "        pass\n"
+            "class C:\n"
+            "    def __eq__(self, o):\n"
+            "        return helper(o)\n"
+            "    def method(self):\n"
+            "        pass\n"
+            "    def lost(self):\n"
+            "        pass\n"
+            "def helper(x):\n"
+            "    return x\n"),
+        "b.py": ast.parse("from a import used\nused()\nC().method\n"),
+    }
+    assert unreferenced_functions(trees) == [("a.py", "C.lost"), ("a.py", "used.inner")]
+
+
+def test_every_package_function_is_referenced():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    found = {f"{name}:{func}" for name, func in unreferenced_functions(trees)}
+    assert sorted(found - set(UNREFERENCED_ALLOWED)) == []
+    # an entry that the package now references, or that is gone, is stale
+    assert found == set(UNREFERENCED_ALLOWED)

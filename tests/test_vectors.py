@@ -1,7 +1,8 @@
 """The exact linear solver and inverse over Q and Q(zeta_12), against minors,
-the antilinear solver, against the same system in rational coordinates, and
-the extensions of Vec, against their coefficients summed key by key, and Vec
-equality, against the difference reducing to zero."""
+the antilinear solver, against the same system in rational coordinates, the
+extensions of Vec, against their coefficients summed key by key, their unit
+paths, against a term-by-term loop, and Vec equality, against the difference
+reducing to zero."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -287,3 +288,81 @@ def test_equality_across_orders():
     assert Vec(3, {"x": Cyc.root(3)}) == Vec(12, {"x": Cyc.root(12, 4)})
     assert Vec(12, {"x": Cyc.root(12, 4)}) == Vec(3, {"x": Cyc.root(3)})
     assert Vec(3, {"x": Cyc.root(3)}) != Vec(12, {"x": Cyc.root(12)})
+
+
+# One-term coefficients for the unit paths: an exact 1 in raw form, shared or
+# built by the constructor, and four that must take the general path.
+def _unit_path_coeffs(order):
+    return [Cyc.one(order), Cyc(order, {0: 1}), Cyc.rational(-1, order),
+            Cyc.rational(2, order), Cyc.root(order), Cyc.one(3)]
+
+
+def _raw(v):
+    """The terms of v in order, with raw coefficients: what the unit paths keep."""
+    return v.order, [(k, c.order, c.num, c.den) for k, c in v.terms.items()]
+
+
+def _reference_extension(v, w, fn, conj=False):
+    """sum c * conj?(d) * fn(keys) term by term, with no unit path (w None: linear)."""
+    out = Vec(v.order)
+    for k1, c1 in v.terms.items():
+        for k2, c2 in (w.terms.items() if w is not None else [(None, Cyc.one(v.order))]):
+            img = fn(k1) if w is None else fn(k1, k2)
+            c = (c1.conj() if conj else c1) * c2
+            out = out + Vec(v.order, {k: c * d for k, d in img.terms.items()})
+    return out
+
+
+@st.composite
+def unit_path_cases(draw):
+    """A one-term Vec, a second one, an image table at its order or at 3, and a scalar."""
+    order = draw(st.sampled_from([3, 12]))
+    coeffs = [c for c in _unit_path_coeffs(order) if order % c.order == 0]
+    img_order = draw(st.sampled_from([3, order]))
+    entries = st.dictionaries(st.integers(0, img_order - 1), small, max_size=2).map(
+        lambda d: Cyc(img_order, d))
+    images = st.dictionaries(st.sampled_from(KEYS), entries, max_size=3).map(
+        lambda d: Vec(img_order, d))
+    one_term = st.tuples(st.sampled_from(KEYS), st.sampled_from(coeffs)).map(
+        lambda kc: Vec(order, {kc[0]: kc[1]}))
+    return (draw(one_term), draw(one_term), draw(st.lists(images, min_size=4, max_size=4)),
+            draw(st.sampled_from(coeffs)))
+
+
+def _is_unit(v):
+    (_, c), = v.terms.items()
+    return c.den == 1 and c.num == {0: 1} and c.order == v.order
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_path_cases())
+def test_unit_paths_return_the_image_itself(case):
+    v, w, images, scalar = case
+    (k, _), = v.terms.items()
+    (k2, _), = w.terms.items()
+    same_order = images[0].order == v.order
+    pair = lambda k1, k2: images[(k1 + 3 * k2) % 4]  # noqa: E731
+
+    for got, want, image, taken in (
+            (v.apply(images.__getitem__), _reference_extension(v, None, images.__getitem__),
+             images[k], _is_unit(v)),
+            (v.apply_conj(images.__getitem__),
+             _reference_extension(v, None, images.__getitem__, conj=True), images[k], _is_unit(v)),
+            (v.apply2(w, pair), _reference_extension(v, w, pair), pair(k, k2),
+             _is_unit(v) and _is_unit(w))):
+        assert _raw(got) == _raw(want)
+        assert (got is image) == (taken and same_order)
+
+    u = v + w
+    scaled = u.scale(scalar)
+    assert _raw(scaled) == _raw(Vec(u.order, {key: scalar * c for key, c in u.terms.items()}))
+    assert (scaled is u) == (scalar.num == {0: 1} and scalar.den == 1 and scalar.order == u.order)
+
+
+def test_a_vec_equals_itself_without_comparing_coefficients(monkeypatch):
+    v = Vec(12, {"x": Cyc.root(12), "y": Cyc(12, {0: 1, 4: 1, 8: 1})})
+    w = Vec(12, dict(v.terms))
+    monkeypatch.setattr(Cyc, "__eq__", lambda a, b: pytest.fail("compared a coefficient"))
+    assert v == v
+    with pytest.raises(pytest.fail.Exception):
+        assert v == w
