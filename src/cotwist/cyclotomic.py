@@ -12,9 +12,11 @@ accepts them, and `format_scalar` builds them for output.
 
 A Cyc is never changed once built, so values are shared: `Cyc.root(n, k)`
 is one object per order and exponent, made on first use, and `Cyc.one(n)`
-is its k = 0; a monomial product of value zeta^k returns that root, and a
-product with a zero or an exact 1 (`{0: 1}` over 1) returns a factor
-itself.  Nearly every other scalar is a rational times a root of unity, so
+is its k = 0.  A shared root carries k in `exp` (any other value has None),
+so a product of two roots of one order is an addition of exponents and a
+root's inverse is a root; a monomial product of value zeta^k returns that
+root, and a product with a zero or an exact 1 (`{0: 1}` over 1) returns a
+factor itself.  Nearly every other scalar is a rational times a root of unity, so
 one-term elements take fast paths chosen by their number of terms: a
 monomial product adds exponents, and a monomial inverse is
 (v/d) x^k -> (d/v) x^(N-k), exact already in Q[x]/(x^N - 1) and so also mod
@@ -36,23 +38,22 @@ _ONE = {0: 1}  # the numerators of an exact 1 in raw form (with den == 1)
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Dense integer coefficient list of Phi_n: (x^n - 1) / prod_{d | n, d < n} Phi_d."""
+    """Dense integer coefficient list of Phi_n, for n > 1 the power series
+    prod (1 - x^d)^mu(n/d) mod x^(phi(n) + 1) over the d | n with n/d a product
+    of distinct primes (mu(n/d) != 0): one shift-and-add per factor."""
     if n < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            # every Phi_d is monic, so the long division stays in the integers
-            den = cyclotomic_polynomial(d)
-            deg = len(den) - 1
-            quot = [0] * (len(num) - deg)
-            for shift in range(len(quot) - 1, -1, -1):
-                f = quot[shift] = num[shift + deg]
-                for i, c in enumerate(den):
-                    num[shift + i] -= f * c
-            assert not any(num)
-            num = quot
-    return tuple(num)
+    factors = [(n, 1)]
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            factors += [(d // p, -mu) for d, mu in factors]
+    deg = sum(d * mu for d, mu in factors)
+    out = [1] + [0] * deg
+    for d, mu in factors:
+        # times 1 - x^d from the top down, or divided by it from the bottom up
+        for i in range(deg, d - 1, -1) if mu == 1 else range(d, deg + 1):
+            out[i] -= mu * out[i - d]
+    return tuple(out) if n > 1 else (-1, 1)  # Phi_1 = x - 1 = -(1 - x)
 
 
 @lru_cache(maxsize=None)
@@ -90,20 +91,21 @@ def _as_fraction(x):
     raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
-def _make(order, num, den):
-    """A Cyc from a numerator map and denominator that are already reduced."""
+def _make(order, num, den, exp=None):
+    """A Cyc from reduced numerators and denominator; exp is k for a shared root zeta^k."""
     c = object.__new__(Cyc)
     c.order = order
     c.num = num
     c.den = den
     c._canon = None
+    c.exp = exp
     return c
 
 
 @lru_cache(maxsize=None)
 def _root(order, k):
     """The one shared zeta_order^k, 0 <= k < order; no Cyc is ever changed in place."""
-    return _make(order, {k: 1}, 1)
+    return _make(order, {k: 1}, 1, k)
 
 
 def _normal(num, den):
@@ -121,7 +123,7 @@ def _normal(num, den):
 class Cyc:
     """An element of Q(zeta_order): sparse integer numerators over one denominator."""
 
-    __slots__ = ("order", "num", "den", "_canon")
+    __slots__ = ("order", "num", "den", "_canon", "exp")
 
     def __init__(self, order, coeffs=None):
         if order < 1:
@@ -136,6 +138,7 @@ class Cyc:
         self.order = order
         self.num, self.den = _normal(num, den)
         self._canon = None
+        self.exp = None
 
     # -- constructors ----------------------------------------------------
 
@@ -244,6 +247,9 @@ class Cyc:
         return (-self) + other
 
     def __mul__(self, other):
+        if self.exp is not None and type(other) is Cyc and other.exp is not None \
+                and other.order == self.order:
+            return _root(self.order, (self.exp + other.exp) % self.order)
         if type(other) is not Cyc:
             if type(other) is int:
                 if not other:
@@ -306,6 +312,8 @@ class Cyc:
     def inverse(self):
         """Multiplicative inverse: exact for monomials, else through the field norm."""
         n = self.order
+        if self.exp is not None:
+            return _root(n, -self.exp % n)
         if len(self.num) == 1:
             (k, v), = self.num.items()
             den = self.den
@@ -397,11 +405,12 @@ class Cyc:
         return self._canon
 
     def is_zero(self):
-        if not self.num:
-            return True
-        return not self.canonical()[0]
+        # v zeta^k with v != 0 is a unit, so a one-term value is never zero
+        return not self.num if len(self.num) < 2 else not self.canonical()[0]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if type(other) is not Cyc:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented

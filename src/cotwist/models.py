@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from fractions import Fraction
 
 from .calculus import (
@@ -116,6 +117,7 @@ def build_torus_geometry(B, order):
         ("w-", "w+"): O2.el("vol").scale(-1),
     }
 
+    @cache
     def d_base(label):
         # d(x^m y^n) = x^m y^n ((m - i n)/2 w+ + (m + i n)/2 w-)
         m, n = label

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotwist.cyclotomic import Cyc
 from cotwist.cocycle import (
-    CocycleData, NotInvertible, PairFunctional, TwistedHopf, bicharacter_cocycle,
-    convolution_inverse, convolve, counit_functional, sweedler_sum, trivial_cocycle,
+    CocycleData, NotInvertible, PairFunctional, TwistedHopf, associator, bicharacter_cocycle,
+    convolution_inverse, convolve, counit_functional, mixed, sweedler_sum, trivial_cocycle,
     verify_cocycle_identities, verify_unitarity_suite)
 from cotwist.hopf import GroupAlgebra, HopfAlgebra, fun_s3
 from cotwist.models import finite_bicharacter, fun_group, nc_torus
@@ -73,6 +75,13 @@ def test_fun_s3_convolution_is_group_convolution():
         for b in els:
             expected = Cyc.one(1) if (a, b) == (s * u, t * v) else Cyc.zero(1)
             assert conv(a, b) == expected
+
+
+def test_pair_functional_is_the_memo_of_its_values():
+    calls = []
+    f = PairFunctional(lambda a, b: calls.append((a, b)) or Cyc.root(6, a * b))
+    assert f(2, 3) is Cyc.one(6) and f[(2, 3)] is Cyc.one(6) and f[(1, 1)] is f(1, 1)
+    assert calls == [(2, 3), (1, 1)] and dict(f._cache) == {(2, 3): Cyc.one(6), (1, 1): Cyc.root(6)}
 
 
 def test_pointwise_inverse_and_zero_error():
@@ -400,9 +409,10 @@ def test_multi_term_cocycle_fault_witnesses(inverse):
 # -- the pair tables against the nested formulas ----------------------------
 
 
-def reference_identities(data, A, triples):
-    """The four identities as nested sums over f(ab (x) k) and f(k (x) ab),
-    the formulas the pair tables replaced, checked through one Report."""
+def reference_sides(data, A):
+    """check id -> (witness name, (g, h, k) -> (lhs, rhs)) of the four
+    identities as nested sums over f(ab (x) k) and f(k (x) ab), the formulas
+    the pair tables replaced."""
     g, gb = data.gamma, data.gamma_bar
 
     def left_product(f, a, b, k):
@@ -414,24 +424,28 @@ def reference_identities(data, A, triples):
         return A.mult(a, b).evaluate(lambda l: f(k, l))
 
     s = nested_sweedler_sum
-    identities = {
-        ("cocycle.equation", "cocycle equation"): lambda lg, lh, lk: (
+    return {
+        "cocycle.equation": ("cocycle equation", lambda lg, lh, lk: (
             s(A, lambda g1, g2, h1, h2: g(g1, h1) * left_product(g, g2, h2, lk), lg, lh),
-            s(A, lambda h1, h2, k1, k2: g(h1, k1) * right_product(g, lg, h2, k2), lh, lk)),
-        ("cocycle.equivalent-ii", "identity (ii)"): lambda lg, lh, lk: (
+            s(A, lambda h1, h2, k1, k2: g(h1, k1) * right_product(g, lg, h2, k2), lh, lk))),
+        "cocycle.equivalent-ii": ("identity (ii)", lambda lg, lh, lk: (
             s(A, lambda g1, g2, h1, h2: left_product(gb, g1, h1, lk) * gb(g2, h2), lg, lh),
-            s(A, lambda h1, h2, k1, k2: right_product(gb, lg, h1, k1) * gb(h2, k2), lh, lk)),
-        ("cocycle.equivalent-iii", "identity (iii)"): lambda lg, lh, lk: (
+            s(A, lambda h1, h2, k1, k2: right_product(gb, lg, h1, k1) * gb(h2, k2), lh, lk))),
+        "cocycle.equivalent-iii": ("identity (iii)", lambda lg, lh, lk: (
             s(A, lambda g1, g2, h1, h2, k1, k2: left_product(g, g1, h1, k1)
               * right_product(gb, g2, h2, k2), lg, lh, lk),
-            s(A, lambda h1, h2: gb(lg, h1) * g(h2, lk), lh)),
-        ("cocycle.equivalent-iv", "identity (iv)"): lambda lg, lh, lk: (
+            s(A, lambda h1, h2: gb(lg, h1) * g(h2, lk), lh))),
+        "cocycle.equivalent-iv": ("identity (iv)", lambda lg, lh, lk: (
             s(A, lambda g1, g2, h1, h2, k1, k2: right_product(g, g1, h1, k1)
               * left_product(gb, g2, h2, k2), lg, lh, lk),
-            s(A, lambda h1, h2: g(lg, h2) * gb(h1, lk), lh)),
+            s(A, lambda h1, h2: g(lg, h2) * gb(h1, lk), lh))),
     }
+
+
+def reference_identities(data, A, triples):
+    """The four reference identities checked through one Report."""
     rep = Report()
-    for (check_id, name), sides in identities.items():
+    for check_id, (name, sides) in reference_sides(data, A).items():
         def defect(t, name=name, sides=sides):
             lhs, rhs = sides(*t)
             return f"{name} fails at ({A.label_names(t)})" if lhs != rhs else None
@@ -489,3 +503,79 @@ def test_pair_tables_match_nested_formulas(algebra):
             witnesses.setdefault(check_id, set()).add(witness)
     # the perturbations fail each identity at three or more different triples
     assert all(len(w - {None}) >= 3 for w in witnesses.values()), witnesses
+
+
+# -- the kernels and the grouped twisted product on random tables -----------
+
+
+# gamma and gammabar values on fun(S_3) over Q(zeta_6): zero, rationals, roots
+# of unity and their rational multiples, and one two-term value
+S3_VALUES = [Cyc.zero(6), Cyc.one(6), Cyc.rational(-2, 6), Cyc.rational(Fraction(1, 3), 6),
+             Cyc.root(6, 1), Cyc.root(6, 5), Cyc(6, {2: Fraction(-3, 2)}), Cyc(6, {0: 1, 1: 2})]
+
+
+def _table_functional(labels, values):
+    table = {(a, b): S3_VALUES[v] for (a, b), v in zip(
+        [(a, b) for a in labels for b in labels], values)}
+    return PairFunctional(lambda a, b: table[(a, b)])
+
+
+s3_tables = st.lists(st.integers(0, len(S3_VALUES) - 1), min_size=36, max_size=36)
+
+
+@settings(max_examples=2, deadline=None)
+@given(s3_tables, s3_tables)
+def test_kernels_match_nested_sweedler_sums(gamma_values, gamma_bar_values):
+    A = fun_s3(6)
+    labels = A.finite_labels()
+    data = CocycleData(A, _table_functional(labels, gamma_values),
+                       _table_functional(labels, gamma_bar_values))
+    triples = [(a, b, c) for a in labels for b in labels for c in labels]
+    g, gb = data.gamma, data.gamma_bar
+    kernels = {"cocycle.equation": associator(A, g, 1, triples),
+               "cocycle.equivalent-ii": associator(A, gb, 0, triples),
+               "cocycle.equivalent-iii": mixed(A, g, gb, 0, triples),
+               "cocycle.equivalent-iv": mixed(A, gb, g, 1, triples)}
+    for check_id, (_, reference) in reference_sides(data, A).items():
+        got = list(kernels[check_id])
+        assert len(got) == len(triples)
+        for t, (lhs, rhs) in zip(triples, got):
+            want = reference(*t)
+            assert (lhs, rhs) == want, (check_id, A.label_names(t))
+
+
+def apply2_product(T, l1, l2):
+    """gamma(h1 (x) k1) h2 k2 gammabar(h3 (x) k3) over every pair of three-leg
+    terms, read where h2 k2 != 0: the product formula before the legs were
+    grouped by middle label."""
+    A, d = T.base, T.data
+    return A.sweedler(l1, 3).apply2(A.sweedler(l2, 3), lambda h, k: hk.scale(
+        d.gamma(h[0], k[0]) * d.gamma_bar(h[2], k[2]))
+        if (hk := A.mult(h[1], k[1])).terms else hk)
+
+
+@settings(max_examples=6, deadline=None)
+@given(s3_tables, s3_tables)
+def test_grouped_twisted_product_matches_apply2_formula(gamma_values, gamma_bar_values):
+    A = fun_s3(6)
+    labels = A.finite_labels()
+    T = TwistedHopf(A, CocycleData(A, _table_functional(labels, gamma_values),
+                                   _table_functional(labels, gamma_bar_values)))
+    for a in labels:
+        for b in labels:
+            assert T.mult(a, b) == apply2_product(T, a, b)
+
+
+def test_twisted_product_on_a_grouplike_basis_is_the_shared_product():
+    bundle = finite_bicharacter(3, pairing="upper")
+    A = bundle.hopf
+    T = TwistedHopf(A, bundle.data)
+    labels = A.finite_labels()
+    for a in labels:
+        for b in labels:
+            assert T.mult(a, b) is A.mult(a, b)
+    # a nontrivial scale builds a new Vec, equal to the formula
+    scaled = TwistedHopf(A, CocycleData(A, bundle.data.gamma, bundle.data.gamma))
+    for a in labels:
+        for b in labels:
+            assert scaled.mult(a, b) == apply2_product(scaled, a, b)

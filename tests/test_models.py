@@ -45,6 +45,13 @@ def test_twisted_world_shares_the_base_functionals():
     assert twist_world(world).data.gamma is b.data.gamma
 
 
+def test_torus_differential_is_memoised_per_label():
+    for bundle in (nc_torus(1, 3), twist_world(nc_torus(1, 3))):
+        d = bundle.calculus.d_base
+        for label in [(0, 0), (1, -2), (3, 1)]:
+            assert d(label) is d(label) and d(label) == d(label).pruned()
+
+
 def test_nc_torus_reduces_fraction():
     assert nc_torus(2, 6).hopf.scalar_order == nc_torus(1, 3).hopf.scalar_order
 

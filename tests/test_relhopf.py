@@ -260,3 +260,42 @@ def test_hexagon_fails_with_fake_identity_for_N():
     assert good1 == good2
     bad1, bad2 = routes(conj_twist_fake_identity)
     assert bad1 != bad2
+
+
+def _four_loop_coaction(mod, elem):
+    """delta(elem) by the four nested loops over the element's terms that the
+    per-key coaction table replaced."""
+    out = Vec(mod.scalar_order)
+    for (b, i), c in elem.terms.items():
+        for (a1, b1), c1 in mod.base.coact(b).terms.items():
+            for (a2, b2, i2), c2 in mod.coact_basis(i).terms.items():
+                for a3, ca in mod.base.hopf.mult(a1, a2).terms.items():
+                    for b3, cb in mod.base.mult(b1, b2).terms.items():
+                        out.add_term((a3, b3, i2), c * c1 * c2 * ca * cb)
+    return out
+
+
+class WeightedBasisModule(CentralBasisModule):
+    """A central basis whose coaction carries a coefficient other than 1
+    (so not coinvariant): it only feeds the coaction formula."""
+
+    def coact_basis(self, i):
+        return super().coact_basis(i).scale(Cyc.root(12, 5) if i == "w+" else 2)
+
+
+def test_coaction_extends_a_memoised_per_key_table():
+    A, B, data, Atw, Btw = torus_setup()
+    S3 = SelfComodule(fun_s3(12))
+    e, _, _, c, _, t = S3.hopf.finite_labels()
+    O1, P1 = CentralBasisModule(B, ["w+", "w-"]), CentralBasisModule(S3, ["w+", "w-"])
+    W1 = WeightedBasisModule(S3, ["w+", "w-"])
+    for mod, labels in ((O1, [X, Y, (2, -1)]), (TensorModule(O1, O1), [X, (1, 1)]),
+                        (TwistedModule(O1, data, Btw), [X, (1, 1)]),
+                        (P1, [e, c, t]), (TensorModule(P1, P1), [c, t]),
+                        (W1, [e, c, t]), (TensorModule(W1, P1), [c, t])):
+        elems = [mod.from_b(mod.base.el(l), i) for l in labels for i in mod.basis]
+        x = elems[0].scale(Cyc.root(12, 5)) + elems[-1] + elems[1].scale(-2)
+        for elem in [*elems, x, x + x.scale(-1)]:
+            assert mod.coact(elem) == _four_loop_coaction(mod, elem)
+        # a unit key's coaction is the memoised table entry itself
+        assert all(mod.coact(elem) is mod.coact(elem) for elem in elems)

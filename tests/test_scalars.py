@@ -60,6 +60,31 @@ def test_division_by_zero_distinct_error():
         Cyc.one(4) / Cyc.zero(4)
 
 
+def _dense_cyclotomic_polynomial(n, memo={}):
+    """Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d by dense long division,
+    the reference for `cyclotomic_polynomial`."""
+    if n not in memo:
+        num = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                den = _dense_cyclotomic_polynomial(d)
+                deg = len(den) - 1
+                quot = [0] * (len(num) - deg)
+                for shift in range(len(quot) - 1, -1, -1):
+                    f = quot[shift] = num[shift + deg]
+                    for i, c in enumerate(den):
+                        num[shift + i] -= f * c
+                assert not any(num)
+                num = quot
+        memo[n] = tuple(num)
+    return memo[n]
+
+
+def test_cyclotomic_polynomial_matches_dense_division():
+    for n in [*range(1, 400), 4036]:
+        assert cyclotomic_polynomial(n) == _dense_cyclotomic_polynomial(n), n
+
+
 def test_cyclotomic_polynomials():
     assert list(cyclotomic_polynomial(1)) == [Fraction(-1), Fraction(1)]
     assert list(cyclotomic_polynomial(2)) == [Fraction(1), Fraction(1)]
@@ -266,6 +291,47 @@ def test_roots_of_unity_are_shared(n, k1, k2):
     for other in (Cyc(n, {k2: -1}), Cyc(n, {k2: 2})):
         product = z1 * other
         assert (product.num, product.den) == ({(k1 + k2) % n: other.num[k2 % n]}, 1)
+    # a shared root carries its exponent; its inverse is the shared root too
+    assert (z1.exp, Cyc(n, {k1: 1}).exp, Cyc(n, {k1: 2}).exp) == (k1 % n, None, None)
+    assert z1.inverse() is Cyc.root(n, -k1) and z1 * z1.inverse() is Cyc.one(n)
+    # a constructor-built zeta^k has no exponent, and multiplies and compares
+    # as the shared one
+    built = Cyc(n, {k1: 1})
+    for product in (built * z2, z2 * built):
+        assert product == Cyc.root(n, k1 + k2)
+        assert (product.num, product.den) == ({(k1 + k2) % n: 1}, 1)
+    assert built == z1 and z1 == built and built.inverse() == z1.inverse()
+    # roots of different orders take the general path
+    for product in (z1 * Cyc.root(2 * n, k2), Cyc.root(2 * n, k2) * z1):
+        assert (product.order, product.num, product.den) == (2 * n, {(2 * k1 + k2) % (2 * n): 1}, 1)
+        assert product == _general_product(z1.embed(2 * n), Cyc.root(2 * n, k2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements())
+def test_is_zero_agrees_with_the_canonical_form(x):
+    assert x.is_zero() == (not x.canonical()[0])
+    if len(x.num) == 1:
+        assert not x.is_zero()
+
+
+@pytest.mark.parametrize("x", [Cyc(3, {0: 1, 1: 1, 2: 1}), Cyc(2, {0: 1, 1: 1}),
+                               Cyc(4, {0: 1, 2: 1}), Cyc(12, {4: 1, 8: 1, 0: 1})])
+def test_multi_term_zeros(x):
+    assert x.is_zero() and x == Cyc.zero(x.order) and Cyc.zero(x.order) == x
+
+
+class _Uncomparable(dict):
+    def __eq__(self, other):
+        raise AssertionError("numerators compared")
+
+    __hash__ = None
+
+
+def test_a_scalar_equals_itself_without_comparing_numerators():
+    x = Cyc(12, {5: 1, 7: 2, 11: Fraction(-1, 3)})
+    x.num = _Uncomparable(x.num)
+    assert x == x and x._canon is None
 
 
 def test_shared_roots_and_basis_vectors_survive_a_suite_run():

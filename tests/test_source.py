@@ -227,8 +227,8 @@ ADD_TERM_ALLOWED = {
         "the inner loop of every module product; its apply2 form ran 1.3x slower",
     "modules.py:FreeModule.rmul":
         "the inner loop of every module product; its apply2 form ran 1.8x slower",
-    "modules.py:FreeModule.coact":
-        "the coaction of every module element; its apply2 form ran 1.5x slower",
+    "modules.py:FreeModule._coact_key":
+        "the coaction of every module key; its apply2 form ran 1.5x slower",
 }
 
 
