@@ -8,11 +8,12 @@ Exit codes: 0 all selected checks pass, 1 at least one check fails,
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
 from .emit import emit_json, structure_tables
-from .models import build_model, twist_world
+from .models import MODELS, build_model, twist_world
 from .report import Report
 from .suites import SUITES, run_suite
 
@@ -54,9 +55,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(p):
-        p.add_argument("--model", required=False,
-                       choices=["classical_torus", "nc_torus",
-                                "finite_bicharacter", "fun_group"])
+        p.add_argument("--model", required=False, choices=list(MODELS))
         p.add_argument("--p", type=int, default=None, help="nc_torus numerator")
         p.add_argument("--q", type=int, default=None, help="nc_torus denominator")
         p.add_argument("--n", type=int, default=None, help="finite_bicharacter order")
@@ -102,27 +101,13 @@ def _merge_config(args):
 
 
 def _model_params(merged):
+    """The model's name, and the flags that are set and that its builder takes."""
     name = merged["model"]
     if not name:
         raise ConfigError("a model is required (--model or config)")
-    params = {}
-    for key, target in (("box", "box"), ("samples", "samples"), ("seed", "seed")):
-        if merged[key] is not None:
-            params[target] = merged[key]
-    if name == "nc_torus":
-        params["p"] = merged["p"] if merged["p"] is not None else 1
-        params["q"] = merged["q"] if merged["q"] is not None else 3
-    elif name == "finite_bicharacter":
-        if merged["n"] is not None:
-            params["n"] = merged["n"]
-        if merged["pairing"] is not None:
-            params["pairing"] = merged["pairing"]
-    elif name == "fun_group":
-        if merged["group"] is not None:
-            params["group"] = merged["group"]
-    elif name == "classical_torus":
-        pass
-    return name, params
+    # an unknown name is left for build_model to reject
+    taken = inspect.signature(MODELS[name]).parameters if name in MODELS else ()
+    return name, {k: v for k, v in merged.items() if k in taken and v is not None}
 
 
 def cmd_verify(args):

@@ -374,6 +374,8 @@ class Cyc:
     def conj(self):
         """Complex conjugation zeta^k -> zeta^(order-k)."""
         n, num = self.order, self.num
+        if self.exp is not None:
+            return _root(n, -self.exp % n)
         if len(num) == 1 and 0 in num:
             return self
         return _make(n, {(n - k) % n: v for k, v in num.items()}, self.den)

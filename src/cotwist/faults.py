@@ -30,40 +30,34 @@ def _nc():
     return nc_torus(1, 3, box=2, samples=24)
 
 
-def _scale_gamma(bundle, pair, factor):
-    data = bundle.data
-    old = data.gamma
+def _scaled(f, pair, factor):
+    """The pair functional f with its value at one label pair times factor."""
 
     def fn(a, b):
-        v = old(a, b)
+        v = f(a, b)
         return v * factor if (a, b) == pair else v
 
-    gamma = PairFunctional(fn)
+    return PairFunctional(fn)
+
+
+def _scale_gamma(bundle, pair, factor):
+    gamma = _scaled(bundle.data.gamma, pair, factor)
     gamma_bar = convolution_inverse(gamma, bundle.hopf)
     return replace(bundle, data=CocycleData(bundle.hopf, gamma, gamma_bar))
 
 
 def fault_cocycle_scaled():
-    b = _nc()
-    return _scale_gamma(b, ((1, 0), (0, 1)), Cyc.root(3))
+    return _scale_gamma(_nc(), ((1, 0), (0, 1)), Cyc.root(3))
 
 
 def fault_cocycle_inverse_corrupted():
     b = _nc()
-    data = b.data
-    old_bar = data.gamma_bar
-
-    def fn(a, c):
-        v = old_bar(a, c)
-        return v * Cyc.root(3) if (a, c) == ((0, 1), (1, 0)) else v
-
-    bar = PairFunctional(fn)
-    return replace(b, data=CocycleData(b.hopf, data.gamma, bar))
+    bar = _scaled(b.data.gamma_bar, ((0, 1), (1, 0)), Cyc.root(3))
+    return replace(b, data=CocycleData(b.hopf, b.data.gamma, bar))
 
 
 def fault_cocycle_modulus():
-    b = _nc()
-    return _scale_gamma(b, ((1, 0), (0, 1)), 2)
+    return _scale_gamma(_nc(), ((1, 0), (0, 1)), 2)
 
 
 def fault_antipode_corrupted():

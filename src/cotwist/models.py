@@ -266,13 +266,11 @@ def fun_group(group="s3", box=0, samples=100, seed=42):
         box=box, samples=samples, seed=seed)
 
 
+MODELS = {"classical_torus": classical_torus, "nc_torus": nc_torus,
+          "finite_bicharacter": finite_bicharacter, "fun_group": fun_group}
+
+
 def build_model(name, **params):
-    if name == "classical_torus":
-        return classical_torus(**params)
-    if name == "nc_torus":
-        return nc_torus(**params)
-    if name == "finite_bicharacter":
-        return finite_bicharacter(**params)
-    if name == "fun_group":
-        return fun_group(**params)
-    raise ValueError(f"unknown model {name!r}")
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    return MODELS[name](**params)

@@ -5,16 +5,21 @@ main; `all` is their union.  Every check id is unique to one suite, and the
 identities are always evaluated with exact scalars, so pass/fail carries no
 tolerance.  Sampling is seed-deterministic and the box is recorded.
 
-Every check is one `Report.forall` over a lazy domain.  Where a check has
-its own set-up, or draws samples between the sides it compares, the domain
-is a generator that does that work and yields each instance's outcome (None
-or a witness); `outcome` is then its defect.
+Every check is one `Report.forall` over a lazy domain, and the `Sampler`
+makes every random draw: a domain is `sampler.draws(cap, draw)`, a label
+set, or `table_outcomes` over stored tables.  Where one draw checks several
+identities, the defect returns the first failing witness.  A check stays a
+generator that yields each instance's outcome (None or a witness, with
+`outcome` as its defect) only when it needs its own loop: its set-up
+evaluates a structure map, whose exception must stay the check's `fail`, or
+it draws again after a check.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
+from functools import partial
+from itertools import chain, product
 
 from .calculus import NotFactorizable, factorization_inverse, lefschetz_bijective
 from .cocycle import verify_cocycle_identities, verify_unitarity_suite
@@ -35,9 +40,9 @@ from .relhopf import (
 from .report import outcome, table_outcomes
 from .vectors import Vec, gauss_solve
 
-SUITES = ("hopf", "cocycle", "barfunctor", "calculus", "metric", "hermitian",
-          "chern", "main")
 CHERN_TAGS = ("10", "01")
+# the most label pairs and triples a sweep of a sub-box may take
+TUPLE_BUDGET = {2: 700, 3: 1000}
 
 
 class Sampler:
@@ -65,37 +70,19 @@ class Sampler:
         for _ in range(min(self.n, cap)):
             yield draw()
 
-    def _core_labels(self, arity, budget):
-        """Largest sub-box whose full arity-fold product stays within budget."""
+    def tuples(self, arity, k=None):
+        """Every arity-tuple of the labels when they are finite; else those of
+        the largest sub-box within TUPLE_BUDGET, then k (default n) random ones."""
+        if self.exhaustive:
+            return list(product(self.labels, repeat=arity))
         core = self.bundle.hopf.labels_box(0)
         for m in range(1, self.box + 1):
             cand = self.bundle.hopf.labels_box(m)
-            if len(cand) ** arity > budget:
+            if len(cand) ** arity > TUPLE_BUDGET[arity]:
                 break
             core = cand
-        return core
-
-    def pairs(self, k=None):
-        if self.exhaustive:
-            return [(a, b) for a in self.labels for b in self.labels]
-        core = self._core_labels(2, 700)
-        out = [(a, b) for a in core for b in core]
-        for _ in range(k or self.n):
-            out.append((self.label(), self.label()))
-        return out
-
-    def triples(self, k=None):
-        if self.exhaustive:
-            return [(a, b, c) for a in self.labels
-                    for b in self.labels for c in self.labels]
-        core = self._core_labels(3, 1000)
-        out = [(a, b, c) for a in core for b in core for c in core]
-        for _ in range(k or self.n):
-            out.append((self.label(), self.label(), self.label()))
-        return out
-
-    def b_elem(self, B):
-        return B.el(self.label())
+        return list(product(core, repeat=arity)) + [
+            tuple(self.label() for _ in range(arity)) for _ in range(k or self.n)]
 
     def module_elem(self, mod):
         i = self.rng.choice(mod.basis)
@@ -108,7 +95,7 @@ class Sampler:
 def suite_hopf(bundle, world, back, rep, sampler):
     A = bundle.hopf
     labels = sampler.labels
-    pairs = sampler.pairs(min(sampler.n, 30))
+    pairs = sampler.tuples(2, min(sampler.n, 30))
     verify_hopf_axioms(A, labels, rep, prefix="hopf.base", pair_samples=pairs)
     if A.is_grouplike_basis():
         verify_cocommutative_flip(A, labels, rep, prefix="hopf.base")
@@ -173,24 +160,16 @@ def _comodule_axioms(B, labels, rep, prefix):
 # -- cocycle suite -------------------------------------------------------------
 
 
-def _roundtrip_cases(labels):
-    """(a, b) for every product with a, then (a, None) for the maps of a."""
-    for a in labels:
-        for b in labels:
-            yield a, b
-        yield a, None
-
-
 def suite_cocycle(bundle, world, back, rep, sampler):
     A = bundle.hopf
     data = bundle.data
-    triples = sampler.triples()
-    pairs = sampler.pairs()
-    verify_cocycle_identities(data, A, triples, rep)
-    verify_unitarity_suite(data, A, pairs, rep)
+    verify_cocycle_identities(data, A, sampler.tuples(3), rep)
+    verify_unitarity_suite(data, A, sampler.tuples(2), rep)
 
     Aback = back.hopf
     labels = sampler.labels if sampler.exhaustive else A.labels_box(min(sampler.box, 2))
+    # (a, b) for every product with a, then (a, None) for the maps of a
+    cases = list(product(labels, [*labels, None]))
 
     def hopf_back(ab):
         a, b = ab
@@ -203,7 +182,7 @@ def suite_cocycle(bundle, world, back, rep, sampler):
 
     # a failed Hopf round trip ends the suite, without the comodule round trip
     if not rep.forall("cocycle.hopf-roundtrip", "twist.inverse-deformation",
-                      _roundtrip_cases(labels), hopf_back):
+                      cases, hopf_back):
         return
     Bback = back.comodule
     B = bundle.comodule
@@ -218,28 +197,23 @@ def suite_cocycle(bundle, world, back, rep, sampler):
         return None
 
     rep.forall("cocycle.comodule-roundtrip", "twist.inverse-deformation",
-               _roundtrip_cases(labels), comodule_back)
+               cases, comodule_back)
 
 
 # -- bar functor suite ----------------------------------------------------------
-
-
-def _instrument_modules(bundle):
-    """Labelled module instruments: B as a module over itself, plus Omega^1 if present."""
-    mods = [("B-self", CentralBasisModule(bundle.comodule, ["e"]))]
-    if bundle.calculus is not None:
-        mods.append(("O1", bundle.calculus.module(1)))
-    return mods
 
 
 def suite_barfunctor(bundle, world, back, rep, sampler):
     B = bundle.comodule
     data = bundle.data
     Btw = world.comodule
-    mods = _instrument_modules(bundle)
+    # labelled module instruments: B as a module over itself, plus Omega^1 if present
+    mods = [("B-self", CentralBasisModule(B, ["e"]))]
+    if bundle.calculus is not None:
+        mods.append(("O1", bundle.calculus.module(1)))
+    bars = [ConjugateModule(E) for _, E in mods]
 
-    for label, E in mods:
-        Ebar = ConjugateModule(E)
+    for (label, E), Ebar in zip(mods, bars):
         rep.forall(f"bar.conj-involution[{label}]", "bar.conjugate-structure",
                    sampler.draws(12, lambda: sampler.module_elem(E)),
                    lambda x: f"conjugation not involutive on {E.describe(x)}"
@@ -254,19 +228,20 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
             return None
 
         rep.forall(f"bar.bimodule-laws[{label}]", "bar.conjugate-structure",
-                   sampler.draws(8, lambda: (sampler.module_elem(E), sampler.b_elem(B))),
+                   sampler.draws(8, lambda: (sampler.module_elem(E), B.el(sampler.label()))),
                    bimodule_laws)
 
-    E = mods[0][1]
-    F = mods[-1][1]
-    TEF = TensorModule(E, F)
-    barT = ConjugateModule(TEF)
-    TFbarEbar = TensorModule(ConjugateModule(F), ConjugateModule(E))
+    # each module below is built once, for every check that reads it
+    E, F = mods[0][1], mods[-1][1]
+    Ebar, Fbar = bars[0], bars[-1]
+    T_unt = TensorModule(E, F)
+    bar_T = ConjugateModule(T_unt)
+    T_bars_unt = TensorModule(Fbar, Ebar)
 
     def upsilon_involutive(xy):
         x, y = xy
-        up = upsilon(TEF, barT, TFbarEbar, conj_of(TEF, TEF.pure(x, y)))
-        if up != TFbarEbar.pure(conj_of(F, y), conj_of(E, x)):
+        up = upsilon(T_unt, bar_T, T_bars_unt, conj_of(T_unt, T_unt.pure(x, y)))
+        if up != T_bars_unt.pure(conj_of(F, y), conj_of(E, x)):
             return "Upsilon((m(x)n)bar) != nbar(x)mbar on a sample"
         return None
 
@@ -274,36 +249,39 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
                sampler.draws(8, lambda: (sampler.module_elem(E), sampler.module_elem(F))),
                upsilon_involutive)
 
-    def bb_natural():
-        Ebar = ConjugateModule(E)
-        Ebarbar = ConjugateModule(Ebar)
-        # a non-real scalar multiple of the identity catches stray conjugations
-        z = Cyc.root(E.scalar_order) if E.scalar_order > 2 else Cyc.rational(3, E.scalar_order)
-        f_nat = Morphism(E, E, {i: E.el(i, z) for i in E.basis})
-        fbar = bar_map(f_nat, Ebar, E)
-        for _ in range(min(sampler.n, 8)):
-            x = sampler.module_elem(E)
-            b = sampler.b_elem(B)
-            lhs = bb_map(E, Ebar, E.lmul(b, x))
-            rhs = Ebarbar.lmul(b, bb_map(E, Ebar, x))
-            yield "bb is not left-linear on a sample" if lhs != rhs else None
-            # naturality: barbar(f) . bb = bb . f
-            lhs2 = bar_map(fbar, Ebarbar, Ebar)(bb_map(E, Ebar, x))
-            rhs2 = bb_map(E, Ebar, f_nat(x))
-            yield "bb is not natural against a sampled morphism" if lhs2 != rhs2 else None
+    Ebarbar = ConjugateModule(Ebar)
+    # a non-real scalar multiple of the identity catches stray conjugations
+    z = Cyc.root(E.scalar_order) if E.scalar_order > 2 else Cyc.rational(3, E.scalar_order)
+    f_nat = Morphism(E, E, {i: E.el(i, z) for i in E.basis})
+    fbar = bar_map(f_nat, Ebar, E)
+    barbar_f = bar_map(fbar, Ebarbar, Ebar)
 
-    rep.forall("bar.bb-natural", "bar.double-conjugate", bb_natural(), outcome)
+    def bb_natural(xb):
+        x, b = xb
+        if bb_map(E, Ebar, E.lmul(b, x)) != Ebarbar.lmul(b, bb_map(E, Ebar, x)):
+            return "bb is not left-linear on a sample"
+        # naturality: barbar(f) . bb = bb . f
+        if barbar_f(bb_map(E, Ebar, x)) != bb_map(E, Ebar, f_nat(x)):
+            return "bb is not natural against a sampled morphism"
+        return None
+
+    rep.forall("bar.bb-natural", "bar.double-conjugate",
+               sampler.draws(8, lambda: (sampler.module_elem(E), B.el(sampler.label()))),
+               bb_natural)
 
     # twisted-world instruments
     GE = TwistedModule(E, data, Btw)
     GF = TwistedModule(F, data, Btw)
     bar_GE = ConjugateModule(GE)
+    GEbar = TwistedModule(Ebar, data, Btw)
     T_tw = TensorModule(GE, GF)
-    T_unt = TensorModule(E, F)
+    N = partial(conj_twist_iso, data, GE)
 
     def phi_inverse():
-        for _ in range(min(sampler.n, 10)):
-            t = T_tw.pure(sampler.module_elem(GE), sampler.module_elem(GF))
+        # a generator: it draws u after checking t, so a failing t leaves
+        # later samples as they were
+        for t in sampler.draws(10, lambda: T_tw.pure(sampler.module_elem(GE),
+                                                     sampler.module_elem(GF))):
             yield "phi^-1 . phi != id on a sample" \
                 if phi_inv_map(data, T_tw, T_unt, phi_map(data, T_tw, T_unt, t)) != t else None
             u = T_unt.pure(sampler.module_elem(E), sampler.module_elem(F))
@@ -321,18 +299,14 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     else:
         g_mor = Morphism(F, F, {i: F.el(i, 2) for i in F.basis})
 
-    def phi_naturality():
-        prod = Morphism(T_unt, T_unt, {
-            (i, j): T_unt.pure(idE(E.el(i)), g_mor(F.el(j)))
-            for (i, j) in T_unt.basis})
-        for _ in range(min(sampler.n, 6)):
-            u = T_unt.pure(sampler.module_elem(E), sampler.module_elem(F))
-            lhs = tensor_map_pair(T_tw, T_tw, idE, g_mor,
-                                  phi_inv_map(data, T_tw, T_unt, u))
-            rhs = phi_inv_map(data, T_tw, T_unt, prod(u))
-            yield "(Gf (x) Gg) phi^-1 != phi^-1 G(f (x) g) on a sample" if lhs != rhs else None
+    def phi_naturality(u):
+        lhs = tensor_map_pair(T_tw, T_tw, idE, g_mor, phi_inv_map(data, T_tw, T_unt, u))
+        rhs = phi_inv_map(data, T_tw, T_unt, tensor_map_pair(T_unt, T_unt, idE, g_mor, u))
+        return "(Gf (x) Gg) phi^-1 != phi^-1 G(f (x) g) on a sample" if lhs != rhs else None
 
-    rep.forall("phi.naturality", "twist.phi-naturality", phi_naturality(), outcome)
+    rep.forall("phi.naturality", "twist.phi-naturality",
+               sampler.draws(6, lambda: T_unt.pure(sampler.module_elem(E), sampler.module_elem(F))),
+               phi_naturality)
 
     def gamma_functorial():
         T_idtw = twist_tensor_morphism(Morphism.identity(T_unt), data, T_tw, T_tw)
@@ -354,7 +328,7 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     def conj_iso_bilinear(xb_b):
         xb, b = xb_b
         if conj_twist_iso(data, GE, bar_GE.lmul(b, xb)) != \
-           TwistedModule(ConjugateModule(E), data, Btw).lmul(b, conj_twist_iso(data, GE, xb)):
+           GEbar.lmul(b, conj_twist_iso(data, GE, xb)):
             return "N not left B_g-linear on a sample"
         return None
 
@@ -362,70 +336,49 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
                sampler.draws(8, lambda: (conj_of(GE, sampler.module_elem(GE)),
                                          Btw.el(sampler.label()))),
                conj_iso_bilinear)
-
-    def conj_iso_covariant():
-        GEbar = TwistedModule(ConjugateModule(E), data, Btw)
-
-        def N(v):
-            return conj_twist_iso(data, GE, v)
-
-        for _ in range(min(sampler.n, 8)):
-            xb = conj_of(GE, sampler.module_elem(GE))
-            yield "N not covariant on a sample" \
-                if not covariance_defect(N, bar_GE, GEbar, xb).is_zero() else None
-
     rep.forall("conjiso.covariant", "twist.conjugation-isomorphism",
-               conj_iso_covariant(), outcome)
+               sampler.draws(8, lambda: conj_of(GE, sampler.module_elem(GE))),
+               lambda xb: "N not covariant on a sample"
+               if not covariance_defect(N, bar_GE, GEbar, xb).is_zero() else None)
 
     H = HomModule(E)
+    f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
+    ev = hom_twist_iso(data, H, f)
 
-    def hom_left_linear():
-        f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
-        ev = hom_twist_iso(data, H, f)
-        for _ in range(min(sampler.n, 8)):
-            v = sampler.module_elem(GE)
-            b = Btw.el(sampler.label())
-            yield "S(f) not left B_g-linear on a sample" \
-                if ev(GE.lmul(b, v)) != Btw.mult_elem(b, ev(v)) else None
+    rep.forall("homiso.left-linear", "twist.hom-isomorphism",
+               sampler.draws(8, lambda: (sampler.module_elem(GE), Btw.el(sampler.label()))),
+               lambda vb: "S(f) not left B_g-linear on a sample"
+               if ev(GE.lmul(vb[1], vb[0])) != Btw.mult_elem(vb[1], ev(vb[0])) else None)
 
-    rep.forall("homiso.left-linear", "twist.hom-isomorphism", hom_left_linear(), outcome)
+    # a fresh f for the bimodule laws
+    GH = TwistedModule(H, data, Btw)
+    f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
+    ev = hom_twist_iso(data, H, f)
 
-    def hom_bilinear():
+    def hom_bilinear(bx):
         # the hom transport is itself a B_g-bimodule map:
         # S(b ._g f) = b ._g S(f) and S(f ._g b) = S(f) ._g b
-        GH = TwistedModule(H, data, Btw)
-        f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
-        ev = hom_twist_iso(data, H, f)
-        for _ in range(min(sampler.n, 6)):
-            lab = sampler.label()
-            x = sampler.module_elem(GE)
-            lhs = hom_twist_iso(data, H, GH.lmul(Btw.el(lab), f))(x)
-            rhs = ev(GE.rmul(x, Btw.el(lab)))
-            yield "S(b f) != b S(f) on a sample" if lhs != rhs else None
-            lhs2 = hom_twist_iso(data, H, GH.rmul(f, Btw.el(lab)))(x)
-            rhs2 = Btw.mult_elem(ev(x), Btw.el(lab))
-            yield "S(f b) != S(f) b on a sample" if lhs2 != rhs2 else None
+        b, x = bx
+        if hom_twist_iso(data, H, GH.lmul(b, f))(x) != ev(GE.rmul(x, b)):
+            return "S(b f) != b S(f) on a sample"
+        if hom_twist_iso(data, H, GH.rmul(f, b))(x) != Btw.mult_elem(ev(x), b):
+            return "S(f b) != S(f) b on a sample"
+        return None
 
-    rep.forall("homiso.bilinear", "twist.hom-isomorphism", hom_bilinear(), outcome)
+    rep.forall("homiso.bilinear", "twist.hom-isomorphism",
+               sampler.draws(6, lambda: (Btw.el(sampler.label()), sampler.module_elem(GE))),
+               hom_bilinear)
 
-    def conj_iso_natural():
-        # N_E . bar(Gamma(f)) = Gamma(fbar) . N_E for a sampled morphism f
-        z = Cyc.root(E.scalar_order) if E.scalar_order > 2 \
-            else Cyc.rational(2, E.scalar_order)
-        f_mor = Morphism(E, E, {i: E.el(i, z) for i in E.basis})
-        fbar = bar_map(f_mor, ConjugateModule(E), E)
-        # bar(Gamma(f)) through the twisted conjugate structure
-        fbar_tw = bar_map(f_mor, bar_GE, GE)
-        for _ in range(min(sampler.n, 6)):
-            xb = conj_of(GE, sampler.module_elem(GE))
-            left = conj_twist_iso(data, GE, fbar_tw(xb))
-            right = fbar(conj_twist_iso(data, GE, xb))
-            yield "N is not natural against a sampled morphism" if left != right else None
-
-    rep.forall("conjiso.natural", "twist.conjugation-isomorphism", conj_iso_natural(), outcome)
+    # N_E . bar(Gamma(f)) = Gamma(fbar) . N_E for the morphism f of bb-natural;
+    # bar(Gamma(f)) goes through the twisted conjugate structure
+    fbar_tw = bar_map(f_nat, bar_GE, GE)
+    rep.forall("conjiso.natural", "twist.conjugation-isomorphism",
+               sampler.draws(6, lambda: conj_of(GE, sampler.module_elem(GE))),
+               lambda xb: "N is not natural against a sampled morphism"
+               if N(fbar_tw(xb)) != fbar(N(xb)) else None)
+    f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
 
     def hom_coaction():
-        f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
         formula = hom_coact(H, f)
         for i in E.basis:
             structural = H.coact(f).apply(lambda k: hom_apply(
@@ -436,67 +389,50 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     rep.forall("hom.coaction-evaluation", "module.hom-coaction", hom_coaction(), outcome)
 
     # bar functor conditions
-    def hexagon():
-        GT = TwistedModule(T_unt, data, Btw)
-        bar_GT = ConjugateModule(GT)
-        GFbar = TwistedModule(ConjugateModule(F), data, Btw)
-        GEbar = TwistedModule(ConjugateModule(E), data, Btw)
-        T_bars_tw = TensorModule(ConjugateModule(GF), ConjugateModule(GE))
-        T_gbar = TensorModule(GFbar, GEbar)
-        T_bars_unt = TensorModule(ConjugateModule(F), ConjugateModule(E))
-        bar_Ttw = ConjugateModule(T_tw)
-        phi_inv_bar = bar_map(lambda v: phi_inv_map(data, T_tw, T_unt, v), bar_GT, T_tw)
-        for _ in range(min(sampler.n, 6)):
-            t = GT.from_b(Btw.el(sampler.label()),
-                          (sampler.rng.choice(E.basis), sampler.rng.choice(F.basis)))
-            xbar = conj_of(GT, t)
-            # left route: (N_F (x) N_E) Upsilon_g (phi^-1)bar
-            route1 = upsilon(T_tw, bar_Ttw, T_bars_tw, phi_inv_bar(xbar))
-            route1 = tensor_map_pair(
-                T_bars_tw, T_gbar,
-                lambda v: conj_twist_iso(data, GF, v),
-                lambda v: conj_twist_iso(data, GE, v),
-                route1)
-            # right route: phi^-1 Gamma(Upsilon) N_{E(x)F}
-            route2 = conj_twist_iso(data, GT, xbar)
-            route2 = upsilon(T_unt, ConjugateModule(T_unt), T_bars_unt, route2)
-            route2 = phi_inv_map(data, T_gbar, T_bars_unt, route2)
-            yield "bar-functor hexagon fails on a sample" if route1 != route2 else None
+    GT = TwistedModule(T_unt, data, Btw)
+    T_bars_tw = TensorModule(ConjugateModule(GF), bar_GE)
+    T_gbar = TensorModule(TwistedModule(Fbar, data, Btw), GEbar)
+    bar_Ttw = ConjugateModule(T_tw)
+    phi_inv_bar = bar_map(lambda v: phi_inv_map(data, T_tw, T_unt, v), ConjugateModule(GT), T_tw)
 
-    rep.forall("bar.hexagon", "barfunctor.hexagon", hexagon(), outcome)
+    def hexagon(t):
+        xbar = conj_of(GT, t)
+        # left route: (N_F (x) N_E) Upsilon_g (phi^-1)bar
+        route1 = upsilon(T_tw, bar_Ttw, T_bars_tw, phi_inv_bar(xbar))
+        route1 = tensor_map_pair(
+            T_bars_tw, T_gbar, lambda v: conj_twist_iso(data, GF, v), N, route1)
+        # right route: phi^-1 Gamma(Upsilon) N_{E(x)F}
+        route2 = upsilon(T_unt, bar_T, T_bars_unt, conj_twist_iso(data, GT, xbar))
+        route2 = phi_inv_map(data, T_gbar, T_bars_unt, route2)
+        return "bar-functor hexagon fails on a sample" if route1 != route2 else None
 
-    def bb_condition():
-        GEbar = TwistedModule(ConjugateModule(E), data, Btw)
-        Ebar = ConjugateModule(E)
-        # (N_E)bar: bar(bar(Gamma E)) -> bar(Gamma(Ebar))
-        n_bar = bar_map(lambda v: conj_twist_iso(data, GE, v), ConjugateModule(bar_GE), GEbar)
-        for _ in range(min(sampler.n, 6)):
-            x = sampler.module_elem(GE)
-            lhs = bb_map(E, Ebar, x)      # Gamma(bb)(x), keys shared
-            rhs = conj_twist_iso(data, GEbar, n_bar(bb_map(GE, ConjugateModule(GE), x)))
-            yield "Gamma(bb) != N_bar . N bar . bb on a sample" if lhs != rhs else None
+    rep.forall("bar.hexagon", "barfunctor.hexagon",
+               sampler.draws(6, lambda: GT.from_b(Btw.el(sampler.label()), (
+                   sampler.rng.choice(E.basis), sampler.rng.choice(F.basis)))),
+               hexagon)
 
-    rep.forall("bar.bb-condition", "barfunctor.double-conjugate", bb_condition(), outcome)
+    # (N_E)bar: bar(bar(Gamma E)) -> bar(Gamma(Ebar)); Gamma(bb) shares the keys of bb
+    n_bar = bar_map(N, ConjugateModule(bar_GE), GEbar)
+    rep.forall("bar.bb-condition", "barfunctor.double-conjugate",
+               sampler.draws(6, lambda: sampler.module_elem(GE)),
+               lambda x: "Gamma(bb) != N_bar . N bar . bb on a sample"
+               if bb_map(E, Ebar, x) != conj_twist_iso(data, GEbar, n_bar(bb_map(GE, bar_GE, x)))
+               else None)
 
     if bundle.calculus is not None:
         cal = bundle.calculus
         cal_tw = world.calculus
-        O1 = cal.module(1)
+        O1, Obar = F, Fbar    # the one-form instrument
         G1 = cal_tw.module(1)
 
-        def star_object():
-            Obar = ConjugateModule(O1)
+        def star(w):
+            return conj_of(O1, cal.star(w))
 
-            def star(w):
-                return conj_of(O1, cal.star(w))
-
-            star_bar = bar_map(star, Obar, Obar)
-            for _ in range(min(sampler.n, 6)):
-                w = sampler.module_elem(O1)
-                yield "starbar . star != bb on a one-form sample" \
-                    if star_bar(star(w)) != bb_map(O1, Obar, w) else None
-
-        rep.forall("bar.star-object", "bar.star-object-law", star_object(), outcome)
+        star_bar = bar_map(star, Obar, Obar)
+        rep.forall("bar.star-object", "bar.star-object-law",
+                   sampler.draws(6, lambda: sampler.module_elem(O1)),
+                   lambda w: "starbar . star != bb on a one-form sample"
+                   if star_bar(star(w)) != bb_map(O1, Obar, w) else None)
 
         def star_transport(w):
             lhs = conj_of(G1, cal_tw.star(w))
@@ -509,14 +445,11 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
                    sampler.draws(8, lambda: sampler.module_elem(G1)), star_transport)
 
     # module round trip through gamma then gammabar
-    def module_roundtrip():
-        GEback = TwistedModule(GE, world.data, back.comodule)
-        for lab in sampler.labels[:5]:
-            for i in E.basis:
-                yield f"module round trip fails at ({E.basis_name(i)},{B.label_name(lab)})" \
-                    if GEback.r_act(i, lab) != E.r_act(i, lab) else None
-
-    rep.forall("module.roundtrip", "twist.inverse-deformation", module_roundtrip(), outcome)
+    GEback = TwistedModule(GE, world.data, back.comodule)
+    rep.forall("module.roundtrip", "twist.inverse-deformation",
+               product(sampler.labels[:5], E.basis),
+               lambda k: f"module round trip fails at ({E.basis_name(k[1])},{B.label_name(k[0])})"
+               if GEback.r_act(k[1], k[0]) != E.r_act(k[1], k[0]) else None)
 
 
 # -- calculus suite (includes complex structure, holomorphic, Kahler) -----------
@@ -526,8 +459,10 @@ def _calculus_core(cal, rep, sampler, prefix):
     B = cal.base
 
     def degree_0_and_1():
-        for _ in range(min(sampler.n, 12)):
-            yield cal.from_b(B.el(sampler.label()))
+        # a generator: it draws the one-form after checking the function, so a
+        # failing function (d- or wedge-corrupted) leaves later samples as they were
+        for f in sampler.draws(12, lambda: cal.from_b(B.el(sampler.label()))):
+            yield f
             yield sampler.module_elem(cal.module(1))
 
     rep.forall(f"{prefix}.d-squared", "calculus.d-squared", degree_0_and_1(),
@@ -551,15 +486,15 @@ def _calculus_core(cal, rep, sampler, prefix):
                lambda w: f"star not involutive in degree {cal.degree(w)}"
                if cal.star(cal.star(w)) != w else None)
     rep.forall(f"{prefix}.star-d-commute", "calculus.star-d-compatibility",
-               (sampler.module_elem(cal.module(deg))
-                for deg in (0, 1) for _ in range(min(sampler.n, 8))),
+               (w for deg in (0, 1)
+                for w in sampler.draws(8, partial(sampler.module_elem, cal.module(deg)))),
                lambda w: f"(dw)* != d(w*) in degree {cal.degree(w)}"
                if cal.star(cal.d(w)) != cal.d(cal.star(w)) else None)
 
     def star_antimultiplicative():
-        # after a failure it goes on drawing for the remaining degree pairs,
-        # and yields the last failing one: the samples of every later check,
-        # and the recorded fault outputs, depend on those draws
+        # a generator: after a failure it goes on drawing for the remaining
+        # degree pairs, and yields the last failing one; the samples of every
+        # later check, and the recorded fault outputs, depend on those draws
         last = None
         for k, l in ((0, 1), (1, 1), (0, 2)):
             for _ in range(4):
@@ -620,12 +555,8 @@ def _calculus_core(cal, rep, sampler, prefix):
 
 
 def suite_calculus(bundle, world, back, rep, sampler):
-    if bundle.calculus is None:
-        rep.add_skipped("calc.base", "plumbing", "model has no calculus")
-        return
-    cal = bundle.calculus
+    cal, cal_tw, cal_back = bundle.calculus, world.calculus, back.calculus
     cs = bundle.complex_structure
-    cal_tw = world.calculus
     cs_tw = world.complex_structure
     data = bundle.data
 
@@ -656,18 +587,18 @@ def suite_calculus(bundle, world, back, rep, sampler):
     rep.forall("calc.twisted.star-formula", "twist.comodule-star",
                sampler.draws(10, lambda: sampler.module_elem(cal_tw.module(1))), star_formula)
 
-    def calc_roundtrip():
-        cal_back = back.calculus
-        for _ in range(min(sampler.n, 8)):
-            f = sampler.module_elem(cal.module(1))
-            g2 = sampler.module_elem(cal.module(1))
-            yield "wedge round trip fails on a sample" \
-                if cal_back.wedge(f, g2) != cal.wedge(f, g2) else None
-            yield "star round trip fails on a sample" \
-                if cal_back.star(f) != cal.star(f) else None
-            yield "d round trip fails on a sample" if cal_back.d(f) != cal.d(f) else None
+    def calc_roundtrip(fg):
+        f, g2 = fg
+        if cal_back.wedge(f, g2) != cal.wedge(f, g2):
+            return "wedge round trip fails on a sample"
+        if cal_back.star(f) != cal.star(f):
+            return "star round trip fails on a sample"
+        return "d round trip fails on a sample" if cal_back.d(f) != cal.d(f) else None
 
-    rep.forall("calc.roundtrip", "twist.inverse-deformation", calc_roundtrip(), outcome)
+    rep.forall("calc.roundtrip", "twist.inverse-deformation",
+               sampler.draws(8, lambda: (sampler.module_elem(cal.module(1)),
+                                         sampler.module_elem(cal.module(1)))),
+               calc_roundtrip)
 
     for tag, c_s, c_al in (("base", cs, cal), ("twisted", cs_tw, cal_tw)):
         def projections(f):
@@ -714,14 +645,15 @@ def suite_calculus(bundle, world, back, rep, sampler):
 
     for tag, c_s in (("base", cs), ("twisted", cs_tw)):
         def factor_invertible():
+            # a generator: the solve's NotFactorizable is its witness
             try:
                 theta, _ = factorization_inverse(c_s, (0, 1), (1, 0))
             except NotFactorizable as exc:
                 yield str(exc)
                 return
             c_al = c_s.cal
-            for _ in range(min(sampler.n, 6)):
-                f11 = c_s.proj(sampler.module_elem(c_al.module(2)), 1, 1)
+            for f in sampler.draws(6, lambda: sampler.module_elem(c_al.module(2))):
+                f11 = c_s.proj(f, 1, 1)
                 back = Vec(c_al.scalar_order)
                 for (b, (i, j)), c in theta(f11).terms.items():
                     back = back + c_al.wedge(c_al.module(1).from_b(c_al.base.el(b), i),
@@ -756,13 +688,14 @@ def suite_calculus(bundle, world, back, rep, sampler):
     # the transported operator (delbar (x) id - id ^ delbar_E) agrees
     # through phi on samples
     h, h_tw = bundle.holo_10, world.holo_10
+    T_op, T_op_tw = _op_target(h), _op_target(h_tw)
 
     def holo_transport(w_lab):
         w, lab = w_lab
         e = h.module.from_b(cal.base.el(lab), h.module.basis[0])
         u = h.tensor_01.pure(cs.proj(w, 0, 1), e)
         moved = phi_inv_map(data, h_tw.tensor_01, h.tensor_01, u)
-        rhs = phi_map(data, _op_target(h_tw), _op_target(h), h_tw.operator(moved))
+        rhs = phi_map(data, T_op_tw, T_op, h_tw.operator(moved))
         return "holomorphic transport identity fails on a sample" \
             if h.operator(u) != rhs else None
 
@@ -840,9 +773,6 @@ def _metric_core(metric, rep, sampler, prefix):
 
 
 def suite_metric(bundle, world, back, rep, sampler):
-    if bundle.calculus is None:
-        rep.add_skipped("metric.base", "plumbing", "model has no calculus")
-        return
     data = bundle.data
     metric, conn = bundle.metric, bundle.connection
     metric_tw, conn_tw = world.metric, world.connection
@@ -913,12 +843,12 @@ def suite_metric(bundle, world, back, rep, sampler):
                    sampler.draws(8, draw_b_and_e), sigma_leibniz)
 
         def sigma_morphism():
+            # a generator: a basis sweep, then draws
             for lab in (B.generators() or [])[:4]:
                 for key in c.sigma.src.basis:
                     yield f"sigma not right-linear at ({key},{B.label_name(lab)})" \
                         if not right_linear_defect(c.sigma, lab, key).is_zero() else None
-            for _ in range(min(sampler.n, 6)):
-                e = sampler.module_elem(c.sigma.src)
+            for e in sampler.draws(6, lambda: sampler.module_elem(c.sigma.src)):
                 defect = covariance_defect(c.sigma, c.sigma.src, c.sigma.dst, e)
                 yield "sigma not covariant on a sample" if not defect.is_zero() else None
 
@@ -930,31 +860,26 @@ def suite_metric(bundle, world, back, rep, sampler):
                    if not covariance_defect(c.apply, c.module, c.tensor, e).is_zero() else None)
 
         def torsion_zero():
+            # a generator: a basis sweep, then draws
             for i in c.module.basis:
                 yield f"torsion nonzero at basis {i}" \
                     if not c.torsion(c.module.el(i)).is_zero() else None
-            for _ in range(min(sampler.n, 8)):
-                e = sampler.module_elem(c.module)
+            for e in sampler.draws(8, lambda: sampler.module_elem(c.module)):
                 yield "torsion nonzero on a sample" if not c.torsion(e).is_zero() else None
 
         rep.forall(f"lc.{tag}.torsion-zero", "levi-civita.torsionless", torsion_zero(), outcome)
         rep.forall(f"lc.{tag}.metric-compat", "levi-civita.metric-compatibility", [m],
                    lambda m: "nabla g != 0" if not c.metric_compat(m).is_zero() else None)
 
-    def lc_roundtrip():
-        yield from table_outcomes(conn.module.basis, back.connection.table,
-                                  conn.table, "connection round trip differs")
-
-    rep.forall("lc.roundtrip", "twist.inverse-deformation", lc_roundtrip(), outcome)
+    rep.forall("lc.roundtrip", "twist.inverse-deformation",
+               table_outcomes(conn.module.basis, back.connection.table,
+                              conn.table, "connection round trip differs"), outcome)
 
 
 # -- hermitian suite ---------------------------------------------------------------
 
 
 def suite_hermitian(bundle, world, back, rep, sampler):
-    if bundle.calculus is None:
-        rep.add_skipped("herm.base", "plumbing", "model has no calculus")
-        return
     data = bundle.data
     cal, cal_tw = bundle.calculus, world.calculus
     herm, herm_tw = bundle.hermitian, world.hermitian
@@ -975,10 +900,11 @@ def suite_hermitian(bundle, world, back, rep, sampler):
                                               sampler.module_elem(h.module))),
                    symmetry)
 
+        TXY = TensorModule(h.module, h.ebar)
+
         def covariant(x_ybar):
             x, ybar = x_ybar
             lhs = c_al.base.coact_elem(h.pair(x, ybar))
-            TXY = TensorModule(h.module, h.ebar)
 
             def term(k):
                 # a (x) b (e_i (x) ybar_j)  ->  a (x) <b e_i, ybar_j>
@@ -1050,11 +976,9 @@ def suite_hermitian(bundle, world, back, rep, sampler):
                      relation)
     res.sample_spec += f";pairs={res.instances}"
 
-    def herm_roundtrip():
-        yield from table_outcomes(herm.table, back.hermitian.table,
-                                  herm.table, "Hermitian round trip differs")
-
-    rep.forall("herm.roundtrip", "twist.inverse-deformation", herm_roundtrip(), outcome)
+    rep.forall("herm.roundtrip", "twist.inverse-deformation",
+               table_outcomes(herm.table, back.hermitian.table,
+                              herm.table, "Hermitian round trip differs"), outcome)
 
     def correspondence_square():
         # real -> Hermitian -> real: rebuild the pairing from H and compare
@@ -1097,9 +1021,6 @@ def _chern_solve(rep, check_id, anchor, bundle, tag):
 
 
 def suite_chern(bundle, world, back, rep, sampler):
-    if bundle.calculus is None:
-        rep.add_skipped("chern.base", "plumbing", "model has no calculus")
-        return
     data = bundle.data
     cal, cal_tw = bundle.calculus, world.calculus
 
@@ -1125,14 +1046,12 @@ def suite_chern(bundle, world, back, rep, sampler):
                    else None)
 
     # nabla = nabla_Ch,(1,0) (+) nabla_Ch,(0,1) on the basis of Omega^1
-    def untwisted_hypothesis():
-        for conn in solved.values():
-            yield from table_outcomes(conn.module.basis, conn.table, bundle.connection.table,
-                                      "LC does not restrict to the Chern connection")
-
     if "10" in solved and "01" in solved:
         rep.forall("chern.untwisted-hypothesis", "main.untwisted-direct-sum",
-                   untwisted_hypothesis(), outcome)
+                   chain.from_iterable(
+                       table_outcomes(conn.module.basis, conn.table, bundle.connection.table,
+                                      "LC does not restrict to the Chern connection")
+                       for conn in solved.values()), outcome)
     else:
         rep.add_skipped("chern.untwisted-hypothesis", "main.untwisted-direct-sum",
                         "untwisted Chern connections unavailable")
@@ -1154,28 +1073,23 @@ def suite_chern(bundle, world, back, rep, sampler):
                sampler.draws(8, lambda: (sampler.module_elem(O1), B.el(sampler.label()))),
                right_leibniz)
 
-    def twist_commutes():
-        # tilde(nabla_g) = (N^-1 (x) id) phi^-1 Gamma(tilde nabla) N on samples
-        G1 = cal_tw.module(1)
-        bar_G1 = ConjugateModule(G1)
-        _, _, nabla_tilde_tw = conj_connection(world.connection)
-        O1bar = ConjugateModule(O1)
-        G1bar = TwistedModule(O1bar, data, world.comodule)
-        T_mixed_tw = TensorModule(G1bar, G1)
-        T_unt = TensorModule(O1bar, O1)
-        for _ in range(min(sampler.n, 6)):
-            xbar = conj_of(G1, sampler.module_elem(G1))
-            lhs = nabla_tilde_tw(xbar)
-            step = conj_twist_iso(data, G1, xbar)
-            step = nabla_tilde(step)          # Gamma(tilde nabla), keys shared
-            step = phi_inv_map(data, T_mixed_tw, T_unt, step)
-            rhs = tensor_map_pair(
-                T_mixed_tw, TensorModule(bar_G1, G1),
-                lambda v: conj_twist_iso_inv(data, G1, v),
-                lambda v: v, step)
-            yield "conjugate-connection twist identity fails on a sample" if lhs != rhs else None
+    # tilde(nabla_g) = (N^-1 (x) id) phi^-1 Gamma(tilde nabla) N on samples
+    # the connections live on Omega^1, so ebar is bar(O1) and tens_bar is ebar (x) O1
+    G1 = cal_tw.module(1)
+    _, T_bar_tw, nabla_tilde_tw = conj_connection(world.connection)
+    T_mixed_tw = TensorModule(TwistedModule(ebar, data, world.comodule), G1)
 
-    rep.forall("conj.twist-commutes", "twist.conjugate-connection", twist_commutes(), outcome)
+    def twist_commutes(xbar):
+        lhs = nabla_tilde_tw(xbar)
+        step = conj_twist_iso(data, G1, xbar)
+        step = nabla_tilde(step)          # Gamma(tilde nabla), keys shared
+        step = phi_inv_map(data, T_mixed_tw, tens_bar, step)
+        rhs = tensor_map_pair(T_mixed_tw, T_bar_tw, lambda v: conj_twist_iso_inv(data, G1, v),
+                              lambda v: v, step)
+        return "conjugate-connection twist identity fails on a sample" if lhs != rhs else None
+
+    rep.forall("conj.twist-commutes", "twist.conjugate-connection",
+               sampler.draws(6, lambda: conj_of(G1, sampler.module_elem(G1))), twist_commutes)
 
     for tag in CHERN_TAGS:
         conn_tw = _chern_solve(rep, f"chern.twisted.{tag}.solve", "chern.twisted-existence",
@@ -1196,9 +1110,6 @@ def suite_chern(bundle, world, back, rep, sampler):
 
 
 def suite_main(bundle, world, back, rep, sampler):
-    if bundle.calculus is None:
-        rep.add_skipped("main.direct-sum", "plumbing", "model has no calculus")
-        return
     cal_tw = world.calculus
     conn_tw = world.connection
     cs_tw = world.complex_structure
@@ -1219,21 +1130,32 @@ def suite_main(bundle, world, back, rep, sampler):
                lambda i: f"nabla_g != chern (+) chern at basis {i}"
                if conn_tw.table[i] != direct_sum_apply(O1tw.el(i)) else None)
     res = rep.forall("main.direct-sum-samples", "main.twisted-direct-sum",
-                     (sampler.module_elem(O1tw) for _ in range(sampler.n)),
+                     sampler.draws(sampler.n, lambda: sampler.module_elem(O1tw)),
                      lambda e: f"direct sum fails on sample {O1tw.describe(e)}"
                      if conn_tw.apply(e) != direct_sum_apply(e) else None)
     res.sample_spec += f";monomials={res.instances}"
 
-    def lc_uniqueness_roundtrip():
-        lc_back = back.connection
-        yield from table_outcomes(lc_back.module.basis, lc_back.table, bundle.connection.table,
-                                  "gammabar round trip does not recover the LC connection")
-
+    lc_back = back.connection
     rep.forall("main.lc-uniqueness-roundtrip", "main.uniqueness-witness",
-               lc_uniqueness_roundtrip(), outcome)
+               table_outcomes(lc_back.module.basis, lc_back.table, bundle.connection.table,
+                              "gammabar round trip does not recover the LC connection"),
+               outcome)
 
 
 # -- dispatcher ---------------------------------------------------------------
+
+
+# name -> (suite, the id it skips on a model with no calculus), in `all` order
+SUITES = {
+    "hopf": (suite_hopf, None),
+    "cocycle": (suite_cocycle, None),
+    "barfunctor": (suite_barfunctor, None),
+    "calculus": (suite_calculus, "calc.base"),
+    "metric": (suite_metric, "metric.base"),
+    "hermitian": (suite_hermitian, "herm.base"),
+    "chern": (suite_chern, "chern.base"),
+    "main": (suite_main, "main.direct-sum"),
+}
 
 
 def run_suite(bundle, suite, rep, box=None, samples=None, seed=None):
@@ -1245,20 +1167,14 @@ def run_suite(bundle, suite, rep, box=None, samples=None, seed=None):
     sampler = Sampler(bundle, box=box, samples=samples, seed=seed)
     rep.meta.setdefault("sample_spec", sampler.spec())
     rep.meta.setdefault("exhaustive", sampler.exhaustive)
-    table = {
-        "hopf": suite_hopf,
-        "cocycle": suite_cocycle,
-        "barfunctor": suite_barfunctor,
-        "calculus": suite_calculus,
-        "metric": suite_metric,
-        "hermitian": suite_hermitian,
-        "chern": suite_chern,
-        "main": suite_main,
-    }
-    if suite != "all" and suite not in table:
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     world = twist_world(bundle)
     back = twist_world(world)
     for name in SUITES if suite == "all" else (suite,):
-        table[name](bundle, world, back, rep, sampler)
+        run, skip_id = SUITES[name]
+        if skip_id and bundle.calculus is None:
+            rep.add_skipped(skip_id, "plumbing", "model has no calculus")
+        else:
+            run(bundle, world, back, rep, sampler)
     return rep

@@ -294,6 +294,7 @@ def test_roots_of_unity_are_shared(n, k1, k2):
     # a shared root carries its exponent; its inverse is the shared root too
     assert (z1.exp, Cyc(n, {k1: 1}).exp, Cyc(n, {k1: 2}).exp) == (k1 % n, None, None)
     assert z1.inverse() is Cyc.root(n, -k1) and z1 * z1.inverse() is Cyc.one(n)
+    assert z1.conj() is Cyc.root(n, -k1)
     # a constructor-built zeta^k has no exponent, and multiplies and compares
     # as the shared one
     built = Cyc(n, {k1: 1})

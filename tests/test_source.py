@@ -528,3 +528,67 @@ def test_every_package_function_is_referenced():
     assert sorted(found - set(UNREFERENCED_ALLOWED)) == []
     # an entry that the package now references, or that is gone, is stale
     assert found == set(UNREFERENCED_ALLOWED)
+
+
+# `range(...)` calls in suites.py, outside `Sampler`, whose arguments read
+# `sampler.n`, each with why it stays.  Every other sample count is
+# `Sampler.draws`, so changing how many samples a check takes, or which, is a
+# change to `Sampler` alone.
+SAMPLE_COUNT_LOOPS_ALLOWED = {
+    "suite_hermitian:range(max(sampler.n, 100))":
+        "herm.relation-sampled takes at least 100 pairs whatever the sample count; "
+        "Sampler.draws takes at most the sample count",
+}
+
+
+def sample_count_loops(tree):
+    """(qualified name of the innermost enclosing function, source of the call)
+    of each `range(...)` call whose arguments read `sampler.n`, outside a class
+    named `Sampler`; `<module>` outside every definition."""
+    out = []
+
+    def reads_sampler_n(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "n"
+                   and isinstance(n.value, ast.Name) and n.value.id == "sampler"
+                   for n in ast.walk(node))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "Sampler":
+                continue
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == "range" \
+                    and any(reads_sampler_n(a) for a in child.args):
+                out.append((".".join(scope) or "<module>", ast.unparse(child)))
+            visit(child, inner)
+
+    visit(tree, ())
+    return sorted(out)
+
+
+def test_sample_count_loop_scanner():
+    tree = ast.parse(
+        "class Sampler:\n"
+        "    def draws(self, sampler, cap):\n"
+        "        return range(min(sampler.n, cap))\n"
+        "def suite(sampler, k):\n"
+        "    def gen():\n"
+        "        for _ in range(min(sampler.n, 8)):\n"
+        "            yield range(k)\n"
+        "    xs = [x for x in range(1, max(sampler.n, 100))]\n"
+        "    return xs, range(len(sampler.labels)), sampler.draws(sampler.n, gen)\n"
+        "top = range(sampler.n)\n")
+    assert sample_count_loops(tree) == [
+        ("<module>", "range(sampler.n)"), ("suite", "range(1, max(sampler.n, 100))"),
+        ("suite.gen", "range(min(sampler.n, 8))")]
+
+
+def test_the_sampler_counts_every_sample():
+    found = {f"{func}:{call}"
+             for func, call in sample_count_loops(ast.parse((PACKAGE / "suites.py").read_text()))}
+    assert sorted(found - set(SAMPLE_COUNT_LOOPS_ALLOWED)) == []
+    # an entry whose loop is gone is stale
+    assert found == set(SAMPLE_COUNT_LOOPS_ALLOWED)
