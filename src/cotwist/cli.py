@@ -8,7 +8,6 @@ Exit codes: 0 all selected checks pass, 1 at least one check fails,
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 
@@ -106,7 +105,8 @@ def _model_params(merged):
     if not name:
         raise ConfigError("a model is required (--model or config)")
     # an unknown name is left for build_model to reject
-    taken = inspect.signature(MODELS[name]).parameters if name in MODELS else ()
+    code = MODELS[name].__code__ if name in MODELS else None
+    taken = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount] if code else ()
     return name, {k: v for k, v in merged.items() if k in taken and v is not None}
 
 

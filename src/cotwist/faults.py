@@ -6,9 +6,7 @@ sensitivity proof for the verification layer: a perturbation that no suite
 notices would mean a vacuous check somewhere.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .cyclotomic import Cyc
 from .cocycle import CocycleData, PairFunctional, convolution_inverse, trivial_cocycle
@@ -18,12 +16,8 @@ from .modules import SelfComodule
 from .vectors import Vec
 
 
-@dataclass
-class Fault:
-    name: str
-    suite: str
-    description: str
-    build: callable   # () -> perturbed bundle
+# build: () -> perturbed bundle
+Fault = namedtuple("Fault", "name suite description build")
 
 
 def _nc():
@@ -43,7 +37,7 @@ def _scaled(f, pair, factor):
 def _scale_gamma(bundle, pair, factor):
     gamma = _scaled(bundle.data.gamma, pair, factor)
     gamma_bar = convolution_inverse(gamma, bundle.hopf)
-    return replace(bundle, data=CocycleData(bundle.hopf, gamma, gamma_bar))
+    return bundle.replace(data=CocycleData(bundle.hopf, gamma, gamma_bar))
 
 
 def fault_cocycle_scaled():
@@ -53,7 +47,7 @@ def fault_cocycle_scaled():
 def fault_cocycle_inverse_corrupted():
     b = _nc()
     bar = _scaled(b.data.gamma_bar, ((0, 1), (1, 0)), Cyc.root(3))
-    return replace(b, data=CocycleData(b.hopf, b.data.gamma, bar))
+    return b.replace(data=CocycleData(b.hopf, b.data.gamma, bar))
 
 
 def fault_cocycle_modulus():
@@ -68,7 +62,7 @@ def fault_antipode_corrupted():
             return super().antipode(label)
 
     A = Corrupted(symmetric_group(3))
-    return replace(fun_group("s3"), hopf=A, comodule=SelfComodule(A), data=trivial_cocycle(A))
+    return fun_group("s3").replace(hopf=A, comodule=SelfComodule(A), data=trivial_cocycle(A))
 
 
 def fault_sigma_scaled():

@@ -192,7 +192,7 @@ def conj_connection(conn):
 
     def apply(elem):
         return elem.apply(lambda key: conn.apply(
-            unconj(ebar, Vec.single(cal.scalar_order, key))).apply_conj(conj_term))
+            unconj(mod, Vec.single(cal.scalar_order, key))).apply_conj(conj_term))
 
     return ebar, tens, apply
 

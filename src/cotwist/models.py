@@ -12,25 +12,22 @@ algebras of finite groups) cover the identity suites that need exhaustive
 or non-grouplike Sweedler paths.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
 
 from .calculus import (
     Calculus, ComplexStructure, fundamental_form, holomorphic_from_factorizable,
     twist_calculus, twist_holomorphic)
-from .cocycle import CocycleData, TwistedHopf, bicharacter_cocycle, trivial_cocycle
+from .cocycle import TwistedHopf, bicharacter_cocycle, trivial_cocycle
 from .cyclotomic import Cyc
 from .geometry import (
-    ChernNoSolution, ChernNotUnique, ConnectionData, HermitianData, MetricData, chern_solve,
+    ChernNoSolution, ChernNotUnique, ConnectionData, MetricData, chern_solve,
     hermitian_from_real, split_hermitian, twist_connection, twist_hermitian, twist_metric)
 from .hopf import GroupAlgebra, fun_s3
 from .modules import CentralBasisModule, Morphism, SelfComodule, TensorModule
 from .relhopf import TwistedComodule
-from .vectors import Vec
+from .vectors import Vec, memoize_table
 
 
 def check_sampling(box, samples):
@@ -41,36 +38,43 @@ def check_sampling(box, samples):
         raise ValueError(f"samples must be >= 0, got {samples}")
 
 
-@dataclass
 class ModelBundle:
     """One world: Hopf and comodule algebras, a cocycle, optional geometry.
 
     A bundle holds no twisted structures; `twist_world` builds them.  Its
     Chern connections are derived data: `chern(tag)` solves each once.
+    `kappa` is the Kahler form, a 2-form.
     """
 
-    name: str
-    hopf: object
-    comodule: object
-    data: CocycleData
-    calculus: Calculus = None
-    complex_structure: ComplexStructure = None
-    metric: MetricData = None
-    connection: ConnectionData = None
-    hermitian: HermitianData = None
-    hermitian_splits: tuple = None
-    kappa: Vec = None             # the Kahler form, a 2-form
-    holo_10: object = None
-    holo_01: object = None
-    box: int = 4
-    samples: int = 100
-    seed: int = 42
-
-    def __post_init__(self):
-        from .vectors import memoize_table
-        check_sampling(self.box, self.samples)
-        # per instance, so a `dataclasses.replace` copy solves afresh
+    def __init__(self, *, name, hopf, comodule, data, calculus=None,
+                 complex_structure=None, metric=None, connection=None, hermitian=None,
+                 hermitian_splits=None, kappa=None, holo_10=None, holo_01=None,
+                 box=4, samples=100, seed=42):
+        check_sampling(box, samples)
+        self.name = name
+        self.hopf = hopf
+        self.comodule = comodule
+        self.data = data
+        self.calculus = calculus
+        self.complex_structure = complex_structure
+        self.metric = metric
+        self.connection = connection
+        self.hermitian = hermitian
+        self.hermitian_splits = hermitian_splits
+        self.kappa = kappa
+        self.holo_10 = holo_10
+        self.holo_01 = holo_01
+        self.box = box
+        self.samples = samples
+        self.seed = seed
+        # per instance, so a `replace` copy solves afresh
         self._chern_outcome = memoize_table(self._chern_outcome)
+
+    def replace(self, **changes):
+        """A new bundle with these fields changed, validated again, with its
+        own Chern solutions."""
+        fields = {k: v for k, v in vars(self).items() if not k.startswith("_")}
+        return ModelBundle(**{**fields, **changes})
 
     def is_geometric(self):
         return self.calculus is not None
@@ -196,8 +200,8 @@ def nc_torus(p=1, q=3, box=4, samples=100, seed=42):
     order = math.lcm(4, q)
     base = classical_torus(order=order, box=box, samples=samples, seed=seed)
     k = p * order // q
-    return replace(base, name=f"nc_torus({p},{q})",
-                   data=bicharacter_cocycle(base.hopf, [[0, -k], [k, 0]]))
+    return base.replace(name=f"nc_torus({p},{q})",
+                        data=bicharacter_cocycle(base.hopf, [[0, -k], [k, 0]]))
 
 
 def twist_world(bundle):

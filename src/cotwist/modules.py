@@ -282,12 +282,11 @@ def conj_of(mod, elem):
         lambda ib: mod.base.star(ib[1]).map_keys(lambda b: (b, ("bar", ib[0])))))
 
 
-def unconj(conj_mod, elem):
-    """Inverse of conj_of: from ConjugateModule keys back to the inner module."""
-    inner = conj_mod.inner
+def unconj(mod, elem):
+    """Inverse of conj_of: from ConjugateModule keys back to mod."""
     # b . e_i bar = (e_i . b*)bar, so the underlying element is e_i . b*
     return elem.apply_conj(
-        lambda k: inner.rmul(inner.el(k[1][1]), inner.base.star(k[0])))
+        lambda k: mod.rmul(mod.el(k[1][1]), mod.base.star(k[0])))
 
 
 class HomModule(FreeModule):

@@ -19,7 +19,7 @@ weights, and in the *-structures.
 from __future__ import annotations
 
 from .modules import (
-    ComodAlgebra, ConjugateModule, FreeModule, Morphism, TensorModule, conj_of, unconj)
+    ComodAlgebra, FreeModule, Morphism, TensorModule, conj_of, unconj)
 from .vectors import Vec
 
 
@@ -153,12 +153,12 @@ def twist_tensor_morphism(T, data, src_tw, dst_tw):
 # -- bar structure ------------------------------------------------------------
 
 
-def bar_map(f, src_bar, dst):
-    """fbar(xbar) = (f(x))bar: the conjugate of a map f into dst."""
-    return lambda elem: conj_of(dst, f(unconj(src_bar, elem)))
+def bar_map(f, src, dst):
+    """fbar(xbar) = (f(x))bar: the conjugate of a map f from src into dst."""
+    return lambda elem: conj_of(dst, f(unconj(src, elem)))
 
 
-def upsilon(tensor_mod, bar_tensor, out_tensor, elem):
+def upsilon(tensor_mod, out_tensor, elem):
     """Upsilon: (M (x) N)bar -> Nbar (x) Mbar, (m (x) n)bar -> nbar (x) mbar."""
     M = tensor_mod.left
     Nbar = out_tensor.left
@@ -168,7 +168,7 @@ def upsilon(tensor_mod, bar_tensor, out_tensor, elem):
         return out_tensor.pure(Nbar.el(("bar", j)), conj_of(M, M.from_b(M.base.el(b), i)))
 
     return elem.apply(
-        lambda key: unconj(bar_tensor, Vec.single(elem.order, key)).apply_conj(swap))
+        lambda key: unconj(tensor_mod, Vec.single(elem.order, key)).apply_conj(swap))
 
 
 def bb_map(mod, bar_mod, elem):
@@ -192,14 +192,12 @@ def conj_twist_iso_inv(data, GE, elem):
 def _conj_transport(weight, A, src, dst, elem):
     """bar(src) -> bar(dst) on shared keys: (e)bar -> weight(e_(-1)*) (e_(0))bar,
     with * taken in the untwisted Hopf algebra A."""
-    src_bar = ConjugateModule(src)
-
     def transport(k):
         a, b, i = k
         return conj_of(dst, dst.from_b(dst.base.el(b), i)).scale(A.star(a).evaluate(weight))
 
     return elem.apply(lambda key: src.coact(
-        unconj(src_bar, Vec.single(elem.order, key))).apply_conj(transport))
+        unconj(src, Vec.single(elem.order, key))).apply_conj(transport))
 
 
 def hom_twist_iso(data, hom_mod, f_elem):

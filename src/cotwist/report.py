@@ -4,25 +4,26 @@
 domain and records the first counterexample.
 """
 
-from __future__ import annotations
-
 import json
 import time
-from dataclasses import dataclass
 
 
 NO_INSTANCES = "no instances evaluated"
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    anchor: str
-    status: str = "pass"  # pass | fail | skipped
-    witness: str | None = None
-    sample_spec: str = ""
-    duration_ms: int = 0
-    instances: int = 0  # instances that held; kept out of to_dict
+    __slots__ = ("check_id", "anchor", "status", "witness", "sample_spec",
+                 "duration_ms", "instances")
+
+    def __init__(self, check_id, anchor, status="pass", witness=None, sample_spec="",
+                 duration_ms=0, instances=0):
+        self.check_id = check_id
+        self.anchor = anchor
+        self.status = status  # pass | fail | skipped
+        self.witness = witness
+        self.sample_spec = sample_spec
+        self.duration_ms = duration_ms
+        self.instances = instances  # instances that held; kept out of to_dict
 
     def __bool__(self):
         return self.status != "fail"

@@ -70,8 +70,8 @@ class Vec:
         return v
 
     def scale(self, coeff):
-        v = Vec(self.order)
         if type(coeff) is int:
+            v = Vec(self.order)
             # an integer multiple of a nonzero term is never zero
             if coeff:
                 v.terms = {k: c * coeff for k, c in self.terms.items()}
@@ -80,6 +80,7 @@ class Vec:
             coeff = Cyc.rational(coeff, self.order)
         if coeff.den == 1 and coeff.num == _ONE and coeff.order == self.order:
             return self
+        v = Vec(self.order)
         if coeff.num:
             for k, c in self.terms.items():
                 v.add_term(k, coeff * c)

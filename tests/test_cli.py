@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotwist.cli import main
+from cotwist.cli import CONFIG_KEYS, _model_params, main
+from cotwist.models import MODELS
 
 PKG_ENV = dict(os.environ, PYTHONPATH="src")
 
@@ -194,6 +195,17 @@ def test_bad_model_parameters_exit_2_with_one_line_error(args, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_model_params_are_the_builders_parameters(name):
+    import inspect
+    builder = MODELS[name]
+    taken = set(inspect.signature(builder).parameters)
+    # every flag, every local name of the builder, and one name nothing takes
+    merged = dict.fromkeys({*CONFIG_KEYS, *builder.__code__.co_varnames, "unknown"}, 1)
+    merged["model"] = name
+    assert _model_params(merged) == (name, dict.fromkeys(taken, 1))
 
 
 def _flag(name, values):

@@ -1,12 +1,11 @@
 """Model bundles: determinism, degenerate parameters, correspondence loops."""
 
-from dataclasses import replace
-
 import pytest
 
 from cotwist.emit import emit_json, structure_tables
 from cotwist.models import (
-    build_model, classical_torus, finite_bicharacter, fun_group, nc_torus, twist_world)
+    ModelBundle, build_model, classical_torus, finite_bicharacter, fun_group, nc_torus,
+    twist_world)
 from cotwist.report import Report
 from cotwist.suites import run_suite
 
@@ -29,10 +28,30 @@ def test_nc_torus_p0_equals_classical():
 
 
 def test_chern_is_solved_once_per_bundle():
-    b = classical_torus(box=1, samples=4)
+    b = classical_torus(box=1, samples=4, seed=7)
     assert b.chern("10") is b.chern("10")
     # a copy with the same fields is a new bundle with its own solutions
-    assert replace(b).chern("10") is not b.chern("10")
+    copy = b.replace()
+    assert copy is not b
+    assert {k: v for k, v in vars(copy).items() if k != "_chern_outcome"} == \
+        {k: v for k, v in vars(b).items() if k != "_chern_outcome"}
+    assert copy.chern("10") is not b.chern("10")
+    assert copy.chern("10") is copy.chern("10")
+
+
+def test_bundle_fields_are_checked():
+    b = fun_group("s3")
+    fields = dict(name="x", hopf=b.hopf, comodule=b.comodule, data=b.data)
+    assert ModelBundle(**fields).box == 4
+    with pytest.raises(TypeError):
+        ModelBundle(**fields, colour="red")
+    with pytest.raises(TypeError):
+        b.replace(colour="red")
+    for bad in ({"box": -1}, {"samples": -1}):
+        with pytest.raises(ValueError):
+            ModelBundle(**fields, **bad)
+        with pytest.raises(ValueError):
+            b.replace(**bad)
 
 
 def test_twisted_world_shares_the_base_functionals():

@@ -2,10 +2,13 @@
 parameter or attribute goes unread without a reason, only `vectors.py`
 accumulates a Vec term by term, `Fraction` stays at the edges of the
 scalar field, only the constructors of a Cyc write its numbers, no Vec is
-written after its builder returns, and every package function is
-referenced by the package."""
+written after its builder returns, every package function is referenced
+by the package, and importing the package loads neither `dataclasses` nor
+`inspect`."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import cotwist
@@ -280,22 +283,56 @@ def test_only_vectors_accumulates():
 FRACTIONS_ALLOWED = {"cyclotomic.py", "models.py"}
 
 
-def imports_fractions(tree):
-    return any(isinstance(node, ast.ImportFrom) and node.module == "fractions"
-               or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+def imports(tree, module):
+    """Whether the tree imports the top-level `module` anywhere, in either form."""
+    return any(isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module.split(".")[0] == module
+               or isinstance(node, ast.Import)
+               and any(a.name.split(".")[0] == module for a in node.names)
                for node in ast.walk(tree))
 
 
 def test_imports_fractions_sees_both_forms():
-    assert imports_fractions(ast.parse("def f():\n    from fractions import Fraction\n"))
-    assert imports_fractions(ast.parse("import os, fractions\n"))
-    assert not imports_fractions(ast.parse("from .cyclotomic import Cyc\n"))
+    assert imports(ast.parse("def f():\n    from fractions import Fraction\n"), "fractions")
+    assert imports(ast.parse("import os, fractions\n"), "fractions")
+    assert not imports(ast.parse("from .cyclotomic import Cyc\n"), "fractions")
 
 
 def test_fractions_stay_at_the_edges():
     found = {path.name for path in PACKAGE.glob("*.py")
-             if imports_fractions(ast.parse(path.read_text()))}
+             if imports(ast.parse(path.read_text()), "fractions")}
     assert found <= FRACTIONS_ALLOWED
+
+
+# Modules that no package module imports.  `dataclasses` costs about 8 ms of
+# every start-up, and it loads `inspect`, which loads `ast`, `dis` and
+# `tokenize`; every `verify` and `twist` run imports the package afresh.
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+
+def test_slow_import_scan_sees_both_forms():
+    for module in SLOW_IMPORTS:
+        assert imports(ast.parse(f"def f():\n    from {module} import x\n"), module)
+        assert imports(ast.parse(f"import os, {module} as m\n"), module)
+        assert not imports(ast.parse(f"from .{module} import x\n"), module)
+
+
+def test_no_package_module_imports_a_slow_module():
+    found = sorted(f"{path.name}: {module}" for path in PACKAGE.glob("*.py")
+                   for module in SLOW_IMPORTS if imports(ast.parse(path.read_text()), module))
+    assert found == []
+
+
+def test_importing_the_package_loads_no_slow_module():
+    # -S: no site hook may load one of them first and hide the package's import
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import cotwist, cotwist.cli, cotwist.faults; "
+            "print(sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent),
+         *SLOW_IMPORTS, "ast", "dis", "tokenize"],
+        capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 # Functions that may write a Cyc's numerators or denominator: its two

@@ -1,7 +1,6 @@
 """Suite-level behaviour: models pass, check ids are disjoint, `all` is the union."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -138,7 +137,7 @@ def _unsolvable_10(bundle):
     h1, h2 = bundle.hermitian_splits
     table = {("bar", "w+"): h1.table[("bar", "w+")].copy()}
     table[("bar", "w+")].add_term(((1, 0), ("dual", "w+")), Cyc.one(4))
-    return replace(bundle, hermitian_splits=(HermitianData(bundle.calculus, h1.module, table), h2))
+    return bundle.replace(hermitian_splits=(HermitianData(bundle.calculus, h1.module, table), h2))
 
 
 def test_chern_solver_error_is_raised_not_cached():
