@@ -17,15 +17,19 @@ shares Delta and epsilon with A and carries
     S_g^{-1}  = V(h1) S^-1(h2) Vbar(h3)   (from U*Ubar = V*Vbar = counit)
 
 The cocycle equation and its forms (ii)-(iv) have two shapes, and two kernels,
-`associator` and `mixed`, give both sides of each at every triple.
+`associator` and `mixed`, give both sides of each at every triple; on a finite
+grouplike basis with shared-root values, integer exponent rows replace them.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import product, repeat
+from operator import eq
 
 from .cyclotomic import _ONE, Cyc  # the flat sums skip every product with an exact 1
 from .hopf import HopfAlgebra
+from .report import outcome
 from .vectors import Vec, gauss_solve
 
 _zero = cache(Cyc.zero)
@@ -361,20 +365,70 @@ def mixed(A, F, G, j, triples):
                _sum_against(A.scalar_order, F, folded(lg, lh), lk, False))
 
 
+def _exponent_rows(data, A, triples):
+    """(A, labels, n, mult, exponents) for the exponent rows, or None unless the
+    basis is grouplike, the triples are every triple of the finite labels in
+    product order, and every gamma and gammabar value on a label pair is a
+    shared root of order n.  mult[i][j] is the index of labels[i] labels[j],
+    and exponents maps g, gb, -g, -gb to [i][j] -> the exponent of gamma or
+    gammabar at (labels[i], labels[j]), or its negative."""
+    labels, n = A.finite_labels(), A.scalar_order
+    if not A.is_grouplike_basis() or labels is None or len(triples) != len(labels) ** 3 \
+            or not all(map(eq, triples, product(labels, repeat=3))):
+        return None
+    idx = {l: i for i, l in enumerate(labels)}
+    try:  # an exception is raised again, by the kernel of the check that meets it
+        mult = [[idx[A.mult(a, b)._unit_key()] for b in labels] for a in labels]
+        exponents = {}
+        for name, f in (("g", data.gamma), ("gb", data.gamma_bar)):
+            values = [[f[(a, b)] for b in labels] for a in labels]
+            if any(v.exp is None or v.order != n for row in values for v in row):
+                return None
+            exponents[name] = [[v.exp for v in row] for row in values]
+            exponents["-" + name] = [[-v.exp for v in row] for row in values]
+    except Exception:
+        return None
+    return A, labels, n, mult, exponents
+
+
+def _row_outcomes(rows, what, terms):
+    """The outcome at each triple (g, h, k) of X(g, h) + Y(gh, k) + Z(h, k) +
+    W(g, hk) == 0 mod n, for the exponent tables X, Y, Z, W named by terms:
+    one int row over k per (g, h), walked k by k only when it fails."""
+    A, labels, n, mult, exponents = rows
+    X, Y, Z, W = (exponents[t] for t in terms)
+    for i, (xi, mi, wi) in enumerate(zip(X, mult, W)):
+        for j, x in enumerate(xi):
+            row = [(x + y + z + wi[m]) % n for y, z, m in zip(Y[mi[j]], Z[j], mult[j])]
+            if any(row):
+                k = next(k for k, d in enumerate(row) if d)
+                yield from repeat(None, k)
+                yield f"{what} fails at ({A.label_names((labels[i], labels[j], labels[k]))})"
+                return
+            yield from repeat(None, len(row))
+
+
 def verify_cocycle_identities(data, A, triples, reporter):
     """The cocycle equation, its three equivalent forms, and unitality.  The
-    domain of each of (i)-(iv) is its kernel's (lhs, rhs) at each triple."""
+    domain of each of (i)-(iv) is its kernel's (lhs, rhs) at each triple, or,
+    where _exponent_rows applies, its exponent rows: both sides are then
+    products of two shared roots, equal iff their exponents agree mod n."""
     g, gb = data.gamma, data.gamma_bar
     eps = counit_functional(A)
+    rows = _exponent_rows(data, A, triples)
     # each kernel's tables live for its own check only
-    for check_id, anchor, what, kernel, fs, i in (
-            ("cocycle.equation", "cocycle.equation", "cocycle equation", associator, [g], 1),
+    for check_id, anchor, what, kernel, fs, i, terms in (
+            ("cocycle.equation", "cocycle.equation", "cocycle equation", associator, [g], 1,
+             ("g", "g", "-g", "-g")),
             ("cocycle.equivalent-ii", "cocycle.inverse-equation", "identity (ii)",
-             associator, [gb], 0),
+             associator, [gb], 0, ("gb", "gb", "-gb", "-gb")),
             ("cocycle.equivalent-iii", "cocycle.mixed-identity-left", "identity (iii)",
-             mixed, [g, gb], 0),
+             mixed, [g, gb], 0, ("-gb", "g", "-g", "gb")),
             ("cocycle.equivalent-iv", "cocycle.mixed-identity-right", "identity (iv)",
-             mixed, [gb, g], 1)):
+             mixed, [gb, g], 1, ("-g", "gb", "-gb", "g"))):
+        if rows:
+            reporter.forall(check_id, anchor, _row_outcomes(rows, what, terms), outcome)
+            continue
         sides = kernel(A, *fs, i, triples)
         reporter.forall(check_id, anchor, zip(triples, sides), lambda ts, what=what:
                         f"{what} fails at ({A.label_names(ts[0])})" if ts[1][0] != ts[1][1]
@@ -404,7 +458,11 @@ def verify_cocycle_identities(data, A, triples, reporter):
     reporter.forall("cocycle.convolution-inverse", "cocycle.convolution-inverse",
                     sorted(pairs), convolution_inverse)
 
-    if A.is_grouplike_basis():
+    if rows:
+        reporter.forall("cocycle.grouplike-crosscheck", "cocycle.group-cocycle-form",
+                        _row_outcomes(rows, "group 2-cocycle identity", ("g", "g", "-g", "-g")),
+                        outcome)
+    elif A.is_grouplike_basis():
         def group_form(t):
             lg, lh, lk = t
             gh = next(iter(A.mult(lg, lh).terms))

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from cotwist.cyclotomic import Cyc
 from cotwist.emit import emit_json, structure_tables
 from cotwist.geometry import chern_conditions_hold, chern_solve, twist_connection
 from cotwist.models import finite_bicharacter, fun_group, nc_torus, twist_world

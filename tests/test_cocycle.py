@@ -1,11 +1,13 @@
 """Cocycle calculus: convolution, inverses, identities, twisted Hopf algebra."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotwist import cocycle
 from cotwist.cyclotomic import Cyc
 from cotwist.cocycle import (
     CocycleData, NotInvertible, PairFunctional, TwistedHopf, associator, bicharacter_cocycle,
@@ -14,6 +16,7 @@ from cotwist.cocycle import (
 from cotwist.hopf import GroupAlgebra, HopfAlgebra, fun_s3
 from cotwist.models import finite_bicharacter, fun_group, nc_torus
 from cotwist.report import Report
+from cotwist.suites import run_suite
 from cotwist.vectors import Vec
 
 # the theta cocycle at theta = 1/3 in Q(zeta_12): exponent 12 theta (m1 n0 - m0 n1)
@@ -579,3 +582,128 @@ def test_twisted_product_on_a_grouplike_basis_is_the_shared_product():
     for a in labels:
         for b in labels:
             assert scaled.mult(a, b) == apply2_product(scaled, a, b)
+
+
+# -- exponent rows on a finite grouplike basis -------------------------------
+
+
+class UnlistedGroupAlgebra(GroupAlgebra):
+    """A finite group algebra that does not list its labels: the cocycle
+    identities take the Sweedler kernels on every triple of its labels."""
+
+    def finite_labels(self):
+        return None
+
+
+def _z2(n):
+    """C[Z_n^2] twice, listing its labels and not, with every triple of its labels."""
+    A = GroupAlgebra(0, (n, n), scalar_order=n)
+    return A, UnlistedGroupAlgebra(0, (n, n), scalar_order=n), list(
+        product(A.finite_labels(), repeat=3))
+
+
+def _identity_results(A, gamma, gamma_bar, triples):
+    rep = Report()
+    verify_cocycle_identities(CocycleData(A, gamma, gamma_bar), A, triples, rep)
+    return {c.check_id: (c.status, c.instances, c.witness) for c in rep.checks}
+
+
+@st.composite
+def z2_exponent_tables(draw):
+    """n, then exponent lists over the label pairs of Z_n^2 for gamma (a
+    bicharacter or random) and gammabar (minus gamma, or random), each raised
+    at up to three pairs."""
+    n = draw(st.integers(2, 5))
+    labels = GroupAlgebra(0, (n, n)).finite_labels()
+    pairs = len(labels) ** 2
+    exponent = st.integers(0, n - 1)
+
+    def raised(table):
+        for i, by in draw(st.lists(st.tuples(st.integers(0, pairs - 1), exponent), max_size=3)):
+            table[i] += by
+        return table
+
+    if draw(st.booleans()):
+        p = draw(st.lists(exponent, min_size=4, max_size=4))
+        gamma = [p[0] * a0 * b0 + p[1] * a0 * b1 + p[2] * a1 * b0 + p[3] * a1 * b1
+                 for a0, a1 in labels for b0, b1 in labels]
+    else:
+        gamma = draw(st.lists(exponent, min_size=pairs, max_size=pairs))
+    gamma_bar = [-e for e in gamma] if draw(st.booleans()) else draw(
+        st.lists(exponent, min_size=pairs, max_size=pairs))
+    return n, raised(gamma), raised(gamma_bar)
+
+
+def _root_functional(labels, n, exponents):
+    table = {pair: Cyc.root(n, e) for pair, e in zip(product(labels, repeat=2), exponents)}
+    return PairFunctional(lambda a, b: table[(a, b)])
+
+
+@settings(max_examples=12, deadline=None)
+@given(z2_exponent_tables())
+def test_exponent_rows_match_the_kernels(tables):
+    n, gamma_exponents, gamma_bar_exponents = tables
+    A, unlisted, triples = _z2(n)
+    labels = A.finite_labels()
+    gamma = _root_functional(labels, n, gamma_exponents)
+    gamma_bar = _root_functional(labels, n, gamma_bar_exponents)
+    assert cocycle._exponent_rows(CocycleData(A, gamma, gamma_bar), A, triples) is not None
+    got = _identity_results(A, gamma, gamma_bar, triples)
+    assert got == _identity_results(unlisted, gamma, gamma_bar, triples)
+    reference = reference_identities(CocycleData(A, gamma, gamma_bar), A, triples)
+    assert {check_id: got[check_id] for check_id in reference} == reference
+
+
+def test_a_value_that_is_no_shared_root_takes_the_kernels(monkeypatch):
+    A, unlisted, triples = _z2(3)
+    gamma = bicharacter_cocycle(A, [[0, 1], [-1, 0]]).gamma
+    pair = ((1, 0), (0, 2))
+    scaled = PairFunctional(lambda a, b: gamma(a, b) * 2 if (a, b) == pair else gamma(a, b))
+    gamma_bar = convolution_inverse(scaled, A)
+    expected = _identity_results(unlisted, scaled, gamma_bar, triples)
+    assert expected["cocycle.equation"][0] == "fail"
+    calls = []
+    monkeypatch.setattr(cocycle, "associator", lambda *args: calls.append(args) or associator(*args))
+    assert _identity_results(A, scaled, gamma_bar, triples) == expected
+    assert len(calls) == 2
+
+
+# (status, instances, witness) of every check when gammabar raises at one pair,
+# recorded from the Sweedler kernels before exponent rows
+RAISING_GAMMA_BAR = {
+    "cocycle.equation": ("pass", 729, None),
+    "cocycle.equivalent-ii": (
+        "fail", 51, "exception NotInvertible: gamma vanishes at (u(1,2),u(2,0))"),
+    "cocycle.equivalent-iii": (
+        "fail", 411, "exception NotInvertible: gamma vanishes at (u(1,2),u(2,0))"),
+    "cocycle.equivalent-iv": (
+        "fail", 51, "exception NotInvertible: gamma vanishes at (u(1,2),u(2,0))"),
+    "cocycle.unital": ("pass", 9, None),
+    "cocycle.convolution-inverse": (
+        "fail", 51, "exception NotInvertible: gamma vanishes at (u(1,2),u(2,0))"),
+    "cocycle.grouplike-crosscheck": ("pass", 729, None),
+}
+
+
+def test_a_raising_gamma_bar_fails_the_checks_that_read_it():
+    A, _, triples = _z2(3)
+    gamma = bicharacter_cocycle(A, [[0, 1], [-1, 0]]).gamma
+    pair = ((1, 2), (2, 0))
+    vanishing = PairFunctional(lambda a, b: Cyc.zero(3) if (a, b) == pair else gamma(a, b))
+    assert _identity_results(
+        A, gamma, convolution_inverse(vanishing, A), triples) == RAISING_GAMMA_BAR
+
+
+@pytest.mark.parametrize("build, kernels", [
+    (lambda: finite_bicharacter(5), []),
+    (lambda: nc_torus(1, 3, box=1, samples=4), ["associator", "mixed"]),
+    (lambda: fun_group("s3"), ["associator", "mixed"]),
+], ids=["finite_bicharacter(5)", "nc_torus(1,3)", "fun_group(s3)"])
+def test_the_cocycle_suite_takes_exponent_rows_on_finite_grouplike_models_only(
+        monkeypatch, build, kernels):
+    calls = set()
+    for name in ("associator", "mixed"):
+        monkeypatch.setattr(cocycle, name, lambda *args, name=name, kernel=getattr(cocycle, name):
+                            calls.add(name) or kernel(*args))
+    assert run_suite(build(), "cocycle", Report()).passed
+    assert sorted(calls) == kernels

@@ -1,16 +1,14 @@
 """Geometry layer: metric, LC connection, Hermitian data, Chern solver."""
 
-from fractions import Fraction
-
 import pytest
 
 from cotwist.cyclotomic import Cyc
 from cotwist.geometry import (
     ChernNotUnique, ChernNoSolution, DiamondViolation, HermitianData,
     chern_conditions_hold, chern_solve, conj_connection, hermitian_from_real,
-    split_hermitian, twist_connection, twist_hermitian, twist_metric)
+    split_hermitian, twist_connection)
 from cotwist.models import classical_torus, nc_torus, twist_world
-from cotwist.modules import ConjugateModule, conj_of
+from cotwist.modules import conj_of
 from cotwist.vectors import Vec
 
 
@@ -180,7 +178,6 @@ def test_twisted_hermitian_routes_agree(world):
 
 
 def test_twisted_chern_equals_twisted_untwisted(nct, world):
-    from cotwist.suites import run_suite
     h1, h2 = nct.hermitian_splits
     ch10 = chern_solve(nct.holo_10, h1, coeff_box=1)
     h1t, h2t = world.hermitian_splits

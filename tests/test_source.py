@@ -3,8 +3,8 @@ parameter or attribute goes unread without a reason, only `vectors.py`
 accumulates a Vec term by term, `Fraction` stays at the edges of the
 scalar field, only the constructors of a Cyc write its numbers, no Vec is
 written after its builder returns, every package function is referenced
-by the package, and importing the package loads neither `dataclasses` nor
-`inspect`."""
+by the package, importing the package loads neither `dataclasses` nor
+`inspect`, and no test file imports a name it never reads."""
 
 import ast
 import subprocess
@@ -14,6 +14,7 @@ from pathlib import Path
 import cotwist
 
 PACKAGE = Path(cotwist.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -629,3 +630,32 @@ def test_the_sampler_counts_every_sample():
     assert sorted(found - set(SAMPLE_COUNT_LOOPS_ALLOWED)) == []
     # an entry whose loop is gone is stale
     assert found == set(SAMPLE_COUNT_LOOPS_ALLOWED)
+
+
+def unused_imports(tree):
+    """(line, name) of each name an import binds, at any depth, that no `Name`
+    load anywhere in the tree reads; `import a.b` binds `a`."""
+    bound = [(node.lineno, alias.asname or alias.name.split(".")[0])
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names if alias.name != "*"]
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for line, name in bound if name not in loaded)
+
+
+def test_unused_import_scanner():
+    tree = ast.parse(
+        "import os, os.path\n"
+        "import json as js\n"
+        "from a import b, c as d\n"
+        "from e import *\n"
+        "def f():\n"
+        "    from g import h\n"
+        "    return b, os.sep\n")
+    assert unused_imports(tree) == [(2, "js"), (3, "d"), (6, "h")]
+
+
+def test_no_test_imports_a_name_it_never_reads():
+    found = [f"{path.name}:{line} {name}" for path in sorted(TESTS.glob("*.py"))
+             for line, name in unused_imports(ast.parse(path.read_text()))]
+    assert found == []
