@@ -28,7 +28,7 @@ from itertools import product, repeat
 from operator import eq
 
 from .cyclotomic import _ONE, Cyc  # the flat sums skip every product with an exact 1
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, at, at_labels
 from .report import outcome
 from .vectors import Vec, gauss_solve
 
@@ -397,13 +397,14 @@ def _row_outcomes(rows, what, terms):
     one int row over k per (g, h), walked k by k only when it fails."""
     A, labels, n, mult, exponents = rows
     X, Y, Z, W = (exponents[t] for t in terms)
+    named = at_labels(A, f"{what} fails")
     for i, (xi, mi, wi) in enumerate(zip(X, mult, W)):
         for j, x in enumerate(xi):
             row = [(x + y + z + wi[m]) % n for y, z, m in zip(Y[mi[j]], Z[j], mult[j])]
             if any(row):
                 k = next(k for k, d in enumerate(row) if d)
                 yield from repeat(None, k)
-                yield f"{what} fails at ({A.label_names((labels[i], labels[j], labels[k]))})"
+                yield named((labels[i], labels[j], labels[k]))
                 return
             yield from repeat(None, len(row))
 
@@ -429,34 +430,23 @@ def verify_cocycle_identities(data, A, triples, reporter):
         if rows:
             reporter.forall(check_id, anchor, _row_outcomes(rows, what, terms), outcome)
             continue
-        sides = kernel(A, *fs, i, triples)
-        reporter.forall(check_id, anchor, zip(triples, sides), lambda ts, what=what:
-                        f"{what} fails at ({A.label_names(ts[0])})" if ts[1][0] != ts[1][1]
-                        else None)
+        named = at_labels(A, f"{what} fails")
+        reporter.equal(check_id, anchor, zip(triples, kernel(A, *fs, i, triples)),
+                       lambda ts: ts[1], lambda ts, named=named: named(ts[0]))
 
     labels = sorted({l for t in triples for l in t})
     one = A.unit()
-
-    def unital(l):
-        left = one.evaluate(lambda u: g(l, u))
-        right = one.evaluate(lambda u: g(u, l))
-        if left != A.counit(l) or right != A.counit(l):
-            return f"unitality fails at {A.label_name(l)}"
-        return None
-
-    reporter.forall("cocycle.unital", "cocycle.unitality", labels, unital)
+    reporter.equal("cocycle.unital", "cocycle.unitality", labels,
+                   lambda l: ((one.evaluate(lambda u: g(l, u)), one.evaluate(lambda u: g(u, l))),
+                              (A.counit(l),) * 2),
+                   at(A, "unitality fails"))
 
     left = convolve(g, gb, A)
     right = convolve(gb, g, A)
     pairs = {(a, b) for (a, b, _) in triples} | {(b, c) for (_, b, c) in triples}
-
-    def convolution_inverse(ab):
-        if left(*ab) != eps(*ab) or right(*ab) != eps(*ab):
-            return f"gamma*gammabar != counit at ({A.label_names(ab)})"
-        return None
-
-    reporter.forall("cocycle.convolution-inverse", "cocycle.convolution-inverse",
-                    sorted(pairs), convolution_inverse)
+    reporter.equal("cocycle.convolution-inverse", "cocycle.convolution-inverse", sorted(pairs),
+                   lambda ab: ((left(*ab), right(*ab)), (eps(*ab),) * 2),
+                   at_labels(A, "gamma*gammabar != counit"))
 
     if rows:
         reporter.forall("cocycle.grouplike-crosscheck", "cocycle.group-cocycle-form",
@@ -467,12 +457,10 @@ def verify_cocycle_identities(data, A, triples, reporter):
             lg, lh, lk = t
             gh = next(iter(A.mult(lg, lh).terms))
             hk = next(iter(A.mult(lh, lk).terms))
-            if g(lg, lh) * g(gh, lk) != g(lh, lk) * g(lg, hk):
-                return f"group 2-cocycle identity fails at ({A.label_names(t)})"
-            return None
+            return g(lg, lh) * g(gh, lk), g(lh, lk) * g(lg, hk)
 
-        reporter.forall("cocycle.grouplike-crosscheck", "cocycle.group-cocycle-form",
-                        triples, group_form)
+        reporter.equal("cocycle.grouplike-crosscheck", "cocycle.group-cocycle-form", triples,
+                       group_form, at_labels(A, "group 2-cocycle identity fails"))
 
 
 def verify_unitarity_suite(data, A, pairs, reporter):
@@ -484,12 +472,12 @@ def verify_unitarity_suite(data, A, pairs, reporter):
         # S(l)* as an element, once per label
         return A.star_elem(A.antipode(l))
 
-    reporter.forall("unitary.gamma-conjugation", "unitarity.gamma-conjugation", pairs,
-                    lambda ab: f"conj gamma != gammabar(S*().,S*().) at ({A.label_names(ab)})"
-                    if g(*ab).conj() != gb.on_elems(s_star(ab[0]), s_star(ab[1])) else None)
-    reporter.forall("unitary.gammabar-conjugation", "unitarity.inverse-conjugation", pairs,
-                    lambda ab: f"conj gammabar != gamma(S*().,S*().) at ({A.label_names(ab)})"
-                    if gb(*ab).conj() != g.on_elems(s_star(ab[0]), s_star(ab[1])) else None)
+    reporter.equal("unitary.gamma-conjugation", "unitarity.gamma-conjugation", pairs,
+                   lambda ab: (g(*ab).conj(), gb.on_elems(s_star(ab[0]), s_star(ab[1]))),
+                   at_labels(A, "conj gamma != gammabar(S*().,S*().)"))
+    reporter.equal("unitary.gammabar-conjugation", "unitarity.inverse-conjugation", pairs,
+                   lambda ab: (gb(*ab).conj(), g.on_elems(s_star(ab[0]), s_star(ab[1]))),
+                   at_labels(A, "conj gammabar != gamma(S*().,S*().)"))
 
     labels = sorted({l for p in pairs for l in p})
 
@@ -497,23 +485,19 @@ def verify_unitarity_suite(data, A, pairs, reporter):
         """Vbar(l*) for a label l."""
         return A.star(l).evaluate(data.Vbar)
 
-    reporter.forall("unitary.vbar-conjugation", "unitarity.vbar-v-conjugation", labels,
-                    lambda l: f"conj Vbar(h*) != V(h) at {A.label_name(l)}"
-                    if vbar_star(l).conj() != data.V(l) else None)
+    reporter.equal("unitary.vbar-conjugation", "unitarity.vbar-v-conjugation", labels,
+                   lambda l: (vbar_star(l).conj(), data.V(l)), at(A, "conj Vbar(h*) != V(h)"))
 
-    def convolution_inverses(f, fbar, witness):
-        """Defect of f * fbar = fbar * f = counit at a label."""
-        def defect(l):
-            if sweedler_sum(A, lambda k1, k2: f(k1) * fbar(k2), l) != A.counit(l) or \
-               sweedler_sum(A, lambda k1, k2: fbar(k1) * f(k2), l) != A.counit(l):
-                return f"{witness} at {A.label_name(l)}"
-            return None
-        return defect
-
-    reporter.forall("unitary.u-ubar-inverse", "twist.u-convolution-inverse", labels,
-                    convolution_inverses(data.U, data.Ubar, "U*Ubar != counit"))
-    reporter.forall("unitary.v-vbar-inverse", "twist.v-convolution-inverse", labels,
-                    convolution_inverses(data.V, data.Vbar, "V*Vbar != counit"))
+    for check_id, anchor, f, fbar, what in (
+            ("unitary.u-ubar-inverse", "twist.u-convolution-inverse", data.U, data.Ubar,
+             "U*Ubar != counit"),
+            ("unitary.v-vbar-inverse", "twist.v-convolution-inverse", data.V, data.Vbar,
+             "V*Vbar != counit")):
+        # f * fbar = fbar * f = counit
+        reporter.equal(check_id, anchor, labels, lambda l, f=f, fbar=fbar: (
+            (sweedler_sum(A, lambda k1, k2: f(k1) * fbar(k2), l),
+             sweedler_sum(A, lambda k1, k2: fbar(k1) * f(k2), l)), (A.counit(l),) * 2),
+            at(A, what))
 
     # Both sides of the two Vbar identities are antilinear in h and k, so the
     # Sweedler sums below compare their conjugates, which are linear.
@@ -525,10 +509,10 @@ def verify_unitarity_suite(data, A, pairs, reporter):
         rhs = sweedler_sum(A, lambda k1, k2, h1, h2: (
             gb.on_elems(s_star(h1), s_star(k1))
             * A.star_elem(A.mult(h2, k2)).evaluate(data.Vbar)).conj(), lk, lh)
-        return f"vbar exchange identity fails at ({A.label_names(hk)})" if lhs != rhs else None
+        return lhs, rhs
 
-    reporter.forall("unitary.vbar-exchange", "unitarity.vbar-exchange-identity", pairs,
-                    vbar_exchange)
+    reporter.equal("unitary.vbar-exchange", "unitarity.vbar-exchange-identity", pairs,
+                   vbar_exchange, at_labels(A, "vbar exchange identity fails"))
 
     def vbar_merge(hk):
         # gamma(S(h1)* (x) S(k1)*) Vbar(k2*) Vbar(h2*) = Vbar(k1* h1*) gammabar(k2* (x) h2*)
@@ -538,9 +522,10 @@ def verify_unitarity_suite(data, A, pairs, reporter):
         rhs = sweedler_sum(A, lambda k1, k2, h1, h2: (
             A.star_elem(A.mult(h1, k1)).evaluate(data.Vbar)
             * gb.on_elems(A.star(k2), A.star(h2))).conj(), lk, lh)
-        return f"vbar merge identity fails at ({A.label_names(hk)})" if lhs != rhs else None
+        return lhs, rhs
 
-    reporter.forall("unitary.vbar-merge", "unitarity.vbar-merge-identity", pairs, vbar_merge)
+    reporter.equal("unitary.vbar-merge", "unitarity.vbar-merge-identity", pairs, vbar_merge,
+                   at_labels(A, "vbar merge identity fails"))
 
     def u_exchange(hk):
         # U(h1) gammabar(S(h2) (x) k) = gamma(h1 (x) S(h2) k)
@@ -549,13 +534,13 @@ def verify_unitarity_suite(data, A, pairs, reporter):
                            data.U(h1) * A.antipode(h2).evaluate(lambda s: gb(s, lk)), lh)
         rhs = sweedler_sum(A, lambda h1, h2: A.mult_elem(A.antipode(h2), A.el(lk)).evaluate(
             lambda l: g(h1, l)), lh)
-        return f"u exchange identity fails at ({A.label_names(hk)})" if lhs != rhs else None
+        return lhs, rhs
 
-    reporter.forall("unitary.u-exchange", "twist.u-exchange-identity", pairs, u_exchange)
+    reporter.equal("unitary.u-exchange", "twist.u-exchange-identity", pairs, u_exchange,
+                   at_labels(A, "u exchange identity fails"))
 
     if A.is_grouplike_basis():
         # on a grouplike basis, unitarity is exactly pointwise unit modulus
         one = Cyc.one(A.scalar_order)
-        reporter.forall("unitary.modulus", "unitarity.unit-modulus", pairs,
-                        lambda ab: f"|gamma| != 1 at ({A.label_names(ab)})"
-                        if g(*ab) * g(*ab).conj() != one else None)
+        reporter.equal("unitary.modulus", "unitarity.unit-modulus", pairs,
+                       lambda ab: (g(*ab) * g(*ab).conj(), one), at_labels(A, "|gamma| != 1"))

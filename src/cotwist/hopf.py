@@ -71,9 +71,6 @@ class HopfAlgebra(LabelAlgebra):
     def label_name(self, label):
         return str(label)
 
-    def label_names(self, labels):
-        return ",".join(self.label_name(x) for x in labels)
-
     def finite_labels(self):
         """All labels for finite algebras, None for infinite families."""
         return None
@@ -270,6 +267,16 @@ def fun_s3(scalar_order=1):
 # -- axiom verification -----------------------------------------------------
 
 
+def at(alg, what):
+    """The witness `what at <label>` of a check over the labels of `alg`."""
+    return lambda l: f"{what} at {alg.label_name(l)}"
+
+
+def at_labels(alg, what):
+    """The witness `what at (<l1>,...,<lk>)` of a check over label tuples."""
+    return lambda ls: f"{what} at ({','.join(map(alg.label_name, ls))})"
+
+
 def verify_hopf_axioms(A, labels, reporter, prefix="hopf", pair_samples=None):
     """Run the Hopf *-algebra axiom suite over a finite label box.
 
@@ -281,105 +288,66 @@ def verify_hopf_axioms(A, labels, reporter, prefix="hopf", pair_samples=None):
     pairs = pair_samples if pair_samples is not None else [
         (a, b) for a in labels for b in labels]
 
-    def el(l):
-        return A.el(l)
-
-    reporter.forall(f"{prefix}.coassociativity", "coproduct.coassociativity", labels,
-                    lambda l: f"coassociativity fails at {A.label_name(l)}"
-                    if A.sweedler(l, 3) != A.sweedler_first(l, 3) else None)
+    reporter.equal(f"{prefix}.coassociativity", "coproduct.coassociativity", labels,
+                   lambda l: (A.sweedler(l, 3), A.sweedler_first(l, 3)),
+                   at(A, "coassociativity fails"))
 
     def counit_collapse(l):
-        left = A.coproduct(l).apply(lambda ab: A.el(ab[1], A.counit(ab[0])))
-        right = A.coproduct(l).apply(lambda ab: A.el(ab[0], A.counit(ab[1])))
-        return f"counit law fails at {A.label_name(l)}" \
-            if left != el(l) or right != el(l) else None
+        cp = A.coproduct(l)
+        return ((cp.apply(lambda ab: A.el(ab[1], A.counit(ab[0]))),
+                 cp.apply(lambda ab: A.el(ab[0], A.counit(ab[1])))), (A.el(l),) * 2)
 
-    reporter.forall(f"{prefix}.counit-collapse", "counit.left-right-law", labels, counit_collapse)
+    reporter.equal(f"{prefix}.counit-collapse", "counit.left-right-law", labels,
+                   counit_collapse, at(A, "counit law fails"))
 
     def antipode_convolution(l):
-        left = A.coproduct(l).apply(lambda ab: A.mult_elem(A.antipode(ab[0]), el(ab[1])))
-        right = A.coproduct(l).apply(lambda ab: A.mult_elem(el(ab[0]), A.antipode(ab[1])))
-        target = A.unit().scale(A.counit(l))
-        return f"antipode convolution law fails at {A.label_name(l)}" \
-            if left != target or right != target else None
+        cp = A.coproduct(l)
+        return ((cp.apply(lambda ab: A.mult_elem(A.antipode(ab[0]), A.el(ab[1]))),
+                 cp.apply(lambda ab: A.mult_elem(A.el(ab[0]), A.antipode(ab[1])))),
+                (A.unit().scale(A.counit(l)),) * 2)
 
-    reporter.forall(f"{prefix}.antipode-convolution", "antipode.convolution-law", labels,
-                    antipode_convolution)
-
-    def antipode_bijective(l):
-        v = el(l)
-        if A.antipode_inv_elem(A.antipode_elem(v)) != v or \
-           A.antipode_elem(A.antipode_inv_elem(v)) != v:
-            return f"S^-1 fails at {A.label_name(l)}"
-        return None
-
-    reporter.forall(f"{prefix}.antipode-bijective", "antipode.bijectivity", labels,
-                    antipode_bijective)
-
-    def coproduct_star_hom(l):
-        lhs = A.coproduct_elem(A.star(l))
-        rhs = A.coproduct(l).apply_conj(lambda ab: A.star(ab[0]).tensor(A.star(ab[1])))
-        return f"Delta(a*) != (*x*)Delta(a) at {A.label_name(l)}" if lhs != rhs else None
-
-    reporter.forall(f"{prefix}.coproduct-star-hom", "coproduct.star-homomorphism", labels,
-                    coproduct_star_hom)
-
-    def star_squared_antipode(l):
-        v = el(l)
-        w = A.star_elem(A.antipode_elem(A.star_elem(v)))
-        return f"S(S(a*)*) != a at {A.label_name(l)}" if A.antipode_elem(w) != v else None
-
-    reporter.forall(f"{prefix}.star-squared-antipode", "antipode.star-square-identity", labels,
-                    star_squared_antipode)
-
-    def associativity(abc):
-        a, b, c = abc
-        lhs = A.mult_elem(A.mult_elem(el(a), el(b)), el(c))
-        rhs = A.mult_elem(el(a), A.mult_elem(el(b), el(c)))
-        return f"associativity fails at ({A.label_names(abc)})" if lhs != rhs else None
-
-    reporter.forall(f"{prefix}.associativity", "plumbing",
-                    ((a, b, c) for a, b in pairs[: len(labels) ** 2] for c in labels[:3]),
-                    associativity)
+    reporter.equal(f"{prefix}.antipode-convolution", "antipode.convolution-law", labels,
+                   antipode_convolution, at(A, "antipode convolution law fails"))
+    reporter.equal(f"{prefix}.antipode-bijective", "antipode.bijectivity", labels,
+                   lambda l: ((A.antipode_inv_elem(A.antipode_elem(A.el(l))),
+                               A.antipode_elem(A.antipode_inv_elem(A.el(l)))), (A.el(l),) * 2),
+                   at(A, "S^-1 fails"))
+    reporter.equal(f"{prefix}.coproduct-star-hom", "coproduct.star-homomorphism", labels,
+                   lambda l: (A.coproduct_elem(A.star(l)), A.coproduct(l).apply_conj(
+                       lambda ab: A.star(ab[0]).tensor(A.star(ab[1])))),
+                   at(A, "Delta(a*) != (*x*)Delta(a)"))
+    reporter.equal(f"{prefix}.star-squared-antipode", "antipode.star-square-identity", labels,
+                   lambda l: (A.antipode_elem(A.star_elem(A.antipode_elem(A.star(l)))), A.el(l)),
+                   at(A, "S(S(a*)*) != a"))
+    reporter.equal(f"{prefix}.associativity", "plumbing",
+                   ((a, b, c) for a, b in pairs[: len(labels) ** 2] for c in labels[:3]),
+                   lambda abc: (A.mult_elem(A.mult(*abc[:2]), A.el(abc[2])),
+                                A.mult_elem(A.el(abc[0]), A.mult(*abc[1:]))),
+                   at_labels(A, "associativity fails"))
 
     one = A.unit()
-
-    def unit_law(l):
-        v = el(l)
-        if A.mult_elem(one, v) != v or A.mult_elem(v, one) != v:
-            return f"unit law fails at {A.label_name(l)}"
-        return None
-
-    reporter.forall(f"{prefix}.unit-law", "plumbing", labels, unit_law)
-
-    def coproduct_algebra_map(ab):
-        a, b = ab
-        lhs = A.coproduct_elem(A.mult_elem(el(a), el(b)))
-        # Delta(a) Delta(b) = a1 b1 (x) a2 b2
-        rhs = A.coproduct(a).apply2(
-            A.coproduct(b), lambda x, y: A.mult(x[0], y[0]).tensor(A.mult(x[1], y[1])))
-        return f"Delta not multiplicative at ({A.label_names(ab)})" if lhs != rhs else None
-
-    reporter.forall(f"{prefix}.coproduct-algebra-map", "bialgebra.compatibility", pairs,
-                    coproduct_algebra_map)
+    reporter.equal(f"{prefix}.unit-law", "plumbing", labels,
+                   lambda l: ((A.mult_elem(one, A.el(l)), A.mult_elem(A.el(l), one)),
+                              (A.el(l),) * 2),
+                   at(A, "unit law fails"))
+    # Delta(a) Delta(b) = a1 b1 (x) a2 b2
+    reporter.equal(f"{prefix}.coproduct-algebra-map", "bialgebra.compatibility", pairs,
+                   lambda ab: (A.coproduct_elem(A.mult(*ab)), A.coproduct(ab[0]).apply2(
+                       A.coproduct(ab[1]),
+                       lambda x, y: A.mult(x[0], y[0]).tensor(A.mult(x[1], y[1])))),
+                   at_labels(A, "Delta not multiplicative"))
 
     def star_antimultiplicative(ab):
         a, b = ab
-        lhs = A.star_elem(A.mult_elem(el(a), el(b)))
-        rhs = A.mult_elem(A.star_elem(el(b)), A.star_elem(el(a)))
-        if lhs != rhs or A.star_elem(A.star_elem(el(a))) != el(a):
-            return f"* not an antimultiplicative involution at ({A.label_names(ab)})"
-        return None
+        lhs = A.star_elem(A.mult(a, b))
+        rhs = A.mult_elem(A.star(b), A.star(a))
+        return (lhs, A.star_elem(A.star(a))), (rhs, A.el(a))
 
-    reporter.forall(f"{prefix}.star-antimultiplicative", "plumbing", pairs,
-                    star_antimultiplicative)
+    reporter.equal(f"{prefix}.star-antimultiplicative", "plumbing", pairs,
+                   star_antimultiplicative, at_labels(A, "* not an antimultiplicative involution"))
 
 
 def verify_cocommutative_flip(A, labels, reporter, prefix="hopf"):
-    def flip(l):
-        cp = A.coproduct(l)
-        if cp != cp.map_keys(lambda k: (k[1], k[0])):
-            return f"flip.Delta != Delta at {A.label_name(l)}"
-        return None
-
-    reporter.forall(f"{prefix}.cocommutative-flip", "coproduct.cocommutativity", labels, flip)
+    reporter.equal(f"{prefix}.cocommutative-flip", "coproduct.cocommutativity", labels,
+                   lambda l: (A.coproduct(l), A.coproduct(l).map_keys(lambda k: (k[1], k[0]))),
+                   at(A, "flip.Delta != Delta"))

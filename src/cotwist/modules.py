@@ -372,9 +372,7 @@ def right_linear_defect(f, b_label, i):
     return lhs - rhs
 
 
-def covariance_defect(f, src, dst, elem):
-    """delta(f(elem)) - (id (x) f)(delta(elem)) for a map f: src -> dst."""
-    lhs = dst.coact(f(elem))
-    rhs = src.coact(elem).apply(
+def covariance_sides(f, src, dst, elem):
+    """delta(f(elem)) and (id (x) f)(delta(elem)) for a map f: src -> dst."""
+    return dst.coact(f(elem)), src.coact(elem).apply(
         lambda k: f(src.from_b(src.base.el(k[1]), k[2])).map_keys(lambda bi: (k[0], *bi)))
-    return lhs - rhs

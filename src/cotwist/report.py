@@ -1,7 +1,10 @@
 """Verification report plumbing: ordered check results with witnesses.
 
-`Report.forall` is the one check loop: it evaluates an identity on a lazy
-domain and records the first counterexample.
+`Report.forall` is the one check loop: it evaluates a defect on a lazy
+domain and records the first counterexample.  `Report.equal` is `forall`
+for an identity of two sides with one witness text, which is what most
+checks are; a check stays on `forall` only when its defect has more than one
+witness text or is a predicate, or when its domain yields outcomes.
 """
 
 import json
@@ -76,6 +79,18 @@ class Report:
         res.duration_ms = int((time.monotonic() - t0) * 1000)
         self.checks.append(res)
         return res
+
+    def equal(self, check_id, anchor, domain, sides, witness):
+        """Check that lhs == rhs for `(lhs, rhs) = sides(x)` at every x of the
+        lazy `domain`.  `witness` is the failure's text, or a callable giving
+        it at x.  Otherwise `forall`, whose CheckResult it returns."""
+        name = witness if callable(witness) else lambda _: witness
+
+        def defect(x):
+            lhs, rhs = sides(x)
+            return name(x) if lhs != rhs else None
+
+        return self.forall(check_id, anchor, domain, defect)
 
     def add_skipped(self, check_id, anchor, reason):
         self.checks.append(CheckResult(check_id, anchor, "skipped", str(reason)))

@@ -5,14 +5,17 @@ main; `all` is their union.  Every check id is unique to one suite, and the
 identities are always evaluated with exact scalars, so pass/fail carries no
 tolerance.  Sampling is seed-deterministic and the box is recorded.
 
-Every check is one `Report.forall` over a lazy domain, and the `Sampler`
-makes every random draw: a domain is `sampler.draws(cap, draw)`, a label
-set, or `table_outcomes` over stored tables.  Where one draw checks several
-identities, the defect returns the first failing witness.  A check stays a
-generator that yields each instance's outcome (None or a witness, with
-`outcome` as its defect) only when it needs its own loop: its set-up
-evaluates a structure map, whose exception must stay the check's `fail`, or
-it draws again after a check.
+Every check is one `Report.equal` or `Report.forall` over a lazy domain, and
+the `Sampler` makes every random draw: a domain is `sampler.draws(cap, draw)`,
+a label set, the keys of a stored table, or a generator of outcomes.  An
+identity with one witness text is an `equal`, whose `sides` give (lhs, rhs):
+a pair of tuples where one draw checks several identities, and (X, zero) for
+X = 0.  A check stays on `forall` when its defect has two or more witness
+texts or is a predicate (a solve, `is_real`, `is_invertible`), or when it
+needs its own loop: a generator that yields each instance's outcome (None or
+a witness, with `outcome` as its defect), because its set-up evaluates a
+structure map, whose exception must stay the check's `fail`, or it draws
+again after a check.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from .geometry import (
     ChernNotUnique, ChernNoSolution, DiamondViolation, chern_conditions_hold,
     chern_solve, conj_connection, hermitian_from_real, split_hermitian,
     twist_connection)
-from .hopf import verify_cocommutative_flip, verify_hopf_axioms
+from .hopf import at, at_labels, verify_cocommutative_flip, verify_hopf_axioms
 from .models import check_sampling, twist_world
 from .modules import (
     CentralBasisModule, ConjugateModule, HomModule, Morphism, TensorModule,
-    conj_of, covariance_defect, hom_apply, hom_coact, right_linear_defect, unconj,
+    conj_of, covariance_sides, hom_apply, hom_coact, right_linear_defect, unconj,
     unit_coaction)
 from .relhopf import (
     TwistedModule, bar_map, bb_map, conj_twist_iso, conj_twist_iso_inv, hom_twist_iso,
@@ -106,13 +109,11 @@ def suite_hopf(bundle, world, back, rep, sampler):
     verify_hopf_axioms(Atw, small, rep, prefix="hopf.twisted", pair_samples=small_pairs)
 
     if A.is_grouplike_basis():
-        rep.forall("hopf.collapse-product", "twist.cocommutative-collapse",
-                   product(labels, labels),
-                   lambda ab: f"product_g != product at ({A.label_name(ab[0])},{A.label_name(ab[1])})"
-                   if Atw.mult(*ab) != A.mult(*ab) else None)
-        rep.forall("hopf.collapse-star", "twist.cocommutative-collapse", labels,
-                   lambda a: f"star_g != star at {A.label_name(a)}"
-                   if Atw.star(a) != A.star(a) else None)
+        rep.equal("hopf.collapse-product", "twist.cocommutative-collapse",
+                  product(labels, labels), lambda ab: (Atw.mult(*ab), A.mult(*ab)),
+                  at_labels(A, "product_g != product"))
+        rep.equal("hopf.collapse-star", "twist.cocommutative-collapse", labels,
+                  lambda a: (Atw.star(a), A.star(a)), at(A, "star_g != star"))
 
     _comodule_axioms(bundle.comodule, small, rep, "hopf.comodule")
     _comodule_axioms(world.comodule, small, rep, "hopf.comodule-twisted")
@@ -121,40 +122,27 @@ def suite_hopf(bundle, world, back, rep, sampler):
 def _comodule_axioms(B, labels, rep, prefix):
     A = B.hopf
 
-    def coassociative(l):
-        # (Delta (x) id) delta = (id (x) delta) delta
-        lhs = B.coact(l).apply(lambda ab: A.coproduct(ab[0]).map_keys(lambda x: (*x, ab[1])))
-        rhs = B.coact(l).apply(lambda ab: B.coact(ab[1]).map_keys(lambda x: (ab[0], *x)))
-        return f"coaction not coassociative at {B.label_name(l)}" if lhs != rhs else None
-
-    rep.forall(f"{prefix}.coassociative", "comodule.coassociativity", labels, coassociative)
-
-    def counital(l):
-        got = B.coact(l).apply(lambda ab: B.el(ab[1], A.counit(ab[0])))
-        return f"counit collapse fails at {B.label_name(l)}" if got != B.el(l) else None
-
-    rep.forall(f"{prefix}.counital", "comodule.counit-law", labels, counital)
-
-    def algebra_map(ab):
-        a, b = ab
-        lhs = B.coact_elem(B.mult(a, b))
-        rhs = B.coact(a).apply2(
-            B.coact(b), lambda x, y: A.mult(x[0], y[0]).tensor(B.mult(x[1], y[1])))
-        if lhs != rhs:
-            return f"coaction not an algebra map at ({B.label_name(a)},{B.label_name(b)})"
-        return None
-
+    # (Delta (x) id) delta = (id (x) delta) delta
+    rep.equal(f"{prefix}.coassociative", "comodule.coassociativity", labels,
+              lambda l: (
+                  B.coact(l).apply(lambda ab: A.coproduct(ab[0]).map_keys(lambda x: (*x, ab[1]))),
+                  B.coact(l).apply(lambda ab: B.coact(ab[1]).map_keys(lambda x: (ab[0], *x)))),
+              at(B, "coaction not coassociative"))
+    rep.equal(f"{prefix}.counital", "comodule.counit-law", labels,
+              lambda l: (B.coact(l).apply(lambda ab: B.el(ab[1], A.counit(ab[0]))), B.el(l)),
+              at(B, "counit collapse fails"))
     # a failed algebra-map check ends the axioms here, without star-hom
-    if not rep.forall(f"{prefix}.algebra-map", "comodule.algebra-map",
-                      product(labels[:6], labels[:6]), algebra_map):
+    if not rep.equal(f"{prefix}.algebra-map", "comodule.algebra-map",
+                     product(labels[:6], labels[:6]),
+                     lambda ab: (B.coact_elem(B.mult(*ab)), B.coact(ab[0]).apply2(
+                         B.coact(ab[1]),
+                         lambda x, y: A.mult(x[0], y[0]).tensor(B.mult(x[1], y[1])))),
+                     at_labels(B, "coaction not an algebra map")):
         return
-
-    def star_hom(l):
-        lhs = B.coact_elem(B.star(l))
-        rhs = B.coact(l).apply_conj(lambda ab: A.star(ab[0]).tensor(B.star(ab[1])))
-        return f"coaction not a *-homomorphism at {B.label_name(l)}" if lhs != rhs else None
-
-    rep.forall(f"{prefix}.star-hom", "comodule.star-homomorphism", labels, star_hom)
+    rep.equal(f"{prefix}.star-hom", "comodule.star-homomorphism", labels,
+              lambda l: (B.coact_elem(B.star(l)), B.coact(l).apply_conj(
+                  lambda ab: A.star(ab[0]).tensor(B.star(ab[1])))),
+              at(B, "coaction not a *-homomorphism"))
 
 
 # -- cocycle suite -------------------------------------------------------------
@@ -214,10 +202,10 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     bars = [ConjugateModule(E) for _, E in mods]
 
     for (label, E), Ebar in zip(mods, bars):
-        rep.forall(f"bar.conj-involution[{label}]", "bar.conjugate-structure",
-                   sampler.draws(12, lambda: sampler.module_elem(E)),
-                   lambda x: f"conjugation not involutive on {E.describe(x)}"
-                   if unconj(E, conj_of(E, x)) != x else None)
+        rep.equal(f"bar.conj-involution[{label}]", "bar.conjugate-structure",
+                  sampler.draws(12, lambda: sampler.module_elem(E)),
+                  lambda x: (unconj(E, conj_of(E, x)), x),
+                  lambda x: f"conjugation not involutive on {E.describe(x)}")
 
         def bimodule_laws(xb):
             x, b = xb
@@ -237,16 +225,11 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     T_unt = TensorModule(E, F)
     T_bars_unt = TensorModule(Fbar, Ebar)
 
-    def upsilon_involutive(xy):
-        x, y = xy
-        up = upsilon(T_unt, T_bars_unt, conj_of(T_unt, T_unt.pure(x, y)))
-        if up != T_bars_unt.pure(conj_of(F, y), conj_of(E, x)):
-            return "Upsilon((m(x)n)bar) != nbar(x)mbar on a sample"
-        return None
-
-    rep.forall("bar.upsilon-involutive", "bar.upsilon-coherence",
-               sampler.draws(8, lambda: (sampler.module_elem(E), sampler.module_elem(F))),
-               upsilon_involutive)
+    rep.equal("bar.upsilon-involutive", "bar.upsilon-coherence",
+              sampler.draws(8, lambda: (sampler.module_elem(E), sampler.module_elem(F))),
+              lambda xy: (upsilon(T_unt, T_bars_unt, conj_of(T_unt, T_unt.pure(*xy))),
+                          T_bars_unt.pure(conj_of(F, xy[1]), conj_of(E, xy[0]))),
+              "Upsilon((m(x)n)bar) != nbar(x)mbar on a sample")
 
     Ebarbar = ConjugateModule(Ebar)
     # a non-real scalar multiple of the identity catches stray conjugations
@@ -298,14 +281,12 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     else:
         g_mor = Morphism(F, F, {i: F.el(i, 2) for i in F.basis})
 
-    def phi_naturality(u):
-        lhs = tensor_map_pair(T_tw, T_tw, idE, g_mor, phi_inv_map(data, T_tw, T_unt, u))
-        rhs = phi_inv_map(data, T_tw, T_unt, tensor_map_pair(T_unt, T_unt, idE, g_mor, u))
-        return "(Gf (x) Gg) phi^-1 != phi^-1 G(f (x) g) on a sample" if lhs != rhs else None
-
-    rep.forall("phi.naturality", "twist.phi-naturality",
-               sampler.draws(6, lambda: T_unt.pure(sampler.module_elem(E), sampler.module_elem(F))),
-               phi_naturality)
+    rep.equal("phi.naturality", "twist.phi-naturality",
+              sampler.draws(6, lambda: T_unt.pure(sampler.module_elem(E), sampler.module_elem(F))),
+              lambda u: (tensor_map_pair(T_tw, T_tw, idE, g_mor, phi_inv_map(data, T_tw, T_unt, u)),
+                         phi_inv_map(data, T_tw, T_unt,
+                                     tensor_map_pair(T_unt, T_unt, idE, g_mor, u))),
+              "(Gf (x) Gg) phi^-1 != phi^-1 G(f (x) g) on a sample")
 
     def gamma_functorial():
         T_idtw = twist_tensor_morphism(Morphism.identity(T_unt), data, T_tw, T_tw)
@@ -315,39 +296,26 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
 
     rep.forall("gamma.functorial", "twist.functoriality", gamma_functorial(), outcome)
 
-    def conj_iso_inverse(xb):
-        fwd = conj_twist_iso(data, GE, xb)
-        return "N^-1 . N != id on a sample" \
-            if conj_twist_iso_inv(data, GE, fwd) != xb else None
-
-    rep.forall("conjiso.iso", "twist.conjugation-isomorphism",
-               sampler.draws(10, lambda: conj_of(GE, sampler.module_elem(GE))),
-               conj_iso_inverse)
-
-    def conj_iso_bilinear(xb_b):
-        xb, b = xb_b
-        if conj_twist_iso(data, GE, bar_GE.lmul(b, xb)) != \
-           GEbar.lmul(b, conj_twist_iso(data, GE, xb)):
-            return "N not left B_g-linear on a sample"
-        return None
-
-    rep.forall("conjiso.bilinear", "twist.conjugation-isomorphism",
-               sampler.draws(8, lambda: (conj_of(GE, sampler.module_elem(GE)),
-                                         Btw.el(sampler.label()))),
-               conj_iso_bilinear)
-    rep.forall("conjiso.covariant", "twist.conjugation-isomorphism",
-               sampler.draws(8, lambda: conj_of(GE, sampler.module_elem(GE))),
-               lambda xb: "N not covariant on a sample"
-               if not covariance_defect(N, bar_GE, GEbar, xb).is_zero() else None)
+    rep.equal("conjiso.iso", "twist.conjugation-isomorphism",
+              sampler.draws(10, lambda: conj_of(GE, sampler.module_elem(GE))),
+              lambda xb: (conj_twist_iso_inv(data, GE, N(xb)), xb), "N^-1 . N != id on a sample")
+    rep.equal("conjiso.bilinear", "twist.conjugation-isomorphism",
+              sampler.draws(8, lambda: (conj_of(GE, sampler.module_elem(GE)),
+                                        Btw.el(sampler.label()))),
+              lambda xb_b: (N(bar_GE.lmul(xb_b[1], xb_b[0])), GEbar.lmul(xb_b[1], N(xb_b[0]))),
+              "N not left B_g-linear on a sample")
+    rep.equal("conjiso.covariant", "twist.conjugation-isomorphism",
+              sampler.draws(8, lambda: conj_of(GE, sampler.module_elem(GE))),
+              lambda xb: covariance_sides(N, bar_GE, GEbar, xb), "N not covariant on a sample")
 
     H = HomModule(E)
     f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
     ev = hom_twist_iso(data, H, f)
 
-    rep.forall("homiso.left-linear", "twist.hom-isomorphism",
-               sampler.draws(8, lambda: (sampler.module_elem(GE), Btw.el(sampler.label()))),
-               lambda vb: "S(f) not left B_g-linear on a sample"
-               if ev(GE.lmul(vb[1], vb[0])) != Btw.mult_elem(vb[1], ev(vb[0])) else None)
+    rep.equal("homiso.left-linear", "twist.hom-isomorphism",
+              sampler.draws(8, lambda: (sampler.module_elem(GE), Btw.el(sampler.label()))),
+              lambda vb: (ev(GE.lmul(vb[1], vb[0])), Btw.mult_elem(vb[1], ev(vb[0]))),
+              "S(f) not left B_g-linear on a sample")
 
     # a fresh f for the bimodule laws
     GH = TwistedModule(H, data, Btw)
@@ -371,10 +339,10 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     # N_E . bar(Gamma(f)) = Gamma(fbar) . N_E for the morphism f of bb-natural;
     # bar(Gamma(f)) goes through the twisted conjugate structure
     fbar_tw = bar_map(f_nat, GE, GE)
-    rep.forall("conjiso.natural", "twist.conjugation-isomorphism",
-               sampler.draws(6, lambda: conj_of(GE, sampler.module_elem(GE))),
-               lambda xb: "N is not natural against a sampled morphism"
-               if N(fbar_tw(xb)) != fbar(N(xb)) else None)
+    rep.equal("conjiso.natural", "twist.conjugation-isomorphism",
+              sampler.draws(6, lambda: conj_of(GE, sampler.module_elem(GE))),
+              lambda xb: (N(fbar_tw(xb)), fbar(N(xb))),
+              "N is not natural against a sampled morphism")
     f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
 
     def hom_coaction():
@@ -401,21 +369,20 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
             T_bars_tw, T_gbar, lambda v: conj_twist_iso(data, GF, v), N, route1)
         # right route: phi^-1 Gamma(Upsilon) N_{E(x)F}
         route2 = upsilon(T_unt, T_bars_unt, conj_twist_iso(data, GT, xbar))
-        route2 = phi_inv_map(data, T_gbar, T_bars_unt, route2)
-        return "bar-functor hexagon fails on a sample" if route1 != route2 else None
+        return route1, phi_inv_map(data, T_gbar, T_bars_unt, route2)
 
-    rep.forall("bar.hexagon", "barfunctor.hexagon",
-               sampler.draws(6, lambda: GT.from_b(Btw.el(sampler.label()), (
-                   sampler.rng.choice(E.basis), sampler.rng.choice(F.basis)))),
-               hexagon)
+    rep.equal("bar.hexagon", "barfunctor.hexagon",
+              sampler.draws(6, lambda: GT.from_b(Btw.el(sampler.label()), (
+                  sampler.rng.choice(E.basis), sampler.rng.choice(F.basis)))),
+              hexagon, "bar-functor hexagon fails on a sample")
 
     # (N_E)bar: bar(bar(Gamma E)) -> bar(Gamma(Ebar)); Gamma(bb) shares the keys of bb
     n_bar = bar_map(N, bar_GE, GEbar)
-    rep.forall("bar.bb-condition", "barfunctor.double-conjugate",
-               sampler.draws(6, lambda: sampler.module_elem(GE)),
-               lambda x: "Gamma(bb) != N_bar . N bar . bb on a sample"
-               if bb_map(E, Ebar, x) != conj_twist_iso(data, GEbar, n_bar(bb_map(GE, bar_GE, x)))
-               else None)
+    rep.equal("bar.bb-condition", "barfunctor.double-conjugate",
+              sampler.draws(6, lambda: sampler.module_elem(GE)),
+              lambda x: (bb_map(E, Ebar, x),
+                         conj_twist_iso(data, GEbar, n_bar(bb_map(GE, bar_GE, x)))),
+              "Gamma(bb) != N_bar . N bar . bb on a sample")
 
     if bundle.calculus is not None:
         cal = bundle.calculus
@@ -427,27 +394,21 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
             return conj_of(O1, cal.star(w))
 
         star_bar = bar_map(star, O1, Obar)
-        rep.forall("bar.star-object", "bar.star-object-law",
-                   sampler.draws(6, lambda: sampler.module_elem(O1)),
-                   lambda w: "starbar . star != bb on a one-form sample"
-                   if star_bar(star(w)) != bb_map(O1, Obar, w) else None)
-
-        def star_transport(w):
-            lhs = conj_of(G1, cal_tw.star(w))
-            gstar = conj_of(O1, cal.star(w))
-            if lhs != conj_twist_iso_inv(data, G1, gstar):
-                return "star_g != N^-1 . Gamma(star) on a one-form sample"
-            return None
-
-        rep.forall("bar.star-transport", "barfunctor.star-transport",
-                   sampler.draws(8, lambda: sampler.module_elem(G1)), star_transport)
+        rep.equal("bar.star-object", "bar.star-object-law",
+                  sampler.draws(6, lambda: sampler.module_elem(O1)),
+                  lambda w: (star_bar(star(w)), bb_map(O1, Obar, w)),
+                  "starbar . star != bb on a one-form sample")
+        rep.equal("bar.star-transport", "barfunctor.star-transport",
+                  sampler.draws(8, lambda: sampler.module_elem(G1)),
+                  lambda w: (conj_of(G1, cal_tw.star(w)), conj_twist_iso_inv(data, G1, star(w))),
+                  "star_g != N^-1 . Gamma(star) on a one-form sample")
 
     # module round trip through gamma then gammabar
     GEback = TwistedModule(GE, world.data, back.comodule)
-    rep.forall("module.roundtrip", "twist.inverse-deformation",
-               product(sampler.labels[:5], E.basis),
-               lambda k: f"module round trip fails at ({E.basis_name(k[1])},{B.label_name(k[0])})"
-               if GEback.r_act(k[1], k[0]) != E.r_act(k[1], k[0]) else None)
+    rep.equal("module.roundtrip", "twist.inverse-deformation",
+              product(sampler.labels[:5], E.basis),
+              lambda k: (GEback.r_act(k[1], k[0]), E.r_act(k[1], k[0])),
+              lambda k: f"module round trip fails at ({E.basis_name(k[1])},{B.label_name(k[0])})")
 
 
 # -- calculus suite (includes complex structure, holomorphic, Kahler) -----------
@@ -455,6 +416,7 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
 
 def _calculus_core(cal, rep, sampler, prefix):
     B = cal.base
+    zero = Vec(cal.scalar_order)
 
     def degree_0_and_1():
         # a generator: it draws the one-form after checking the function, so a
@@ -463,9 +425,9 @@ def _calculus_core(cal, rep, sampler, prefix):
             yield f
             yield sampler.module_elem(cal.module(1))
 
-    rep.forall(f"{prefix}.d-squared", "calculus.d-squared", degree_0_and_1(),
-               lambda f: f"d^2 != 0 on a degree-{cal.degree(f)} sample"
-               if not cal.d(cal.d(f)).is_zero() else None)
+    rep.equal(f"{prefix}.d-squared", "calculus.d-squared", degree_0_and_1(),
+              lambda f: (cal.d(cal.d(f)), zero),
+              lambda f: f"d^2 != 0 on a degree-{cal.degree(f)} sample")
 
     def graded_leibniz(wf):
         w, f = wf
@@ -479,15 +441,15 @@ def _calculus_core(cal, rep, sampler, prefix):
                sampler.draws(10, lambda: (sampler.module_elem(cal.module(1)),
                                           cal.from_b(B.el(sampler.label())))),
                graded_leibniz)
-    rep.forall(f"{prefix}.star-involution", "calculus.star-laws",
-               (sampler.module_elem(cal.module(deg)) for deg in (0, 1, 2) for _ in range(4)),
-               lambda w: f"star not involutive in degree {cal.degree(w)}"
-               if cal.star(cal.star(w)) != w else None)
-    rep.forall(f"{prefix}.star-d-commute", "calculus.star-d-compatibility",
-               (w for deg in (0, 1)
-                for w in sampler.draws(8, partial(sampler.module_elem, cal.module(deg)))),
-               lambda w: f"(dw)* != d(w*) in degree {cal.degree(w)}"
-               if cal.star(cal.d(w)) != cal.d(cal.star(w)) else None)
+    rep.equal(f"{prefix}.star-involution", "calculus.star-laws",
+              (sampler.module_elem(cal.module(deg)) for deg in (0, 1, 2) for _ in range(4)),
+              lambda w: (cal.star(cal.star(w)), w),
+              lambda w: f"star not involutive in degree {cal.degree(w)}")
+    rep.equal(f"{prefix}.star-d-commute", "calculus.star-d-compatibility",
+              (w for deg in (0, 1)
+               for w in sampler.draws(8, partial(sampler.module_elem, cal.module(deg)))),
+              lambda w: (cal.star(cal.d(w)), cal.d(cal.star(w))),
+              lambda w: f"(dw)* != d(w*) in degree {cal.degree(w)}")
 
     def star_antimultiplicative():
         # a generator: after a failure it goes on drawing for the remaining
@@ -509,26 +471,18 @@ def _calculus_core(cal, rep, sampler, prefix):
     rep.forall(f"{prefix}.star-antimultiplicative", "calculus.star-laws",
                star_antimultiplicative(), outcome)
 
-    def wedge_associative(abc):
-        a, b2, c = abc
-        if cal.wedge(cal.wedge(a, b2), c) != cal.wedge(a, cal.wedge(b2, c)):
-            return "wedge associativity fails on a sampled triple"
-        return None
-
-    rep.forall(f"{prefix}.wedge-associative", "calculus.associativity",
-               sampler.draws(8, lambda: (sampler.module_elem(cal.module(0)),
-                                         sampler.module_elem(cal.module(1)),
-                                         sampler.module_elem(cal.module(1)))),
-               wedge_associative)
-
-    def d_covariant(b):
-        lhs = cal.module(1).coact(cal.d(cal.from_b(b)))
-        rhs = B.coact_elem(b).apply(lambda ab: cal.d(cal.from_b(B.el(ab[1]))).map_keys(
-            lambda bi: (ab[0], *bi)))
-        return "d is not covariant on a sample" if lhs != rhs else None
-
-    rep.forall(f"{prefix}.d-covariant", "calculus.covariance",
-               sampler.draws(8, lambda: B.el(sampler.label())), d_covariant)
+    rep.equal(f"{prefix}.wedge-associative", "calculus.associativity",
+              sampler.draws(8, lambda: (sampler.module_elem(cal.module(0)),
+                                        sampler.module_elem(cal.module(1)),
+                                        sampler.module_elem(cal.module(1)))),
+              lambda abc: (cal.wedge(cal.wedge(*abc[:2]), abc[2]),
+                           cal.wedge(abc[0], cal.wedge(*abc[1:]))),
+              "wedge associativity fails on a sampled triple")
+    rep.equal(f"{prefix}.d-covariant", "calculus.covariance",
+              sampler.draws(8, lambda: B.el(sampler.label())),
+              lambda b: (cal.module(1).coact(cal.d(cal.from_b(b))), B.coact_elem(b).apply(
+                  lambda ab: cal.d(cal.from_b(B.el(ab[1]))).map_keys(lambda bi: (ab[0], *bi)))),
+              "d is not covariant on a sample")
 
     def generated_by_b_db():
         # every degree-1 basis form must be a Q(zeta)-combination of the
@@ -561,11 +515,10 @@ def suite_calculus(bundle, world, back, rep, sampler):
     _calculus_core(cal, rep, sampler, "calc.base")
     _calculus_core(cal_tw, rep, sampler, "calc.twisted")
 
-    rep.forall("calc.twisted.d-is-functor-image", "twist.calculus",
-               sampler.draws(10, lambda: sampler.module_elem(
-                   cal_tw.module(sampler.rng.choice((0, 1))))),
-               lambda f: "d_g differs from Gamma(d) on a sample"
-               if cal_tw.d(f) != cal.d(f) else None)
+    rep.equal("calc.twisted.d-is-functor-image", "twist.calculus",
+              sampler.draws(10, lambda: sampler.module_elem(
+                  cal_tw.module(sampler.rng.choice((0, 1))))),
+              lambda f: (cal_tw.d(f), cal.d(f)), "d_g differs from Gamma(d) on a sample")
 
     def star_formula(f):
         # star_g(b w) must match Vbar(w-weight*) of the coaction formula
@@ -579,11 +532,11 @@ def suite_calculus(bundle, world, back, rep, sampler):
             starred = cal.star(mod1.from_b(bundle.comodule.el(b), i))
             return starred.scale(A.star(a).evaluate(data.Vbar))
 
-        rhs = mod1.coact(f).apply_conj(term)
-        return "twisted star does not match its coaction formula" if lhs != rhs else None
+        return lhs, mod1.coact(f).apply_conj(term)
 
-    rep.forall("calc.twisted.star-formula", "twist.comodule-star",
-               sampler.draws(10, lambda: sampler.module_elem(cal_tw.module(1))), star_formula)
+    rep.equal("calc.twisted.star-formula", "twist.comodule-star",
+              sampler.draws(10, lambda: sampler.module_elem(cal_tw.module(1))), star_formula,
+              "twisted star does not match its coaction formula")
 
     def calc_roundtrip(fg):
         f, g2 = fg
@@ -622,12 +575,10 @@ def suite_calculus(bundle, world, back, rep, sampler):
         rep.forall(f"cs.{tag}.star-swaps", "complex.star-swap",
                    sampler.draws(8, lambda: sampler.module_elem(c_al.module(1))), star_swaps)
 
-        def d_splits(f):
-            df = c_al.d(f)
-            return "d != del + delbar on a sample" if c_s.del_(f) + c_s.delbar(f) != df else None
-
-        rep.forall(f"cs.{tag}.d-splits", "complex.d-decomposition",
-                   sampler.draws(8, lambda: sampler.module_elem(c_al.module(1))), d_splits)
+        rep.equal(f"cs.{tag}.d-splits", "complex.d-decomposition",
+                  sampler.draws(8, lambda: sampler.module_elem(c_al.module(1))),
+                  lambda f: (c_al.d(f), c_s.del_(f) + c_s.delbar(f)),
+                  "d != del + delbar on a sample")
 
         def dolbeault_squares(b):
             if not c_s.del_(c_s.del_(b)).is_zero() or \
@@ -670,18 +621,16 @@ def suite_calculus(bundle, world, back, rep, sampler):
             def holo_leibniz(bi):
                 b, i = bi
                 lhs = hh.delbar_conn(mod.lmul(b, mod.el(i)))
-                rhs = hh.tensor_01.lmul(b, hh.delbar_conn(mod.el(i))) + \
+                return lhs, hh.tensor_01.lmul(b, hh.delbar_conn(mod.el(i))) + \
                     hh.tensor_01.pure(hh.cs.delbar_b(b), mod.el(i))
-                return "delbar-connection Leibniz fails on a sample" if lhs != rhs else None
 
-            rep.forall(f"holo.{wtag}.{tag}.leibniz", "holomorphic.leibniz",
-                       sampler.draws(8, lambda: (mod.base.el(sampler.label()),
-                                                 sampler.rng.choice(mod.basis))),
-                       holo_leibniz)
-            rep.forall(f"holo.{wtag}.{tag}.curvature", "holomorphic.curvature-zero",
-                       hh.module.basis,
-                       lambda i: f"holomorphic curvature nonzero at basis {i}"
-                       if not hh.curvature(i).is_zero() else None)
+            rep.equal(f"holo.{wtag}.{tag}.leibniz", "holomorphic.leibniz",
+                      sampler.draws(8, lambda: (mod.base.el(sampler.label()),
+                                                sampler.rng.choice(mod.basis))),
+                      holo_leibniz, "delbar-connection Leibniz fails on a sample")
+            rep.equal(f"holo.{wtag}.{tag}.curvature", "holomorphic.curvature-zero", mod.basis,
+                      lambda i: (hh.curvature(i), mod.zero()),
+                      lambda i: f"holomorphic curvature nonzero at basis {i}")
 
     # the transported operator (delbar (x) id - id ^ delbar_E) agrees
     # through phi on samples
@@ -694,28 +643,26 @@ def suite_calculus(bundle, world, back, rep, sampler):
         u = h.tensor_01.pure(cs.proj(w, 0, 1), e)
         moved = phi_inv_map(data, h_tw.tensor_01, h.tensor_01, u)
         rhs = phi_map(data, T_op_tw, T_op, h_tw.operator(moved))
-        return "holomorphic transport identity fails on a sample" \
-            if h.operator(u) != rhs else None
+        return h.operator(u), rhs
 
-    rep.forall("holo.twist-intermediate", "twist.holomorphic-transport",
-               sampler.draws(6, lambda: (sampler.module_elem(cal.module(1)), sampler.label())),
-               holo_transport)
+    rep.equal("holo.twist-intermediate", "twist.holomorphic-transport",
+              sampler.draws(6, lambda: (sampler.module_elem(cal.module(1)), sampler.label())),
+              holo_transport, "holomorphic transport identity fails on a sample")
 
     # Kahler layer
     for tag, kappa, c_al in (("base", bundle.kappa, cal), ("twisted", world.kappa, cal_tw)):
-        rep.forall(f"kahler.{tag}.central", "kahler.centrality",
-                   sampler.draws(8, lambda: sampler.module_elem(c_al.module(0))),
-                   lambda f: "kappa not central on a sample"
-                   if c_al.wedge(kappa, f) != c_al.wedge(f, kappa) else None)
-        rep.forall(f"kahler.{tag}.real", "kahler.reality", [kappa],
-                   lambda k: "kappa* != kappa" if c_al.star(k) != k else None)
+        rep.equal(f"kahler.{tag}.central", "kahler.centrality",
+                  sampler.draws(8, lambda: sampler.module_elem(c_al.module(0))),
+                  lambda f: (c_al.wedge(kappa, f), c_al.wedge(f, kappa)),
+                  "kappa not central on a sample")
+        rep.equal(f"kahler.{tag}.real", "kahler.reality", [kappa],
+                  lambda k: (c_al.star(k), k), "kappa* != kappa")
 
         O2 = c_al.module(2)
-        rep.forall(f"kahler.{tag}.coinvariant", "kahler.coinvariance", [kappa],
-                   lambda k: "kappa not coinvariant"
-                   if O2.coact(k) != unit_coaction(O2, k) else None)
-        rep.forall(f"kahler.{tag}.closed", "kahler.closedness", [kappa],
-                   lambda k: "d kappa != 0" if not c_al.d(k).is_zero() else None)
+        rep.equal(f"kahler.{tag}.coinvariant", "kahler.coinvariance", [kappa],
+                  lambda k: (O2.coact(k), unit_coaction(O2, k)), "kappa not coinvariant")
+        rep.equal(f"kahler.{tag}.closed", "kahler.closedness", [kappa],
+                  lambda k: (c_al.d(k), O2.zero()), "d kappa != 0")
         rep.forall(f"kahler.{tag}.lefschetz", "kahler.lefschetz-bijectivity", [kappa],
                    lambda k: "L: Omega^0 -> Omega^2 is not bijective"
                    if not lefschetz_bijective(c_al, k) else None)
@@ -744,28 +691,18 @@ def _metric_core(metric, rep, sampler, prefix):
 
     rep.forall(f"{prefix}.snake", "metric.duality-snake", mod.basis, snake)
 
-    def central(lab):
-        b = B.el(lab)
-        if metric.tensor.lmul(b, metric.g) != metric.tensor.rmul(metric.g, b):
-            return f"b g != g b at {B.label_name(lab)}"
-        return None
-
-    rep.forall(f"{prefix}.central", "metric.centrality", B.generators(), central)
-
-    rep.forall(f"{prefix}.coinvariant", "metric.coinvariance", [metric.g],
-               lambda g: "delta(g) != 1 (x) g"
-               if metric.tensor.coact(g) != unit_coaction(metric.tensor, g) else None)
-
-    def pair_covariant(t):
-        lhs = B.coact_elem(metric.pair_apply(t))
-        rhs = metric.tensor.coact(t).apply(lambda x: metric.pair_apply(
-            metric.tensor.from_b(B.el(x[1]), x[2])).map_keys(lambda b2: (x[0], b2)))
-        return "pairing is not covariant on a sample" if lhs != rhs else None
-
-    rep.forall(f"{prefix}.pair-covariant", "metric.pairing-covariance",
-               sampler.draws(8, lambda: metric.tensor.pure(sampler.module_elem(mod),
-                                                           sampler.module_elem(mod))),
-               pair_covariant)
+    T = metric.tensor
+    rep.equal(f"{prefix}.central", "metric.centrality", B.generators(),
+              lambda lab: (T.lmul(B.el(lab), metric.g), T.rmul(metric.g, B.el(lab))),
+              at(B, "b g != g b"))
+    rep.equal(f"{prefix}.coinvariant", "metric.coinvariance", [metric.g],
+              lambda g: (T.coact(g), unit_coaction(T, g)), "delta(g) != 1 (x) g")
+    rep.equal(f"{prefix}.pair-covariant", "metric.pairing-covariance",
+              sampler.draws(8, lambda: T.pure(sampler.module_elem(mod), sampler.module_elem(mod))),
+              lambda t: (B.coact_elem(metric.pair_apply(t)), T.coact(t).apply(
+                  lambda x: metric.pair_apply(T.from_b(B.el(x[1]), x[2])).map_keys(
+                      lambda b2: (x[0], b2)))),
+              "pairing is not covariant on a sample")
     rep.forall(f"{prefix}.real", "metric.reality", [metric],
                lambda m: "flip(* (x) *) g != g" if not m.is_real() else None)
 
@@ -779,9 +716,9 @@ def suite_metric(bundle, world, back, rep, sampler):
     _metric_core(metric, rep, sampler, "metric.base")
     _metric_core(metric_tw, rep, sampler, "metric.twisted")
 
-    rep.forall("metric.twist-g-phi", "twist.metric", [metric.g],
-               lambda g: "g_g != phi^-1(g)"
-               if metric_tw.g != phi_inv_map(data, metric_tw.tensor, metric.tensor, g) else None)
+    rep.equal("metric.twist-g-phi", "twist.metric", [metric.g],
+              lambda g: (metric_tw.g, phi_inv_map(data, metric_tw.tensor, metric.tensor, g)),
+              "g_g != phi^-1(g)")
 
     B, A = bundle.comodule, bundle.hopf
     O1 = cal.module(1)
@@ -800,12 +737,11 @@ def suite_metric(bundle, world, back, rep, sampler):
                 data, T_tw, T_unt, T_unt.pure(O1.from_b(B.el(b1), i1), O1.from_b(B.el(b2), i2)))
             return piece.scale(A.mult(a1, a2).evaluate(data.Vbar))
 
-        rhs = O1.coact(es).apply2(O1.coact(ws), term)
-        return "twisted-dagger transport identity fails on a sample" if lhs != rhs else None
+        return lhs, O1.coact(es).apply2(O1.coact(ws), term)
 
-    rep.forall("metric.dagger-identity", "twist.reality-transport",
-               sampler.draws(8, lambda: (sampler.module_elem(O1), sampler.module_elem(O1))),
-               dagger_identity)
+    rep.equal("metric.dagger-identity", "twist.reality-transport",
+              sampler.draws(8, lambda: (sampler.module_elem(O1), sampler.module_elem(O1))),
+              dagger_identity, "twisted-dagger transport identity fails on a sample")
 
     def metric_roundtrip():
         yield "g round trip differs" if back.metric.g != metric.g else None
@@ -820,25 +756,17 @@ def suite_metric(bundle, world, back, rep, sampler):
         def draw_b_and_e():
             return B.el(sampler.label()), sampler.module_elem(c.module)
 
-        def left_leibniz(be):
-            b, e = be
-            lhs = c.apply(c.module.lmul(b, e))
-            rhs = c.tensor.lmul(b, c.apply(e)) + \
-                c.tensor.pure(c_al.d(c_al.from_b(b)), e)
-            return "left Leibniz fails on a sample" if lhs != rhs else None
-
-        rep.forall(f"lc.{tag}.leibniz", "connection.left-leibniz",
-                   sampler.draws(8, draw_b_and_e), left_leibniz)
-
-        def sigma_leibniz(be):
-            b, e = be
-            lhs = c.apply(c.module.rmul(e, b))
-            rhs = c.tensor.rmul(c.apply(e), b) + \
-                c.sigma(c.sigma.src.pure(e, c_al.d(c_al.from_b(b))))
-            return "sigma-twisted right Leibniz fails on a sample" if lhs != rhs else None
-
-        rep.forall(f"lc.{tag}.bimodule", "connection.sigma-leibniz",
-                   sampler.draws(8, draw_b_and_e), sigma_leibniz)
+        rep.equal(f"lc.{tag}.leibniz", "connection.left-leibniz",
+                  sampler.draws(8, draw_b_and_e),
+                  lambda be: (c.apply(c.module.lmul(*be)), c.tensor.lmul(be[0], c.apply(be[1]))
+                              + c.tensor.pure(c_al.d(c_al.from_b(be[0])), be[1])),
+                  "left Leibniz fails on a sample")
+        rep.equal(f"lc.{tag}.bimodule", "connection.sigma-leibniz",
+                  sampler.draws(8, draw_b_and_e),
+                  lambda be: (c.apply(c.module.rmul(be[1], be[0])),
+                              c.tensor.rmul(c.apply(be[1]), be[0])
+                              + c.sigma(c.sigma.src.pure(be[1], c_al.d(c_al.from_b(be[0]))))),
+                  "sigma-twisted right Leibniz fails on a sample")
 
         def sigma_morphism():
             # a generator: a basis sweep, then draws
@@ -847,15 +775,15 @@ def suite_metric(bundle, world, back, rep, sampler):
                     yield f"sigma not right-linear at ({key},{B.label_name(lab)})" \
                         if not right_linear_defect(c.sigma, lab, key).is_zero() else None
             for e in sampler.draws(6, lambda: sampler.module_elem(c.sigma.src)):
-                defect = covariance_defect(c.sigma, c.sigma.src, c.sigma.dst, e)
-                yield "sigma not covariant on a sample" if not defect.is_zero() else None
+                lhs, rhs = covariance_sides(c.sigma, c.sigma.src, c.sigma.dst, e)
+                yield "sigma not covariant on a sample" if lhs != rhs else None
 
         rep.forall(f"lc.{tag}.sigma-morphism", "connection.sigma-bimodule-map",
                    sigma_morphism(), outcome)
-        rep.forall(f"lc.{tag}.covariant", "connection.covariance",
-                   sampler.draws(8, lambda: sampler.module_elem(c.module)),
-                   lambda e: "connection is not covariant on a sample"
-                   if not covariance_defect(c.apply, c.module, c.tensor, e).is_zero() else None)
+        rep.equal(f"lc.{tag}.covariant", "connection.covariance",
+                  sampler.draws(8, lambda: sampler.module_elem(c.module)),
+                  lambda e: covariance_sides(c.apply, c.module, c.tensor, e),
+                  "connection is not covariant on a sample")
 
         def torsion_zero():
             # a generator: a basis sweep, then draws
@@ -866,12 +794,12 @@ def suite_metric(bundle, world, back, rep, sampler):
                 yield "torsion nonzero on a sample" if not c.torsion(e).is_zero() else None
 
         rep.forall(f"lc.{tag}.torsion-zero", "levi-civita.torsionless", torsion_zero(), outcome)
-        rep.forall(f"lc.{tag}.metric-compat", "levi-civita.metric-compatibility", [m],
-                   lambda m: "nabla g != 0" if not c.metric_compat(m).is_zero() else None)
+        rep.equal(f"lc.{tag}.metric-compat", "levi-civita.metric-compatibility", [m],
+                  lambda m: (c.metric_compat(m), m.tensor.zero()), "nabla g != 0")
 
-    rep.forall("lc.roundtrip", "twist.inverse-deformation",
-               table_outcomes(conn.module.basis, back.connection.table,
-                              conn.table, "connection round trip differs"), outcome)
+    rep.equal("lc.roundtrip", "twist.inverse-deformation", conn.module.basis,
+              lambda k: (back.connection.table[k], conn.table[k]),
+              lambda k: f"connection round trip differs at {k}")
 
 
 # -- hermitian suite ---------------------------------------------------------------
@@ -887,16 +815,12 @@ def suite_hermitian(bundle, world, back, rep, sampler):
         rep.forall(f"herm.{tag}.invertible", "hermitian.isomorphism", [h],
                    lambda h: "H table is not invertible" if not h.is_invertible() else None)
 
-        def symmetry(xy):
-            x, y = xy
-            lhs = c_al.base.star_elem(h.pair(y, conj_of(h.module, x)))
-            rhs = h.pair(x, conj_of(h.module, y))
-            return "<y,xbar>* != <x,ybar> on a sample" if lhs != rhs else None
-
-        rep.forall(f"herm.{tag}.symmetry", "hermitian.conjugate-symmetry",
-                   sampler.draws(10, lambda: (sampler.module_elem(h.module),
-                                              sampler.module_elem(h.module))),
-                   symmetry)
+        rep.equal(f"herm.{tag}.symmetry", "hermitian.conjugate-symmetry",
+                  sampler.draws(10, lambda: (sampler.module_elem(h.module),
+                                             sampler.module_elem(h.module))),
+                  lambda xy: (c_al.base.star_elem(h.pair(xy[1], conj_of(h.module, xy[0]))),
+                              h.pair(xy[0], conj_of(h.module, xy[1]))),
+                  "<y,xbar>* != <x,ybar> on a sample")
 
         TXY = TensorModule(h.module, h.ebar)
 
@@ -910,26 +834,20 @@ def suite_hermitian(bundle, world, back, rep, sampler):
                 inner = h.pair(h.module.from_b(c_al.base.el(b), i), h.ebar.el(j))
                 return inner.map_keys(lambda b2: (a, b2))
 
-            rhs = TXY.coact(TXY.pure(x, ybar)).apply(term)
-            return "< , > is not covariant on a sample" if lhs != rhs else None
+            return lhs, TXY.coact(TXY.pure(x, ybar)).apply(term)
 
-        rep.forall(f"herm.{tag}.covariant", "hermitian.covariance",
-                   sampler.draws(6, lambda: (sampler.module_elem(h.module),
-                                             conj_of(h.module, sampler.module_elem(h.module)))),
-                   covariant)
+        rep.equal(f"herm.{tag}.covariant", "hermitian.covariance",
+                  sampler.draws(6, lambda: (sampler.module_elem(h.module),
+                                            conj_of(h.module, sampler.module_elem(h.module)))),
+                  covariant, "< , > is not covariant on a sample")
 
     O1 = cal.module(1)
 
-    def pairing_from_metric(we):
-        w, e = we
-        lhs = herm.pair(w, conj_of(O1, e))
-        rhs = bundle.metric.pair_apply(
-            bundle.metric.tensor.pure(w, cal.star(e)))
-        return "<w,ebar> != (w, e*) on a sample" if lhs != rhs else None
-
-    rep.forall("herm.pairing-from-metric", "hermitian.metric-correspondence",
-               sampler.draws(10, lambda: (sampler.module_elem(O1), sampler.module_elem(O1))),
-               pairing_from_metric)
+    rep.equal("herm.pairing-from-metric", "hermitian.metric-correspondence",
+              sampler.draws(10, lambda: (sampler.module_elem(O1), sampler.module_elem(O1))),
+              lambda we: (herm.pair(we[0], conj_of(O1, we[1])), bundle.metric.pair_apply(
+                  bundle.metric.tensor.pure(we[0], cal.star(we[1])))),
+              "<w,ebar> != (w, e*) on a sample")
 
     def diamond_split(herm):
         try:
@@ -964,19 +882,18 @@ def suite_hermitian(bundle, world, back, rep, sampler):
                              conj_of(O1, O1.from_b(B.el(b), i))).scale(scal)
 
         # antilinear in y, linear in x
-        rhs = O1.coact_iter(y, 2).apply_conj(
+        return lhs, O1.coact_iter(y, 2).apply_conj(
             lambda yk: O1.coact(x).apply(lambda xk: term(yk, xk)))
-        return "twisted pairing relation fails on a sample" if lhs != rhs else None
 
-    res = rep.forall("herm.relation-sampled", "twist.hermitian-pairing-relation",
-                     ((sampler.module_elem(G1), sampler.module_elem(G1))
-                      for _ in range(max(sampler.n, 100))),
-                     relation)
+    res = rep.equal("herm.relation-sampled", "twist.hermitian-pairing-relation",
+                    ((sampler.module_elem(G1), sampler.module_elem(G1))
+                     for _ in range(max(sampler.n, 100))),
+                    relation, "twisted pairing relation fails on a sample")
     res.sample_spec += f";pairs={res.instances}"
 
-    rep.forall("herm.roundtrip", "twist.inverse-deformation",
-               table_outcomes(herm.table, back.hermitian.table,
-                              herm.table, "Hermitian round trip differs"), outcome)
+    rep.equal("herm.roundtrip", "twist.inverse-deformation", herm.table,
+              lambda k: (back.hermitian.table[k], herm.table[k]),
+              lambda k: f"Hermitian round trip differs at {k}")
 
     def correspondence_square():
         # real -> Hermitian -> real: rebuild the pairing from H and compare
@@ -1037,11 +954,10 @@ def suite_chern(bundle, world, back, rep, sampler):
 
         rep.forall(f"chern.base.{tag}.box-independent", "chern.search-space",
                    box_independent(), outcome)
-        rep.forall(f"chern.base.{tag}.covariant", "chern.covariance",
-                   sampler.draws(6, lambda: sampler.module_elem(conn.module)),
-                   lambda e: "Chern connection is not covariant on a sample"
-                   if not covariance_defect(conn.apply, conn.module, conn.tensor, e).is_zero()
-                   else None)
+        rep.equal(f"chern.base.{tag}.covariant", "chern.covariance",
+                  sampler.draws(6, lambda: sampler.module_elem(conn.module)),
+                  lambda e: covariance_sides(conn.apply, conn.module, conn.tensor, e),
+                  "Chern connection is not covariant on a sample")
 
     # nabla = nabla_Ch,(1,0) (+) nabla_Ch,(0,1) on the basis of Omega^1
     if "10" in solved and "01" in solved:
@@ -1062,14 +978,12 @@ def suite_chern(bundle, world, back, rep, sampler):
     def right_leibniz(xb):
         x, b = xb
         xbar = conj_of(O1, x)
-        lhs = nabla_tilde(ebar.rmul(xbar, b))
-        rhs = tens_bar.rmul(nabla_tilde(xbar), b) + \
+        return nabla_tilde(ebar.rmul(xbar, b)), tens_bar.rmul(nabla_tilde(xbar), b) + \
             tens_bar.pure(xbar, cal.d(cal.from_b(b)))
-        return "right Leibniz fails for the conjugate connection" if lhs != rhs else None
 
-    rep.forall("conj.right-leibniz", "connection.conjugate-right",
-               sampler.draws(8, lambda: (sampler.module_elem(O1), B.el(sampler.label()))),
-               right_leibniz)
+    rep.equal("conj.right-leibniz", "connection.conjugate-right",
+              sampler.draws(8, lambda: (sampler.module_elem(O1), B.el(sampler.label()))),
+              right_leibniz, "right Leibniz fails for the conjugate connection")
 
     # tilde(nabla_g) = (N^-1 (x) id) phi^-1 Gamma(tilde nabla) N on samples
     # the connections live on Omega^1, so ebar is bar(O1) and tens_bar is ebar (x) O1
@@ -1082,12 +996,12 @@ def suite_chern(bundle, world, back, rep, sampler):
         step = conj_twist_iso(data, G1, xbar)
         step = nabla_tilde(step)          # Gamma(tilde nabla), keys shared
         step = phi_inv_map(data, T_mixed_tw, tens_bar, step)
-        rhs = tensor_map_pair(T_mixed_tw, T_bar_tw, lambda v: conj_twist_iso_inv(data, G1, v),
-                              lambda v: v, step)
-        return "conjugate-connection twist identity fails on a sample" if lhs != rhs else None
+        return lhs, tensor_map_pair(
+            T_mixed_tw, T_bar_tw, lambda v: conj_twist_iso_inv(data, G1, v), lambda v: v, step)
 
-    rep.forall("conj.twist-commutes", "twist.conjugate-connection",
-               sampler.draws(6, lambda: conj_of(G1, sampler.module_elem(G1))), twist_commutes)
+    rep.equal("conj.twist-commutes", "twist.conjugate-connection",
+              sampler.draws(6, lambda: conj_of(G1, sampler.module_elem(G1))), twist_commutes,
+              "conjugate-connection twist identity fails on a sample")
 
     for tag in CHERN_TAGS:
         conn_tw = _chern_solve(rep, f"chern.twisted.{tag}.solve", "chern.twisted-existence",
@@ -1124,20 +1038,19 @@ def suite_main(bundle, world, back, rep, sampler):
         return elem.apply(lambda bi: (ch10 if cs_tw.bigrade[bi[1]] == (1, 0) else ch01).apply(
             Vec.single(cal_tw.scalar_order, bi)))
 
-    rep.forall("main.direct-sum-basis", "main.twisted-direct-sum", O1tw.basis,
-               lambda i: f"nabla_g != chern (+) chern at basis {i}"
-               if conn_tw.table[i] != direct_sum_apply(O1tw.el(i)) else None)
-    res = rep.forall("main.direct-sum-samples", "main.twisted-direct-sum",
-                     sampler.draws(sampler.n, lambda: sampler.module_elem(O1tw)),
-                     lambda e: f"direct sum fails on sample {O1tw.describe(e)}"
-                     if conn_tw.apply(e) != direct_sum_apply(e) else None)
+    rep.equal("main.direct-sum-basis", "main.twisted-direct-sum", O1tw.basis,
+              lambda i: (conn_tw.table[i], direct_sum_apply(O1tw.el(i))),
+              lambda i: f"nabla_g != chern (+) chern at basis {i}")
+    res = rep.equal("main.direct-sum-samples", "main.twisted-direct-sum",
+                    sampler.draws(sampler.n, lambda: sampler.module_elem(O1tw)),
+                    lambda e: (conn_tw.apply(e), direct_sum_apply(e)),
+                    lambda e: f"direct sum fails on sample {O1tw.describe(e)}")
     res.sample_spec += f";monomials={res.instances}"
 
     lc_back = back.connection
-    rep.forall("main.lc-uniqueness-roundtrip", "main.uniqueness-witness",
-               table_outcomes(lc_back.module.basis, lc_back.table, bundle.connection.table,
-                              "gammabar round trip does not recover the LC connection"),
-               outcome)
+    rep.equal("main.lc-uniqueness-roundtrip", "main.uniqueness-witness", lc_back.module.basis,
+              lambda k: (lc_back.table[k], bundle.connection.table[k]),
+              lambda k: f"gammabar round trip does not recover the LC connection at {k}")
 
 
 # -- dispatcher ---------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cotwist import cocycle
@@ -451,7 +451,8 @@ def reference_identities(data, A, triples):
     for check_id, (name, sides) in reference_sides(data, A).items():
         def defect(t, name=name, sides=sides):
             lhs, rhs = sides(*t)
-            return f"{name} fails at ({A.label_names(t)})" if lhs != rhs else None
+            names = ",".join(map(A.label_name, t))
+            return f"{name} fails at ({names})" if lhs != rhs else None
         rep.forall(check_id, check_id, triples, defect)
     return {c.check_id: (c.status, c.instances, c.witness) for c in rep.checks}
 
@@ -544,7 +545,7 @@ def test_kernels_match_nested_sweedler_sums(gamma_values, gamma_bar_values):
         assert len(got) == len(triples)
         for t, (lhs, rhs) in zip(triples, got):
             want = reference(*t)
-            assert (lhs, rhs) == want, (check_id, A.label_names(t))
+            assert (lhs, rhs) == want, (check_id, t)
 
 
 def apply2_product(T, l1, l2):
@@ -639,7 +640,9 @@ def _root_functional(labels, n, exponents):
     return PairFunctional(lambda a, b: table[(a, b)])
 
 
-@settings(max_examples=12, deadline=None)
+# no shrink phase: each example at n = 5 runs the kernels over 15,625 triples,
+# so shrinking a failure took minutes; the failing example is reported as drawn
+@settings(max_examples=12, deadline=None, phases=[p for p in Phase if p != Phase.shrink])
 @given(z2_exponent_tables())
 def test_exponent_rows_match_the_kernels(tables):
     n, gamma_exponents, gamma_bar_exponents = tables

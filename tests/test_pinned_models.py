@@ -1,0 +1,49 @@
+"""Every check of the models that no benchmark workload runs still reports
+what it reported when `pinned_models.json` was recorded.
+
+Each model runs `verify --box 2 --samples 3 --seed 1 --suite all`, in
+process, and each of its checks is pinned as [check id, status, witness,
+instances].  A change that is meant to alter a report (a structured witness,
+a new sample count, a new check) re-records the file and says why:
+
+    PYTHONPATH=src python tests/test_pinned_models.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cotwist.models import build_model
+from cotwist.report import Report
+from cotwist.suites import run_suite
+
+PINNED = Path(__file__).with_name("pinned_models.json")
+MODELS = {
+    "classical_torus": ("classical_torus", {}),
+    "nc_torus(1,3)": ("nc_torus", {"p": 1, "q": 3}),
+    "nc_torus(2,5)": ("nc_torus", {"p": 2, "q": 5}),
+    "finite_bicharacter(2,skew)": ("finite_bicharacter", {"n": 2, "pairing": "skew"}),
+    "finite_bicharacter(3,skew)": ("finite_bicharacter", {"n": 3, "pairing": "skew"}),
+    "finite_bicharacter(3,upper)": ("finite_bicharacter", {"n": 3, "pairing": "upper"}),
+    "finite_bicharacter(3,trivial)": ("finite_bicharacter", {"n": 3, "pairing": "trivial"}),
+}
+
+
+def report(key):
+    name, params = MODELS[key]
+    rep = Report()
+    run_suite(build_model(name, box=2, samples=3, seed=1, **params), "all", rep)
+    return [[c.check_id, c.status, c.witness, c.instances] for c in rep.checks]
+
+
+@pytest.mark.parametrize("key", list(MODELS))
+def test_model_reports_are_pinned(key):
+    assert report(key) == json.loads(PINNED.read_text())[key]
+
+
+if __name__ == "__main__":
+    # one check a line, so that a re-recorded file shows each changed check
+    PINNED.write_text("{\n" + ",\n".join(
+        f" {json.dumps(key)}: [\n" + ",\n".join(f"  {json.dumps(row)}" for row in report(key))
+        + "\n ]" for key in MODELS) + "\n}\n")

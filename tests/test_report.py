@@ -1,4 +1,5 @@
-"""Report.forall: first counterexample, instance counts, exceptions as failures."""
+"""Report.forall and Report.equal: first counterexample, instance counts,
+exceptions as failures."""
 
 from cotwist.report import Report
 
@@ -62,4 +63,65 @@ def test_forall_on_an_empty_domain_is_skipped_not_passed():
     assert res.witness == "no instances evaluated"
     assert res.instances == 0
     assert rep.counts() == {"pass": 0, "fail": 0, "skipped": 1}
+    assert rep.passed
+
+
+def _square_sides(x):
+    return x * x, x + x
+
+
+def test_equal_passes_when_the_sides_agree_everywhere():
+    rep = Report()
+    res = rep.equal("double", "plumbing", [0, 2], _square_sides, "x^2 != 2x")
+    assert (res.status, res.witness, res.instances) == ("pass", None, 2)
+    assert rep.checks == [res]
+
+
+def test_equal_fails_with_a_string_witness_and_stops_drawing():
+    drawn = []
+
+    def domain():
+        for x in (0, 2, 3, 2, 4):
+            drawn.append(x)
+            yield x
+
+    rep = Report()
+    res = rep.equal("double", "plumbing", domain(), _square_sides, "x^2 != 2x on a sample")
+    assert (res.status, res.witness, res.instances) == ("fail", "x^2 != 2x on a sample", 2)
+    assert drawn == [0, 2, 3]
+    assert not res
+
+
+def test_equal_fails_with_a_callable_witness_that_names_its_input():
+    rep = Report()
+    res = rep.equal("double", "plumbing", [2, 0, 5, 6], _square_sides,
+                    lambda x: f"x^2 != 2x at {x}")
+    assert (res.status, res.witness, res.instances) == ("fail", "x^2 != 2x at 5", 2)
+
+
+def test_equal_compares_tuples_of_sides():
+    rep = Report()
+    res = rep.equal("both", "plumbing", [2, 1],
+                    lambda x: ((x * x, x + 1), (x + x, 3)), "x^2 != 2x or x + 1 != 3")
+    assert (res.status, res.witness, res.instances) == ("fail", "x^2 != 2x or x + 1 != 3", 1)
+
+
+def test_equal_records_an_exception_from_sides_as_failure():
+    def sides(x):
+        if x == 2:
+            raise ZeroDivisionError("side broke at 2")
+        return x, x
+
+    rep = Report()
+    res = rep.equal("engine", "plumbing", range(4), sides, "never")
+    assert res.status == "fail"
+    assert res.witness == "exception ZeroDivisionError: side broke at 2"
+    assert res.instances == 2
+
+
+def test_equal_on_an_empty_domain_is_skipped_not_passed():
+    rep = Report()
+    res = rep.equal("vacuous", "plumbing", iter(()), _square_sides, "x^2 != 2x")
+    assert (res.status, res.witness, res.instances) == ("skipped", "no instances evaluated", 0)
+    assert res
     assert rep.passed

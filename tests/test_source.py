@@ -659,3 +659,128 @@ def test_no_test_imports_a_name_it_never_reads():
     found = [f"{path.name}:{line} {name}" for path in sorted(TESTS.glob("*.py"))
              for line, name in unused_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _is_none(node):
+    return node is None or isinstance(node, ast.Constant) and node.value is None
+
+
+def _is_identity_test(test):
+    """`a != b`, `not X.is_zero()`, or an `or` of them: the test of an identity."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
+        return all(_is_identity_test(v) for v in test.values)
+    if isinstance(test, ast.Compare):
+        return len(test.ops) == 1 and isinstance(test.ops[0], ast.NotEq)
+    return isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not) \
+        and isinstance(test.operand, ast.Call) and not test.operand.args \
+        and isinstance(test.operand.func, ast.Attribute) and test.operand.func.attr == "is_zero"
+
+
+def _is_equality_defect(func):
+    """Whether a lambda or def returns one witness, guarded by one identity test:
+    `W if <test> else None`, or `if <test>: return W` with no other witness."""
+    if isinstance(func, ast.Lambda):
+        body = func.body
+        return isinstance(body, ast.IfExp) and _is_none(body.orelse) \
+            and _is_identity_test(body.test)
+    nodes = list(_own_nodes(func))
+    witnesses = [n for n in nodes if isinstance(n, ast.Return) and not _is_none(n.value)]
+    if len(witnesses) != 1:
+        return False
+    value = witnesses[0].value
+    if isinstance(value, ast.IfExp):
+        return _is_none(value.orelse) and _is_identity_test(value.test)
+    return any(isinstance(n, ast.If) and witnesses[0] in n.body and _is_identity_test(n.test)
+               for n in nodes)
+
+
+def equality_shaped_foralls(tree):
+    """(qualified name of the innermost enclosing function, line) of each
+    `.forall(...)` call whose defect, a lambda or a def of an enclosing scope,
+    is equality-shaped: one witness under `a != b` or `not X.is_zero()`.
+    Such a check is a `Report.equal`; `<module>` outside every definition."""
+    out = []
+
+    def visit(node, scopes, qual):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_qual = scopes, qual
+            if isinstance(child, SCOPES):
+                inner = scopes + [child]
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner_qual = qual + (child.name,)
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "forall" and len(child.args) == 4:
+                defect = child.args[3]
+                if isinstance(defect, ast.Name):
+                    defect = next((n for scope in reversed(scopes) for n in _own_nodes(scope)
+                                   if isinstance(n, ast.FunctionDef) and n.name == defect.id),
+                                  None)
+                if isinstance(defect, (ast.Lambda, ast.FunctionDef)) \
+                        and _is_equality_defect(defect):
+                    out.append((".".join(qual) or "<module>", child.lineno))
+            visit(child, inner, inner_qual)
+
+    visit(tree, [tree], ())
+    return out
+
+
+def test_equality_shaped_forall_scanner():
+    tree = ast.parse(
+        "def suite(rep, A, xs):\n"
+        "    rep.forall('a', 'x', xs, lambda x: 'W' if A(x) != x else None)\n"
+        "    rep.forall('b', 'x', xs, lambda x: 'W' if not A(x).is_zero() else None)\n"
+        "    def one(x):\n"
+        "        if A(x) != x or A(A(x)) != x:\n"
+        "            return f'W at {x}'\n"
+        "        return None\n"
+        "    rep.forall('c', 'x', xs, one)\n"
+        "    def inline(x):\n"
+        "        lhs = A(x)\n"
+        "        return 'W' if lhs != x else None\n"
+        "    rep.forall('d', 'x', xs, inline)\n"
+        "    def two(x):\n"
+        "        if A(x) != x:\n"
+        "            return 'W1'\n"
+        "        return 'W2' if A(A(x)) != x else None\n"
+        "    rep.forall('e', 'x', xs, two)\n"
+        "    rep.forall('f', 'x', xs, lambda x: 'W' if not A(x).is_real() else None)\n"
+        "    rep.forall('g', 'x', xs, lambda x: 'W' if A(x) != x and x else None)\n"
+        "    rep.forall('h', 'x', gen(), outcome)\n"
+        "    rep.equal('i', 'x', xs, lambda x: (A(x), x), 'W')\n"
+        "    for k in xs:\n"
+        "        def looped(x):\n"
+        "            return 'W' if A(x) != x else None\n"
+        "        rep.forall('j', 'x', xs, looped)\n"
+        "def gen():\n"
+        "    yield 'W' if 1 != 2 else None\n"
+        "class R:\n"
+        "    def eq(self, xs, f):\n"
+        "        def defect(x):\n"
+        "            return 'W' if f(x) != x else None\n"
+        "        return self.forall('k', 'x', xs, defect)\n")
+    assert equality_shaped_foralls(tree) == [
+        ("suite", 2), ("suite", 3), ("suite", 8), ("suite", 12), ("suite", 25), ("R.eq", 32)]
+
+
+# `forall` calls in the package whose defect is equality-shaped, each with why.
+EQUALITY_FORALLS_ALLOWED = {
+    "report.py:Report.equal": "Report.equal itself: the one forall over two sides",
+}
+
+
+def test_every_identity_with_one_witness_is_an_equal():
+    found = [f"{path.name}:{func}" for path in sorted(PACKAGE.glob("*.py"))
+             for func, _ in equality_shaped_foralls(ast.parse(path.read_text()))]
+    assert sorted(set(found) - set(EQUALITY_FORALLS_ALLOWED)) == []
+    # an entry that is now an equal, or gone, is stale
+    assert sorted(found) == sorted(EQUALITY_FORALLS_ALLOWED)
+
+
+# the repository's line width
+MAX_LINE = 100
+
+
+def test_no_package_line_is_wider_than_the_repository_width():
+    wide = [f"{path.name}:{n} ({len(line)})" for path in sorted(PACKAGE.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > MAX_LINE]
+    assert wide == []
