@@ -305,6 +305,9 @@ class TwistedHopf(HopfAlgebra):
     def labels_box(self, box):
         return self.base.labels_box(box)
 
+    def box_size(self, box):
+        return self.base.box_size(box)
+
     def is_grouplike_basis(self):
         return self.base.is_grouplike_basis()
 

@@ -13,6 +13,7 @@ explicit finite label boxes since the lattice families are infinite.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .cyclotomic import Cyc
 from .vectors import Vec
@@ -185,6 +186,10 @@ class GroupAlgebra(HopfAlgebra):
         free = list(itertools.product(*[range(-box, box + 1)] * self.free_rank))
         tors = list(itertools.product(*[range(n) for n in self.torsion]))
         return [f + t for f in free for t in tors]
+
+    def box_size(self, box):
+        """How many labels labels_box(box) lists, counted without listing them."""
+        return (2 * box + 1) ** self.free_rank * math.prod(self.torsion)
 
     def label_name(self, label):
         return "u(" + ",".join(str(a) for a in label) + ")"

@@ -30,12 +30,20 @@ from .relhopf import TwistedComodule
 from .vectors import Vec, memoize_table
 
 
-def check_sampling(box, samples):
-    """Reject a negative label box or sample count."""
+# The most labels a box may list on an infinite basis: the hopf suite sweeps
+# every pair, a million here.  The torus allows box 15; the checks take <= 6.
+MAX_BOX_LABELS = 1000
+
+
+def check_sampling(hopf, box, samples):
+    """Reject a negative label box or sample count, and a box that would list
+    more than MAX_BOX_LABELS labels of an infinite basis."""
     if box < 0:
         raise ValueError(f"box must be >= 0, got {box}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if hopf.finite_labels() is None and hopf.box_size(box) > MAX_BOX_LABELS:
+        raise ValueError(f"box {box} lists more than {MAX_BOX_LABELS} labels")
 
 
 class ModelBundle:
@@ -50,7 +58,7 @@ class ModelBundle:
                  complex_structure=None, metric=None, connection=None, hermitian=None,
                  hermitian_splits=None, kappa=None, holo_10=None, holo_01=None,
                  box=4, samples=100, seed=42):
-        check_sampling(box, samples)
+        check_sampling(hopf, box, samples)
         self.name = name
         self.hopf = hopf
         self.comodule = comodule

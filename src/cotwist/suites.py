@@ -5,17 +5,17 @@ main; `all` is their union.  Every check id is unique to one suite, and the
 identities are always evaluated with exact scalars, so pass/fail carries no
 tolerance.  Sampling is seed-deterministic and the box is recorded.
 
-Every check is one `Report.equal` or `Report.forall` over a lazy domain, and
-the `Sampler` makes every random draw: a domain is `sampler.draws(cap, draw)`,
-a label set, the keys of a stored table, or a generator of outcomes.  An
-identity with one witness text is an `equal`, whose `sides` give (lhs, rhs):
-a pair of tuples where one draw checks several identities, and (X, zero) for
-X = 0.  A check stays on `forall` when its defect has two or more witness
-texts or is a predicate (a solve, `is_real`, `is_invertible`), or when it
-needs its own loop: a generator that yields each instance's outcome (None or
-a witness, with `outcome` as its defect), because its set-up evaluates a
-structure map, whose exception must stay the check's `fail`, or it draws
-again after a check.
+Every check is one `Report.equal` or `Report.forall` over a lazy domain: a
+label set, the keys of a stored table, a generator of outcomes, or
+`sampler.draws(cap, *kinds)`, whose argument kinds leave every random draw to
+the `Sampler`.  An identity with one witness text is an `equal`, whose `sides`
+give (lhs, rhs): a pair of tuples where one draw checks several identities,
+and (X, zero) for X = 0.  A check stays on `forall` when its defect has two
+or more witness texts or is a predicate (a solve, `is_real`, `is_invertible`),
+or when it needs its own loop: a generator that yields each instance's
+outcome (None or a witness, with `outcome` as its defect), because its set-up
+evaluates a structure map, whose exception must stay the check's `fail`, or
+it draws again after a check.
 """
 
 from __future__ import annotations
@@ -48,15 +48,33 @@ CHERN_TAGS = ("10", "01")
 TUPLE_BUDGET = {2: 700, 3: 1000}
 
 
+def _kind(tag):
+    """The constructor of one argument kind of `Sampler.draw`: (tag, its arguments)."""
+    return lambda *args: (tag, args)
+
+
+LABEL, elem, el, choice = ("label", ()), _kind("elem"), _kind("el"), _kind("choice")
+
+
 class Sampler:
-    """Deterministic label/element sampling over a declared box."""
+    """Deterministic sampling over a declared box, and the one reader of its RNG.
+
+    A sampled domain is `draws(cap, *kinds)`, and `draw(*kinds)` one instance.
+    The kinds are drawn left to right; one kind gives the bare value, several
+    a tuple.  Each kind, with its RNG calls in order:
+      LABEL          a label: rng.choice(labels)
+      el(B)          B.el(label): rng.choice(labels)
+      choice(seq)    an element of seq: rng.choice(seq)
+      elem(M)        M.from_b(base.el(label), i): rng.choice(M.basis), then the label
+      elem(M0, M1)   elem(M) of M = rng.choice((M0, M1))
+    """
 
     def __init__(self, bundle, box=None, samples=None, seed=None):
         self.bundle = bundle
         self.box = bundle.box if box is None else box
         self.n = bundle.samples if samples is None else samples
         self.seed = bundle.seed if seed is None else seed
-        check_sampling(self.box, self.n)
+        check_sampling(bundle.hopf, self.box, self.n)
         self.rng = random.Random(self.seed)
         self.labels = bundle.hopf.labels_box(self.box)
         self.exhaustive = bundle.hopf.finite_labels() is not None
@@ -65,31 +83,34 @@ class Sampler:
         kind = "exhaustive" if self.exhaustive else f"box={self.box}"
         return f"{kind};samples={self.n};seed={self.seed}"
 
-    def label(self):
-        return self.rng.choice(self.labels)
+    def draw(self, *kinds):
+        """One instance of the kinds, drawn left to right."""
+        pick, out = self.rng.choice, []
+        for tag, args in kinds:
+            if tag == "elem":
+                mod = args[0] if len(args) == 1 else pick(args)
+                i = pick(mod.basis)
+                out.append(mod.from_b(mod.base.el(pick(self.labels)), i))
+            elif tag == "el":
+                out.append(args[0].el(pick(self.labels)))
+            else:
+                out.append(pick(args[0] if tag == "choice" else self.labels))
+        return out[0] if len(out) == 1 else tuple(out)
 
-    def draws(self, cap, draw):
-        """Lazily yield draw() for min(n, cap) samples."""
-        for _ in range(min(self.n, cap)):
-            yield draw()
+    def draws(self, cap, *kinds):
+        """Lazily yield draw(*kinds) for min(n, cap) samples."""
+        return (self.draw(*kinds) for _ in range(min(self.n, cap)))
 
     def tuples(self, arity, k=None):
         """Every arity-tuple of the labels when they are finite; else those of
         the largest sub-box within TUPLE_BUDGET, then k (default n) random ones."""
         if self.exhaustive:
             return list(product(self.labels, repeat=arity))
-        core = self.bundle.hopf.labels_box(0)
-        for m in range(1, self.box + 1):
-            cand = self.bundle.hopf.labels_box(m)
-            if len(cand) ** arity > TUPLE_BUDGET[arity]:
-                break
-            core = cand
-        return list(product(core, repeat=arity)) + [
-            tuple(self.label() for _ in range(arity)) for _ in range(k or self.n)]
-
-    def module_elem(self, mod):
-        i = self.rng.choice(mod.basis)
-        return mod.from_b(mod.base.el(self.label()), i)
+        hopf, m = self.bundle.hopf, 0
+        while m < self.box and hopf.box_size(m + 1) ** arity <= TUPLE_BUDGET[arity]:
+            m += 1
+        return list(product(hopf.labels_box(m), repeat=arity)) + [
+            self.draw(*(LABEL,) * arity) for _ in range(k or self.n)]
 
 
 # -- hopf suite ---------------------------------------------------------------
@@ -203,8 +224,7 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
 
     for (label, E), Ebar in zip(mods, bars):
         rep.equal(f"bar.conj-involution[{label}]", "bar.conjugate-structure",
-                  sampler.draws(12, lambda: sampler.module_elem(E)),
-                  lambda x: (unconj(E, conj_of(E, x)), x),
+                  sampler.draws(12, elem(E)), lambda x: (unconj(E, conj_of(E, x)), x),
                   lambda x: f"conjugation not involutive on {E.describe(x)}")
 
         def bimodule_laws(xb):
@@ -216,8 +236,7 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
             return None
 
         rep.forall(f"bar.bimodule-laws[{label}]", "bar.conjugate-structure",
-                   sampler.draws(8, lambda: (sampler.module_elem(E), B.el(sampler.label()))),
-                   bimodule_laws)
+                   sampler.draws(8, elem(E), el(B)), bimodule_laws)
 
     # each module below is built once, for every check that reads it
     E, F = mods[0][1], mods[-1][1]
@@ -226,7 +245,7 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     T_bars_unt = TensorModule(Fbar, Ebar)
 
     rep.equal("bar.upsilon-involutive", "bar.upsilon-coherence",
-              sampler.draws(8, lambda: (sampler.module_elem(E), sampler.module_elem(F))),
+              sampler.draws(8, elem(E), elem(F)),
               lambda xy: (upsilon(T_unt, T_bars_unt, conj_of(T_unt, T_unt.pure(*xy))),
                           T_bars_unt.pure(conj_of(F, xy[1]), conj_of(E, xy[0]))),
               "Upsilon((m(x)n)bar) != nbar(x)mbar on a sample")
@@ -247,8 +266,7 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
             return "bb is not natural against a sampled morphism"
         return None
 
-    rep.forall("bar.bb-natural", "bar.double-conjugate",
-               sampler.draws(8, lambda: (sampler.module_elem(E), B.el(sampler.label()))),
+    rep.forall("bar.bb-natural", "bar.double-conjugate", sampler.draws(8, elem(E), el(B)),
                bb_natural)
 
     # twisted-world instruments
@@ -262,11 +280,10 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     def phi_inverse():
         # a generator: it draws u after checking t, so a failing t leaves
         # later samples as they were
-        for t in sampler.draws(10, lambda: T_tw.pure(sampler.module_elem(GE),
-                                                     sampler.module_elem(GF))):
+        for t in (T_tw.pure(*xy) for xy in sampler.draws(10, elem(GE), elem(GF))):
             yield "phi^-1 . phi != id on a sample" \
                 if phi_inv_map(data, T_tw, T_unt, phi_map(data, T_tw, T_unt, t)) != t else None
-            u = T_unt.pure(sampler.module_elem(E), sampler.module_elem(F))
+            u = T_unt.pure(*sampler.draw(elem(E), elem(F)))
             yield "phi . phi^-1 != id on a sample" \
                 if phi_map(data, T_tw, T_unt, phi_inv_map(data, T_tw, T_unt, u)) != u else None
 
@@ -282,7 +299,7 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
         g_mor = Morphism(F, F, {i: F.el(i, 2) for i in F.basis})
 
     rep.equal("phi.naturality", "twist.phi-naturality",
-              sampler.draws(6, lambda: T_unt.pure(sampler.module_elem(E), sampler.module_elem(F))),
+              (T_unt.pure(*xy) for xy in sampler.draws(6, elem(E), elem(F))),
               lambda u: (tensor_map_pair(T_tw, T_tw, idE, g_mor, phi_inv_map(data, T_tw, T_unt, u)),
                          phi_inv_map(data, T_tw, T_unt,
                                      tensor_map_pair(T_unt, T_unt, idE, g_mor, u))),
@@ -297,29 +314,28 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     rep.forall("gamma.functorial", "twist.functoriality", gamma_functorial(), outcome)
 
     rep.equal("conjiso.iso", "twist.conjugation-isomorphism",
-              sampler.draws(10, lambda: conj_of(GE, sampler.module_elem(GE))),
+              (conj_of(GE, x) for x in sampler.draws(10, elem(GE))),
               lambda xb: (conj_twist_iso_inv(data, GE, N(xb)), xb), "N^-1 . N != id on a sample")
     rep.equal("conjiso.bilinear", "twist.conjugation-isomorphism",
-              sampler.draws(8, lambda: (conj_of(GE, sampler.module_elem(GE)),
-                                        Btw.el(sampler.label()))),
+              ((conj_of(GE, x), b) for x, b in sampler.draws(8, elem(GE), el(Btw))),
               lambda xb_b: (N(bar_GE.lmul(xb_b[1], xb_b[0])), GEbar.lmul(xb_b[1], N(xb_b[0]))),
               "N not left B_g-linear on a sample")
     rep.equal("conjiso.covariant", "twist.conjugation-isomorphism",
-              sampler.draws(8, lambda: conj_of(GE, sampler.module_elem(GE))),
+              (conj_of(GE, x) for x in sampler.draws(8, elem(GE))),
               lambda xb: covariance_sides(N, bar_GE, GEbar, xb), "N not covariant on a sample")
 
     H = HomModule(E)
-    f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
+    f = H.from_b(sampler.draw(el(B)), ("dual", E.basis[0]))
     ev = hom_twist_iso(data, H, f)
 
     rep.equal("homiso.left-linear", "twist.hom-isomorphism",
-              sampler.draws(8, lambda: (sampler.module_elem(GE), Btw.el(sampler.label()))),
+              sampler.draws(8, elem(GE), el(Btw)),
               lambda vb: (ev(GE.lmul(vb[1], vb[0])), Btw.mult_elem(vb[1], ev(vb[0]))),
               "S(f) not left B_g-linear on a sample")
 
     # a fresh f for the bimodule laws
     GH = TwistedModule(H, data, Btw)
-    f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
+    f = H.from_b(sampler.draw(el(B)), ("dual", E.basis[0]))
     ev = hom_twist_iso(data, H, f)
 
     def hom_bilinear(bx):
@@ -332,18 +348,17 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
             return "S(f b) != S(f) b on a sample"
         return None
 
-    rep.forall("homiso.bilinear", "twist.hom-isomorphism",
-               sampler.draws(6, lambda: (Btw.el(sampler.label()), sampler.module_elem(GE))),
+    rep.forall("homiso.bilinear", "twist.hom-isomorphism", sampler.draws(6, el(Btw), elem(GE)),
                hom_bilinear)
 
     # N_E . bar(Gamma(f)) = Gamma(fbar) . N_E for the morphism f of bb-natural;
     # bar(Gamma(f)) goes through the twisted conjugate structure
     fbar_tw = bar_map(f_nat, GE, GE)
     rep.equal("conjiso.natural", "twist.conjugation-isomorphism",
-              sampler.draws(6, lambda: conj_of(GE, sampler.module_elem(GE))),
+              (conj_of(GE, x) for x in sampler.draws(6, elem(GE))),
               lambda xb: (N(fbar_tw(xb)), fbar(N(xb))),
               "N is not natural against a sampled morphism")
-    f = H.from_b(B.el(sampler.label()), ("dual", E.basis[0]))
+    f = H.from_b(sampler.draw(el(B)), ("dual", E.basis[0]))
 
     def hom_coaction():
         formula = hom_coact(H, f)
@@ -372,14 +387,14 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
         return route1, phi_inv_map(data, T_gbar, T_bars_unt, route2)
 
     rep.equal("bar.hexagon", "barfunctor.hexagon",
-              sampler.draws(6, lambda: GT.from_b(Btw.el(sampler.label()), (
-                  sampler.rng.choice(E.basis), sampler.rng.choice(F.basis)))),
+              (GT.from_b(b, (i, j))
+               for b, i, j in sampler.draws(6, el(Btw), choice(E.basis), choice(F.basis))),
               hexagon, "bar-functor hexagon fails on a sample")
 
     # (N_E)bar: bar(bar(Gamma E)) -> bar(Gamma(Ebar)); Gamma(bb) shares the keys of bb
     n_bar = bar_map(N, bar_GE, GEbar)
     rep.equal("bar.bb-condition", "barfunctor.double-conjugate",
-              sampler.draws(6, lambda: sampler.module_elem(GE)),
+              sampler.draws(6, elem(GE)),
               lambda x: (bb_map(E, Ebar, x),
                          conj_twist_iso(data, GEbar, n_bar(bb_map(GE, bar_GE, x)))),
               "Gamma(bb) != N_bar . N bar . bb on a sample")
@@ -395,11 +410,10 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
 
         star_bar = bar_map(star, O1, Obar)
         rep.equal("bar.star-object", "bar.star-object-law",
-                  sampler.draws(6, lambda: sampler.module_elem(O1)),
-                  lambda w: (star_bar(star(w)), bb_map(O1, Obar, w)),
+                  sampler.draws(6, elem(O1)), lambda w: (star_bar(star(w)), bb_map(O1, Obar, w)),
                   "starbar . star != bb on a one-form sample")
         rep.equal("bar.star-transport", "barfunctor.star-transport",
-                  sampler.draws(8, lambda: sampler.module_elem(G1)),
+                  sampler.draws(8, elem(G1)),
                   lambda w: (conj_of(G1, cal_tw.star(w)), conj_twist_iso_inv(data, G1, star(w))),
                   "star_g != N^-1 . Gamma(star) on a one-form sample")
 
@@ -421,9 +435,9 @@ def _calculus_core(cal, rep, sampler, prefix):
     def degree_0_and_1():
         # a generator: it draws the one-form after checking the function, so a
         # failing function (d- or wedge-corrupted) leaves later samples as they were
-        for f in sampler.draws(12, lambda: cal.from_b(B.el(sampler.label()))):
-            yield f
-            yield sampler.module_elem(cal.module(1))
+        for b in sampler.draws(12, el(B)):
+            yield cal.from_b(b)
+            yield sampler.draw(elem(cal.module(1)))
 
     rep.equal(f"{prefix}.d-squared", "calculus.d-squared", degree_0_and_1(),
               lambda f: (cal.d(cal.d(f)), zero),
@@ -438,16 +452,14 @@ def _calculus_core(cal, rep, sampler, prefix):
         return None
 
     rep.forall(f"{prefix}.graded-leibniz", "calculus.graded-leibniz",
-               sampler.draws(10, lambda: (sampler.module_elem(cal.module(1)),
-                                          cal.from_b(B.el(sampler.label())))),
+               ((w, cal.from_b(b)) for w, b in sampler.draws(10, elem(cal.module(1)), el(B))),
                graded_leibniz)
     rep.equal(f"{prefix}.star-involution", "calculus.star-laws",
-              (sampler.module_elem(cal.module(deg)) for deg in (0, 1, 2) for _ in range(4)),
+              (sampler.draw(elem(cal.module(deg))) for deg in (0, 1, 2) for _ in range(4)),
               lambda w: (cal.star(cal.star(w)), w),
               lambda w: f"star not involutive in degree {cal.degree(w)}")
     rep.equal(f"{prefix}.star-d-commute", "calculus.star-d-compatibility",
-              (w for deg in (0, 1)
-               for w in sampler.draws(8, partial(sampler.module_elem, cal.module(deg)))),
+              (w for deg in (0, 1) for w in sampler.draws(8, elem(cal.module(deg)))),
               lambda w: (cal.star(cal.d(w)), cal.d(cal.star(w))),
               lambda w: f"(dw)* != d(w*) in degree {cal.degree(w)}")
 
@@ -458,8 +470,7 @@ def _calculus_core(cal, rep, sampler, prefix):
         last = None
         for k, l in ((0, 1), (1, 1), (0, 2)):
             for _ in range(4):
-                w = sampler.module_elem(cal.module(k))
-                v = sampler.module_elem(cal.module(l))
+                w, v = sampler.draw(elem(cal.module(k)), elem(cal.module(l)))
                 sign = -1 if (k * l) % 2 else 1
                 lhs = cal.star(cal.wedge(w, v))
                 rhs = cal.wedge(cal.star(v), cal.star(w)).scale(sign)
@@ -472,14 +483,12 @@ def _calculus_core(cal, rep, sampler, prefix):
                star_antimultiplicative(), outcome)
 
     rep.equal(f"{prefix}.wedge-associative", "calculus.associativity",
-              sampler.draws(8, lambda: (sampler.module_elem(cal.module(0)),
-                                        sampler.module_elem(cal.module(1)),
-                                        sampler.module_elem(cal.module(1)))),
+              sampler.draws(8, elem(cal.module(0)), elem(cal.module(1)), elem(cal.module(1))),
               lambda abc: (cal.wedge(cal.wedge(*abc[:2]), abc[2]),
                            cal.wedge(abc[0], cal.wedge(*abc[1:]))),
               "wedge associativity fails on a sampled triple")
     rep.equal(f"{prefix}.d-covariant", "calculus.covariance",
-              sampler.draws(8, lambda: B.el(sampler.label())),
+              sampler.draws(8, el(B)),
               lambda b: (cal.module(1).coact(cal.d(cal.from_b(b))), B.coact_elem(b).apply(
                   lambda ab: cal.d(cal.from_b(B.el(ab[1]))).map_keys(lambda bi: (ab[0], *bi)))),
               "d is not covariant on a sample")
@@ -516,8 +525,7 @@ def suite_calculus(bundle, world, back, rep, sampler):
     _calculus_core(cal_tw, rep, sampler, "calc.twisted")
 
     rep.equal("calc.twisted.d-is-functor-image", "twist.calculus",
-              sampler.draws(10, lambda: sampler.module_elem(
-                  cal_tw.module(sampler.rng.choice((0, 1))))),
+              sampler.draws(10, elem(cal_tw.module(0), cal_tw.module(1))),
               lambda f: (cal_tw.d(f), cal.d(f)), "d_g differs from Gamma(d) on a sample")
 
     def star_formula(f):
@@ -535,7 +543,7 @@ def suite_calculus(bundle, world, back, rep, sampler):
         return lhs, mod1.coact(f).apply_conj(term)
 
     rep.equal("calc.twisted.star-formula", "twist.comodule-star",
-              sampler.draws(10, lambda: sampler.module_elem(cal_tw.module(1))), star_formula,
+              sampler.draws(10, elem(cal_tw.module(1))), star_formula,
               "twisted star does not match its coaction formula")
 
     def calc_roundtrip(fg):
@@ -547,9 +555,7 @@ def suite_calculus(bundle, world, back, rep, sampler):
         return "d round trip fails on a sample" if cal_back.d(f) != cal.d(f) else None
 
     rep.forall("calc.roundtrip", "twist.inverse-deformation",
-               sampler.draws(8, lambda: (sampler.module_elem(cal.module(1)),
-                                         sampler.module_elem(cal.module(1)))),
-               calc_roundtrip)
+               sampler.draws(8, elem(cal.module(1)), elem(cal.module(1))), calc_roundtrip)
 
     for tag, c_s, c_al in (("base", cs, cal), ("twisted", cs_tw, cal_tw)):
         def projections(f):
@@ -562,7 +568,7 @@ def suite_calculus(bundle, world, back, rep, sampler):
             return "bigrade projections do not sum to the identity" if total != f else None
 
         rep.forall(f"cs.{tag}.projections", "complex.bigrading",
-                   (sampler.module_elem(c_al.module(deg)) for deg in (1, 2) for _ in range(4)),
+                   (sampler.draw(elem(c_al.module(deg))) for deg in (1, 2) for _ in range(4)),
                    projections)
 
         def star_swaps(f):
@@ -573,10 +579,10 @@ def suite_calculus(bundle, world, back, rep, sampler):
             return None
 
         rep.forall(f"cs.{tag}.star-swaps", "complex.star-swap",
-                   sampler.draws(8, lambda: sampler.module_elem(c_al.module(1))), star_swaps)
+                   sampler.draws(8, elem(c_al.module(1))), star_swaps)
 
         rep.equal(f"cs.{tag}.d-splits", "complex.d-decomposition",
-                  sampler.draws(8, lambda: sampler.module_elem(c_al.module(1))),
+                  sampler.draws(8, elem(c_al.module(1))),
                   lambda f: (c_al.d(f), c_s.del_(f) + c_s.delbar(f)),
                   "d != del + delbar on a sample")
 
@@ -589,7 +595,7 @@ def suite_calculus(bundle, world, back, rep, sampler):
             return None
 
         rep.forall(f"cs.{tag}.dolbeault-squares", "complex.dolbeault-relations",
-                   sampler.draws(8, lambda: c_al.from_b(c_al.base.el(sampler.label()))),
+                   (c_al.from_b(b) for b in sampler.draws(8, el(c_al.base))),
                    dolbeault_squares)
 
     for tag, c_s in (("base", cs), ("twisted", cs_tw)):
@@ -601,7 +607,7 @@ def suite_calculus(bundle, world, back, rep, sampler):
                 yield str(exc)
                 return
             c_al = c_s.cal
-            for f in sampler.draws(6, lambda: sampler.module_elem(c_al.module(2))):
+            for f in sampler.draws(6, elem(c_al.module(2))):
                 f11 = c_s.proj(f, 1, 1)
                 back = Vec(c_al.scalar_order)
                 for (b, (i, j)), c in theta(f11).terms.items():
@@ -625,8 +631,7 @@ def suite_calculus(bundle, world, back, rep, sampler):
                     hh.tensor_01.pure(hh.cs.delbar_b(b), mod.el(i))
 
             rep.equal(f"holo.{wtag}.{tag}.leibniz", "holomorphic.leibniz",
-                      sampler.draws(8, lambda: (mod.base.el(sampler.label()),
-                                                sampler.rng.choice(mod.basis))),
+                      sampler.draws(8, el(mod.base), choice(mod.basis)),
                       holo_leibniz, "delbar-connection Leibniz fails on a sample")
             rep.equal(f"holo.{wtag}.{tag}.curvature", "holomorphic.curvature-zero", mod.basis,
                       lambda i: (hh.curvature(i), mod.zero()),
@@ -646,13 +651,13 @@ def suite_calculus(bundle, world, back, rep, sampler):
         return h.operator(u), rhs
 
     rep.equal("holo.twist-intermediate", "twist.holomorphic-transport",
-              sampler.draws(6, lambda: (sampler.module_elem(cal.module(1)), sampler.label())),
+              sampler.draws(6, elem(cal.module(1)), LABEL),
               holo_transport, "holomorphic transport identity fails on a sample")
 
     # Kahler layer
     for tag, kappa, c_al in (("base", bundle.kappa, cal), ("twisted", world.kappa, cal_tw)):
         rep.equal(f"kahler.{tag}.central", "kahler.centrality",
-                  sampler.draws(8, lambda: sampler.module_elem(c_al.module(0))),
+                  sampler.draws(8, elem(c_al.module(0))),
                   lambda f: (c_al.wedge(kappa, f), c_al.wedge(f, kappa)),
                   "kappa not central on a sample")
         rep.equal(f"kahler.{tag}.real", "kahler.reality", [kappa],
@@ -698,7 +703,7 @@ def _metric_core(metric, rep, sampler, prefix):
     rep.equal(f"{prefix}.coinvariant", "metric.coinvariance", [metric.g],
               lambda g: (T.coact(g), unit_coaction(T, g)), "delta(g) != 1 (x) g")
     rep.equal(f"{prefix}.pair-covariant", "metric.pairing-covariance",
-              sampler.draws(8, lambda: T.pure(sampler.module_elem(mod), sampler.module_elem(mod))),
+              (T.pure(*xy) for xy in sampler.draws(8, elem(mod), elem(mod))),
               lambda t: (B.coact_elem(metric.pair_apply(t)), T.coact(t).apply(
                   lambda x: metric.pair_apply(T.from_b(B.el(x[1]), x[2])).map_keys(
                       lambda b2: (x[0], b2)))),
@@ -740,8 +745,8 @@ def suite_metric(bundle, world, back, rep, sampler):
         return lhs, O1.coact(es).apply2(O1.coact(ws), term)
 
     rep.equal("metric.dagger-identity", "twist.reality-transport",
-              sampler.draws(8, lambda: (sampler.module_elem(O1), sampler.module_elem(O1))),
-              dagger_identity, "twisted-dagger transport identity fails on a sample")
+              sampler.draws(8, elem(O1), elem(O1)), dagger_identity,
+              "twisted-dagger transport identity fails on a sample")
 
     def metric_roundtrip():
         yield "g round trip differs" if back.metric.g != metric.g else None
@@ -752,17 +757,13 @@ def suite_metric(bundle, world, back, rep, sampler):
 
     for tag, c, m, c_al in (("base", conn, metric, cal), ("twisted", conn_tw, metric_tw, cal_tw)):
         B = c_al.base
-
-        def draw_b_and_e():
-            return B.el(sampler.label()), sampler.module_elem(c.module)
-
         rep.equal(f"lc.{tag}.leibniz", "connection.left-leibniz",
-                  sampler.draws(8, draw_b_and_e),
+                  sampler.draws(8, el(B), elem(c.module)),
                   lambda be: (c.apply(c.module.lmul(*be)), c.tensor.lmul(be[0], c.apply(be[1]))
                               + c.tensor.pure(c_al.d(c_al.from_b(be[0])), be[1])),
                   "left Leibniz fails on a sample")
         rep.equal(f"lc.{tag}.bimodule", "connection.sigma-leibniz",
-                  sampler.draws(8, draw_b_and_e),
+                  sampler.draws(8, el(B), elem(c.module)),
                   lambda be: (c.apply(c.module.rmul(be[1], be[0])),
                               c.tensor.rmul(c.apply(be[1]), be[0])
                               + c.sigma(c.sigma.src.pure(be[1], c_al.d(c_al.from_b(be[0]))))),
@@ -774,14 +775,14 @@ def suite_metric(bundle, world, back, rep, sampler):
                 for key in c.sigma.src.basis:
                     yield f"sigma not right-linear at ({key},{B.label_name(lab)})" \
                         if not right_linear_defect(c.sigma, lab, key).is_zero() else None
-            for e in sampler.draws(6, lambda: sampler.module_elem(c.sigma.src)):
+            for e in sampler.draws(6, elem(c.sigma.src)):
                 lhs, rhs = covariance_sides(c.sigma, c.sigma.src, c.sigma.dst, e)
                 yield "sigma not covariant on a sample" if lhs != rhs else None
 
         rep.forall(f"lc.{tag}.sigma-morphism", "connection.sigma-bimodule-map",
                    sigma_morphism(), outcome)
         rep.equal(f"lc.{tag}.covariant", "connection.covariance",
-                  sampler.draws(8, lambda: sampler.module_elem(c.module)),
+                  sampler.draws(8, elem(c.module)),
                   lambda e: covariance_sides(c.apply, c.module, c.tensor, e),
                   "connection is not covariant on a sample")
 
@@ -790,7 +791,7 @@ def suite_metric(bundle, world, back, rep, sampler):
             for i in c.module.basis:
                 yield f"torsion nonzero at basis {i}" \
                     if not c.torsion(c.module.el(i)).is_zero() else None
-            for e in sampler.draws(8, lambda: sampler.module_elem(c.module)):
+            for e in sampler.draws(8, elem(c.module)):
                 yield "torsion nonzero on a sample" if not c.torsion(e).is_zero() else None
 
         rep.forall(f"lc.{tag}.torsion-zero", "levi-civita.torsionless", torsion_zero(), outcome)
@@ -816,8 +817,7 @@ def suite_hermitian(bundle, world, back, rep, sampler):
                    lambda h: "H table is not invertible" if not h.is_invertible() else None)
 
         rep.equal(f"herm.{tag}.symmetry", "hermitian.conjugate-symmetry",
-                  sampler.draws(10, lambda: (sampler.module_elem(h.module),
-                                             sampler.module_elem(h.module))),
+                  sampler.draws(10, elem(h.module), elem(h.module)),
                   lambda xy: (c_al.base.star_elem(h.pair(xy[1], conj_of(h.module, xy[0]))),
                               h.pair(xy[0], conj_of(h.module, xy[1]))),
                   "<y,xbar>* != <x,ybar> on a sample")
@@ -837,14 +837,14 @@ def suite_hermitian(bundle, world, back, rep, sampler):
             return lhs, TXY.coact(TXY.pure(x, ybar)).apply(term)
 
         rep.equal(f"herm.{tag}.covariant", "hermitian.covariance",
-                  sampler.draws(6, lambda: (sampler.module_elem(h.module),
-                                            conj_of(h.module, sampler.module_elem(h.module)))),
+                  ((x, conj_of(h.module, y))
+                   for x, y in sampler.draws(6, elem(h.module), elem(h.module))),
                   covariant, "< , > is not covariant on a sample")
 
     O1 = cal.module(1)
 
     rep.equal("herm.pairing-from-metric", "hermitian.metric-correspondence",
-              sampler.draws(10, lambda: (sampler.module_elem(O1), sampler.module_elem(O1))),
+              sampler.draws(10, elem(O1), elem(O1)),
               lambda we: (herm.pair(we[0], conj_of(O1, we[1])), bundle.metric.pair_apply(
                   bundle.metric.tensor.pure(we[0], cal.star(we[1])))),
               "<w,ebar> != (w, e*) on a sample")
@@ -886,8 +886,7 @@ def suite_hermitian(bundle, world, back, rep, sampler):
             lambda yk: O1.coact(x).apply(lambda xk: term(yk, xk)))
 
     res = rep.equal("herm.relation-sampled", "twist.hermitian-pairing-relation",
-                    ((sampler.module_elem(G1), sampler.module_elem(G1))
-                     for _ in range(max(sampler.n, 100))),
+                    (sampler.draw(elem(G1), elem(G1)) for _ in range(max(sampler.n, 100))),
                     relation, "twisted pairing relation fails on a sample")
     res.sample_spec += f";pairs={res.instances}"
 
@@ -955,7 +954,7 @@ def suite_chern(bundle, world, back, rep, sampler):
         rep.forall(f"chern.base.{tag}.box-independent", "chern.search-space",
                    box_independent(), outcome)
         rep.equal(f"chern.base.{tag}.covariant", "chern.covariance",
-                  sampler.draws(6, lambda: sampler.module_elem(conn.module)),
+                  sampler.draws(6, elem(conn.module)),
                   lambda e: covariance_sides(conn.apply, conn.module, conn.tensor, e),
                   "Chern connection is not covariant on a sample")
 
@@ -982,7 +981,7 @@ def suite_chern(bundle, world, back, rep, sampler):
             tens_bar.pure(xbar, cal.d(cal.from_b(b)))
 
     rep.equal("conj.right-leibniz", "connection.conjugate-right",
-              sampler.draws(8, lambda: (sampler.module_elem(O1), B.el(sampler.label()))),
+              sampler.draws(8, elem(O1), el(B)),
               right_leibniz, "right Leibniz fails for the conjugate connection")
 
     # tilde(nabla_g) = (N^-1 (x) id) phi^-1 Gamma(tilde nabla) N on samples
@@ -1000,7 +999,7 @@ def suite_chern(bundle, world, back, rep, sampler):
             T_mixed_tw, T_bar_tw, lambda v: conj_twist_iso_inv(data, G1, v), lambda v: v, step)
 
     rep.equal("conj.twist-commutes", "twist.conjugate-connection",
-              sampler.draws(6, lambda: conj_of(G1, sampler.module_elem(G1))), twist_commutes,
+              (conj_of(G1, x) for x in sampler.draws(6, elem(G1))), twist_commutes,
               "conjugate-connection twist identity fails on a sample")
 
     for tag in CHERN_TAGS:
@@ -1033,16 +1032,16 @@ def suite_main(bundle, world, back, rep, sampler):
         rep.forall("main.direct-sum-basis", "main.twisted-direct-sum", [exc], str)
         return
 
-    def direct_sum_apply(elem):
+    def direct_sum_apply(v):
         # each basis form goes to the Chern connection of its bigrade
-        return elem.apply(lambda bi: (ch10 if cs_tw.bigrade[bi[1]] == (1, 0) else ch01).apply(
+        return v.apply(lambda bi: (ch10 if cs_tw.bigrade[bi[1]] == (1, 0) else ch01).apply(
             Vec.single(cal_tw.scalar_order, bi)))
 
     rep.equal("main.direct-sum-basis", "main.twisted-direct-sum", O1tw.basis,
               lambda i: (conn_tw.table[i], direct_sum_apply(O1tw.el(i))),
               lambda i: f"nabla_g != chern (+) chern at basis {i}")
     res = rep.equal("main.direct-sum-samples", "main.twisted-direct-sum",
-                    sampler.draws(sampler.n, lambda: sampler.module_elem(O1tw)),
+                    sampler.draws(sampler.n, elem(O1tw)),
                     lambda e: (conn_tw.apply(e), direct_sum_apply(e)),
                     lambda e: f"direct sum fails on sample {O1tw.describe(e)}")
     res.sample_spec += f";monomials={res.instances}"

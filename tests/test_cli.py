@@ -187,7 +187,11 @@ def test_twist_emits_twisted_tables_for_finite_models(tmp_path):
     ["--model", "nc_torus", "--box", "-1"],
     ["--model", "finite_bicharacter", "--pairing", "bogus"],
     ["--model", "nc_torus", "--samples", "-5"],
-], ids=["n-0", "box-negative", "pairing-bogus", "samples-negative"])
+    # rejected before a label is listed: listing them ran out of memory
+    ["--model", "nc_torus", "--box", "99999999999"],
+    ["--model", "classical_torus", "--box", "16"],
+], ids=["n-0", "box-negative", "pairing-bogus", "samples-negative", "box-oversized",
+        "box-over-the-label-bound"])
 def test_bad_model_parameters_exit_2_with_one_line_error(args, capsys):
     for command in ("verify", "twist"):
         assert main([command, *args]) == 2

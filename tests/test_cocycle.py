@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from cotwist import cocycle
@@ -640,10 +640,19 @@ def _root_functional(labels, n, exponents):
     return PairFunctional(lambda a, b: table[(a, b)])
 
 
+# The two examples raise gamma, then gammabar, at the one pair (u(0,0), u(1,1))
+# of Z_2^2: the first failing row of each identity then fails at its last k
+# alone, which a row test that skips the last entry misses; random tables
+# rarely put a failure there.
+RAISED_AT_THE_LAST_K = [0, 0, 0, 1] + [0] * 12
+
+
 # no shrink phase: each example at n = 5 runs the kernels over 15,625 triples,
 # so shrinking a failure took minutes; the failing example is reported as drawn
 @settings(max_examples=12, deadline=None, phases=[p for p in Phase if p != Phase.shrink])
 @given(z2_exponent_tables())
+@example((2, RAISED_AT_THE_LAST_K, [0] * 16))
+@example((2, [0] * 16, RAISED_AT_THE_LAST_K))
 def test_exponent_rows_match_the_kernels(tables):
     n, gamma_exponents, gamma_bar_exponents = tables
     A, unlisted, triples = _z2(n)

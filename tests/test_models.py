@@ -3,8 +3,9 @@
 import pytest
 
 from cotwist.emit import emit_json, structure_tables
+from cotwist.hopf import GroupAlgebra
 from cotwist.models import (
-    ModelBundle, build_model, classical_torus, finite_bicharacter, fun_group, nc_torus,
+    MAX_BOX_LABELS, ModelBundle, build_model, check_sampling, classical_torus, finite_bicharacter, fun_group, nc_torus,
     twist_world)
 from cotwist.report import Report
 from cotwist.suites import run_suite
@@ -82,6 +83,18 @@ def test_invalid_parameters():
         fun_group("z17")
     with pytest.raises(ValueError):
         build_model("nonsense")
+
+
+def test_a_box_on_an_infinite_basis_is_bounded_by_its_label_count():
+    # (2 box + 1)^2 labels on the torus: box 15 lists 961, box 16 lists 1089
+    torus = GroupAlgebra(2)
+    assert torus.box_size(15) == len(torus.labels_box(15)) <= MAX_BOX_LABELS
+    check_sampling(torus, 15, 0)
+    for box in (16, 99999999999):
+        with pytest.raises(ValueError, match="labels"):
+            check_sampling(torus, box, 0)
+    # a finite basis lists its labels whatever the box
+    check_sampling(GroupAlgebra(0, (40, 40)), 99999999999, 0)
 
 
 @pytest.mark.parametrize("build", [

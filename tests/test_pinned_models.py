@@ -1,10 +1,14 @@
 """Every check of the models that no benchmark workload runs still reports
 what it reported when `pinned_models.json` was recorded.
 
-Each model runs `verify --box 2 --samples 3 --seed 1 --suite all`, in
-process, and each of its checks is pinned as [check id, status, witness,
-instances].  A change that is meant to alter a report (a structured witness,
-a new sample count, a new check) re-records the file and says why:
+Each model runs `verify --box 2 --samples S --seed 1 --suite all`, in
+process, at each of SAMPLE_COUNTS: 0 and 3 are below every cap of
+`Sampler.draws`, and 7 is above the caps of 6 and below those of 8, 10
+and 12, so a slip in a cap, or in a draw loop that ignores the sample
+count, changes a pin.  Each of its checks is pinned as [check id, status,
+witness, instances], one table per sample count.  A change that is meant to
+alter a report (a structured witness, a new sample count, a new check)
+re-records the file, all three counts at once, and says why:
 
     PYTHONPATH=src python tests/test_pinned_models.py
 """
@@ -28,22 +32,36 @@ MODELS = {
     "finite_bicharacter(3,upper)": ("finite_bicharacter", {"n": 3, "pairing": "upper"}),
     "finite_bicharacter(3,trivial)": ("finite_bicharacter", {"n": 3, "pairing": "trivial"}),
 }
+SAMPLE_COUNTS = (0, 3, 7)
 
 
-def report(key):
+def report(key, samples):
     name, params = MODELS[key]
     rep = Report()
-    run_suite(build_model(name, box=2, samples=3, seed=1, **params), "all", rep)
+    run_suite(build_model(name, box=2, samples=samples, seed=1, **params), "all", rep)
     return [[c.check_id, c.status, c.witness, c.instances] for c in rep.checks]
+
+
+def pinned(key, samples):
+    return json.loads(PINNED.read_text())[str(samples)][key]
 
 
 @pytest.mark.parametrize("key", list(MODELS))
 def test_model_reports_are_pinned(key):
-    assert report(key) == json.loads(PINNED.read_text())[key]
+    assert report(key, 3) == pinned(key, 3)
+
+
+@pytest.mark.parametrize("samples", [0, 7])
+@pytest.mark.parametrize("key", list(MODELS))
+def test_model_reports_are_pinned_on_both_sides_of_the_caps(key, samples):
+    assert report(key, samples) == pinned(key, samples)
 
 
 if __name__ == "__main__":
     # one check a line, so that a re-recorded file shows each changed check
     PINNED.write_text("{\n" + ",\n".join(
-        f" {json.dumps(key)}: [\n" + ",\n".join(f"  {json.dumps(row)}" for row in report(key))
-        + "\n ]" for key in MODELS) + "\n}\n")
+        f" \"{samples}\": {{\n" + ",\n".join(
+            f"  {json.dumps(key)}: [\n"
+            + ",\n".join(f"   {json.dumps(row)}" for row in report(key, samples)) + "\n  ]"
+            for key in MODELS) + "\n }"
+        for samples in SAMPLE_COUNTS) + "\n}\n")

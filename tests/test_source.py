@@ -4,7 +4,8 @@ accumulates a Vec term by term, `Fraction` stays at the edges of the
 scalar field, only the constructors of a Cyc write its numbers, no Vec is
 written after its builder returns, every package function is referenced
 by the package, importing the package loads neither `dataclasses` nor
-`inspect`, and no test file imports a name it never reads."""
+`inspect`, every random draw of a check goes through the argument kinds of
+`Sampler.draw`, and no test file imports a name it never reads."""
 
 import ast
 import subprocess
@@ -630,6 +631,70 @@ def test_the_sampler_counts_every_sample():
     assert sorted(found - set(SAMPLE_COUNT_LOOPS_ALLOWED)) == []
     # an entry whose loop is gone is stale
     assert found == set(SAMPLE_COUNT_LOOPS_ALLOWED)
+
+
+# The argument kinds of `Sampler.draw`: the name of the one kind without
+# arguments, and the constructors of the others.
+KIND_NAMES = {"LABEL"}
+KIND_CONSTRUCTORS = {"elem", "el", "choice"}
+
+
+def draws_past_the_kinds(tree):
+    """(line, source) of each draw that goes round the kinds, outside a class
+    named `Sampler`: a read of `sampler.rng`, `sampler.label` or
+    `sampler.module_elem`, and each argument of `sampler.draw(...)`, or of
+    `sampler.draws(cap, ...)` after the cap, that is not a kind."""
+    out = []
+
+    def is_sampler(node):
+        return isinstance(node, ast.Name) and node.id == "sampler"
+
+    def is_kind(node):
+        return isinstance(node, ast.Name) and node.id in KIND_NAMES \
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in KIND_CONSTRUCTORS
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "Sampler":
+                continue
+            if isinstance(child, ast.Attribute) and is_sampler(child.value) \
+                    and child.attr in ("rng", "label", "module_elem"):
+                out.append((child.lineno, ast.unparse(child)))
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and is_sampler(child.func.value) and child.func.attr in ("draw", "draws"):
+                args = child.args[child.func.attr == "draws":] + child.keywords
+                out.extend((a.lineno, ast.unparse(a)) for a in args if not is_kind(a))
+            visit(child)
+
+    visit(tree)
+    return sorted(out)
+
+
+def test_draw_scanner():
+    tree = ast.parse(
+        "class Sampler:\n"
+        "    def draw(self, sampler, *kinds):\n"
+        "        return sampler.rng.choice(sampler.labels), sampler.draw(*kinds)\n"
+        "def suite(sampler, M, B, f):\n"
+        "    a = sampler.draws(8, elem(M), el(B), LABEL, choice(M.basis))\n"
+        "    b = [sampler.draw(elem(M, M)) for _ in sampler.labels]\n"
+        "    c = sampler.draws(8, lambda: sampler.label())\n"
+        "    d = sampler.draws(6, partial(sampler.module_elem, M))\n"
+        "    e = sampler.draw(f, elem(M), kind=LABEL)\n"
+        "    return sampler.rng.random()\n")
+    assert draws_past_the_kinds(tree) == [
+        (7, "lambda: sampler.label()"), (7, "sampler.label"),
+        (8, "partial(sampler.module_elem, M)"), (8, "sampler.module_elem"),
+        (9, "f"), (9, "kind=LABEL"), (10, "sampler.rng")]
+
+
+def test_only_the_sampler_draws():
+    # every random draw of a check is a declared kind, so the RNG stream that
+    # every recorded output depends on is decided in `Sampler.draw` alone
+    assert draws_past_the_kinds(ast.parse((PACKAGE / "suites.py").read_text())) == []
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if imports(ast.parse(path.read_text()), "random")] == ["suites.py"]
 
 
 def unused_imports(tree):
