@@ -14,7 +14,7 @@ from __future__ import annotations
 from .cyclotomic import Cyc
 from .modules import CentralBasisModule, TensorModule
 from .relhopf import TwistedModule, phi_inv_map
-from .vectors import Vec, gauss_solve, invert
+from .vectors import Vec, gauss_solve, invert, memoize_tables
 
 
 class Calculus:
@@ -36,6 +36,7 @@ class Calculus:
                     raise ValueError(
                         f"basis name {i!r} appears in degrees {self._degree_of[i]} and {k}")
                 self._degree_of[i] = k
+        memoize_tables(self, "basis_form")
 
     def module(self, k):
         return self.modules[k]

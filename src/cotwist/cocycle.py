@@ -30,7 +30,7 @@ from operator import eq
 from .cyclotomic import _ONE, Cyc  # the flat sums skip every product with an exact 1
 from .hopf import HopfAlgebra, at, at_labels
 from .report import outcome
-from .vectors import Vec, gauss_solve
+from .vectors import Vec, gauss_solve, memoize_tables
 
 _zero = cache(Cyc.zero)
 
@@ -162,15 +162,10 @@ class CocycleData:
     """gamma with its convolution inverse gammabar, and U/Ubar/V/Vbar."""
 
     def __init__(self, A, gamma, gamma_bar):
-        from .vectors import memoize_table
         self.hopf = A
         self.gamma = gamma
         self.gamma_bar = gamma_bar
-        # the four derived functionals are pure; memoise them per label
-        self.U = memoize_table(self.U)
-        self.Ubar = memoize_table(self.Ubar)
-        self.V = memoize_table(self.V)
-        self.Vbar = memoize_table(self.Vbar)
+        memoize_tables(self, "U", "Ubar", "V", "Vbar")
 
     def U(self, label):
         A = self.hopf
@@ -225,17 +220,13 @@ class TwistedHopf(HopfAlgebra):
     """The 2-cocycle twist A_gamma, sharing coalgebra structure with A."""
 
     def __init__(self, base, data):
-        from .vectors import memoize_table
         if data.hopf is not base:
             raise ValueError("cocycle data bound to a different algebra")
         self.base = base
         self.data = data
         self.scalar_order = base.scalar_order
         self._mult_cache = {}
-        self.basis = memoize_table(self.basis)
-        self.antipode = memoize_table(self.antipode)
-        self.antipode_inv = memoize_table(self.antipode_inv)
-        self.star = memoize_table(self.star)
+        memoize_tables(self, "basis", "antipode", "antipode_inv", "star")
 
     def mult(self, l1, l2):
         key = (l1, l2)
@@ -484,9 +475,15 @@ def verify_unitarity_suite(data, A, pairs, reporter):
 
     labels = sorted({l for p in pairs for l in p})
 
+    @cache
     def vbar_star(l):
-        """Vbar(l*) for a label l."""
+        # Vbar(l*), once per label
         return A.star(l).evaluate(data.Vbar)
+
+    @cache
+    def vbar_prod(h, k):
+        # Vbar((hk)*), once per label pair
+        return A.star_elem(A.mult(h, k)).evaluate(data.Vbar)
 
     reporter.equal("unitary.vbar-conjugation", "unitarity.vbar-v-conjugation", labels,
                    lambda l: (vbar_star(l).conj(), data.V(l)), at(A, "conj Vbar(h*) != V(h)"))
@@ -510,8 +507,7 @@ def verify_unitarity_suite(data, A, pairs, reporter):
         lhs = sweedler_sum(A, lambda k1, k2, h1, h2: (
             vbar_star(k1) * vbar_star(h1) * g.on_elems(A.star(k2), A.star(h2))).conj(), lk, lh)
         rhs = sweedler_sum(A, lambda k1, k2, h1, h2: (
-            gb.on_elems(s_star(h1), s_star(k1))
-            * A.star_elem(A.mult(h2, k2)).evaluate(data.Vbar)).conj(), lk, lh)
+            gb.on_elems(s_star(h1), s_star(k1)) * vbar_prod(h2, k2)).conj(), lk, lh)
         return lhs, rhs
 
     reporter.equal("unitary.vbar-exchange", "unitarity.vbar-exchange-identity", pairs,
@@ -523,8 +519,7 @@ def verify_unitarity_suite(data, A, pairs, reporter):
         lhs = sweedler_sum(A, lambda k1, k2, h1, h2: (
             g.on_elems(s_star(h1), s_star(k1)) * vbar_star(k2) * vbar_star(h2)).conj(), lk, lh)
         rhs = sweedler_sum(A, lambda k1, k2, h1, h2: (
-            A.star_elem(A.mult(h1, k1)).evaluate(data.Vbar)
-            * gb.on_elems(A.star(k2), A.star(h2))).conj(), lk, lh)
+            vbar_prod(h1, k1) * gb.on_elems(A.star(k2), A.star(h2))).conj(), lk, lh)
         return lhs, rhs
 
     reporter.equal("unitary.vbar-merge", "unitarity.vbar-merge-identity", pairs, vbar_merge,

@@ -16,7 +16,7 @@ import itertools
 import math
 
 from .cyclotomic import Cyc
-from .vectors import Vec
+from .vectors import Vec, memoize_tables
 
 
 class LabelAlgebra:
@@ -129,15 +129,12 @@ class GroupAlgebra(HopfAlgebra):
     """
 
     def __init__(self, free_rank, torsion=(), scalar_order=1):
-        from .vectors import memoize_table
         self.free_rank = free_rank
         self.torsion = tuple(torsion)
         self.rank = free_rank + len(self.torsion)
         self.scalar_order = scalar_order
-        self.basis = memoize_table(self.basis)
-        self.mult = memoize_table(self.mult)
-        self.coproduct = memoize_table(self.coproduct)
-        self.sweedler = memoize_table(self.sweedler)
+        memoize_tables(self, "basis", "mult", "coproduct", "sweedler", "star", "antipode",
+                       "antipode_inv", "unit")
 
     def normalise(self, label):
         lab = list(label)
@@ -221,18 +218,14 @@ class FunctionAlgebra(HopfAlgebra):
     """
 
     def __init__(self, elements, scalar_order=1):
-        from .vectors import memoize_table
         self.elements = list(elements)
         self.identity = next(g for g in self.elements if g == g * g)
         self.scalar_order = scalar_order
         self._factorisations = {}
         for g in self.elements:
             self._factorisations[g] = [(h, h.inv() * g) for h in self.elements]
-        self.basis = memoize_table(self.basis)
-        self.mult = memoize_table(self.mult)
-        self.coproduct = memoize_table(self.coproduct)
-        self.sweedler = memoize_table(self.sweedler)
-        self.unit = memoize_table(self.unit)
+        memoize_tables(self, "basis", "mult", "coproduct", "sweedler", "unit", "star",
+                       "antipode", "antipode_inv", "counit")
 
     def mult(self, l1, l2):
         if l1 == l2:

@@ -27,7 +27,7 @@ from .geometry import (
 from .hopf import GroupAlgebra, fun_s3
 from .modules import CentralBasisModule, Morphism, SelfComodule, TensorModule
 from .relhopf import TwistedComodule
-from .vectors import Vec, memoize_table
+from .vectors import Vec, memoize_tables
 
 
 # The most labels a box may list on an infinite basis: the hopf suite sweeps
@@ -76,7 +76,7 @@ class ModelBundle:
         self.samples = samples
         self.seed = seed
         # per instance, so a `replace` copy solves afresh
-        self._chern_outcome = memoize_table(self._chern_outcome)
+        memoize_tables(self, "_chern_outcome")
 
     def replace(self, **changes):
         """A new bundle with these fields changed, validated again, with its

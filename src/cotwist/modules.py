@@ -14,7 +14,7 @@ arbitrary weights.
 from __future__ import annotations
 
 from .hopf import LabelAlgebra
-from .vectors import Vec
+from .vectors import Vec, memoize_tables
 
 
 class ComodAlgebra(LabelAlgebra):
@@ -23,7 +23,7 @@ class ComodAlgebra(LabelAlgebra):
     def __init__(self, hopf):
         self.hopf = hopf
         self.scalar_order = hopf.scalar_order
-        self.basis = _memoize(self.basis)
+        memoize_tables(self, "basis")
 
     def mult(self, l1, l2):
         raise NotImplementedError
@@ -84,9 +84,6 @@ class SelfComodule(ComodAlgebra):
         return list(dict.fromkeys(gens))
 
 
-from .vectors import memoize_table as _memoize
-
-
 def unit_coaction(mod, v):
     """1 (x) v: what the coaction of mod gives on v exactly when v is coinvariant."""
     return _flat(mod.base.hopf.unit().tensor(v))
@@ -104,11 +101,7 @@ class FreeModule:
         self.base = base
         self.basis = list(basis)
         self.scalar_order = base.scalar_order
-        # structure tables are pure; memoise the bound (most-derived) methods
-        self.r_act = _memoize(self.r_act)
-        self.l_to_r = _memoize(self.l_to_r)
-        self.coact_basis = _memoize(self.coact_basis)
-        self._coact_key = _memoize(self._coact_key)
+        memoize_tables(self, "r_act", "l_to_r", "coact_basis", "_coact_key")
 
     # tables ---------------------------------------------------------------
 

@@ -20,19 +20,17 @@ from __future__ import annotations
 
 from .modules import (
     ComodAlgebra, FreeModule, Morphism, TensorModule, conj_of, unconj)
-from .vectors import Vec
+from .vectors import Vec, memoize_tables
 
 
 class TwistedComodule(ComodAlgebra):
     """B_gamma: same labels and coaction, deformed product and involution."""
 
     def __init__(self, base, data, twisted_hopf):
-        from .vectors import memoize_table
         super().__init__(twisted_hopf)
         self.untwisted = base
         self.data = data
-        self.mult = memoize_table(self.mult)
-        self.star = memoize_table(self.star)
+        memoize_tables(self, "mult", "star")
 
     def mult(self, l1, l2):
         # a ._g b = gamma(a_(-1) (x) b_(-1)) a_(0) b_(0)

@@ -207,21 +207,41 @@ class Vec:
 def memoize_table(method):
     """Memoise a pure structure-table method of hashable arguments.
 
-    Its object is held weakly: an object that memoises its own methods
-    would otherwise sit in a reference cycle, and its tables would outlive
-    it until the cyclic collector runs.
+    Each key is computed once per object; `memoize_tables` says which tables
+    qualify.  The object is held weakly, as a `weakref.ref` beside the plain
+    function: an object that memoises its own methods would otherwise sit in
+    a reference cycle, and its tables would outlive it until the cyclic
+    collector runs.
     """
+    # the traced benchmark probe reads the dict `cache` and the name `wrapped`
     cache = {}
-    target = weakref.WeakMethod(method)
+    target, func = weakref.ref(method.__self__), method.__func__
 
     def wrapped(*key):
         out = cache.get(key)
         if out is None:
-            out = target()(*key)
+            out = func(target(), *key)
             cache[key] = out
         return out
 
     return wrapped
+
+
+def memoize_tables(obj, *names):
+    """Replace each named label-level table of obj by its memo (`memoize_table`).
+
+    A class's `__init__` lists here every table that is pure: a function of
+    its labels and of data fixed when the object is built, whose Vec or
+    scalar results callers share and never write.  A table that reads data
+    edited after the build is never listed, so such an edit shows on the next
+    call: `Calculus.d`, `_d_term` and `wedge` (the `d_table` and
+    `wedge_table` of the calculus faults) and the metric, connection, sigma
+    and Hermitian tables of `geometry`.  Each name gets its own memo of its
+    own bound method, so a subclass that overrides `antipode` alone leaves a
+    memoised `antipode_inv` true.
+    """
+    for name in names:
+        setattr(obj, name, memoize_table(getattr(obj, name)))
 
 
 def _key_sort(k):
