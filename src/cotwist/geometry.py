@@ -81,9 +81,6 @@ class MetricData:
 
         return tensor_elem.apply_conj(term)
 
-    def is_real(self):
-        return self.dagger(self.g) == self.g
-
 
 def twist_metric(metric, data, cal_tw):
     """( , )_g = Gamma(( , )) . phi and g_g = phi^-1(g)."""

@@ -33,15 +33,21 @@ from .vectors import Vec, memoize_tables
 # The most labels a box may list on an infinite basis: the hopf suite sweeps
 # every pair, a million here.  The torus allows box 15; the checks take <= 6.
 MAX_BOX_LABELS = 1000
+# The most samples a run may take: `Sampler.tuples` lists n random label pairs
+# and triples up front, a few MB at this bound; 10^8 of them ran out of memory.
+MAX_SAMPLES = 100_000
 
 
 def check_sampling(hopf, box, samples):
-    """Reject a negative label box or sample count, and a box that would list
-    more than MAX_BOX_LABELS labels of an infinite basis."""
+    """Reject a negative label box or sample count, more than MAX_SAMPLES
+    samples, and a box that would list more than MAX_BOX_LABELS labels of an
+    infinite basis."""
     if box < 0:
         raise ValueError(f"box must be >= 0, got {box}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if hopf.finite_labels() is None and hopf.box_size(box) > MAX_BOX_LABELS:
         raise ValueError(f"box {box} lists more than {MAX_BOX_LABELS} labels")
 

@@ -2,9 +2,11 @@
 
 `Report.forall` is the one check loop: it evaluates a defect on a lazy
 domain and records the first counterexample.  `Report.equal` is `forall`
-for an identity of two sides with one witness text, which is what most
-checks are; a check stays on `forall` only when its defect has more than one
-witness text or is a predicate, or when its domain yields outcomes.
+for an identity of two sides, which is what a check is: one witness text,
+or one per component where the sides are tuples.  A check may stay on
+`forall` only when its defect is a predicate (a solve, an invertibility or
+bijectivity test, a search through the parts of one instance), or when its
+domain is a generator of outcomes that draws between its checks.
 """
 
 import json
@@ -16,7 +18,7 @@ NO_INSTANCES = "no instances evaluated"
 
 class CheckResult:
     __slots__ = ("check_id", "anchor", "status", "witness", "sample_spec",
-                 "duration_ms", "instances")
+                 "duration_ms", "instances", "nonzero")
 
     def __init__(self, check_id, anchor, status="pass", witness=None, sample_spec="",
                  duration_ms=0, instances=0):
@@ -27,6 +29,8 @@ class CheckResult:
         self.sample_spec = sample_spec
         self.duration_ms = duration_ms
         self.instances = instances  # instances that held; kept out of to_dict
+        # whether an `equal` saw a nonzero side (None on a `forall`); kept out of to_dict
+        self.nonzero = None
 
     def __bool__(self):
         return self.status != "fail"
@@ -37,10 +41,13 @@ def outcome(witness):
     return witness
 
 
-def table_outcomes(keys, got, want, what):
-    """One outcome per key: None where got[k] == want[k], else `what at k`."""
-    for k in keys:
-        yield f"{what} at {k}" if got[k] != want[k] else None
+def _nonzero(side):
+    """Whether a side is nonzero: a Cyc or Vec by `is_zero()`, a tuple by any
+    of its components, any other value by its truth."""
+    if isinstance(side, tuple):
+        return any(map(_nonzero, side))
+    is_zero = getattr(side, "is_zero", None)
+    return bool(side) if is_zero is None else not is_zero()
 
 
 class Report:
@@ -83,14 +90,25 @@ class Report:
     def equal(self, check_id, anchor, domain, sides, witness):
         """Check that lhs == rhs for `(lhs, rhs) = sides(x)` at every x of the
         lazy `domain`.  `witness` is the failure's text, or a callable giving
-        it at x.  Otherwise `forall`, whose CheckResult it returns."""
-        name = witness if callable(witness) else lambda _: witness
+        it at x; or, where lhs and rhs are tuples, a tuple of one such per
+        component, of which the first component that differs gives its own.
+        Otherwise `forall`, whose CheckResult it returns, with `nonzero` set."""
+        names = [w if callable(w) else lambda _, w=w: w
+                 for w in (witness if isinstance(witness, tuple) else (witness,))]
+        nonzero = False
 
         def defect(x):
+            nonlocal nonzero
             lhs, rhs = sides(x)
-            return name(x) if lhs != rhs else None
+            nonzero = nonzero or _nonzero(lhs) or _nonzero(rhs)
+            if lhs != rhs:
+                parts = zip(names, lhs, rhs) if len(names) > 1 else [(names[0], lhs, rhs)]
+                return next(name(x) for name, l, r in parts if l != r)
+            return None
 
-        return self.forall(check_id, anchor, domain, defect)
+        res = self.forall(check_id, anchor, domain, defect)
+        res.nonzero = nonzero
+        return res
 
     def add_skipped(self, check_id, anchor, reason):
         self.checks.append(CheckResult(check_id, anchor, "skipped", str(reason)))

@@ -6,22 +6,25 @@ identities are always evaluated with exact scalars, so pass/fail carries no
 tolerance.  Sampling is seed-deterministic and the box is recorded.
 
 Every check is one `Report.equal` or `Report.forall` over a lazy domain: a
-label set, the keys of a stored table, a generator of outcomes, or
-`sampler.draws(cap, *kinds)`, whose argument kinds leave every random draw to
-the `Sampler`.  An identity with one witness text is an `equal`, whose `sides`
-give (lhs, rhs): a pair of tuples where one draw checks several identities,
-and (X, zero) for X = 0.  A check stays on `forall` when its defect has two
-or more witness texts or is a predicate (a solve, `is_real`, `is_invertible`),
-or when it needs its own loop: a generator that yields each instance's
-outcome (None or a witness, with `outcome` as its defect), because its set-up
-evaluates a structure map, whose exception must stay the check's `fail`, or
-it draws again after a check.
+label set, the keys of a stored table, a chain of a basis sweep and draws,
+or `sampler.draws(cap, *kinds)`, whose argument kinds leave every random
+draw to the `Sampler`.  An identity is an `equal`, whose `sides` give
+(lhs, rhs): a pair of tuples where one draw checks several identities, with
+a tuple of witness texts where each has its own, and (X, zero) for X = 0.  A
+structure that a check compares against but that may raise (a rebuilt table,
+a second solve) is a `functools.cache`d thunk read by `sides`, so its
+exception is the check's `fail` at its first instance.  A check stays on
+`forall` only when its defect is a predicate (a solve or its error,
+`is_invertible`, the Lefschetz map, the diamond split, the bigrade
+projections, the star swap) or when its domain is a generator of outcomes
+(None or a witness, with `outcome` as its defect) that draws between its
+checks.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import cache, partial
 from itertools import chain, product
 
 from .calculus import NotFactorizable, factorization_inverse, lefschetz_bijective
@@ -40,7 +43,7 @@ from .modules import (
 from .relhopf import (
     TwistedModule, bar_map, bb_map, conj_twist_iso, conj_twist_iso_inv, hom_twist_iso,
     phi_inv_map, phi_map, tensor_map_pair, twist_tensor_morphism, upsilon)
-from .report import outcome, table_outcomes
+from .report import outcome
 from .vectors import Vec, gauss_solve
 
 CHERN_TAGS = ("10", "01")
@@ -175,38 +178,27 @@ def suite_cocycle(bundle, world, back, rep, sampler):
     verify_cocycle_identities(data, A, sampler.tuples(3), rep)
     verify_unitarity_suite(data, A, sampler.tuples(2), rep)
 
-    Aback = back.hopf
     labels = sampler.labels if sampler.exhaustive else A.labels_box(min(sampler.box, 2))
     # (a, b) for every product with a, then (a, None) for the maps of a
     cases = list(product(labels, [*labels, None]))
 
-    def hopf_back(ab):
-        a, b = ab
-        if b is not None:
-            if Aback.mult(a, b) != A.mult(a, b):
-                return f"product round trip fails at ({A.label_name(a)},{A.label_name(b)})"
-        elif Aback.star(a) != A.star(a) or Aback.antipode(a) != A.antipode(a):
-            return f"star/antipode round trip fails at {A.label_name(a)}"
-        return None
+    def round_trip(H, H_back, maps):
+        return lambda ab: tuple(K.mult(*ab) if ab[1] is not None else maps(K, ab[0])
+                                for K in (H_back, H))
+
+    def named(H, what, maps_what):
+        return lambda ab: at_labels(H, f"{what} round trip fails")(ab) if ab[1] is not None \
+            else at(H, f"{maps_what} round trip fails")(ab[0])
 
     # a failed Hopf round trip ends the suite, without the comodule round trip
-    if not rep.forall("cocycle.hopf-roundtrip", "twist.inverse-deformation",
-                      cases, hopf_back):
+    if not rep.equal("cocycle.hopf-roundtrip", "twist.inverse-deformation", cases,
+                     round_trip(A, back.hopf, lambda K, a: (K.star(a), K.antipode(a))),
+                     named(A, "product", "star/antipode")):
         return
-    Bback = back.comodule
     B = bundle.comodule
-
-    def comodule_back(ab):
-        a, b = ab
-        if b is not None:
-            if Bback.mult(a, b) != B.mult(a, b):
-                return f"comodule product round trip fails at ({B.label_name(a)},{B.label_name(b)})"
-        elif Bback.star(a) != B.star(a):
-            return f"comodule star round trip fails at {B.label_name(a)}"
-        return None
-
-    rep.forall("cocycle.comodule-roundtrip", "twist.inverse-deformation",
-               cases, comodule_back)
+    rep.equal("cocycle.comodule-roundtrip", "twist.inverse-deformation", cases,
+              round_trip(B, back.comodule, lambda K, a: K.star(a)),
+              named(B, "comodule product", "comodule star"))
 
 
 # -- bar functor suite ----------------------------------------------------------
@@ -229,14 +221,13 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
 
         def bimodule_laws(xb):
             x, b = xb
-            if Ebar.lmul(b, conj_of(E, x)) != conj_of(E, E.rmul(x, B.star_elem(b))):
-                return "b.(m bar) != (m b*)bar on a sample"
-            if Ebar.rmul(conj_of(E, x), b) != conj_of(E, E.lmul(B.star_elem(b), x)):
-                return "(m bar).b != (b* m)bar on a sample"
-            return None
+            xbar, bstar = conj_of(E, x), B.star_elem(b)
+            return ((Ebar.lmul(b, xbar), Ebar.rmul(xbar, b)),
+                    (conj_of(E, E.rmul(x, bstar)), conj_of(E, E.lmul(bstar, x))))
 
-        rep.forall(f"bar.bimodule-laws[{label}]", "bar.conjugate-structure",
-                   sampler.draws(8, elem(E), el(B)), bimodule_laws)
+        rep.equal(f"bar.bimodule-laws[{label}]", "bar.conjugate-structure",
+                  sampler.draws(8, elem(E), el(B)), bimodule_laws,
+                  ("b.(m bar) != (m b*)bar on a sample", "(m bar).b != (b* m)bar on a sample"))
 
     # each module below is built once, for every check that reads it
     E, F = mods[0][1], mods[-1][1]
@@ -258,16 +249,15 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
     barbar_f = bar_map(fbar, Ebar, Ebar)
 
     def bb_natural(xb):
+        # left-linearity, then naturality: barbar(f) . bb = bb . f
         x, b = xb
-        if bb_map(E, Ebar, E.lmul(b, x)) != Ebarbar.lmul(b, bb_map(E, Ebar, x)):
-            return "bb is not left-linear on a sample"
-        # naturality: barbar(f) . bb = bb . f
-        if barbar_f(bb_map(E, Ebar, x)) != bb_map(E, Ebar, f_nat(x)):
-            return "bb is not natural against a sampled morphism"
-        return None
+        bb_x = bb_map(E, Ebar, x)
+        return ((bb_map(E, Ebar, E.lmul(b, x)), barbar_f(bb_x)),
+                (Ebarbar.lmul(b, bb_x), bb_map(E, Ebar, f_nat(x))))
 
-    rep.forall("bar.bb-natural", "bar.double-conjugate", sampler.draws(8, elem(E), el(B)),
-               bb_natural)
+    rep.equal("bar.bb-natural", "bar.double-conjugate", sampler.draws(8, elem(E), el(B)),
+              bb_natural, ("bb is not left-linear on a sample",
+                           "bb is not natural against a sampled morphism"))
 
     # twisted-world instruments
     GE = TwistedModule(E, data, Btw)
@@ -305,13 +295,10 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
                                      tensor_map_pair(T_unt, T_unt, idE, g_mor, u))),
               "(Gf (x) Gg) phi^-1 != phi^-1 G(f (x) g) on a sample")
 
-    def gamma_functorial():
-        T_idtw = twist_tensor_morphism(Morphism.identity(T_unt), data, T_tw, T_tw)
-        for k in T_tw.basis:
-            yield f"Gamma(id) != id at {T_tw.basis_name(k)}" \
-                if T_idtw.table[k] != T_tw.el(k) else None
-
-    rep.forall("gamma.functorial", "twist.functoriality", gamma_functorial(), outcome)
+    T_idtw = cache(lambda: twist_tensor_morphism(Morphism.identity(T_unt), data, T_tw, T_tw))
+    rep.equal("gamma.functorial", "twist.functoriality", T_tw.basis,
+              lambda k: (T_idtw().table[k], T_tw.el(k)),
+              lambda k: f"Gamma(id) != id at {T_tw.basis_name(k)}")
 
     rep.equal("conjiso.iso", "twist.conjugation-isomorphism",
               (conj_of(GE, x) for x in sampler.draws(10, elem(GE))),
@@ -342,14 +329,11 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
         # the hom transport is itself a B_g-bimodule map:
         # S(b ._g f) = b ._g S(f) and S(f ._g b) = S(f) ._g b
         b, x = bx
-        if hom_twist_iso(data, H, GH.lmul(b, f))(x) != ev(GE.rmul(x, b)):
-            return "S(b f) != b S(f) on a sample"
-        if hom_twist_iso(data, H, GH.rmul(f, b))(x) != Btw.mult_elem(ev(x), b):
-            return "S(f b) != S(f) b on a sample"
-        return None
+        return (tuple(hom_twist_iso(data, H, bf)(x) for bf in (GH.lmul(b, f), GH.rmul(f, b))),
+                (ev(GE.rmul(x, b)), Btw.mult_elem(ev(x), b)))
 
-    rep.forall("homiso.bilinear", "twist.hom-isomorphism", sampler.draws(6, el(Btw), elem(GE)),
-               hom_bilinear)
+    rep.equal("homiso.bilinear", "twist.hom-isomorphism", sampler.draws(6, el(Btw), elem(GE)),
+              hom_bilinear, ("S(b f) != b S(f) on a sample", "S(f b) != S(f) b on a sample"))
 
     # N_E . bar(Gamma(f)) = Gamma(fbar) . N_E for the morphism f of bb-natural;
     # bar(Gamma(f)) goes through the twisted conjugate structure
@@ -360,15 +344,11 @@ def suite_barfunctor(bundle, world, back, rep, sampler):
               "N is not natural against a sampled morphism")
     f = H.from_b(sampler.draw(el(B)), ("dual", E.basis[0]))
 
-    def hom_coaction():
-        formula = hom_coact(H, f)
-        for i in E.basis:
-            structural = H.coact(f).apply(lambda k: hom_apply(
-                H, H.from_b(B.el(k[1]), k[2]), E.el(i)).map_keys(lambda b2: (k[0], b2)))
-            yield f"hom coaction formula mismatch at basis {i}" \
-                if structural != formula[i] else None
-
-    rep.forall("hom.coaction-evaluation", "module.hom-coaction", hom_coaction(), outcome)
+    formula = cache(lambda: hom_coact(H, f))
+    rep.equal("hom.coaction-evaluation", "module.hom-coaction", E.basis,
+              lambda i: (formula()[i], H.coact(f).apply(lambda k: hom_apply(
+                  H, H.from_b(B.el(k[1]), k[2]), E.el(i)).map_keys(lambda b2: (k[0], b2)))),
+              lambda i: f"hom coaction formula mismatch at basis {i}")
 
     # bar functor conditions
     GT = TwistedModule(T_unt, data, Btw)
@@ -445,15 +425,14 @@ def _calculus_core(cal, rep, sampler, prefix):
 
     def graded_leibniz(wf):
         w, f = wf
-        if cal.d(cal.wedge(f, w)) != cal.wedge(cal.d(f), w) + cal.wedge(f, cal.d(w)):
-            return "Leibniz fails on a (0,1)-degree pair"
-        if cal.d(cal.wedge(w, f)) != cal.wedge(cal.d(w), f) - cal.wedge(w, cal.d(f)):
-            return "graded Leibniz fails on a (1,0)-degree pair"
-        return None
+        return ((cal.d(cal.wedge(f, w)), cal.d(cal.wedge(w, f))),
+                (cal.wedge(cal.d(f), w) + cal.wedge(f, cal.d(w)),
+                 cal.wedge(cal.d(w), f) - cal.wedge(w, cal.d(f))))
 
-    rep.forall(f"{prefix}.graded-leibniz", "calculus.graded-leibniz",
-               ((w, cal.from_b(b)) for w, b in sampler.draws(10, elem(cal.module(1)), el(B))),
-               graded_leibniz)
+    rep.equal(f"{prefix}.graded-leibniz", "calculus.graded-leibniz",
+              ((w, cal.from_b(b)) for w, b in sampler.draws(10, elem(cal.module(1)), el(B))),
+              graded_leibniz, ("Leibniz fails on a (0,1)-degree pair",
+                               "graded Leibniz fails on a (1,0)-degree pair"))
     rep.equal(f"{prefix}.star-involution", "calculus.star-laws",
               (sampler.draw(elem(cal.module(deg))) for deg in (0, 1, 2) for _ in range(4)),
               lambda w: (cal.star(cal.star(w)), w),
@@ -546,16 +525,10 @@ def suite_calculus(bundle, world, back, rep, sampler):
               sampler.draws(10, elem(cal_tw.module(1))), star_formula,
               "twisted star does not match its coaction formula")
 
-    def calc_roundtrip(fg):
-        f, g2 = fg
-        if cal_back.wedge(f, g2) != cal.wedge(f, g2):
-            return "wedge round trip fails on a sample"
-        if cal_back.star(f) != cal.star(f):
-            return "star round trip fails on a sample"
-        return "d round trip fails on a sample" if cal_back.d(f) != cal.d(f) else None
-
-    rep.forall("calc.roundtrip", "twist.inverse-deformation",
-               sampler.draws(8, elem(cal.module(1)), elem(cal.module(1))), calc_roundtrip)
+    rep.equal("calc.roundtrip", "twist.inverse-deformation",
+              sampler.draws(8, elem(cal.module(1)), elem(cal.module(1))),
+              lambda fg: tuple((c.wedge(*fg), c.star(fg[0]), c.d(fg[0])) for c in (cal_back, cal)),
+              tuple(f"{what} round trip fails on a sample" for what in ("wedge", "star", "d")))
 
     for tag, c_s, c_al in (("base", cs, cal), ("twisted", cs_tw, cal_tw)):
         def projections(f):
@@ -586,17 +559,13 @@ def suite_calculus(bundle, world, back, rep, sampler):
                   lambda f: (c_al.d(f), c_s.del_(f) + c_s.delbar(f)),
                   "d != del + delbar on a sample")
 
-        def dolbeault_squares(b):
-            if not c_s.del_(c_s.del_(b)).is_zero() or \
-               not c_s.delbar(c_s.delbar(b)).is_zero():
-                return "del^2 or delbar^2 != 0 on a sample"
-            if not (c_s.del_(c_s.delbar(b)) + c_s.delbar(c_s.del_(b))).is_zero():
-                return "del delbar + delbar del != 0 on a sample"
-            return None
-
-        rep.forall(f"cs.{tag}.dolbeault-squares", "complex.dolbeault-relations",
-                   (c_al.from_b(b) for b in sampler.draws(8, el(c_al.base))),
-                   dolbeault_squares)
+        rep.equal(f"cs.{tag}.dolbeault-squares", "complex.dolbeault-relations",
+                  (c_al.from_b(b) for b in sampler.draws(8, el(c_al.base))),
+                  lambda b: ((c_s.del_(c_s.del_(b)), c_s.delbar(c_s.delbar(b)),
+                              c_s.del_(c_s.delbar(b)) + c_s.delbar(c_s.del_(b))),
+                             (Vec(c_al.scalar_order),) * 3),
+                  ("del^2 or delbar^2 != 0 on a sample",) * 2
+                  + ("del delbar + delbar del != 0 on a sample",))
 
     for tag, c_s in (("base", cs), ("twisted", cs_tw)):
         def factor_invertible():
@@ -687,14 +656,11 @@ def _metric_core(metric, rep, sampler, prefix):
     B = cal.base
     mod = metric.module
 
-    def snake(name):
-        if metric.snake_left(name) != mod.el(name):
-            return f"((w, ) (x) id) g != w at {name}"
-        if metric.snake_right(name) != mod.el(name):
-            return f"(id (x) ( , w)) g != w at {name}"
-        return None
-
-    rep.forall(f"{prefix}.snake", "metric.duality-snake", mod.basis, snake)
+    rep.equal(f"{prefix}.snake", "metric.duality-snake", mod.basis,
+              lambda name: ((metric.snake_left(name), metric.snake_right(name)),
+                            (mod.el(name),) * 2),
+              (lambda name: f"((w, ) (x) id) g != w at {name}",
+               lambda name: f"(id (x) ( , w)) g != w at {name}"))
 
     T = metric.tensor
     rep.equal(f"{prefix}.central", "metric.centrality", B.generators(),
@@ -708,8 +674,8 @@ def _metric_core(metric, rep, sampler, prefix):
                   lambda x: metric.pair_apply(T.from_b(B.el(x[1]), x[2])).map_keys(
                       lambda b2: (x[0], b2)))),
               "pairing is not covariant on a sample")
-    rep.forall(f"{prefix}.real", "metric.reality", [metric],
-               lambda m: "flip(* (x) *) g != g" if not m.is_real() else None)
+    rep.equal(f"{prefix}.real", "metric.reality", [metric],
+              lambda m: (m.dagger(m.g), m.g), "flip(* (x) *) g != g")
 
 
 def suite_metric(bundle, world, back, rep, sampler):
@@ -748,12 +714,12 @@ def suite_metric(bundle, world, back, rep, sampler):
               sampler.draws(8, elem(O1), elem(O1)), dagger_identity,
               "twisted-dagger transport identity fails on a sample")
 
-    def metric_roundtrip():
-        yield "g round trip differs" if back.metric.g != metric.g else None
-        yield from table_outcomes(metric.pairing_table, back.metric.pairing_table,
-                                  metric.pairing_table, "pairing round trip differs")
-
-    rep.forall("metric.roundtrip", "twist.inverse-deformation", metric_roundtrip(), outcome)
+    # g at None, then the pairing at each key
+    rep.equal("metric.roundtrip", "twist.inverse-deformation", [None, *metric.pairing_table],
+              lambda k: (back.metric.g, metric.g) if k is None
+              else (back.metric.pairing_table[k], metric.pairing_table[k]),
+              lambda k: f"pairing round trip differs at {k}" if k is not None
+              else "g round trip differs")
 
     for tag, c, m, c_al in (("base", conn, metric, cal), ("twisted", conn_tw, metric_tw, cal_tw)):
         B = c_al.base
@@ -769,32 +735,27 @@ def suite_metric(bundle, world, back, rep, sampler):
                               + c.sigma(c.sigma.src.pure(be[1], c_al.d(c_al.from_b(be[0]))))),
                   "sigma-twisted right Leibniz fails on a sample")
 
-        def sigma_morphism():
-            # a generator: a basis sweep, then draws
-            for lab in (B.generators() or [])[:4]:
-                for key in c.sigma.src.basis:
-                    yield f"sigma not right-linear at ({key},{B.label_name(lab)})" \
-                        if not right_linear_defect(c.sigma, lab, key).is_zero() else None
-            for e in sampler.draws(6, elem(c.sigma.src)):
-                lhs, rhs = covariance_sides(c.sigma, c.sigma.src, c.sigma.dst, e)
-                yield "sigma not covariant on a sample" if lhs != rhs else None
-
-        rep.forall(f"lc.{tag}.sigma-morphism", "connection.sigma-bimodule-map",
-                   sigma_morphism(), outcome)
+        zero = Vec(c_al.scalar_order)
+        # a basis sweep of (label, key), then draws as (None, e), in one lazy chain
+        rep.equal(f"lc.{tag}.sigma-morphism", "connection.sigma-bimodule-map",
+                  chain(product((B.generators() or [])[:4], c.sigma.src.basis),
+                        ((None, e) for e in sampler.draws(6, elem(c.sigma.src)))),
+                  lambda le: (right_linear_defect(c.sigma, *le), zero) if le[0] is not None
+                  else covariance_sides(c.sigma, c.sigma.src, c.sigma.dst, le[1]),
+                  lambda le: f"sigma not right-linear at ({le[1]},{B.label_name(le[0])})"
+                  if le[0] is not None else "sigma not covariant on a sample")
         rep.equal(f"lc.{tag}.covariant", "connection.covariance",
                   sampler.draws(8, elem(c.module)),
                   lambda e: covariance_sides(c.apply, c.module, c.tensor, e),
                   "connection is not covariant on a sample")
 
-        def torsion_zero():
-            # a generator: a basis sweep, then draws
-            for i in c.module.basis:
-                yield f"torsion nonzero at basis {i}" \
-                    if not c.torsion(c.module.el(i)).is_zero() else None
-            for e in sampler.draws(8, elem(c.module)):
-                yield "torsion nonzero on a sample" if not c.torsion(e).is_zero() else None
-
-        rep.forall(f"lc.{tag}.torsion-zero", "levi-civita.torsionless", torsion_zero(), outcome)
+        # a basis sweep of (i, e_i), then draws as (None, e), in one lazy chain
+        rep.equal(f"lc.{tag}.torsion-zero", "levi-civita.torsionless",
+                  chain(((i, c.module.el(i)) for i in c.module.basis),
+                        ((None, e) for e in sampler.draws(8, elem(c.module)))),
+                  lambda ie: (c.torsion(ie[1]), zero),
+                  lambda ie: f"torsion nonzero at basis {ie[0]}" if ie[0] is not None
+                  else "torsion nonzero on a sample")
         rep.equal(f"lc.{tag}.metric-compat", "levi-civita.metric-compatibility", [m],
                   lambda m: (c.metric_compat(m), m.tensor.zero()), "nabla g != 0")
 
@@ -859,12 +820,9 @@ def suite_hermitian(bundle, world, back, rep, sampler):
 
     rep.forall("herm.diamond-split", "hermitian.diamond-splitting", [herm], diamond_split)
 
-    def metric_route_agree():
-        yield from table_outcomes(herm_tw.table, herm_tw.table,
-                                  hermitian_from_real(world.metric).table, "H_(g_g) != (H_g)_g")
-
-    rep.forall("herm.metric-route-agree", "twist.hermitian-metric-route",
-               metric_route_agree(), outcome)
+    routed = cache(lambda: hermitian_from_real(world.metric).table)
+    rep.equal("herm.metric-route-agree", "twist.hermitian-metric-route", herm_tw.table,
+              lambda k: (herm_tw.table[k], routed()[k]), lambda k: f"H_(g_g) != (H_g)_g at {k}")
 
     A = bundle.hopf
     G1 = cal_tw.module(1)
@@ -894,18 +852,16 @@ def suite_hermitian(bundle, world, back, rep, sampler):
               lambda k: (back.hermitian.table[k], herm.table[k]),
               lambda k: f"Hermitian round trip differs at {k}")
 
-    def correspondence_square():
-        # real -> Hermitian -> real: rebuild the pairing from H and compare
-        rebuilt = {}
-        for (i, j) in bundle.metric.pairing_table:
-            # (w_i, w_j) = <w_i, (w_j*)bar> since ** = id
-            starred = cal.star(O1.el(j))
-            rebuilt[(i, j)] = herm.pair(O1.el(i), conj_of(O1, starred))
-        yield from table_outcomes(bundle.metric.pairing_table, rebuilt,
-                                  bundle.metric.pairing_table, "metric->Hermitian->metric differs")
+    @cache
+    def rebuilt():
+        # real -> Hermitian -> real: (w_i, w_j) = <w_i, (w_j*)bar> since ** = id
+        return {(i, j): herm.pair(O1.el(i), conj_of(O1, cal.star(O1.el(j))))
+                for (i, j) in bundle.metric.pairing_table}
 
-    rep.forall("herm.correspondence-square", "hermitian.correspondence",
-               correspondence_square(), outcome)
+    pairing = bundle.metric.pairing_table
+    rep.equal("herm.correspondence-square", "hermitian.correspondence", pairing,
+              lambda k: (rebuilt()[k], pairing[k]),
+              lambda k: f"metric->Hermitian->metric differs at {k}")
 
 
 # -- chern suite ---------------------------------------------------------------
@@ -946,13 +902,10 @@ def suite_chern(bundle, world, back, rep, sampler):
             continue
         solved[tag] = conn
 
-        def box_independent():
-            yield from table_outcomes(conn.module.basis, conn.table,
-                                      chern_solve(*bundle.chern_system(tag), coeff_box=0).table,
-                                      "solution depends on the coefficient box")
-
-        rep.forall(f"chern.base.{tag}.box-independent", "chern.search-space",
-                   box_independent(), outcome)
+        unboxed = cache(lambda: chern_solve(*bundle.chern_system(tag), coeff_box=0).table)
+        rep.equal(f"chern.base.{tag}.box-independent", "chern.search-space", conn.module.basis,
+                  lambda k: (conn.table[k], unboxed()[k]),
+                  lambda k: f"solution depends on the coefficient box at {k}")
         rep.equal(f"chern.base.{tag}.covariant", "chern.covariance",
                   sampler.draws(6, elem(conn.module)),
                   lambda e: covariance_sides(conn.apply, conn.module, conn.tensor, e),
@@ -960,11 +913,10 @@ def suite_chern(bundle, world, back, rep, sampler):
 
     # nabla = nabla_Ch,(1,0) (+) nabla_Ch,(0,1) on the basis of Omega^1
     if "10" in solved and "01" in solved:
-        rep.forall("chern.untwisted-hypothesis", "main.untwisted-direct-sum",
-                   chain.from_iterable(
-                       table_outcomes(conn.module.basis, conn.table, bundle.connection.table,
-                                      "LC does not restrict to the Chern connection")
-                       for conn in solved.values()), outcome)
+        rep.equal("chern.untwisted-hypothesis", "main.untwisted-direct-sum",
+                  ((conn, k) for conn in solved.values() for k in conn.module.basis),
+                  lambda ck: (ck[0].table[ck[1]], bundle.connection.table[ck[1]]),
+                  lambda ck: f"LC does not restrict to the Chern connection at {ck[1]}")
     else:
         rep.add_skipped("chern.untwisted-hypothesis", "main.untwisted-direct-sum",
                         "untwisted Chern connections unavailable")
@@ -1008,13 +960,11 @@ def suite_chern(bundle, world, back, rep, sampler):
         if conn_tw is None or tag not in solved:
             continue
 
-        def equals_twist():
-            moved = twist_connection(solved[tag], data, cal_tw, module_tw=conn_tw.module)
-            yield from table_outcomes(conn_tw.module.basis, conn_tw.table, moved.table,
-                                      "twisted Chern != phi^-1 Gamma(Chern)")
-
-        rep.forall(f"chern.twisted.{tag}.equals-twist", "chern.twist-transport",
-                   equals_twist(), outcome)
+        moved = cache(lambda: twist_connection(
+            solved[tag], data, cal_tw, module_tw=conn_tw.module).table)
+        rep.equal(f"chern.twisted.{tag}.equals-twist", "chern.twist-transport",
+                  conn_tw.module.basis, lambda k: (conn_tw.table[k], moved()[k]),
+                  lambda k: f"twisted Chern != phi^-1 Gamma(Chern) at {k}")
 
 
 # -- main suite ---------------------------------------------------------------

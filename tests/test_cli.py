@@ -190,8 +190,10 @@ def test_twist_emits_twisted_tables_for_finite_models(tmp_path):
     # rejected before a label is listed: listing them ran out of memory
     ["--model", "nc_torus", "--box", "99999999999"],
     ["--model", "classical_torus", "--box", "16"],
+    # rejected before a sample is drawn: listing them ran out of memory
+    ["--model", "nc_torus", "--samples", "100000000"],
 ], ids=["n-0", "box-negative", "pairing-bogus", "samples-negative", "box-oversized",
-        "box-over-the-label-bound"])
+        "box-over-the-label-bound", "samples-over-the-bound"])
 def test_bad_model_parameters_exit_2_with_one_line_error(args, capsys):
     for command in ("verify", "twist"):
         assert main([command, *args]) == 2

@@ -40,7 +40,7 @@ def test_metric_tables(torus):
     for name in O1.basis:
         assert m.snake_left(name) == O1.el(name)
         assert m.snake_right(name) == O1.el(name)
-    assert m.is_real()
+    assert m.dagger(m.g) == m.g  # real
 
 
 def test_broken_pairing_fails_snake(torus):
@@ -165,7 +165,7 @@ def test_chern_no_solution_witness(torus):
 
 
 def test_twisted_metric_and_connection(world, nct):
-    assert world.metric.is_real()
+    assert world.metric.dagger(world.metric.g) == world.metric.g  # real
     assert world.connection.torsion(
         world.calculus.module(1).from_b(world.comodule.el((1, 2)), "w-")).is_zero()
     assert world.connection.metric_compat(world.metric).is_zero()

@@ -5,8 +5,8 @@ import pytest
 from cotwist.emit import emit_json, structure_tables
 from cotwist.hopf import GroupAlgebra
 from cotwist.models import (
-    MAX_BOX_LABELS, ModelBundle, build_model, check_sampling, classical_torus, finite_bicharacter, fun_group, nc_torus,
-    twist_world)
+    MAX_BOX_LABELS, MAX_SAMPLES, ModelBundle, build_model, check_sampling, classical_torus,
+    finite_bicharacter, fun_group, nc_torus, twist_world)
 from cotwist.report import Report
 from cotwist.suites import run_suite
 
@@ -95,6 +95,17 @@ def test_a_box_on_an_infinite_basis_is_bounded_by_its_label_count():
             check_sampling(torus, box, 0)
     # a finite basis lists its labels whatever the box
     check_sampling(GroupAlgebra(0, (40, 40)), 99999999999, 0)
+
+
+def test_the_sample_count_is_bounded():
+    # Sampler.tuples lists every sample up front, so 10^8 ran out of memory
+    torus = GroupAlgebra(2)
+    check_sampling(torus, 2, MAX_SAMPLES)
+    for samples in (MAX_SAMPLES + 1, 100_000_000):
+        with pytest.raises(ValueError, match=f"samples must be <= {MAX_SAMPLES}"):
+            check_sampling(torus, 2, samples)
+    with pytest.raises(ValueError, match="samples"):
+        nc_torus(1, 3, samples=MAX_SAMPLES + 1)
 
 
 @pytest.mark.parametrize("build", [

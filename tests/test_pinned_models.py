@@ -11,9 +11,13 @@ alter a report (a structured witness, a new sample count, a new check)
 re-records the file, all three counts at once, and says why:
 
     PYTHONPATH=src python tests/test_pinned_models.py
+
+The samples-3 run also pins, in `vacuous_checks.txt`, each check of
+`Report.equal` that evaluated instances but saw no nonzero side.
 """
 
 import json
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,7 @@ from cotwist.report import Report
 from cotwist.suites import run_suite
 
 PINNED = Path(__file__).with_name("pinned_models.json")
+VACUOUS = Path(__file__).with_name("vacuous_checks.txt")
 MODELS = {
     "classical_torus": ("classical_torus", {}),
     "nc_torus(1,3)": ("nc_torus", {"p": 1, "q": 3}),
@@ -35,11 +40,16 @@ MODELS = {
 SAMPLE_COUNTS = (0, 3, 7)
 
 
-def report(key, samples):
+@cache
+def checks(key, samples):
     name, params = MODELS[key]
     rep = Report()
     run_suite(build_model(name, box=2, samples=samples, seed=1, **params), "all", rep)
-    return [[c.check_id, c.status, c.witness, c.instances] for c in rep.checks]
+    return rep.checks
+
+
+def report(key, samples):
+    return [[c.check_id, c.status, c.witness, c.instances] for c in checks(key, samples)]
 
 
 def pinned(key, samples):
@@ -55,6 +65,17 @@ def test_model_reports_are_pinned(key):
 @pytest.mark.parametrize("key", list(MODELS))
 def test_model_reports_are_pinned_on_both_sides_of_the_caps(key, samples):
     assert report(key, samples) == pinned(key, samples)
+
+
+@pytest.mark.parametrize("key", list(MODELS))
+def test_the_checks_that_compared_only_zeros_are_listed(key):
+    found = {c.check_id for c in checks(key, 3) if c.instances and c.nonzero is False}
+    listed = {line.split()[1] for line in VACUOUS.read_text().splitlines()
+              if line.split() and line.split()[0] == key}
+    # a check new to the list compared only zeros on this model
+    assert sorted(found - listed) == []
+    # a listed check that now sees a nonzero side leaves the list
+    assert sorted(listed - found) == []
 
 
 if __name__ == "__main__":

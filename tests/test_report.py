@@ -125,3 +125,23 @@ def test_equal_on_an_empty_domain_is_skipped_not_passed():
     assert (res.status, res.witness, res.instances) == ("skipped", "no instances evaluated", 0)
     assert res
     assert rep.passed
+
+
+def test_equal_with_a_witness_per_component_names_the_first_that_differs():
+    rep = Report()
+    witness = ("x^2 != 2x", lambda x: f"x + 1 != 3 at {x}")
+    res = rep.equal("both", "plumbing", [2, 1],
+                    lambda x: ((x * x, x + 1), (x + x, 3)), witness)
+    assert (res.status, res.witness, res.instances) == ("fail", "x^2 != 2x", 1)
+    res = rep.equal("second", "plumbing", [2, 4],
+                    lambda x: ((x * x, x + 1), (x * x, 3)), witness)
+    assert (res.status, res.witness, res.instances) == ("fail", "x + 1 != 3 at 4", 1)
+
+
+def test_equal_records_whether_any_instance_had_a_nonzero_side():
+    rep = Report()
+    assert rep.equal("zeros", "plumbing", [0, 0], lambda x: ((x, x), (0, x)), "W").nonzero is False
+    assert rep.equal("one", "plumbing", [0, 3, 0], lambda x: (x, x), "W").nonzero is True
+    assert rep.equal("none", "plumbing", [], lambda x: (x, x), "W").nonzero is False
+    assert rep.forall("predicate", "plumbing", [1], lambda x: None).nonzero is None
+    assert "nonzero" not in rep.to_dict()["checks"][0]

@@ -177,9 +177,11 @@ def test_no_unread_parameters_in_package():
     assert found == set(UNREAD_ALLOWED)
 
 # Attributes that may be stored on `self` and never read in the package, each
-# with why.  One read only by tests or by the benchmark's probes would belong
-# here; there is none.
-UNREAD_ATTRIBUTES_ALLOWED = {}
+# with why: one read only by tests or by the benchmark's probes.
+UNREAD_ATTRIBUTES_ALLOWED = {
+    "report.py:nonzero": "CheckResult.nonzero: read by tests/test_pinned_models.py, which "
+                         "pins the checks whose sides were zero at every instance",
+}
 
 
 def unread_attributes(trees):
@@ -741,30 +743,62 @@ def _is_identity_test(test):
         and isinstance(test.operand.func, ast.Attribute) and test.operand.func.attr == "is_zero"
 
 
+def _is_equality_outcome(node):
+    """`W if <identity test> else None`: one identity's outcome."""
+    return isinstance(node, ast.IfExp) and _is_none(node.orelse) and _is_identity_test(node.test)
+
+
 def _is_equality_defect(func):
-    """Whether a lambda or def returns one witness, guarded by one identity test:
-    `W if <test> else None`, or `if <test>: return W` with no other witness."""
+    """Whether a lambda or def returns only witnesses guarded by identity tests:
+    `W if <test> else None`, or `if <test>: return W`.  Two or more witnesses
+    are one identity with a text per component unless one is inside a loop,
+    which searches through the parts of an instance: a predicate."""
     if isinstance(func, ast.Lambda):
-        body = func.body
-        return isinstance(body, ast.IfExp) and _is_none(body.orelse) \
-            and _is_identity_test(body.test)
+        return _is_equality_outcome(func.body)
     nodes = list(_own_nodes(func))
     witnesses = [n for n in nodes if isinstance(n, ast.Return) and not _is_none(n.value)]
-    if len(witnesses) != 1:
-        return False
-    value = witnesses[0].value
-    if isinstance(value, ast.IfExp):
-        return _is_none(value.orelse) and _is_identity_test(value.test)
-    return any(isinstance(n, ast.If) and witnesses[0] in n.body and _is_identity_test(n.test)
-               for n in nodes)
+    looped = {id(n) for loop in nodes if isinstance(loop, (ast.For, ast.While))
+              for n in ast.walk(loop)}
+    guarded = [w for w in witnesses if _is_equality_outcome(w.value) or any(
+        isinstance(n, ast.If) and w in n.body and _is_identity_test(n.test) for n in nodes)]
+    return bool(witnesses) and guarded == witnesses \
+        and (len(witnesses) == 1 or not looped & set(map(id, witnesses)))
+
+
+def _is_equality_generator(func):
+    """Whether a def is a generator whose every yield is an identity's outcome,
+    `W if <identity test> else None` or `yield from table_outcomes(...)`, and
+    that draws nothing between them (`.draw(...)`)."""
+    nodes = list(_own_nodes(func))
+    yields = [n for n in nodes if isinstance(n, (ast.Yield, ast.YieldFrom))]
+    draws = any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "draw" for n in nodes)
+    return bool(yields) and not draws and all(
+        _is_equality_outcome(y.value) if isinstance(y, ast.Yield)
+        else _calls(y.value, "table_outcomes") for y in yields)
+
+
+def _calls(node, name):
+    """Whether the expression calls the function `name` anywhere."""
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+               for n in ast.walk(node))
 
 
 def equality_shaped_foralls(tree):
     """(qualified name of the innermost enclosing function, line) of each
-    `.forall(...)` call whose defect, a lambda or a def of an enclosing scope,
-    is equality-shaped: one witness under `a != b` or `not X.is_zero()`.
-    Such a check is a `Report.equal`; `<module>` outside every definition."""
+    `.forall(...)` call that checks identities: its defect, a lambda or a def
+    of an enclosing scope, returns only witnesses under `a != b` or
+    `not X.is_zero()` (see `_is_equality_defect`); or its domain calls
+    `table_outcomes`, or is a generator of an enclosing scope that yields only
+    such outcomes and draws nothing between them.  Such a check is a
+    `Report.equal`; `<module>` outside every definition."""
     out = []
+
+    def local_def(node, scopes):
+        if not isinstance(node, ast.Name):
+            return node
+        return next((n for scope in reversed(scopes) for n in _own_nodes(scope)
+                     if isinstance(n, ast.FunctionDef) and n.name == node.id), None)
 
     def visit(node, scopes, qual):
         for child in ast.iter_child_nodes(node):
@@ -775,13 +809,13 @@ def equality_shaped_foralls(tree):
                 inner_qual = qual + (child.name,)
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
                     and child.func.attr == "forall" and len(child.args) == 4:
-                defect = child.args[3]
-                if isinstance(defect, ast.Name):
-                    defect = next((n for scope in reversed(scopes) for n in _own_nodes(scope)
-                                   if isinstance(n, ast.FunctionDef) and n.name == defect.id),
-                                  None)
+                domain, defect = child.args[2], local_def(child.args[3], scopes)
+                generator = isinstance(domain, ast.Call) and local_def(domain.func, scopes)
                 if isinstance(defect, (ast.Lambda, ast.FunctionDef)) \
-                        and _is_equality_defect(defect):
+                        and _is_equality_defect(defect) \
+                        or _calls(domain, "table_outcomes") \
+                        or isinstance(generator, ast.FunctionDef) \
+                        and _is_equality_generator(generator):
                     out.append((".".join(qual) or "<module>", child.lineno))
             visit(child, inner, inner_qual)
 
@@ -791,7 +825,7 @@ def equality_shaped_foralls(tree):
 
 def test_equality_shaped_forall_scanner():
     tree = ast.parse(
-        "def suite(rep, A, xs):\n"
+        "def suite(rep, A, xs, sampler):\n"
         "    rep.forall('a', 'x', xs, lambda x: 'W' if A(x) != x else None)\n"
         "    rep.forall('b', 'x', xs, lambda x: 'W' if not A(x).is_zero() else None)\n"
         "    def one(x):\n"
@@ -816,6 +850,31 @@ def test_equality_shaped_forall_scanner():
         "        def looped(x):\n"
         "            return 'W' if A(x) != x else None\n"
         "        rep.forall('j', 'x', xs, looped)\n"
+        "    def parts(x):\n"
+        "        for p in x:\n"
+        "            if A(p) != p:\n"
+        "                return 'W1'\n"
+        "        return 'W2' if A(x) != x else None\n"
+        "    rep.forall('l', 'x', xs, parts)\n"
+        "    def tables():\n"
+        "        yield 'W' if A(0) != 0 else None\n"
+        "        yield from table_outcomes(xs, A, xs, 'W')\n"
+        "    rep.forall('m', 'x', tables(), outcome)\n"
+        "    rep.forall('n', 'x', chain(table_outcomes(xs, A, xs, 'W')), outcome)\n"
+        "    def drawing():\n"
+        "        for x in xs:\n"
+        "            yield 'W1' if A(x) != x else None\n"
+        "            u = sampler.draw(LABEL)\n"
+        "            yield 'W2' if A(u) != u else None\n"
+        "    rep.forall('o', 'x', drawing(), outcome)\n"
+        "    def solve():\n"
+        "        try:\n"
+        "            theta = A(xs)\n"
+        "        except ValueError as exc:\n"
+        "            yield str(exc)\n"
+        "            return\n"
+        "        yield 'W' if theta != xs else None\n"
+        "    rep.forall('p', 'x', solve(), outcome)\n"
         "def gen():\n"
         "    yield 'W' if 1 != 2 else None\n"
         "class R:\n"
@@ -824,7 +883,8 @@ def test_equality_shaped_forall_scanner():
         "            return 'W' if f(x) != x else None\n"
         "        return self.forall('k', 'x', xs, defect)\n")
     assert equality_shaped_foralls(tree) == [
-        ("suite", 2), ("suite", 3), ("suite", 8), ("suite", 12), ("suite", 25), ("R.eq", 32)]
+        ("suite", 2), ("suite", 3), ("suite", 8), ("suite", 12), ("suite", 17), ("suite", 20),
+        ("suite", 25), ("suite", 35), ("suite", 36), ("R.eq", 57)]
 
 
 # `forall` calls in the package whose defect is equality-shaped, each with why.
