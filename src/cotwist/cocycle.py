@@ -19,6 +19,9 @@ shares Delta and epsilon with A and carries
 The cocycle equation and its forms (ii)-(iv) have two shapes, and two kernels,
 `associator` and `mixed`, give both sides of each at every triple; on a finite
 grouplike basis with shared-root values, integer exponent rows replace them.
+On any grouplike basis each Sweedler sum is its label repeated, with an exact
+1: `sweedler_sum` calls fn once at the doubled labels, and h ._g k is the
+product hk times gamma(h (x) k) gammabar(h (x) k), read at one key.
 """
 
 from __future__ import annotations
@@ -77,6 +80,10 @@ def sweedler_sum(A, fn, *labels):
     label's legs vary slowest and the last label's fastest."""
     if not labels:
         return fn()
+    if A.is_grouplike_basis():
+        # one term, the label twice, with an exact 1
+        t = fn(*[x for label in labels for x in (label, label)])
+        return t if t.num else _zero(A.scalar_order)
     terms = A.sweedler(labels[0], 2).terms.items()
     for label in labels[1:]:
         terms = [(args + k, _times(c, d))
@@ -111,7 +118,7 @@ def convolution_inverse(gamma, A):
     if A.is_grouplike_basis():
 
         def fn(l1, l2):
-            v = gamma(l1, l2)
+            v = gamma[(l1, l2)]
             if v.is_zero():
                 raise NotInvertible(
                     f"gamma vanishes at ({A.label_name(l1)},{A.label_name(l2)})",
@@ -204,12 +211,12 @@ def bicharacter_cocycle(A, pairing):
             len(row) != rank or any(type(x) is not int for x in row) for row in pairing):
         raise ValueError(f"pairing must be a {rank}x{rank} matrix of ints, got {pairing!r}")
 
+    entries = [(i, j, p) for i, row in enumerate(pairing) for j, p in enumerate(row) if p]
+
     def fn(l1, l2):
         e = 0
-        for i in range(rank):
-            for j in range(rank):
-                if pairing[i][j]:
-                    e += pairing[i][j] * l1[i] * l2[j]
+        for i, j, p in entries:
+            e += p * l1[i] * l2[j]
         return Cyc.root(order, e)
 
     gamma = PairFunctional(fn)
@@ -233,14 +240,14 @@ class TwistedHopf(HopfAlgebra):
         out = self._mult_cache.get(key)
         if out is None:
             A, g, gb = self.base, self.data.gamma, self.data.gamma_bar
-            s1, s2 = A.sweedler(l1, 3), A.sweedler(l2, 3)
             # h ._g k = gamma(h1 (x) k1) h2 k2 gammabar(h3 (x) k3)
-            if (h := s1._unit_key()) is not None and (k := s2._unit_key()) is not None:
-                out = A.mult(h[1], k[1]).scale(g[(h[0], k[0])] * gb[(h[2], k[2])])
+            if A.is_grouplike_basis():
+                # every leg of a grouplike label is the label, with an exact 1
+                out = A.mult(l1, l2).scale(g[key] * gb[key])
             else:
                 # legs by middle label; one scalar per pair of middles with a nonzero product
                 mid1, mid2, order = {}, {}, self.scalar_order
-                for mid, legs in ((mid1, s1), (mid2, s2)):
+                for mid, legs in ((mid1, A.sweedler(l1, 3)), (mid2, A.sweedler(l2, 3))):
                     for h, c in legs.terms.items():
                         mid.setdefault(h[1], []).append((h, c))
                 out = Vec(order, {(x, y): _flat_sum(
@@ -372,7 +379,7 @@ def _exponent_rows(data, A, triples):
         return None
     idx = {l: i for i, l in enumerate(labels)}
     try:  # an exception is raised again, by the kernel of the check that meets it
-        mult = [[idx[A.mult(a, b)._unit_key()] for b in labels] for a in labels]
+        mult = [[idx[A.mult(a, b).unit_key] for b in labels] for a in labels]
         exponents = {}
         for name, f in (("g", data.gamma), ("gb", data.gamma_bar)):
             values = [[f[(a, b)] for b in labels] for a in labels]

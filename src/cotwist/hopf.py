@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .cyclotomic import Cyc
 from .vectors import Vec, memoize_tables
@@ -142,14 +143,12 @@ class GroupAlgebra(HopfAlgebra):
             lab[self.free_rank + i] %= n
         return tuple(lab)
 
-    def _add(self, l1, l2):
-        return self.normalise(tuple(a + b for a, b in zip(l1, l2)))
-
     def _neg(self, l):
         return self.normalise(tuple(-a for a in l))
 
     def mult(self, l1, l2):
-        return self.el(self._add(l1, l2))
+        label = tuple(map(operator.add, l1, l2))
+        return self.basis(self.normalise(label) if self.torsion else label)
 
     def unit(self):
         return self.el((0,) * self.rank)

@@ -7,6 +7,8 @@ for free: a Vec is zero iff every coefficient reduces to zero mod Phi_N.
 A Vec is never written once its builder returns, so Vecs are shared: the
 algebras memoise their tables and basis vectors, a linear extension of one
 term with an exact 1 returns the image itself, and so does scaling by 1.
+Each builder stores that term's key in `unit_key` as it writes the terms,
+so the extensions read an attribute and never search the terms for it.
 """
 
 from __future__ import annotations
@@ -17,11 +19,15 @@ from .cyclotomic import _ONE, Cyc, format_scalar
 
 
 class Vec:
-    __slots__ = ("order", "terms")
+    # unit_key: the key of the one term when it is an exact 1 in raw form, else
+    # None.  The extensions return that key's image itself when it has this
+    # order; a None key, or an image of another order, takes their general loop.
+    __slots__ = ("order", "terms", "unit_key")
 
     def __init__(self, order, terms=None):
         self.order = order
         self.terms = {}
+        self.unit_key = None
         if terms:
             for k, c in terms.items():
                 self.add_term(k, c)
@@ -36,12 +42,15 @@ class Vec:
         cur = self.terms.get(key)
         if cur is None:
             self.terms[key] = coeff
+            self.unit_key = key if len(self.terms) == 1 and coeff.den == 1 \
+                and coeff.num == _ONE else None
         else:
             s = cur + coeff
             if s.num:
                 self.terms[key] = s
             else:
                 del self.terms[key]
+            self.unit_key = _unit_of(self.terms)
 
     @staticmethod
     def single(order, key, coeff=1):
@@ -52,11 +61,13 @@ class Vec:
     def copy(self):
         v = Vec(self.order)
         v.terms = dict(self.terms)
+        v.unit_key = self.unit_key
         return v
 
     def __add__(self, other):
         v = Vec(self.order)
         v.terms = dict(self.terms)
+        v.unit_key = self.unit_key
         for k, c in other.terms.items():
             v.add_term(k, c)
         return v
@@ -67,6 +78,7 @@ class Vec:
     def __neg__(self):
         v = Vec(self.order)
         v.terms = {k: -c for k, c in self.terms.items()}
+        v.unit_key = _unit_of(v.terms)
         return v
 
     def scale(self, coeff):
@@ -75,6 +87,7 @@ class Vec:
             # an integer multiple of a nonzero term is never zero
             if coeff:
                 v.terms = {k: c * coeff for k, c in self.terms.items()}
+                v.unit_key = _unit_of(v.terms)
             return v
         if type(coeff) is not Cyc:
             coeff = Cyc.rational(coeff, self.order)
@@ -96,21 +109,12 @@ class Vec:
                 v.add_term(k2, c)
             else:
                 terms[k2] = c
+        v.unit_key = _unit_of(terms)
         return v
-
-    def _unit_key(self):
-        """The key of a Vec that is one term with an exact 1 in raw form, else None.
-        The extensions return such a key's image itself when it has this order;
-        a None key, or an image of another order, takes their general loop."""
-        if len(self.terms) == 1:
-            (k, c), = self.terms.items()
-            if c.den == 1 and c.num == _ONE:
-                return k
-        return None
 
     def apply(self, fn):
         """Linear extension: fn(key) -> Vec, summed with coefficients."""
-        if (k := self._unit_key()) is not None and (img := fn(k)).order == self.order:
+        if (k := self.unit_key) is not None and (img := fn(k)).order == self.order:
             return img
         out = Vec(self.order)
         add = out.add_term
@@ -121,7 +125,7 @@ class Vec:
 
     def apply2(self, other, fn):
         """Bilinear extension: fn(key, other_key) -> Vec, in one pass."""
-        if (k1 := self._unit_key()) is not None and (k2 := other._unit_key()) is not None \
+        if (k1 := self.unit_key) is not None and (k2 := other.unit_key) is not None \
                 and (img := fn(k1, k2)).order == self.order:
             return img
         out = Vec(self.order)
@@ -137,7 +141,7 @@ class Vec:
 
     def apply_conj(self, fn):
         """Antilinear extension: fn(key) -> Vec, summed with conjugated coefficients."""
-        if (k := self._unit_key()) is not None and (img := fn(k)).order == self.order:
+        if (k := self.unit_key) is not None and (img := fn(k)).order == self.order:
             return img
         out = Vec(self.order)
         add = out.add_term
@@ -194,6 +198,7 @@ class Vec:
         for k, c in self.terms.items():
             if not c.is_zero():
                 v.terms[k] = c
+        v.unit_key = _unit_of(v.terms)
         return v
 
     def describe(self, name=str):
@@ -202,6 +207,15 @@ class Vec:
 
     def __repr__(self):
         return f"Vec[{self.describe()}]"
+
+
+def _unit_of(terms):
+    """The unit key of a Vec with these terms (see `Vec.unit_key`)."""
+    if len(terms) == 1:
+        (k, c), = terms.items()
+        if c.den == 1 and c.num == _ONE:
+            return k
+    return None
 
 
 def memoize_table(method):

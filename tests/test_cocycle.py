@@ -7,14 +7,14 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from cotwist import cocycle
+from cotwist import cocycle, faults
 from cotwist.cyclotomic import Cyc
 from cotwist.cocycle import (
     CocycleData, NotInvertible, PairFunctional, TwistedHopf, associator, bicharacter_cocycle,
     convolution_inverse, convolve, counit_functional, mixed, sweedler_sum, trivial_cocycle,
     verify_cocycle_identities, verify_unitarity_suite)
 from cotwist.hopf import GroupAlgebra, HopfAlgebra, fun_s3
-from cotwist.models import finite_bicharacter, fun_group, nc_torus
+from cotwist.models import finite_bicharacter, fun_group, nc_torus, twist_world
 from cotwist.report import Report
 from cotwist.suites import run_suite
 from cotwist.vectors import Vec
@@ -583,6 +583,88 @@ def test_twisted_product_on_a_grouplike_basis_is_the_shared_product():
     for a in labels:
         for b in labels:
             assert scaled.mult(a, b) == apply2_product(scaled, a, b)
+
+
+# -- the grouplike branches against the Sweedler definitions -----------------
+
+
+def _grouplike_worlds():
+    """(name, twisted algebra, labels) on a grouplike basis: nc_torus(1, 5) on
+    its box-2 labels and finite_bicharacter(5) on all of its labels, with
+    gamma and gammabar as built, and with gammabar times zeta_N at one pair,
+    so gamma gammabar != 1 there; the cocycle-inverse-corrupted fault, whose
+    gammabar is times zeta_3 at one pair, likewise.  Each also as the back
+    world, whose base is the twisted algebra: with gammabar scaled, that base
+    is noncommutative."""
+    worlds = []
+    for name, bundle in (("nc_torus(1,5)", nc_torus(1, 5)),
+                         ("finite_bicharacter(5)", finite_bicharacter(5))):
+        data = bundle.data
+        pair, root = ((0, 1), (1, 0)), Cyc.root(bundle.hopf.scalar_order)
+        bar = PairFunctional(lambda a, b, gb=data.gamma_bar, pair=pair, root=root:
+                             gb(a, b) * root if (a, b) == pair else gb(a, b))
+        scaled = bundle.replace(data=CocycleData(bundle.hopf, data.gamma, bar))
+        worlds += [(name, bundle), (name + " gammabar scaled", scaled)]
+    worlds.append(("cocycle-inverse-corrupted", faults.fault_cocycle_inverse_corrupted()))
+    out = []
+    for name, bundle in worlds:
+        for world, T in ((name, twist_world(bundle).hopf),
+                         (name + " back world", twist_world(twist_world(bundle)).hopf)):
+            out.append((world, T, T.labels_box(2)))
+    return out
+
+
+def nested_twisted_product(T, l1, l2):
+    """gamma(h1 (x) k1) h2 k2 gammabar(h3 (x) k3), summed term by term over the
+    three-leg Sweedler sums of the base."""
+    A, d = T.base, T.data
+    out = A.zero()
+    for h, c in A.sweedler(l1, 3).terms.items():
+        for k, e in A.sweedler(l2, 3).terms.items():
+            out = out + A.mult(h[1], k[1]).scale(
+                c * e * d.gamma(h[0], k[0]) * d.gamma_bar(h[2], k[2]))
+    return out
+
+
+def term_list_product(A, fn, *labels):
+    """fn summed over the product of the labels' two-leg term lists."""
+    total = Cyc.zero(A.scalar_order)
+    for legs in product(*[A.sweedler(l, 2).terms.items() for l in labels]):
+        c = Cyc.one(A.scalar_order)
+        for _, d in legs:
+            c = c * d
+        total = total + c * fn(*[x for k, _ in legs for x in k])
+    return total
+
+
+GROUPLIKE_WORLDS = _grouplike_worlds()
+
+
+@pytest.mark.parametrize("name, T, labels", GROUPLIKE_WORLDS,
+                         ids=[name for name, _, _ in GROUPLIKE_WORLDS])
+def test_grouplike_branches_match_the_sweedler_definitions(name, T, labels):
+    assert T.is_grouplike_basis()
+    g, gb = T.data.gamma, T.data.gamma_bar
+    one = Cyc.one(T.scalar_order)
+    scaled = {(a, b) for a in labels for b in labels if g(a, b) * gb(a, b) != one}
+    assert len(scaled) == ("scaled" in name or "corrupted" in name), scaled
+    for a in labels:
+        for b in labels:
+            assert T.mult(a, b) == nested_twisted_product(T, a, b), (a, b)
+    # gamma * gammabar, which is not the counit at a scaled pair
+    conv = lambda a1, a2, b1, b2: g(a1, b1) * gb(a2, b2)  # noqa: E731
+    fn, calls = _leg_values(labels, T.scalar_order)
+    n = len(labels)
+    for i, a in enumerate(labels):
+        for args in [(a,)] + [(a, b) for b in labels] + [(a, labels[(i + 1) % n], labels[i - 3])]:
+            for A in (T, T.base):
+                calls.clear()
+                flat = sweedler_sum(A, fn, *args)
+                flat_calls = list(calls)
+                calls.clear()
+                assert flat == term_list_product(A, fn, *args) and flat_calls == calls, args
+                if len(args) == 2:
+                    assert sweedler_sum(A, conv, *args) == term_list_product(A, conv, *args)
 
 
 # -- exponent rows on a finite grouplike basis -------------------------------

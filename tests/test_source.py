@@ -403,8 +403,8 @@ def test_only_constructors_write_a_cyc():
 
 
 
-# Functions that may write the Vec they are called on (`self`): its two
-# builders.  Every other write must go to a name that the same function binds
+# Functions that may write the Vec they are called on (`self`), its terms or its
+# unit key: its two builders.  Every other write must go to a name that the same function binds
 # only to fresh `Vec(...)` calls.  A built Vec is shared (the memo tables, `el`
 # and the linear extensions of a unit term hand out one object), so a change in
 # place would change the value of every holder.
@@ -432,9 +432,10 @@ def vec_writes(tree):
     """(qualified name of the innermost enclosing function or class, line,
     receiver) of each write to a Vec whose receiver is not a fresh name of the
     innermost enclosing function or lambda (`_fresh_vec_names`): a store to
-    `.terms`, a store or delete into `.terms[...]`, a mutating dict method
-    called on `.terms`, and every use of `.add_term`, a call or a bound method
-    such as `add = v.add_term`; `<module>` outside every definition."""
+    `.terms` or `.unit_key`, a store or delete into `.terms[...]`, a mutating
+    dict method called on `.terms`, and every use of `.add_term`, a call or a
+    bound method such as `add = v.add_term`; `<module>` outside every
+    definition."""
     out = []
 
     def is_terms(node):
@@ -443,7 +444,7 @@ def vec_writes(tree):
     def receiver(node):
         store = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
         if isinstance(node, ast.Attribute) \
-                and (node.attr == "add_term" or store and is_terms(node)):
+                and (node.attr == "add_term" or store and node.attr in ("terms", "unit_key")):
             return node.value
         if store and isinstance(node, ast.Subscript) and is_terms(node.value):
             return node.value.value
@@ -475,9 +476,11 @@ def test_vec_write_scanner():
         "class Vec:\n"
         "    def __init__(self, order):\n"
         "        self.terms = {}\n"
+        "        self.unit_key = None\n"
         "    def copy(self):\n"
         "        v = Vec(1)\n"
         "        v.terms = dict(self.terms)\n"
+        "        v.unit_key = self.unit_key\n"
         "        add = v.add_term\n"
         "        del v.terms[0]\n"
         "        return v, self.terms.get(0), add\n"
@@ -490,11 +493,13 @@ def test_vec_write_scanner():
         "    z.terms.pop(0)\n"
         "    g = lambda: z.add_term(0, 1)\n"
         "    w.el(1).terms.clear(), w.terms.copy()\n"
+        "    w.unit_key = z.unit_key = w.order\n"
         "    return g\n"
         "A.el(1).terms[0] = 2\n")
     assert vec_writes(tree) == [
-        ("Vec.__init__", 3, "self"), ("f", 11, "w"), ("f", 13, "x"), ("f", 14, "u"),
-        ("f", 17, "z"), ("f", 18, "w.el(1)"), ("<module>", 20, "A.el(1)")]
+        ("Vec.__init__", 3, "self"), ("Vec.__init__", 4, "self"), ("f", 13, "w"), ("f", 15, "x"),
+        ("f", 16, "u"), ("f", 19, "z"), ("f", 20, "w.el(1)"), ("f", 21, "w"),
+        ("<module>", 23, "A.el(1)")]
 
 
 def test_no_vec_is_written_after_it_is_built():

@@ -1,8 +1,9 @@
 """The exact linear solver and inverse over Q and Q(zeta_12), against minors,
 the antilinear solver, against the same system in rational coordinates, the
 extensions of Vec, against their coefficients summed key by key, their unit
-paths, against a term-by-term loop, and Vec equality, against the difference
-reducing to zero."""
+paths, against a term-by-term loop, the unit key every builder stores, against
+the one read from the terms, and Vec equality, against the difference reducing
+to zero."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotwist.cyclotomic import Cyc, cyclotomic_polynomial
+from cotwist.hopf import GroupAlgebra
+from cotwist.modules import CentralBasisModule, SelfComodule
 from cotwist.vectors import Vec, gauss_solve, invert, solve_antilinear
 
 ORDER = 12
@@ -366,3 +369,91 @@ def test_a_vec_equals_itself_without_comparing_coefficients(monkeypatch):
     assert v == v
     with pytest.raises(pytest.fail.Exception):
         assert v == w
+
+
+# -- the unit key that every builder stores ----------------------------------
+
+
+def _value_unit_key(v):
+    """The unit key read from the terms: the key of the one term, if its
+    coefficient is an exact 1 in raw form at the Vec's own order."""
+    if len(v.terms) == 1:
+        (k, c), = v.terms.items()
+        if c.den == 1 and c.num == {0: 1} and c.order == v.order:
+            return k
+    return None
+
+
+# exact 1s shared, built and embedded from order 3, -1 as a rational and as a
+# root, 2, zeta_12 and its inverse, and a zero that is not in raw form
+UNIT_KEY_COEFFS = [Cyc.one(12), Cyc(12, {0: 1}), Cyc.one(3), Cyc(3, {0: 1}),
+                   Cyc.rational(-1, 12), Cyc.root(12, 6), Cyc.rational(2, 12), Cyc.root(12),
+                   Cyc.root(12, 11), Cyc(12, {0: 1, 4: 1, 8: 1})]
+unit_key_vecs = st.dictionaries(st.integers(0, 3), st.sampled_from(UNIT_KEY_COEFFS),
+                                max_size=3).map(lambda d: Vec(12, d))
+unit_key_scalars = st.sampled_from([1, -1, 0, 2] + UNIT_KEY_COEFFS)
+
+
+def _z4_module():
+    """The free module on one central basis element e over C[Z_4], at order 12."""
+    return CentralBasisModule(SelfComodule(GroupAlgebra(0, (4,), scalar_order=12)), ["e"])
+
+
+def _builders(v, w, images, scalar, module):
+    """(name, Vec) from every builder of a Vec, on the drawn operands."""
+    pair = lambda k1, k2: images[(k1 + 3 * k2) % 4]  # noqa: E731
+    elem = v.map_keys(lambda k: ((k,), "e"))
+    return [
+        ("init", v), ("single", Vec.single(12, "x", scalar)), ("add", v + w), ("sub", v - w),
+        ("add-sub", (v + w) - w), ("neg", -v), ("scale", v.scale(scalar)),
+        ("map-merging", v.map_keys(lambda k: k % 2)), ("map", v.map_keys(lambda k: k + 4)),
+        ("apply", v.apply(images.__getitem__)), ("apply-conj", v.apply_conj(images.__getitem__)),
+        ("apply2", v.apply2(w, pair)), ("tensor", v.tensor(w)), ("pruned", v.pruned()),
+        ("copy", v.copy()), ("lmul", module.lmul(w.map_keys(lambda k: (k,)), elem)),
+        ("rmul", module.rmul(elem, w.map_keys(lambda k: (k,))))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_key_vecs, unit_key_vecs, st.lists(unit_key_vecs, min_size=4, max_size=4),
+       unit_key_scalars)
+def test_every_builder_stores_the_unit_key_of_its_terms(v, w, images, scalar):
+    for name, got in _builders(v, w, images, scalar, _z4_module()):
+        assert got.unit_key == _value_unit_key(got), name
+
+
+def _unit_key_cases():
+    """(name, Vec) whose unit key is set, one per builder and per way it gets there."""
+    one, minus, root = Cyc.one(12), Cyc.rational(-1, 12), Cyc.root(12)
+    x1y2 = Vec(12, {"x": 1, "y": 2})
+    images = [Vec(12, {"x": 1, "y": 1}), Vec(12, {"y": -1}), Vec(12, {"x": 1}), Vec(12)]
+    module = _z4_module()
+    # zeta_12 u(1) e times zeta_12^11 u(3): u(0) e with an exact 1
+    e1, b3 = Vec(12, {((1,), "e"): root}), Vec(12, {(3,): Cyc.root(12, 11)})
+    return [
+        ("init-embedded", Vec(12, {"x": Cyc.one(3)})),
+        ("init-built", Vec(12, {"x": Cyc(12, {0: 1})})),
+        ("single-int", Vec.single(12, "x")), ("single-one", Vec.single(12, "x", one)),
+        ("add-cancelling", x1y2 + Vec(12, {"y": -2})), ("sub-cancelling", x1y2 - Vec(12, {"y": 2})),
+        ("add-to-one", Vec(12, {"x": 2}) + Vec(12, {"x": -1})),
+        ("neg", -Vec(12, {"x": minus})), ("scale-int", Vec(12, {"x": minus}).scale(-1)),
+        ("scale-one", Vec(12, {"x": 1}).scale(one)),
+        ("scale-root", Vec(12, {"x": Cyc.root(12, 11)}).scale(root)),
+        # 1 and 3 merge to nothing, then 0 is written whole
+        ("map-merging", Vec(12, {1: 2, 3: -2, 0: 1}).map_keys(lambda k: k % 2)),
+        ("map", Vec(12, {0: 1}).map_keys(lambda k: k + 4)),
+        ("apply", Vec(12, {0: 1, 1: 1}).apply(images.__getitem__)),
+        ("apply-conj", Vec(12, {0: 1, 1: 1}).apply_conj(images.__getitem__)),
+        ("apply2", Vec(12, {0: 1, 1: 1}).apply2(Vec(12, {0: 1}), lambda a, b: images[a + b])),
+        ("tensor", Vec(12, {0: 1}).tensor(Vec(12, {1: 1}))),
+        ("pruned", Vec(12, {"x": 1, "y": Cyc(12, {0: 1, 4: 1, 8: 1})}).pruned()),
+        ("copy", Vec(12, {"x": 1}).copy()),
+        ("lmul", module.lmul(b3, e1)), ("rmul", module.rmul(e1, b3))]
+
+
+UNIT_KEY_CASES = _unit_key_cases()
+
+
+@pytest.mark.parametrize("name, v", UNIT_KEY_CASES, ids=[n for n, _ in UNIT_KEY_CASES])
+def test_a_builder_that_ends_on_one_exact_1_stores_its_key(name, v):
+    assert v.unit_key is not None
+    assert v.unit_key == _value_unit_key(v)
