@@ -80,7 +80,7 @@ def sweedler_sum(A, fn, *labels):
     label's legs vary slowest and the last label's fastest."""
     if not labels:
         return fn()
-    if A.is_grouplike_basis():
+    if A.grouplike_basis:
         # one term, the label twice, with an exact 1
         t = fn(*[x for label in labels for x in (label, label)])
         return t if t.num else _zero(A.scalar_order)
@@ -115,7 +115,7 @@ def convolution_inverse(gamma, A):
     algebra it is the exact dense solve of gamma * psi = counit over
     Q(zeta), confirmed on the other side.  Otherwise NotInvertible.
     """
-    if A.is_grouplike_basis():
+    if A.grouplike_basis:
 
         def fn(l1, l2):
             v = gamma[(l1, l2)]
@@ -232,6 +232,7 @@ class TwistedHopf(HopfAlgebra):
         self.base = base
         self.data = data
         self.scalar_order = base.scalar_order
+        self.grouplike_basis = base.grouplike_basis
         self._mult_cache = {}
         memoize_tables(self, "basis", "antipode", "antipode_inv", "star")
 
@@ -241,7 +242,7 @@ class TwistedHopf(HopfAlgebra):
         if out is None:
             A, g, gb = self.base, self.data.gamma, self.data.gamma_bar
             # h ._g k = gamma(h1 (x) k1) h2 k2 gammabar(h3 (x) k3)
-            if A.is_grouplike_basis():
+            if A.grouplike_basis:
                 # every leg of a grouplike label is the label, with an exact 1
                 out = A.mult(l1, l2).scale(g[key] * gb[key])
             else:
@@ -305,9 +306,6 @@ class TwistedHopf(HopfAlgebra):
 
     def box_size(self, box):
         return self.base.box_size(box)
-
-    def is_grouplike_basis(self):
-        return self.base.is_grouplike_basis()
 
 
 # -- identity suites ---------------------------------------------------------
@@ -374,7 +372,7 @@ def _exponent_rows(data, A, triples):
     and exponents maps g, gb, -g, -gb to [i][j] -> the exponent of gamma or
     gammabar at (labels[i], labels[j]), or its negative."""
     labels, n = A.finite_labels(), A.scalar_order
-    if not A.is_grouplike_basis() or labels is None or len(triples) != len(labels) ** 3 \
+    if not A.grouplike_basis or labels is None or len(triples) != len(labels) ** 3 \
             or not all(map(eq, triples, product(labels, repeat=3))):
         return None
     idx = {l: i for i, l in enumerate(labels)}
@@ -453,7 +451,7 @@ def verify_cocycle_identities(data, A, triples, reporter):
         reporter.forall("cocycle.grouplike-crosscheck", "cocycle.group-cocycle-form",
                         _row_outcomes(rows, "group 2-cocycle identity", ("g", "g", "-g", "-g")),
                         outcome)
-    elif A.is_grouplike_basis():
+    elif A.grouplike_basis:
         def group_form(t):
             lg, lh, lk = t
             gh = next(iter(A.mult(lg, lh).terms))
@@ -544,7 +542,7 @@ def verify_unitarity_suite(data, A, pairs, reporter):
     reporter.equal("unitary.u-exchange", "twist.u-exchange-identity", pairs, u_exchange,
                    at_labels(A, "u exchange identity fails"))
 
-    if A.is_grouplike_basis():
+    if A.grouplike_basis:
         # on a grouplike basis, unitarity is exactly pointwise unit modulus
         one = Cyc.one(A.scalar_order)
         reporter.equal("unitary.modulus", "unitarity.unit-modulus", pairs,

@@ -47,6 +47,8 @@ class HopfAlgebra(LabelAlgebra):
     """Base protocol: label tables for mult/unit/coproduct/counit/S/S^-1/star."""
 
     scalar_order = 1
+    # every basis label grouplike: Delta(l) = l (x) l
+    grouplike_basis = False
 
     def mult(self, l1, l2):
         raise NotImplementedError
@@ -83,9 +85,6 @@ class HopfAlgebra(LabelAlgebra):
         if fin is not None:
             return list(fin)
         raise NotImplementedError
-
-    def is_grouplike_basis(self):
-        return False
 
     # -- element level (linear/antilinear extensions of the tables) -------
 
@@ -129,6 +128,8 @@ class GroupAlgebra(HopfAlgebra):
     2-torus.
     """
 
+    grouplike_basis = True
+
     def __init__(self, free_rank, torsion=(), scalar_order=1):
         self.free_rank = free_rank
         self.torsion = tuple(torsion)
@@ -166,9 +167,6 @@ class GroupAlgebra(HopfAlgebra):
 
     def star(self, label):
         return self.el(self._neg(label))
-
-    def is_grouplike_basis(self):
-        return True
 
     def finite_labels(self):
         if self.free_rank:

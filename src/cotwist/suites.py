@@ -124,7 +124,7 @@ def suite_hopf(bundle, world, back, rep, sampler):
     labels = sampler.labels
     pairs = sampler.tuples(2, min(sampler.n, 30))
     verify_hopf_axioms(A, labels, rep, prefix="hopf.base", pair_samples=pairs)
-    if A.is_grouplike_basis():
+    if A.grouplike_basis:
         verify_cocommutative_flip(A, labels, rep, prefix="hopf.base")
 
     Atw = world.hopf
@@ -132,7 +132,7 @@ def suite_hopf(bundle, world, back, rep, sampler):
     small_pairs = [(a, b) for a in small for b in small]
     verify_hopf_axioms(Atw, small, rep, prefix="hopf.twisted", pair_samples=small_pairs)
 
-    if A.is_grouplike_basis():
+    if A.grouplike_basis:
         rep.equal("hopf.collapse-product", "twist.cocommutative-collapse",
                   product(labels, labels), lambda ab: (Atw.mult(*ab), A.mult(*ab)),
                   at_labels(A, "product_g != product"))

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -66,9 +67,9 @@ def test_verify_exhaustive_flag(capsys):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # shipped models all pass, so route a corrupted bundle through the CLI
     from cotwist import cli
-    from cotwist.faults import fault_d_corrupted
-    monkeypatch.setattr(cli, "build_model",
-                        lambda name, **params: fault_d_corrupted())
+    from cotwist.faults import FAULTS
+    fault = next(f for f in FAULTS if f.name == "d-corrupted")
+    monkeypatch.setattr(cli, "build_model", lambda name, **params: fault.build())
     code = main(["verify", "--model", "nc_torus", "--suite", "calculus",
                  "--samples", "8"])
     out = capsys.readouterr().out
@@ -201,6 +202,24 @@ def test_bad_model_parameters_exit_2_with_one_line_error(args, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["--model", "finite_bicharacter", "--n", "100000", "--suite", "hopf"],
+], ids=["n-over-the-bound"])
+def test_input_over_a_memory_bound_exits_2_in_a_limited_child(args):
+    # Under a 1 GB address-space limit, listing 10^10 labels ends in a
+    # MemoryError in the child instead of waking the host's out-of-memory killer.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotwist", "verify", *args], capture_output=True, text=True,
+        env=PKG_ENV, cwd=os.path.dirname(os.path.dirname(__file__)) or ".",
+        preexec_fn=limit, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

@@ -261,8 +261,7 @@ def test_table_solve_singular_reports_pair():
 
 def test_no_inverse_method_without_grouplike_basis_or_finite_labels():
     class InfiniteAlgebra:
-        def is_grouplike_basis(self):
-            return False
+        grouplike_basis = False
 
         def finite_labels(self):
             return None
@@ -278,7 +277,7 @@ def test_no_inverse_method_without_grouplike_basis_or_finite_labels():
 ], ids=["fraction", "float", "1x1"])
 def test_malformed_pairing_is_rejected(pairing):
     with pytest.raises(ValueError, match="2x2 matrix of ints"):
-        finite_bicharacter(3, pairing)
+        bicharacter_cocycle(GroupAlgebra(0, (3, 3), scalar_order=3), pairing)
 
 
 # -- the flat Sweedler sum against a nested expansion ----------------------
@@ -605,7 +604,8 @@ def _grouplike_worlds():
                              gb(a, b) * root if (a, b) == pair else gb(a, b))
         scaled = bundle.replace(data=CocycleData(bundle.hopf, data.gamma, bar))
         worlds += [(name, bundle), (name + " gammabar scaled", scaled)]
-    worlds.append(("cocycle-inverse-corrupted", faults.fault_cocycle_inverse_corrupted()))
+    fault = next(f for f in faults.FAULTS if f.name == "cocycle-inverse-corrupted")
+    worlds.append((fault.name, fault.build()))
     out = []
     for name, bundle in worlds:
         for world, T in ((name, twist_world(bundle).hopf),
@@ -643,7 +643,7 @@ GROUPLIKE_WORLDS = _grouplike_worlds()
 @pytest.mark.parametrize("name, T, labels", GROUPLIKE_WORLDS,
                          ids=[name for name, _, _ in GROUPLIKE_WORLDS])
 def test_grouplike_branches_match_the_sweedler_definitions(name, T, labels):
-    assert T.is_grouplike_basis()
+    assert T.grouplike_basis
     g, gb = T.data.gamma, T.data.gamma_bar
     one = Cyc.one(T.scalar_order)
     scaled = {(a, b) for a in labels for b in labels if g(a, b) * gb(a, b) != one}

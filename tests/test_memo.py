@@ -80,7 +80,7 @@ def test_fault_edited_calculus_tables_stay_live():
     for cal in cals:
         w_plus, w_minus = cal.basis_form("w+"), cal.basis_form("w-")
         before.append((cal.d(w_plus), cal.wedge(w_plus, w_minus)))
-    # the edits of fault_d_corrupted and fault_wedge_corrupted
+    # the edits of the d-corrupted and wedge-corrupted faults
     cal = b.calculus
     cal.d_table["w+"] = cal.module(2).el("vol")
     cal.wedge_table[("w+", "w-")] = cal.wedge_table[("w+", "w-")].scale(Cyc.root(3))

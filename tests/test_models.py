@@ -148,8 +148,9 @@ def test_correspondence_roundtrips_pass():
 
 
 def test_correspondence_roundtrips_catch_fault():
-    from cotwist.faults import fault_pairing_corrupted
-    statuses = correspondence_statuses(fault_pairing_corrupted())
+    from cotwist.faults import FAULTS
+    fault = next(f for f in FAULTS if f.name == "pairing-corrupted")
+    statuses = correspondence_statuses(fault.build())
     assert statuses["herm.correspondence-square"] == "fail"
     assert statuses["herm.metric-route-agree"] == "fail"
 
