@@ -17,11 +17,18 @@ shares Delta and epsilon with A and carries
     S_g^{-1}  = V(h1) S^-1(h2) Vbar(h3)   (from U*Ubar = V*Vbar = counit)
 
 The cocycle equation and its forms (ii)-(iv) have two shapes, and two kernels,
-`associator` and `mixed`, give both sides of each at every triple; on a finite
-grouplike basis with shared-root values, integer exponent rows replace them.
-On any grouplike basis each Sweedler sum is its label repeated, with an exact
-1: `sweedler_sum` calls fn once at the doubled labels, and h ._g k is the
-product hk times gamma(h (x) k) gammabar(h (x) k), read at one key.
+`associator` and `mixed`, give both sides of each at every triple.  Fast
+paths, each kept by its row of BENCH_31.json (in parentheses):
+- on a finite grouplike basis with shared-root values, integer exponent rows
+  replace the kernels (`cocycle.exponent_rows`);
+- on any grouplike basis each Sweedler sum is its label repeated, with an
+  exact 1: `sweedler_sum` calls fn once at the doubled labels
+  (`cocycle.sweedler_grouplike`), and h ._g k is the product hk times
+  gamma(h (x) k) gammabar(h (x) k), read at one key (`cocycle.mult_grouplike`);
+- otherwise h ._g k sums the three-leg terms once per pair of middle labels
+  (`cocycle.mult_middle_grouping`);
+- the flat sums skip every product with an exact 1 (`cocycle.times`,
+  `cocycle.flat_sum_skip`, `cocycle.sum_against_skip`).
 """
 
 from __future__ import annotations

@@ -10,18 +10,21 @@ tests and serialisation, and yields integer numerators over the same kind
 of denominator.  `Fraction`s appear only at the edges: the constructor
 accepts them, and `format_scalar` builds them for output.
 
-A Cyc is never changed once built, so values are shared: `Cyc.root(n, k)`
-is one object per order and exponent, made on first use, and `Cyc.one(n)`
-is its k = 0.  A shared root carries k in `exp` (any other value has None),
-so a product of two roots of one order is an addition of exponents and a
-root's inverse is a root; a monomial product of value zeta^k returns that
-root, and a product with a zero or an exact 1 (`{0: 1}` over 1) returns a
-factor itself.  Nearly every other scalar is a rational times a root of unity, so
-one-term elements take fast paths chosen by their number of terms: a
-monomial product adds exponents, and a monomial inverse is
-(v/d) x^k -> (d/v) x^(N-k), exact already in Q[x]/(x^N - 1) and so also mod
-Phi_N.  A multi-term element is inverted through its field norm, the
-product of its Galois conjugates.
+A Cyc is never changed once built, so values are shared.  Fast paths, each
+kept by its row of BENCH_31.json (in parentheses):
+- `Cyc.root(n, k)` is one object per order and exponent, made on first use,
+  and `Cyc.one(n)` is its k = 0 (`cyclotomic.rational_shared_one`);
+- a shared root carries k in `exp` (any other value has None), so a product
+  of two roots of one order is an addition of exponents
+  (`cyclotomic.mul_roots`), and a root's inverse and conjugate are roots
+  (`cyclotomic.root_inverse_conj`);
+- a product with an exact 1 (`{0: 1}` over 1) returns the other factor
+  (`cyclotomic.mul_exact_one`);
+- a one-term element is inverted as (v/d) x^k -> (d/v) x^(N-k), exact
+  already in Q[x]/(x^N - 1) and so also mod Phi_N
+  (`cyclotomic.inverse_monomial`).
+Any other element is inverted through its field norm, the product of its
+Galois conjugates.
 
 There is deliberately no floating point anywhere: every identity the engine
 checks is an exact equality in Q(zeta_N).
@@ -201,12 +204,9 @@ class Cyc:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is Cyc and other.order == self.order:
-            a, b = self, other
-        else:
-            a, b = self._match(other)
-            if a is None:
-                return NotImplemented
+        a, b = self._match(other)
+        if a is None:
+            return NotImplemented
         if not b.num:
             return a
         if not a.num:
@@ -275,21 +275,6 @@ class Cyc:
         if bn == _ONE and b.den == 1:
             return a
         den = a.den * b.den
-        if len(an) == 1 and len(bn) == 1:
-            (k1, v1), = an.items()
-            (k2, v2), = bn.items()
-            k = k1 + k2
-            if k >= n:
-                k -= n
-            v = v1 * v2
-            if den != 1:
-                g = gcd(v, den)
-                if g != 1:
-                    v //= g
-                    den //= g
-            if v == 1 and den == 1:
-                return _root(n, k)
-            return _make(n, {k: v}, den)
         out = {}
         for k1, v1 in an.items():
             for k2, v2 in bn.items():
@@ -376,8 +361,6 @@ class Cyc:
         n, num = self.order, self.num
         if self.exp is not None:
             return _root(n, -self.exp % n)
-        if len(num) == 1 and 0 in num:
-            return self
         return _make(n, {(n - k) % n: v for k, v in num.items()}, self.den)
 
     # -- canonical form ---------------------------------------------------
@@ -407,12 +390,9 @@ class Cyc:
         return self._canon
 
     def is_zero(self):
-        # v zeta^k with v != 0 is a unit, so a one-term value is never zero
-        return not self.num if len(self.num) < 2 else not self.canonical()[0]
+        return not self.canonical()[0]
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if type(other) is not Cyc:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented

@@ -9,6 +9,11 @@ leftmost leg through the right-action straightening tables.
 All module bases are required to be coinvariant (checked at construction);
 every model in scope has coinvariant bases, while module *elements* carry
 arbitrary weights.
+
+`FreeModule.lmul`, `rmul` and `_coact_key` are hand-written loops, the only
+fast paths here, each kept by its row of BENCH_31.json (`modules.lmul_loop`,
+`modules.rmul_loop`, `modules.coact_key_loop`): their `Vec.apply2` forms
+make more calls.
 """
 
 from __future__ import annotations
@@ -133,8 +138,6 @@ class FreeModule:
     def zero(self):
         return Vec(self.scalar_order)
 
-    # lmul, rmul and _coact_key stay hand-written loops: every module operation
-    # runs through them, and their Vec.apply2 forms measured 1.3-1.8x slower
     def lmul(self, b_vec, elem):
         out = Vec(self.scalar_order)
         for (b, i), c in elem.terms.items():

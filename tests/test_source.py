@@ -227,15 +227,16 @@ def test_no_unread_attributes_in_package():
 
 # Functions outside vectors.py that may still call Vec.add_term, each with why.
 # Every other element map is a linear, bilinear or antilinear extension
-# (Vec.apply, apply2, apply_conj, evaluate, tensor) of a basis table.  The
-# slowdowns are per call, on a two-term one-form of nc_torus(1,3).
+# (Vec.apply, apply2, apply_conj, evaluate, tensor) of a basis table.  Each
+# reason cites the total calls of one benchmark iteration, from the row of
+# BENCH_31.json named after the loop.
 ADD_TERM_ALLOWED = {
     "modules.py:FreeModule.lmul":
-        "the inner loop of every module product; its apply2 form ran 1.3x slower",
+        "the inner loop of every module product; its apply2 form makes up to 3.3 % more calls",
     "modules.py:FreeModule.rmul":
-        "the inner loop of every module product; its apply2 form ran 1.8x slower",
+        "the inner loop of every module product; its apply2 form makes up to 1.5 % more calls",
     "modules.py:FreeModule._coact_key":
-        "the coaction of every module key; its apply2 form ran 1.5x slower",
+        "the coaction of every module key; its apply2 form makes up to 6.3 % more calls",
 }
 
 
